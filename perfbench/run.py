@@ -4,8 +4,11 @@
 
 Run from the root of a source checkout; the library is imported from
 ``src/``, nothing is installed or built.  Each measurement runs in a fresh
-single-threaded interpreter (worker.py) as a closed loop with one caller.
-Workloads, metrics and the layer-to-metric map are described in NOTES.md.
+single-threaded interpreter (worker.py) as a closed loop with one caller,
+for a number of passes fixed by the workload and ``--seconds``.  Times are
+reported in reference seconds: measured seconds scaled by a host-speed
+probe that runs alongside (probe.py).  Workloads, metrics and the
+layer-to-metric map are described in NOTES.md.
 
 With ``--trace 0`` the last line of standard output is one JSON object with
 the end-to-end metrics; with ``--trace 1`` it holds the per-layer metrics
@@ -31,12 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
+from speed import REF_PROBE_S, Speed, reference_setup_s
+from workloads import PASS_S
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 
-WORKLOADS = ["verify-rainbow", "verify-structure", "crosscheck-k6", "mono-paths"]
 # set-up is measured in this many fresh interpreters and reported as a median
 SETUP_SAMPLES = 7
 # digests in digests.json are recorded for this seed
@@ -59,7 +64,7 @@ class WorkerError(RuntimeError):
     pass
 
 
-def run_worker(args, mode: str, deadline: float, *extra: str) -> dict:
+def run_worker(args, mode: str, deadline: float, passes: int, *extra: str) -> dict:
     cmd = [
         sys.executable,
         str(BENCH / "worker.py"),
@@ -71,7 +76,9 @@ def run_worker(args, mode: str, deadline: float, *extra: str) -> dict:
         str(args.seed),
         "--mode",
         mode,
-        *(extra or ("--seconds", str(args.seconds))),
+        "--passes",
+        str(passes),
+        *extra,
     ]
     env = {**os.environ, **ENV_SINGLE_THREAD}
     remaining = deadline - time.monotonic()
@@ -105,12 +112,22 @@ def quantile(values: list[float], q: float) -> float:
     return float(weights @ xs)
 
 
-def tail_quantile(answers: int, passes: int) -> float:
-    """The highest quantile that still has at least TAIL_BEYOND answers
-    beyond it in every pass.  Counting per pass keeps a workload's quantile
-    the same however many passes a run makes, so runs of different speed
-    stay comparable."""
-    return max(1 - passes * TAIL_BEYOND / answers, 0.0)
+def tail_quantile(answers_per_pass: int) -> float:
+    """The highest quantile that still has at least TAIL_BEYOND answers of
+    one pass beyond it."""
+    return max(1 - TAIL_BEYOND / answers_per_pass, 0.0)
+
+
+def per_pass_quantile(lat: list[float], sizes: list[int], q: float) -> tuple[float, int]:
+    """(median over passes of each pass's quantile q, answers beyond it).
+    Taken per pass, the estimate does not depend on how many passes a run
+    makes: a registry pass has only 17 or 31 answers, and the estimator's
+    weights change with the sample size."""
+    bounds = np.cumsum([0, *sizes])
+    passes = [lat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    values = [quantile(p, q) for p in passes]
+    beyond = sum(x > v for p, v in zip(passes, values) for x in p)
+    return statistics.median(values), beyond
 
 
 def source_digest() -> str:
@@ -134,6 +151,8 @@ def commit() -> str:
 
 
 def unit(name: str) -> str:
+    if name.startswith("host_speed"):
+        return "ref_s/s"
     if name.endswith("percentile"):
         return "%"
     if name.endswith("_s"):
@@ -147,36 +166,55 @@ def unit(name: str) -> str:
     return "count"
 
 
-def end_to_end(untraced: dict, setups: list[float]) -> tuple[dict, dict]:
-    """(metrics for the result line, extra figures printed alongside)."""
-    lat = untraced["latencies_s"]
-    passes = len(untraced["pass_walls_s"])
-    tail_q = tail_quantile(len(lat), passes)
-    tail_s = quantile(lat, tail_q)
+def pass_walls(worker: dict) -> list[float]:
+    """Each pass's wall time in reference seconds."""
+    return Speed(worker["probe_starts"], worker["probe_durations_s"]).intervals_s(worker["passes"])
+
+
+def end_to_end(untraced: dict, setups: list[dict]) -> tuple[dict, dict]:
+    """(metrics for the result line, extra figures printed alongside).
+    Times are in reference seconds (speed.py); the measured ones are among
+    the extra figures."""
+    speed = Speed(untraced["probe_starts"], untraced["probe_durations_s"])
+    lat = speed.intervals_s(untraced["answers"])
+    walls = pass_walls(untraced)
+    setup_ref = [reference_setup_s(s["setup_s"], s["setup_probes_s"]) for s in setups]
+    sizes = untraced["pass_sizes"]
+    tail_q = tail_quantile(min(sizes))
+    p50_s, _ = per_pass_quantile(lat, sizes, 0.5)
+    tail_s, beyond = per_pass_quantile(lat, sizes, tail_q)
     attempted = untraced["attempted"]
     metrics = {
-        "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(untraced["pass_walls_s"]),
-        "answer_p50_ms": 1000 * quantile(lat, 0.5),
+        "setup_s": statistics.median(setup_ref),
+        "wall_s": statistics.median(walls),
+        "answer_p50_ms": 1000 * p50_s,
         "answer_tail_ms": 1000 * tail_s,
         "exact_frac": untraced["exact"] / attempted,
         "peak_rss_mb": untraced["peak_rss_mb"],
     }
+    measured_lat = [b - a for a, b in untraced["answers"]]
     extra = {
         "fail_frac": untraced["failed"] / attempted,
         "inexact_frac": 1 - untraced["exact"] / attempted,
         "answer_tail_percentile": 100 * tail_q,
         "answers": len(lat),
-        "answers_beyond_tail": sum(x > tail_s for x in lat),
-        "passes": passes,
+        "answers_beyond_tail": beyond,
+        "passes": len(walls),
         "setup_samples": len(setups),
+        "measured_setup_s": statistics.median(s["setup_s"] for s in setups),
+        "measured_wall_s": statistics.median(b - a for a, b in untraced["passes"]),
+        "measured_answer_p50_ms": 1000 * per_pass_quantile(measured_lat, sizes, 0.5)[0],
+        "probes": len(untraced["probe_starts"]),
+        "host_speed_median": float(np.median(speed.factor)),
+        "host_speed_min": float(speed.factor.min()),
+        "host_speed_max": float(speed.factor.max()),
     }
     return metrics, extra
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=list(PASS_S))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -187,23 +225,22 @@ def main() -> int:
         print(f"rainbowfree sources not found under {SRC}", file=sys.stderr)
         return 2
     deadline = time.monotonic() + TIME_LIMIT_S
+    passes = max(1, int(args.seconds / PASS_S[args.workload]))
 
     try:
         # set-up samples are taken before and after the measuring worker, so
         # that they span the run; a traced run reports no end-to-end metrics
         # and skips them
         extra = 0 if args.trace else (SETUP_SAMPLES - 1) // 2
-        setups = [run_worker(args, "setup", deadline)["setup_s"] for _ in range(extra)]
-        untraced = run_worker(args, "run", deadline)
-        setups.append(untraced["setup_s"])
-        setups += [run_worker(args, "setup", deadline)["setup_s"] for _ in range(extra)]
+        setups = [run_worker(args, "setup", deadline, 1) for _ in range(extra)]
+        untraced = run_worker(args, "run", deadline, passes)
+        setups.append(untraced)
+        setups += [run_worker(args, "setup", deadline, 1) for _ in range(extra)]
         traced = None
         if args.trace:
             spans = OUT / "spans" / f"{args.workload}-seed{args.seed}.npz"
             spans.parent.mkdir(parents=True, exist_ok=True)
-            # the traced run repeats exactly the passes of the untraced one
-            passes = str(len(untraced["pass_walls_s"]))
-            traced = run_worker(args, "trace", deadline, "--passes", passes, "--spans", str(spans))
+            traced = run_worker(args, "trace", deadline, passes, "--spans", str(spans))
     except WorkerError as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
@@ -226,13 +263,10 @@ def main() -> int:
     e2e, extra = end_to_end(untraced, setups)
     if traced:
         # per-layer figures are per pass; both runs saw the same passes
-        passes = len(untraced["pass_walls_s"])
         metrics = {
             k: v if k.endswith("frac") else v / passes for k, v in traced["layers"].items()
         }
-        metrics["trace.overhead_s"] = (
-            sum(traced["pass_walls_s"]) - sum(untraced["pass_walls_s"])
-        ) / passes
+        metrics["trace.overhead_s"] = (sum(pass_walls(traced)) - sum(pass_walls(untraced))) / passes
     else:
         metrics = e2e
 
@@ -258,8 +292,13 @@ def main() -> int:
         "problems": problems,
         "end_to_end": {**e2e, **extra},
         "per_layer": metrics if traced else None,
-        "pass_walls_s": untraced["pass_walls_s"],
-        "setup_samples_s": setups,
+        "passes": untraced["passes"],
+        "answers": untraced["answers"],
+        "setup_samples_s": [s["setup_s"] for s in setups],
+        "setup_probes_s": [s["setup_probes_s"] for s in setups],
+        "probe_starts": untraced["probe_starts"],
+        "probe_durations_s": untraced["probe_durations_s"],
+        "reference_probe_s": REF_PROBE_S,
     }
     results = OUT / "results"
     results.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ Wraps the public functions the benchmark reports on, in every
 makes one binding per importing module), and records one span per call:
 name, start, end, parent span and the answer being worked on.  Spans stay in
 memory until the run ends; self time is computed from them afterwards as a
-span's duration minus the durations of its direct children.
+span's duration minus the durations of its direct children and the
+host-speed probes that interrupted it, in reference seconds (speed.py).
 
 Per-edge accessors (``pair_color``, ``color``, ``iter_bits``) are left
 unwrapped on purpose: a registry pass makes about 20M such calls, and their
@@ -129,6 +130,8 @@ class Tracer:
         self.span_end = array("d")
         self.span_parent = array("i")
         self.span_answer = array("i")
+        # host-speed probe time that fell directly inside each span
+        self.span_probe = array("d")
         self.calls = [0] * len(self.names)
         self.counts = dict.fromkeys(COUNTERS, 0)
 
@@ -145,6 +148,7 @@ class Tracer:
         self.span_parent.append(self._stack[-1])
         self.span_answer.append(self.answer)
         self.span_end.append(0.0)
+        self.span_probe.append(0.0)
         self._stack.append(span)
         self.span_start.append(time.perf_counter())
         return span
@@ -152,6 +156,13 @@ class Tracer:
     def _close(self, span: int) -> None:
         self.span_end[span] = time.perf_counter()
         self._stack.pop()
+
+    def add_probe(self, seconds: float) -> None:
+        """Charge a host-speed probe to the innermost open span, so that
+        self time leaves it out."""
+        span = self._stack[-1]
+        if span >= 0:
+            self.span_probe[span] += seconds
 
     def _wrap_function(self, name: str, fn):
         name_id = self._name_id(name)
@@ -218,21 +229,25 @@ class Tracer:
                     if getattr(mod, fname, None) is original:
                         setattr(mod, fname, wrapped)
 
-    def self_times(self) -> dict[str, float]:
-        """Self time per wrapped name: duration minus direct children."""
+    def self_times(self, speed) -> dict[str, float]:
+        """Self time per wrapped name, in reference seconds (speed.py):
+        duration minus direct children and probes, scaled by the host's
+        speed over the span."""
         start = np.frombuffer(self.span_start, dtype=np.float64)
         end = np.frombuffer(self.span_end, dtype=np.float64)
         parent = np.frombuffer(self.span_parent, dtype=np.int32)
         name = np.frombuffer(self.span_name, dtype=np.int32)
+        probes = np.frombuffer(self.span_probe, dtype=np.float64)
         dur = end - start
         nested = parent >= 0
         child = np.bincount(parent[nested], weights=dur[nested], minlength=len(dur))
-        own = np.bincount(name, weights=dur - child, minlength=len(self.names))
-        return {n: float(own[i]) for i, n in enumerate(self.names)}
+        own = (dur - child - probes) * speed.mean_factor(start, end)
+        total = np.bincount(name, weights=own, minlength=len(self.names))
+        return {n: float(total[i]) for i, n in enumerate(self.names)}
 
-    def metrics(self) -> dict[str, float]:
+    def metrics(self, speed) -> dict[str, float]:
         """Per-layer metrics: calls and self time per function and module."""
-        own = self.self_times()
+        own = self.self_times(speed)
         calls = dict(zip(self.names, self.calls))
         out: dict[str, float] = {}
         for layer, functions in LAYERS.items():
@@ -263,4 +278,5 @@ class Tracer:
             end=np.frombuffer(self.span_end, dtype=np.float64),
             parent=np.frombuffer(self.span_parent, dtype=np.int32),
             answer=np.frombuffer(self.span_answer, dtype=np.int32),
+            probe=np.frombuffer(self.span_probe, dtype=np.float64),
         )

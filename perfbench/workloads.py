@@ -132,6 +132,23 @@ class MonoPaths:
         return record, ok, witness.exact
 
 
+# seconds of --seconds given to one pass.  run.py makes int(--seconds /
+# PASS_S) passes, at least one, so the pass count depends on --seconds alone
+# and a seed always selects the same inputs, however fast the host or the
+# commit.  On the reference host (2 vCPUs, Python 3.11.7) one pass of the
+# commit that introduced the benchmark takes 10-17 s (verify-rainbow),
+# 12-20 s (verify-structure), 0.9-1.5 s (crosscheck-k6) and 2.2-3.4 s
+# (mono-paths), fast mode to slow mode.  verify-structure and mono-paths get
+# more passes than that fits into --seconds, because their answers' costs
+# vary from seed to seed and pass to pass, and one pass (five for
+# mono-paths) left their figures spread by about 0.1 between seeds.
+PASS_S = {
+    "verify-rainbow": 16.0,
+    "verify-structure": 10.0,
+    "crosscheck-k6": 1.5,
+    "mono-paths": 2.8,
+}
+
 WORKLOADS = {
     "verify-rainbow": VerifyHalf(rainbow_half=True),
     "verify-structure": VerifyHalf(rainbow_half=False),
