@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from fractions import Fraction
@@ -51,7 +50,7 @@ from .gallai import (
 from .oracles import realizable_degree_sequences
 from .paths import check_mono_path_quota, color_degree_averages, kano_li_floor
 from .patterns import parse_pattern
-from .rainbow import enumerate_rainbow, find_rainbow, is_rainbow_free
+from .rainbow import enumerate_rainbow, find_rainbow
 
 DEFAULT_SAMPLES = 1000
 
@@ -86,11 +85,9 @@ def _rainbow_claim(cid, provenance, make_host, pattern_name, expect_free):
     pat = parse_pattern(pattern_name)
 
     def run(seed):
-        host = make_host().host
-        free = is_rainbow_free(host, pat)
-        if free:
+        emb = find_rainbow(make_host().host, pat)
+        if emb is None:
             return expect_free, "rainbow-free"
-        emb = find_rainbow(host, pat)
         return not expect_free, emb.to_json()
 
     return Claim(cid, provenance, True, run)
@@ -747,7 +744,6 @@ def build_registry() -> list[Claim]:
 def run_claims(
     pattern: str = "*",
     seed: int = 0,
-    parallelism: int = 1,
     registry: list[Claim] | None = None,
 ) -> list[RunReport]:
     """Run every claim whose id matches the glob; unknown patterns error."""
@@ -771,9 +767,4 @@ def run_claims(
         millis = int((time.monotonic() - start) * 1000)
         return RunReport(claim.id, status, witness, millis, derived)
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(execute, selected))
-    else:
-        reports = [execute(item) for item in selected]
-    return reports
+    return [execute(item) for item in selected]

@@ -189,7 +189,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = claims_mod.run_claims(args.filter, args.seed, args.parallelism)
+    reports = claims_mod.run_claims(args.filter, args.seed)
     payload = [r.to_json() for r in reports]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="*")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="write RunReport JSON here")
-    p.add_argument("--parallelism", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("crosscheck", help="micro-scale oracle cross-check")

@@ -113,7 +113,7 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
     full = space <= budget
     report = CrosscheckReport(n, m, "full" if full else "sampled", seed=seed)
     names = _FULL_PATTERNS if full else _SAMPLED_PATTERNS
-    patterns = [parse_pattern(s) for s in names if parse_pattern(s).order <= n]
+    patterns = [p for p in map(parse_pattern, names) if p.order <= n]
     if full:
         ks = [1, 2, 3]
         for colors in product(range(1, m + 1), repeat=pairs):

@@ -1,4 +1,5 @@
-"""Small pattern graphs: the name grammar, subgraph tests, and catalog sets.
+"""Small pattern graphs: the name grammar, the pattern-search engine shared by
+subgraph tests and rainbow search, and the catalog sets.
 
 The grammar names disjoint unions of eight base graphs:
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from .core import SimpleGraph, induced_subgraph
 
@@ -60,7 +62,7 @@ def disjoint_union(graphs: list[SimpleGraph]) -> SimpleGraph:
 class Pattern:
     """A small graph to search for, paired with its canonical grammar name."""
 
-    __slots__ = ("graph", "canonical_name")
+    __slots__ = ("graph", "canonical_name", "plan")
 
     def __init__(self, graph: SimpleGraph):
         if graph.n > MAX_PATTERN_VERTICES:
@@ -71,6 +73,7 @@ class Pattern:
             raise ValueError("pattern must not contain isolated vertices")
         self.graph = graph
         self.canonical_name = _canonical_name(graph)
+        self.plan = search_plan(graph)
 
     @property
     def order(self) -> int:
@@ -87,7 +90,7 @@ class Pattern:
         return self.graph.max_degree()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Pattern) and is_isomorphic(self.graph, other.graph)
+        return isinstance(other, Pattern) and is_isomorphic(self, other)
 
     def __hash__(self) -> int:
         g = self.graph
@@ -164,36 +167,125 @@ def _explicit_name(graph: SimpleGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subgraph / isomorphism tests (exact backtracking; patterns are tiny)
+# The pattern-search engine: one planner, one backtracker
+#
+# Every search embeds a pattern injectively into a host given as a vertex
+# count and a pair_color(a, b) accessor that returns the color of edge ab,
+# or None for a non-edge.  An embedding is accepted when all mapped edge
+# colors are pairwise distinct; that is a rainbow copy on colored hosts, and
+# a plain subgraph copy when pair_color names each host edge by its
+# endpoints.  The backtracker places pattern vertices component by
+# component, most-constrained vertex first.  Identical consecutive
+# components are embedded with strictly increasing least image vertex,
+# which removes the copy-permutation symmetry without losing any distinct
+# image.
 # ---------------------------------------------------------------------------
+
+
+def search_plan(g: SimpleGraph):
+    """Vertex order, per-vertex placed neighbors, and component bookkeeping."""
+    comps = sorted(
+        g.components(),
+        key=lambda c: (
+            -len(c),
+            -sum(1 for e in g.edges if e[0] in c),
+            tuple(sorted((g.degree(v) for v in c), reverse=True)),
+            min(c),
+        ),
+    )
+    comp_graphs = [induced_subgraph(g, c) for c in comps]
+    order: list[int] = []
+    comp_of: list[int] = []
+    for ci, comp in enumerate(comps):
+        start = max(comp, key=lambda v: (g.degree(v), -v))
+        pending = set(comp) - {start}
+        order.append(start)
+        comp_of.append(ci)
+        placed = {start}
+        while pending:
+            nxt = max(
+                pending, key=lambda v: (len(g.adj[v] & placed), g.degree(v), -v)
+            )
+            order.append(nxt)
+            comp_of.append(ci)
+            placed.add(nxt)
+            pending.remove(nxt)
+    placed_before: list[list[int]] = []
+    seen: set[int] = set()
+    for v in order:
+        placed_before.append([q for q in g.adj[v] if q in seen])
+        seen.add(v)
+    # symmetry: component ci mirrors ci-1 when isomorphic
+    mirrors = [
+        ci > 0 and is_isomorphic(comp_graphs[ci], comp_graphs[ci - 1])
+        for ci in range(len(comps))
+    ]
+    comp_last_index = {}
+    for i, ci in enumerate(comp_of):
+        comp_last_index[ci] = i
+    return order, placed_before, comp_of, comp_last_index, mirrors
+
+
+def embeddings(vertex_count: int, pair_color, plan) -> Iterator[tuple[int, ...]]:
+    """Every injective map (symmetry-reduced) with pairwise distinct edge colors."""
+    order, placed_before, comp_of, comp_last, mirrors = plan
+    if len(order) > vertex_count:
+        raise ValueError("pattern larger than host")
+    nv = vertex_count
+    image = [-1] * len(order)
+    used_vertices: set[int] = set()
+    used_colors: set = set()
+    comp_min: dict[int, int] = {}  # component index -> least image vertex
+
+    def comp_min_of(ci: int) -> int:
+        lo = comp_last[ci]
+        verts = [image[order[i]] for i in range(lo + 1) if comp_of[i] == ci]
+        return min(verts)
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(order):
+            yield tuple(image)
+            return
+        p = order[i]
+        anchors = placed_before[i]
+        ci = comp_of[i]
+        for cand in range(nv):
+            if cand in used_vertices:
+                continue
+            new_colors = []
+            ok = True
+            for q in anchors:
+                c = pair_color(cand, image[q])
+                if c is None or c in used_colors or c in new_colors:
+                    ok = False
+                    break
+                new_colors.append(c)
+            if not ok:
+                continue
+            image[p] = cand
+            used_vertices.add(cand)
+            used_colors.update(new_colors)
+            if i == comp_last[ci] and mirrors[ci]:
+                # identical consecutive components: force increasing least image
+                if comp_min_of(ci) <= comp_min[ci - 1]:
+                    used_vertices.remove(cand)
+                    used_colors.difference_update(new_colors)
+                    image[p] = -1
+                    continue
+            if i == comp_last[ci]:
+                comp_min[ci] = comp_min_of(ci)
+            yield from extend(i + 1)
+            if i == comp_last[ci]:
+                comp_min.pop(ci, None)
+            used_vertices.remove(cand)
+            used_colors.difference_update(new_colors)
+            image[p] = -1
+
+    yield from extend(0)
 
 
 def _as_graph(g) -> SimpleGraph:
     return g.graph if isinstance(g, Pattern) else g
-
-
-def _embedding_order(g: SimpleGraph) -> list[int]:
-    """Pattern vertex order: component by component, most-constrained first."""
-    comps = sorted(
-        g.components(),
-        key=lambda c: (-len(c), -sum(1 for e in g.edges if e[0] in c), min(c)),
-    )
-    order: list[int] = []
-    placed: set[int] = set()
-    for comp in comps:
-        start = max(comp, key=lambda v: (g.degree(v), -v))
-        order.append(start)
-        placed.add(start)
-        pending = set(comp) - {start}
-        while pending:
-            nxt = max(
-                pending,
-                key=lambda v: (len(g.adj[v] & placed), g.degree(v), -v),
-            )
-            order.append(nxt)
-            placed.add(nxt)
-            pending.remove(nxt)
-    return order
 
 
 def is_subgraph(g, h) -> bool:
@@ -205,29 +297,14 @@ def is_subgraph(g, h) -> bool:
     hd = sorted((H.degree(v) for v in range(H.n)), reverse=True)
     if any(a > b for a, b in zip(gd, hd)):
         return False
-    order = _embedding_order(G)
-    back = {v: [q for q in G.adj[v] if q in set(order[:i])] for i, v in enumerate(order)}
-    image: dict[int, int] = {}
-    used: set[int] = set()
+    plan = g.plan if isinstance(g, Pattern) else search_plan(G)
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        p = order[i]
-        need = G.degree(p)
-        for cand in range(H.n):
-            if cand in used or H.degree(cand) < need:
-                continue
-            if all(H.has_edge(cand, image[q]) for q in back[p]):
-                image[p] = cand
-                used.add(cand)
-                if extend(i + 1):
-                    return True
-                used.remove(cand)
-                del image[p]
-        return False
+    # an injective map sends distinct pattern edges to distinct host edges,
+    # so naming each edge by its endpoints makes the colors distinct
+    def pair_color(a: int, b: int):
+        return (a, b) if H.has_edge(a, b) else None
 
-    return extend(0)
+    return next(embeddings(H.n, pair_color, plan), None) is not None
 
 
 def is_isomorphic(g, h) -> bool:
@@ -237,7 +314,7 @@ def is_isomorphic(g, h) -> bool:
     if G.degree_sequence() != H.degree_sequence():
         return False
     # equal vertex and edge counts turn any subgraph embedding into an isomorphism
-    return is_subgraph(G, H)
+    return is_subgraph(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -313,5 +390,4 @@ def catalog_members(set_id: str) -> tuple[Pattern, ...]:
 
 def in_set(p: Pattern, set_id: str) -> bool:
     """Decide membership by isomorphism against the precomputed closure."""
-    g = _as_graph(p)
-    return any(is_isomorphic(g, member.graph) for member in catalog_members(set_id))
+    return any(is_isomorphic(p, member) for member in catalog_members(set_id))

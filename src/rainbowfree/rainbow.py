@@ -1,12 +1,10 @@
 """Rainbow-copy detection: find injective embeddings of a pattern into a
 colored host such that all mapped edge colors are pairwise distinct.
 
-The search backtracks over pattern vertices ordered component by component
-(most-constrained vertex first).  Hosts are complete or complete bipartite,
-so color distinctness carries the pruning; edge existence only matters on
-bipartite hosts (same-side pairs are non-edges).  Identical components are
-embedded with strictly increasing least image vertex, which removes the
-copy-permutation symmetry without losing any distinct image.
+The search is the pattern-search engine in ``patterns`` run on the host's
+``pair_color``.  Hosts are complete or complete bipartite, so color
+distinctness carries the pruning; edge existence only matters on bipartite
+hosts (same-side pairs are non-edges).
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Host, ColoredComplete, induced_subgraph
-from .patterns import Pattern, parse_pattern, is_isomorphic
+from .core import Host, ColoredComplete
+from .patterns import Pattern, embeddings, parse_pattern
 
 _K3 = None
 
@@ -71,116 +69,12 @@ def validate_embedding(host: Host, pattern: Pattern, mapping) -> None:
         seen.add(c)
 
 
-def _search_plan(pattern: Pattern):
-    """Vertex order, per-vertex placed neighbors, and component bookkeeping."""
-    g = pattern.graph
-    comps = sorted(
-        g.components(),
-        key=lambda c: (
-            -len(c),
-            -sum(1 for e in g.edges if e[0] in c),
-            tuple(sorted((g.degree(v) for v in c), reverse=True)),
-            min(c),
-        ),
-    )
-    comp_graphs = [induced_subgraph(g, c) for c in comps]
-    order: list[int] = []
-    comp_of: list[int] = []
-    for ci, comp in enumerate(comps):
-        start = max(comp, key=lambda v: (g.degree(v), -v))
-        pending = set(comp) - {start}
-        order.append(start)
-        comp_of.append(ci)
-        placed = {start}
-        while pending:
-            nxt = max(
-                pending, key=lambda v: (len(g.adj[v] & placed), g.degree(v), -v)
-            )
-            order.append(nxt)
-            comp_of.append(ci)
-            placed.add(nxt)
-            pending.remove(nxt)
-    placed_before: list[list[int]] = []
-    seen: set[int] = set()
-    for v in order:
-        placed_before.append([q for q in g.adj[v] if q in seen])
-        seen.add(v)
-    # symmetry: component ci mirrors ci-1 when isomorphic
-    mirrors = [
-        ci > 0 and is_isomorphic(comp_graphs[ci], comp_graphs[ci - 1])
-        for ci in range(len(comps))
-    ]
-    comp_last_index = {}
-    for i, ci in enumerate(comp_of):
-        comp_last_index[ci] = i
-    return order, placed_before, comp_of, comp_last_index, mirrors
-
-
-def _embeddings(host: Host, pattern: Pattern) -> Iterator[tuple[int, ...]]:
-    g = pattern.graph
-    if g.n > host.vertex_count:
-        raise ValueError("pattern larger than host")
-    order, placed_before, comp_of, comp_last, mirrors = _search_plan(pattern)
-    nv = host.vertex_count
-    pair_color = host.pair_color
-    image = [-1] * g.n
-    used_vertices: set[int] = set()
-    used_colors: set[int] = set()
-    comp_min: dict[int, int] = {}  # component index -> least image vertex
-
-    def comp_min_of(ci: int) -> int:
-        lo = comp_last[ci]
-        verts = [image[order[i]] for i in range(lo + 1) if comp_of[i] == ci]
-        return min(verts)
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
-            yield tuple(image)
-            return
-        p = order[i]
-        anchors = placed_before[i]
-        ci = comp_of[i]
-        for cand in range(nv):
-            if cand in used_vertices:
-                continue
-            new_colors = []
-            ok = True
-            for q in anchors:
-                c = pair_color(cand, image[q])
-                if c is None or c in used_colors or c in new_colors:
-                    ok = False
-                    break
-                new_colors.append(c)
-            if not ok:
-                continue
-            image[p] = cand
-            used_vertices.add(cand)
-            used_colors.update(new_colors)
-            if i == comp_last[ci] and mirrors[ci]:
-                # identical consecutive components: force increasing least image
-                if comp_min_of(ci) <= comp_min[ci - 1]:
-                    used_vertices.remove(cand)
-                    used_colors.difference_update(new_colors)
-                    image[p] = -1
-                    continue
-            if i == comp_last[ci]:
-                comp_min[ci] = comp_min_of(ci)
-            yield from extend(i + 1)
-            if i == comp_last[ci]:
-                comp_min.pop(ci, None)
-            used_vertices.remove(cand)
-            used_colors.difference_update(new_colors)
-            image[p] = -1
-
-    yield from extend(0)
-
-
 def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     """One rainbow embedding of the pattern, or None when none exists.
 
     The search is exhaustive, so None certifies rainbow-freeness.
     """
-    for mapping in _embeddings(host, pattern):
+    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
         emb = Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
         validate_embedding(host, pattern, mapping)
         return emb
@@ -195,7 +89,7 @@ def _mapped_colors(host, pattern, mapping) -> frozenset[int]:
 
 def enumerate_rainbow(host: Host, pattern: Pattern) -> Iterator[Embedding]:
     """All rainbow embeddings (one per search branch, symmetry-reduced)."""
-    for mapping in _embeddings(host, pattern):
+    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
         yield Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
 
 
@@ -207,7 +101,7 @@ def count_rainbow(host: Host, pattern: Pattern) -> int:
     """Number of rainbow copies, counted up to automorphisms of the pattern
     (two embeddings with the same image edge set are the same copy)."""
     images = set()
-    for mapping in _embeddings(host, pattern):
+    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
         emb = Embedding(pattern, mapping, frozenset())
         images.add(emb.image_edges(host))
     return len(images)

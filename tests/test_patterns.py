@@ -90,11 +90,14 @@ def test_is_subgraph_vs_injection_oracle():
             continue
         assert is_subgraph(a, b) == oracle_is_subgraph(a, b)
     for _ in range(60):
-        n = rng.randint(2, 6)
+        n = rng.randint(2, 7)
         h = SimpleGraph(
             n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]
         )
-        g = parse_pattern(rng.choice(["K2", "P3", "K3", "P4", "2K2"])).graph
+        # repeated components exercise the mirror-symmetry pruning
+        g = parse_pattern(
+            rng.choice(["K2", "P3", "K3", "P4", "2K2", "3K2", "2P3", "K2u2P3"])
+        ).graph
         assert is_subgraph(g, h) == oracle_is_subgraph(g, h)
 
 

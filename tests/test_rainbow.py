@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rainbowfree.claims import run_claims
 from rainbowfree.constructions import gen_F1, gen_F3, gen_R1, gen_R2, gen_counterexample_4t
 from rainbowfree.core import ColoredComplete
 from rainbowfree.oracles import oracle_rainbow_exists
@@ -147,3 +148,25 @@ def test_embedding_validator_rejects_bad_maps():
     host2 = ColoredComplete(3, 1, [1, 1, 1])
     with pytest.raises(ValueError):
         validate_embedding(host2, tri, (0, 1, 2))  # repeated colors
+
+
+# witnesses must stay byte-identical when the search changes
+GOLDEN_FOUND_MAPS = {
+    "R1-found-K2uK3": [0, 1, 2, 3, 6],
+    "R1m5-found-K2uK3": [2, 3, 0, 4, 8],
+    "R2-found-K2uK3": [3, 8, 0, 1, 2],
+    "R1m5-found-K2uP5": [4, 5, 8, 0, 1, 2, 3],
+    "R2-found-K2uP5": [4, 5, 3, 0, 1, 2, 8],
+    "R1m5-found-K2uP4plus": [4, 5, 3, 2, 0, 1, 8],
+    "R2-found-K2uP4plus": [4, 5, 2, 1, 0, 3, 8],
+    "F2-found-3K2": [0, 13, 6, 14, 12, 15],
+}
+
+
+def test_golden_witnesses():
+    reports = run_claims("*-found-*")
+    assert {r.claim_id: r.witness["map"] for r in reports} == GOLDEN_FOUND_MAPS
+    k3 = parse_pattern("K3")
+    assert sum(1 for _ in enumerate_rainbow(gen_R1(9, 4).host, k3)) == 162
+    star = parse_pattern("K1_3")
+    assert sum(1 for _ in enumerate_rainbow(gen_F3(12, 12, 6).host, star)) == 7776
