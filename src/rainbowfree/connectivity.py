@@ -2,13 +2,17 @@
 dense-subgraph extraction, and the largest-monochromatic-component floor.
 
 Conventions: kappa(K_r) = r - 1, and "k-connected" requires at least k + 1
-vertices.  Local connectivity between non-adjacent vertices is computed by
-max-flow on the standard vertex-split network with unit vertex capacities.
+vertices.  Local connectivity between non-adjacent vertices is a maximum
+flow on the vertex-split network with unit vertex capacities (Even 1975),
+found by augmenting paths directly on the adjacency bitmasks: no network is
+built, the residual is one bitset of vertices on a path plus each such
+vertex's path predecessor and successor.  Every maximum flow leaves the
+same residual-reachable set, so the minimum cut read from it does not
+depend on which augmenting paths were taken.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,8 +28,6 @@ from .core import (
     restrict,
     ColoredComplete,
 )
-
-_INF = 1 << 30
 
 
 class CertificationError(RuntimeError):
@@ -102,63 +104,76 @@ def _peel_to_kcore(adj_bits, active: int, k: int) -> int:
 def _split_flow(adj_bits, active: int, s: int, t: int, limit: int):
     """Max vertex-disjoint s-t paths (capped at limit) in the induced graph.
 
-    s and t must be distinct, non-adjacent, inside active.  Returns
-    (flow, reached) where reached is the residual-reachable node set from the
-    last BFS (None when the cap stopped the search first); the minimum vertex
-    cut is {v : v_in in reached, v_out not in reached}.
+    s and t must be distinct, non-adjacent, inside active.  The flow lives on
+    the vertex-split network (v_in -> v_out of capacity 1, an unbounded arc
+    v_out -> u_in per edge) without building it: the residual is the bitset
+    ``used`` of vertices carrying flow plus their flow predecessor ``prv``
+    and successor ``nxt``.  Each breadth-first search keeps the layers of
+    reached in- and out-copies as bitsets and expands them with one OR of
+    adjacency masks per vertex.  Returns (flow, cut): cut is None when the
+    cap stopped the search, otherwise the minimum vertex cut
+    {v : v_in reached, v_out not reached} left by the final, failed search.
     """
-    cap: dict[tuple[int, int], int] = {}
-    nbr: dict[int, list[int]] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            nbr.setdefault(a, []).append(b)
-            nbr.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
-    for v in iter_bits(active):
-        add(2 * v, 2 * v + 1, 1)
-        for u in iter_bits(adj_bits[v] & active):
-            add(2 * v + 1, 2 * u, _INF)
-    source, sink = 2 * s + 1, 2 * t
+    prv: dict[int, int] = {}
+    nxt: dict[int, int] = {}
+    used = 0
     flow = 0
+    # the length-two paths through common neighbors need no search
+    for x in iter_bits(adj_bits[s] & adj_bits[t] & active):
+        if flow == limit:
+            return flow, None
+        prv[x], nxt[x] = s, t
+        used |= 1 << x
+        flow += 1
+    tbit = 1 << t
     while flow < limit:
-        parent: dict[int, int | None] = {source: None}
-        dq = deque([source])
-        while dq:
-            a = dq.popleft()
-            if a == sink:
+        reached_in, reached_out = 0, 1 << s
+        front = reached_out
+        layers = []  # layers[i]: out-copies whose arcs reached in-layer i
+        while front:
+            layers.append(front)
+            # unbounded edge arcs, and the reversed unit arc of used vertices
+            reach = front & used
+            for v in iter_bits(front):
+                reach |= adj_bits[v]
+            reach &= active & ~reached_in
+            reached_in |= reach
+            if reach & tbit:
                 break
-            for b in nbr.get(a, ()):
-                if b not in parent and cap[(a, b)] > 0:
-                    parent[b] = a
-                    dq.append(b)
-        if sink not in parent:
-            return flow, set(parent)
-        aug = _INF
-        node = sink
-        while parent[node] is not None:
-            prev = parent[node]
-            aug = min(aug, cap[(prev, node)])
-            node = prev
-        node = sink
-        while parent[node] is not None:
-            prev = parent[node]
-            cap[(prev, node)] -= aug
-            cap[(node, prev)] += aug
-            node = prev
-        flow += aug
+            # unused vertices cross their unit arc; a used one can only
+            # cancel the flow arc that enters it
+            front = reach & ~used
+            for u in iter_bits(reach & used):
+                front |= 1 << prv[u]
+            front &= ~reached_out
+            reached_out |= front
+        else:  # t_in unreachable: the flow is maximum
+            return flow, reached_in & ~reached_out & active
+        # walk back from t_in; a node is (vertex, is out-copy).  u_in was
+        # first reached from layer i, through u's reversed unit arc or from
+        # a neighbor's out-copy; an out-copy's own arc in is unique.
+        path = [(t, False)]
+        u = t
+        for i in range(len(layers) - 1, 0, -1):
+            out = layers[i]
+            if used >> u & 1 and out >> u & 1:
+                w = u
+            else:
+                below = adj_bits[u] & out
+                w = (below & -below).bit_length() - 1
+            u = nxt[w] if used >> w & 1 else w
+            path += ((w, True), (u, False))
+        path.append((s, True))
+        path.reverse()
+        for (a, a_out), (b, _) in zip(path, path[1:]):
+            if a == b:  # a unit arc, forward or reversed
+                used ^= 1 << a
+            elif a_out:
+                nxt[a], prv[b] = b, a
+            # a reversed edge arc needs no write: the arcs next to it on the
+            # path overwrite nxt and prv at both of its ends
+        flow += 1
     return flow, None
-
-
-def _cut_from_reached(active: int, reached: set[int]) -> int:
-    cut = 0
-    for v in iter_bits(active):
-        if 2 * v in reached and 2 * v + 1 not in reached:
-            cut |= 1 << v
-    return cut
 
 
 def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
@@ -183,9 +198,9 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
     for v in anchors:
         non_nbrs = active & ~adj_bits[v] & ~(1 << v)
         for u in iter_bits(non_nbrs):
-            f, reached = _split_flow(adj_bits, active, v, u, k)
+            f, cut = _split_flow(adj_bits, active, v, u, k)
             if f < k:
-                return _cut_from_reached(active, reached)
+                return cut
     return None
 
 
@@ -212,7 +227,7 @@ def vertex_connectivity(g: SimpleGraph) -> int:
         if u != v and not g.has_edge(u, v):
             f, _ = _split_flow(g.adj_bits, full, v, u, best)
             best = min(best, f)
-    for x, y in combinations(sorted(g.adj[v]), 2):
+    for x, y in combinations(iter_bits(g.adj_bits[v]), 2):
         if not g.has_edge(x, y):
             f, _ = _split_flow(g.adj_bits, full, x, y, best)
             best = min(best, f)

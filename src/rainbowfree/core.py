@@ -30,13 +30,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bitmask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 class SimpleGraph:
     """Immutable simple graph on vertices 0..n-1 (no loops, no multi-edges)."""
 

@@ -23,7 +23,7 @@ from .oracles import (
 )
 from .paths import longest_mono_path
 from .patterns import parse_pattern
-from .rainbow import find_rainbow, validate_embedding
+from .rainbow import find_rainbow
 
 SAMPLE_BUDGET = 100_000
 
@@ -64,10 +64,7 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report) -> None:
     note = report.mismatches.append
     colors = tuple(host._colors)
     for pat in patterns:
-        emb = find_rainbow(host, pat)
-        if emb is not None:
-            validate_embedding(host, pat, emb.mapping)
-        fast = emb is not None
+        fast = find_rainbow(host, pat) is not None  # it validates its witness
         slow = oracle_rainbow_exists(host, pat)
         report.comparisons += 1
         if fast != slow:

@@ -28,14 +28,6 @@ class GallaiPartition:
     parts: tuple[tuple[int, ...], ...]
     cross_colors: tuple[tuple[int, int, int], ...]  # (part i, part j, color)
 
-    def cross_color(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        for a, b, c in self.cross_colors:
-            if (a, b) == (i, j):
-                return c
-        raise KeyError((i, j))
-
     def color_set(self) -> frozenset[int]:
         return frozenset(c for _, _, c in self.cross_colors)
 

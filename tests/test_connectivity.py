@@ -1,10 +1,16 @@
+import hashlib
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+from rainbowfree.claims import _random_graph
 from rainbowfree.connectivity import (
     CertificationError,
+    _find_cut_below_k,
+    _peel_to_kcore,
+    _split_flow,
     best_monochromatic,
     best_two_colored,
     gyarfas_floor,
@@ -15,7 +21,14 @@ from rainbowfree.connectivity import (
     vertex_connectivity,
 )
 from rainbowfree.constructions import gen_F1, gen_R1, gen_counterexample_4t
-from rainbowfree.core import ColoredComplete, SimpleGraph, ceil_div, induced_subgraph, restrict
+from rainbowfree.core import (
+    ColoredComplete,
+    SimpleGraph,
+    ceil_div,
+    flood,
+    induced_subgraph,
+    restrict,
+)
 from rainbowfree.oracles import (
     oracle_is_k_connected,
     oracle_largest_k_connected,
@@ -226,3 +239,168 @@ def test_gyarfas_floor_random_three_colorings():
 def test_gyarfas_floor_needs_two_colors():
     with pytest.raises(ValueError):
         gyarfas_floor(ColoredComplete(5, 1, [1] * 10))
+
+
+def to_networkx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return G
+
+
+def test_kappa_and_cuts_agree_with_networkx_medium():
+    # networkx shares no code with the bitset kernel, so it reaches past the
+    # n <= 9 brute-force oracle
+    rng = random.Random(21)
+    for n in (20, 28, 36, 44, 52, 60):
+        for p in (0.2, 0.4, 0.7):
+            g = random_graph(rng, n, p)
+            kappa = nx.node_connectivity(to_networkx(g))
+            assert vertex_connectivity(g) == kappa, (n, p)
+            full = (1 << n) - 1
+            for k in range(max(1, kappa - 1), kappa + 2):
+                assert is_k_connected(g, k) == (kappa >= k), (n, p, k)
+                cut = _find_cut_below_k(g.adj_bits, full, k)
+                if cut is not None:
+                    rest = full & ~cut
+                    low = (rest & -rest).bit_length() - 1
+                    assert cut.bit_count() < k
+                    assert flood(g.adj_bits, rest, low) != rest
+
+
+def planted_cut_cases():
+    """200 (graph, active, k) cases: two dense sides joined through a small
+    separator plus a few leaked edges, so about a third have a cut below k."""
+    rng = random.Random(20181115)
+    count = 0
+    while count < 200:
+        n = rng.randint(12, 32)
+        order = list(range(n))
+        rng.shuffle(order)
+        sep = rng.randint(1, 5)
+        split = rng.randint(sep + 3, n - 3)
+        S, A = set(order[:sep]), set(order[sep:split])
+        p = rng.choice([0.5, 0.7, 0.9])
+        leak = rng.choice([0.0, 0.01, 0.03])
+        edges = []
+        for u, v in combinations(range(n), 2):
+            crossing = (u in A) != (v in A) and u not in S and v not in S
+            if rng.random() < (leak if crossing else p):
+                edges.append((u, v))
+        g = SimpleGraph(n, edges)
+        k = rng.randint(sep, sep + 2)
+        active = 0
+        for v in range(n):
+            if rng.random() < 0.95:
+                active |= 1 << v
+        active = _peel_to_kcore(g.adj_bits, active, k)
+        if active.bit_count() >= k + 1:
+            count += 1
+            yield g, active, k
+
+
+# Recorded with the dict-network flow kernel this bitset kernel replaced.
+# Every maximum flow leaves the same residual-reachable set, so the cut of
+# the first failing anchor pair must not move.
+GOLDEN_CUTS = (
+    32772, None, None, None, 4194320, 8192, None, None, 160, None, 1040, 16, 199360,
+    None, 142622724, None, 768, None, 2099200, 8388611, None, None, 128, None, None,
+    4689, None, None, None, 66688, None, 524288, 98356, 68, None, 34603008, None,
+    16388, 4164, 2338, None, None, 2086, 2, None, None, 139268, 131328, 76, 256,
+    None, None, None, 0, None, None, 17, 21520, None, None, None, None, None, None,
+    None, None, None, 131136, None, None, None, None, None, 130, 33566721, None,
+    None, 65536, 50495488, None, 10, None, 32768, None, 35393, 4096, 160, None,
+    1049092, 64, None, None, 137, None, None, None, None, None, None, None, None,
+    None, 1, 2097444, 98592, None, None, None, None, None, None, 1245185, None,
+    None, None, 8192, None, None, 151011584, 50331648, None, None, None, None, None,
+    None, None, 329728, None, None, None, None, 166, None, None, 46153737, 33557792,
+    None, 32809, None, None, None, None, 16384, 8332, None, None, 272, 4128, 4096,
+    None, None, None, None, None, 1025, None, None, 204929, 16642, 50305, None,
+    None, None, None, None, None, None, None, None, None, 83886146, None, None,
+    None, None, None, None, None, 37904, 17306144, None, None, None, 16, None, None,
+    6210, None, None, None, None, None, 1048576, None, 2, None, 16, None, None,
+)
+GOLDEN_MADER = (  # (order, edges, sha256 prefix of the sorted edge list)
+    (21, 170, "f3b16c662090"),
+    (25, 154, "d6dbe87c6171"),
+    (13, 41, "84e701c1b50b"),
+    (18, 53, "1261fe060570"),
+    (8, 20, "a78811e553c7"),
+    (10, 23, "64029782203f"),
+    (14, 34, "e1aa8fad4fd3"),
+    (12, 41, "bdddb8597fbb"),
+    (24, 215, "d006a5c942e7"),
+    (29, 212, "d5519130e712"),
+    (14, 45, "e7c903f6b5db"),
+    (29, 326, "848659f17cc0"),
+    (13, 65, "b3bf2a8ca1c4"),
+    (16, 99, "fa23d696cd37"),
+    (27, 185, "6d47dc56ee66"),
+    (15, 37, "28d472b0adfe"),
+    (25, 87, "b07354a3c27d"),
+    (9, 25, "0625f974e5a1"),
+    (14, 39, "0cc567e07dd0"),
+    (23, 206, "cff7dbd2b54c"),
+    (28, 187, "822c8f794292"),
+    (24, 216, "a2ec12c25a16"),
+    (29, 199, "c900376e9dd9"),
+    (17, 41, "900d46eaeeea"),
+    (21, 70, "ea6802a1e684"),
+    (13, 24, "fd9aadd7734e"),
+    (9, 31, "51b7f1c265c3"),
+    (16, 103, "089d5b0c0318"),
+    (5, 6, "61fb0d268f95"),
+    (20, 158, "17c0374f5c44"),
+    (14, 40, "e49da2d4db66"),
+    (14, 68, "9584174470ca"),
+    (24, 93, "eec3541b8bce"),
+    (16, 67, "a76b78ef9cfd"),
+    (21, 72, "7c454ef30da5"),
+    (30, 238, "2d36d700bdcd"),
+    (16, 63, "9c58f53a4151"),
+    (21, 166, "8e54b03462bb"),
+    (25, 95, "ed62f89c596d"),
+    (30, 353, "59a6c72d530f"),
+    (14, 49, "cab270bc92fd"),
+    (9, 14, "b60246f0df0f"),
+    (26, 169, "70217cc7e650"),
+    (22, 183, "974bcab9a215"),
+    (13, 59, "4939424adc95"),
+    (10, 18, "f75d7738366f"),
+    (18, 116, "1cda4c320b31"),
+    (28, 204, "6fa04280ea77"),
+    (24, 133, "b5d13bf0b6ed"),
+    (11, 27, "a73e940d0987"),
+)
+
+
+def test_golden_cuts():
+    got = [_find_cut_below_k(g.adj_bits, a, k) for g, a, k in planted_cut_cases()]
+    assert got == list(GOLDEN_CUTS)
+
+
+def test_golden_mader_witnesses():
+    # the first 50 graphs the mader-random claim draws with seed 44
+    rng = random.Random(44)
+    got = []
+    while len(got) < len(GOLDEN_MADER):
+        n = rng.randint(8, 30)
+        p = rng.choice([0.3, 0.5, 0.8])
+        g = _random_graph(rng, n, p)
+        if g.edge_count == 0:
+            continue
+        sub = mader_extract(g)
+        digest = hashlib.sha256(repr(sorted(sub.edges)).encode()).hexdigest()[:12]
+        got.append((sub.n, sub.edge_count, digest))
+    assert got == list(GOLDEN_MADER)
+
+
+def test_split_flow_reroutes_around_a_used_vertex():
+    # s=0 p=1 u=2 q=3 t=4: the first, shortest path s-p-u-q-t must be undone
+    # at u (its unit arc reversed) to reach flow 2 via s-5-6-q-t and s-p-7-8-t
+    g = SimpleGraph(
+        9,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 3), (1, 7), (7, 8), (8, 4)],
+    )
+    assert _split_flow(g.adj_bits, (1 << 9) - 1, 0, 4, 3) == (2, 0b100010)
+    assert _split_flow(g.adj_bits, (1 << 9) - 1, 0, 4, 2) == (2, None)
