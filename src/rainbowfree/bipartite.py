@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from .core import ColoredBipartite, restrict
 from .connectivity import CertificationError, _find_cut_below_k
 from .constructions import Generated, _split_sizes
-from .patterns import parse_pattern
-from .rainbow import find_rainbow
 
 
 class RainbowStarPresent(ValueError):
@@ -43,9 +41,16 @@ class BipartiteStructure:
 
 
 def _require_star_free(host: ColoredBipartite):
-    emb = find_rainbow(host, parse_pattern("K1_3"))
-    if emb is not None:
-        raise RainbowStarPresent(f"rainbow K_{{1,3}} at {emb.mapping}")
+    """Raise RainbowStarPresent at the first vertex seeing three colors; the
+    witness adds the least neighbor of each of the first three colors met,
+    ascending, which is find_rainbow's first rainbow K_{1,3}."""
+    n = host.vertex_count
+    for v in range(n):
+        first: dict[int, int] = {}
+        for w in range(host.s, n) if v < host.s else range(host.s):
+            first.setdefault(host.pair_color(v, w), w)
+            if len(first) == 3:
+                raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *first.values())}")
 
 
 def validate_type_b(host: ColoredBipartite, background: int, u_parts, v_parts) -> str | None:
@@ -93,8 +98,8 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
         raise ValueError("both sides must have at least 3 vertices")
     used = frozenset(host.used_colors())
     if len(used) <= 4:
-        # case A is settled by the color count alone, so the (expensive)
-        # freeness check only runs where the block structure is claimed
+        # case A is settled by the color count alone, so the freeness
+        # check only runs where the block structure is claimed
         return BipartiteStructure("A", used)
     _require_star_free(host)
     counts = host.color_counts()

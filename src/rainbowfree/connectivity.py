@@ -21,6 +21,7 @@ from .core import (
     Host,
     SimpleGraph,
     ceil_div,
+    components,
     flood,
     induced_subgraph,
     iter_bits,
@@ -72,17 +73,6 @@ class OrderCapResult:
 # ---------------------------------------------------------------------------
 # bitmask primitives
 # ---------------------------------------------------------------------------
-
-
-def _components(adj_bits, active: int) -> list[int]:
-    out = []
-    remaining = active
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = flood(adj_bits, remaining, start)
-        out.append(comp)
-        remaining &= ~comp
-    return out
 
 
 def _peel_to_kcore(adj_bits, active: int, k: int) -> int:
@@ -223,10 +213,9 @@ def vertex_connectivity(g: SimpleGraph) -> int:
         return n - 1
     v = min(range(n), key=g.degree)
     best = g.degree(v)
-    for u in range(n):
-        if u != v and not g.has_edge(u, v):
-            f, _ = _split_flow(g.adj_bits, full, v, u, best)
-            best = min(best, f)
+    for u in iter_bits(full & ~g.adj_bits[v] & ~(1 << v)):
+        f, _ = _split_flow(g.adj_bits, full, v, u, best)
+        best = min(best, f)
     for x, y in combinations(iter_bits(g.adj_bits[v]), 2):
         if not g.has_edge(x, y):
             f, _ = _split_flow(g.adj_bits, full, x, y, best)
@@ -253,7 +242,7 @@ def _greedy_descend(adj_bits, active: int, k: int) -> int:
         cut = _find_cut_below_k(adj_bits, active, k)
         if cut is None:
             return active
-        comps = _components(adj_bits, active & ~cut)
+        comps = components(adj_bits, active & ~cut)
         active = max(comps, key=lambda c: (c.bit_count(), -c)) | cut
 
 
@@ -288,7 +277,7 @@ def _max_k_connected(adj_bits, active0: int, k: int, depth_cap: int | None):
             if greedy.bit_count() > best.bit_count():
                 best = greedy
             continue
-        comps = _components(adj_bits, S & ~cut)
+        comps = components(adj_bits, S & ~cut)
         comps.sort(key=lambda c: (c.bit_count(), -c))
         for comp in comps:
             stack.append((comp | cut, depth + 1))
@@ -428,7 +417,7 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
         if S.bit_count() < k + 1:
             break
         cut = _find_cut_below_k(bits, S, k)
-        comps = _components(bits, S & ~cut)
+        comps = components(bits, S & ~cut)
 
         def density(c: int) -> Fraction:
             sub = c | cut
@@ -466,11 +455,7 @@ def gyarfas_floor(host: Host):
     best_color, best_comp = -1, 0
     for c in used:
         g = restrict(host, {c})
-        active = 0
-        for v in range(g.n):
-            if g.adj_bits[v]:
-                active |= 1 << v
-        for comp in _components(g.adj_bits, active):
+        for comp in components(g.adj_bits, sum(1 << v for v in g.support())):
             if comp.bit_count() > best_comp.bit_count():
                 best_color, best_comp = c, comp
     n = host.vertex_count

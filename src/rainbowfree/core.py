@@ -1,9 +1,11 @@
-"""Edge-colored complete / complete-bipartite graphs, color masks, and file I/O.
+"""Edge-colored complete / complete-bipartite graphs, color masks, the
+bitset graph layer, and file I/O.
 
 Colors are dense integers 1..m.  Vertices are 0-indexed.  For a bipartite
 host the two sides share one global vertex numbering: the left side U is
-0..s-1 and the right side V is s..s+t-1.  All objects are immutable after
-construction and therefore safe to share between threads.
+0..s-1 and the right side V is s..s+t-1.  A SimpleGraph is its adjacency
+bitmasks, and every graph helper here works on them.  All objects are
+immutable after construction and therefore safe to share between threads.
 """
 
 from __future__ import annotations
@@ -31,32 +33,48 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class SimpleGraph:
-    """Immutable simple graph on vertices 0..n-1 (no loops, no multi-edges)."""
+    """Immutable simple graph on vertices 0..n-1 (no loops, no multi-edges),
+    stored as one adjacency bitmask per vertex."""
 
-    __slots__ = ("n", "edges", "adj", "adj_bits")
+    __slots__ = ("n", "adj_bits", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
+        bits = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(norm)
-        bits = [0] * n
-        for u, v in norm:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+        self.n = n
         self.adj_bits = tuple(bits)
-        self.adj = tuple(frozenset(iter_bits(b)) for b in bits)
+        self._edges = None
+
+    @classmethod
+    def _from_bits(cls, adj_bits: Iterable[int]) -> "SimpleGraph":
+        """Wrap symmetric, loop-free adjacency bitmasks without re-checking."""
+        g = cls.__new__(cls)
+        g.adj_bits = tuple(adj_bits)
+        g.n = len(g.adj_bits)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u < v, derived once on first read."""
+        if self._edges is None:
+            bits = self.adj_bits
+            self._edges = frozenset(
+                (u, v) for u in range(self.n) for v in iter_bits(bits[u]) if u < v
+            )
+        return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(b.bit_count() for b in self.adj_bits) // 2
 
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
@@ -77,14 +95,8 @@ class SimpleGraph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, each as a vertex set, ordered by least vertex."""
-        out = []
-        remaining = (1 << self.n) - 1
-        while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = flood(self.adj_bits, remaining, start)
-            out.append(frozenset(iter_bits(comp)))
-            remaining &= ~comp
-        return out
+        full = (1 << self.n) - 1
+        return [frozenset(iter_bits(c)) for c in components(self.adj_bits, full)]
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -93,14 +105,10 @@ class SimpleGraph:
         return flood(self.adj_bits, full, 0) == full
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimpleGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, SimpleGraph) and self.adj_bits == other.adj_bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj_bits)
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
@@ -120,14 +128,29 @@ def flood(adj_bits, active: int, start: int) -> int:
     return seen
 
 
+def components(adj_bits, active: int) -> list[int]:
+    """Connected components of the graph induced on ``active``, as bit sets,
+    ordered by least vertex."""
+    out = []
+    while active:
+        comp = flood(adj_bits, active, (active & -active).bit_length() - 1)
+        out.append(comp)
+        active &= ~comp
+    return out
+
+
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     """Induced subgraph relabeled onto 0..k-1 following sorted vertex order."""
     verts = sorted(set(vertices))
+    keep = sum(1 << v for v in verts)
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return SimpleGraph(len(verts), edges)
+    bits = []
+    for v in verts:
+        b = 0
+        for w in iter_bits(g.adj_bits[v] & keep):
+            b |= 1 << index[w]
+        bits.append(b)
+    return SimpleGraph._from_bits(bits)
 
 
 def _tri_index(n: int, u: int, v: int) -> int:
@@ -304,15 +327,24 @@ def normalize_mask(host: Host, mask: Iterable[int]) -> frozenset[int]:
     return out
 
 
+def color_bits(host: Host, colors) -> list[int]:
+    """Adjacency bitmasks, over the host's global vertices, of the edges
+    whose color is in ``colors`` (which may be empty)."""
+    bits = [0] * host.vertex_count
+    for u, v, c in host.edge_iter():
+        if c in colors:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+    return bits
+
+
 def restrict(host: Host, mask: Iterable[int]) -> SimpleGraph:
     """The spanning subgraph keeping exactly the edges whose color is in ``mask``.
 
     The result lives on all of the host's (global) vertices; vertices whose
     incident colors all fall outside the mask become isolated.
     """
-    allowed = normalize_mask(host, mask)
-    edges = [(u, v) for u, v, c in host.edge_iter() if c in allowed]
-    return SimpleGraph(host.vertex_count, edges)
+    return SimpleGraph._from_bits(color_bits(host, normalize_mask(host, mask)))
 
 
 # ---------------------------------------------------------------------------

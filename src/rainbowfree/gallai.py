@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ColoredComplete, flood, iter_bits, restrict
+from .core import ColoredComplete, color_bits, components, iter_bits, restrict
 from .connectivity import CertificationError, _find_cut_below_k
 from .rainbow import find_rainbow_triangle
 
@@ -134,20 +134,9 @@ def gallai_partition(host: ColoredComplete) -> GallaiPartition:
         if validate_gallai_partition(host, result.parts) is None:
             return result
         raise CertificationError("single-color split failed validation")
-    n = host.n
+    full = (1 << host.n) - 1
     for i, j in combinations(used, 2):
-        outside_bits = [0] * n
-        for u, v, c in host.edge_iter():
-            if c != i and c != j:
-                outside_bits[u] |= 1 << v
-                outside_bits[v] |= 1 << u
-        parts = []
-        remaining = (1 << n) - 1
-        while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = flood(outside_bits, remaining, start)
-            parts.append(comp)
-            remaining &= ~comp
+        parts = components(color_bits(host, set(used) - {i, j}), full)
         if len(parts) < 2:
             continue
         parts = _merge_until_monochromatic(host, parts)

@@ -95,7 +95,7 @@ def oracle_largest_k_connected(g: SimpleGraph, k: int) -> int:
 def oracle_longest_path_order(g: SimpleGraph) -> int:
     """Longest path order by plain recursive extension (no memoization)."""
     best = 1 if g.n else 0
-    adj = g.adj
+    adj = [set(iter_bits(b)) for b in g.adj_bits]
 
     def extend(last: int, visited: set[int]) -> None:
         nonlocal best
@@ -114,7 +114,7 @@ def oracle_longest_path_order(g: SimpleGraph) -> int:
 def oracle_longest_cycle_length(g: SimpleGraph) -> int:
     """Longest cycle length (0 when acyclic) by recursive extension."""
     best = 0
-    adj = g.adj
+    adj = [set(iter_bits(b)) for b in g.adj_bits]
 
     def extend(anchor: int, last: int, visited: set[int]) -> None:
         nonlocal best

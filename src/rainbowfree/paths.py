@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Host, SimpleGraph, ceil_div, restrict
+from .core import Host, SimpleGraph, ceil_div, induced_subgraph, restrict
 from .connectivity import CertificationError
 
 EXACT_LIMIT = 14
@@ -141,18 +141,18 @@ def _longest_path_bits(adj, target: int | None):
     return path, exact
 
 
+def _compact(g: SimpleGraph):
+    """(support, adjacency bitmasks of g relabeled onto 0..len(support)-1)."""
+    support = g.support()
+    return support, induced_subgraph(g, support).adj_bits
+
+
 def _color_class(host: Host, color: int):
     if not (1 <= color <= host.m):
         raise ValueError(f"color {color} outside declared range 1..{host.m}")
-    g = restrict(host, {color})
-    support = [v for v in range(g.n) if g.adj_bits[v]]
+    support, adj = _compact(restrict(host, {color}))
     if not support:
         raise ValueError(f"color {color} is unused")
-    index = {v: i for i, v in enumerate(support)}
-    adj = [0] * len(support)
-    for i, v in enumerate(support):
-        for w in g.adj[v]:
-            adj[i] |= 1 << index[w]
     return support, adj
 
 
@@ -254,12 +254,7 @@ def check_eg_path_bound(g: SimpleGraph, k: int) -> PathWitness:
         raise ValueError(
             f"need |E| > (k-1)n/2 = {(k - 1) * g.n / 2}, got {g.edge_count}"
         )
-    support = [v for v in range(g.n) if g.adj_bits[v]]
-    index = {v: i for i, v in enumerate(support)}
-    adj = [0] * len(support)
-    for v in support:
-        for w in g.adj[v]:
-            adj[index[v]] |= 1 << index[w]
+    support, adj = _compact(g)
     path, exact = _longest_path_bits(adj, k + 1)
     if len(path) < k + 1:
         if exact:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .core import SimpleGraph, induced_subgraph
+from .core import SimpleGraph, induced_subgraph, iter_bits
 
 MAX_PATTERN_VERTICES = 12
 
@@ -47,16 +47,18 @@ BASE_GRAPHS: dict[str, SimpleGraph] = {
 # display order for canonical names: by (order, edge count, label)
 _BASE_ORDER = sorted(BASE_GRAPHS, key=lambda b: (BASE_GRAPHS[b].n, BASE_GRAPHS[b].edge_count, b))
 
+# each base graph is the only connected graph with its degree sequence, so
+# a component's sorted degrees name its base exactly
+_BASE_BY_DEGREES = {g.degree_sequence(): b for b, g in BASE_GRAPHS.items()}
+
 _TERM_RE = re.compile(r"(\d*)(K1_3|K2|K3|P4plus|P3|P4|P5|P6)")
 
 
 def disjoint_union(graphs: list[SimpleGraph]) -> SimpleGraph:
-    n = 0
-    edges: list[tuple[int, int]] = []
+    bits: list[int] = []
     for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    return SimpleGraph(n, edges)
+        bits += [b << len(bits) for b in g.adj_bits]
+    return SimpleGraph._from_bits(bits)
 
 
 class Pattern:
@@ -141,24 +143,14 @@ def _parse_explicit(name: str) -> SimpleGraph:
 
 
 def _canonical_name(graph: SimpleGraph) -> str:
-    comps = [induced_subgraph(graph, c) for c in graph.components()]
     names = []
-    for comp in comps:
-        for base in _BASE_ORDER:
-            if is_isomorphic(comp, BASE_GRAPHS[base]):
-                names.append(base)
-                break
-        else:
+    for comp in graph.components():
+        degrees = tuple(sorted((graph.degree(v) for v in comp), reverse=True))
+        if degrees not in _BASE_BY_DEGREES:
             return _explicit_name(graph)
-    counts: dict[str, int] = {}
-    for b in names:
-        counts[b] = counts.get(b, 0) + 1
-    terms = []
-    for base in _BASE_ORDER:
-        if base in counts:
-            c = counts[base]
-            terms.append(f"{c}{base}" if c > 1 else base)
-    return "u".join(terms)
+        names.append(_BASE_BY_DEGREES[degrees])
+    counts = [(names.count(base), base) for base in _BASE_ORDER]
+    return "u".join(f"{c}{base}" if c > 1 else base for c, base in counts if c)
 
 
 def _explicit_name(graph: SimpleGraph) -> str:
@@ -188,7 +180,7 @@ def search_plan(g: SimpleGraph):
         g.components(),
         key=lambda c: (
             -len(c),
-            -sum(1 for e in g.edges if e[0] in c),
+            -sum(g.degree(v) for v in c),
             tuple(sorted((g.degree(v) for v in c), reverse=True)),
             min(c),
         ),
@@ -201,20 +193,21 @@ def search_plan(g: SimpleGraph):
         pending = set(comp) - {start}
         order.append(start)
         comp_of.append(ci)
-        placed = {start}
+        placed = 1 << start
         while pending:
             nxt = max(
-                pending, key=lambda v: (len(g.adj[v] & placed), g.degree(v), -v)
+                pending,
+                key=lambda v: ((g.adj_bits[v] & placed).bit_count(), g.degree(v), -v),
             )
             order.append(nxt)
             comp_of.append(ci)
-            placed.add(nxt)
+            placed |= 1 << nxt
             pending.remove(nxt)
     placed_before: list[list[int]] = []
-    seen: set[int] = set()
+    seen = 0
     for v in order:
-        placed_before.append([q for q in g.adj[v] if q in seen])
-        seen.add(v)
+        placed_before.append(list(iter_bits(g.adj_bits[v] & seen)))
+        seen |= 1 << v
     # symmetry: component ci mirrors ci-1 when isomorphic
     mirrors = [
         ci > 0 and is_isomorphic(comp_graphs[ci], comp_graphs[ci - 1])
@@ -293,9 +286,7 @@ def is_subgraph(g, h) -> bool:
     G, H = _as_graph(g), _as_graph(h)
     if G.n > H.n or G.edge_count > H.edge_count:
         return False
-    gd = sorted((G.degree(v) for v in range(G.n)), reverse=True)
-    hd = sorted((H.degree(v) for v in range(H.n)), reverse=True)
-    if any(a > b for a, b in zip(gd, hd)):
+    if any(a > b for a, b in zip(G.degree_sequence(), H.degree_sequence())):
         return False
     plan = g.plan if isinstance(g, Pattern) else search_plan(G)
 
@@ -349,11 +340,8 @@ def _all_subpatterns(g: SimpleGraph) -> list[SimpleGraph]:
     out = []
     for r in range(1, len(edge_list) + 1):
         for chosen in combinations(edge_list, r):
-            verts = sorted({v for e in chosen for v in e})
-            index = {v: i for i, v in enumerate(verts)}
-            out.append(
-                SimpleGraph(len(verts), [(index[u], index[v]) for u, v in chosen])
-            )
+            sub = SimpleGraph(g.n, chosen)
+            out.append(induced_subgraph(sub, sub.support()))
     return out
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from rainbowfree.bipartite import (
     RainbowStarPresent,
+    _require_star_free,
     classify_k13_free,
     gen_type_b,
     validate_type_b,
@@ -13,7 +14,7 @@ from rainbowfree.connectivity import is_k_connected
 from rainbowfree.constructions import gen_F1
 from rainbowfree.core import ColoredBipartite, flood, restrict
 from rainbowfree.patterns import parse_pattern
-from rainbowfree.rainbow import is_rainbow_free
+from rainbowfree.rainbow import find_rainbow, is_rainbow_free
 
 
 def test_three_color_host_is_case_a():
@@ -41,6 +42,36 @@ def test_three_color_star_is_still_case_a():
     # with at most four colors the classification is settled by color count
     host = ColoredBipartite.from_function(3, 3, 3, lambda u, v: v + 1)
     assert classify_k13_free(host).case == "A"
+
+
+def test_star_check_agrees_with_rainbow_search():
+    rng = random.Random(9)
+    k13 = parse_pattern("K1_3")
+    hosts = []
+    for _ in range(150):
+        s, t, m = rng.randint(3, 7), rng.randint(3, 7), rng.randint(2, 5)
+        hosts.append(ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)]))
+    for seed in range(40):
+        # a planted case-B host, sometimes with a few edges recolored
+        host = gen_type_b(9, 8, rng.randint(5, 6), seed=seed).host
+        colors = [host.color(u, v) for u in range(host.s) for v in range(host.t)]
+        for _ in range(rng.randint(0, 2)):
+            colors[rng.randrange(len(colors))] = rng.randint(1, host.m)
+        hosts.append(ColoredBipartite(host.s, host.t, host.m, colors))
+    raised = 0
+    for host in hosts:
+        emb = find_rainbow(host, k13)
+        try:
+            if len(host.used_colors()) >= 5:
+                classify_k13_free(host)
+            else:
+                _require_star_free(host)
+        except RainbowStarPresent as exc:
+            raised += 1
+            assert emb is not None and str(exc) == f"rainbow K_{{1,3}} at {emb.mapping}"
+        else:
+            assert emb is None
+    assert 0 < raised < len(hosts)
 
 
 def test_classify_rejects_tiny_sides():

@@ -8,6 +8,7 @@ from rainbowfree.core import (
     ColoredComplete,
     ColoringFormatError,
     SimpleGraph,
+    components,
     induced_subgraph,
     read_coloring,
     restrict,
@@ -170,3 +171,64 @@ def test_components():
     g = SimpleGraph(5, [(0, 1), (2, 3)])
     comps = g.components()
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
+
+
+def _random_hosts(rng, count):
+    for _ in range(count):
+        n, m = rng.randint(2, 9), rng.randint(1, 4)
+        yield ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
+        s, t = rng.randint(1, 6), rng.randint(1, 6)
+        yield ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)])
+
+
+def test_restrict_matches_pair_color_filter():
+    rng = random.Random(3)
+    for host in _random_hosts(rng, 40):
+        nv = host.vertex_count
+        mask = set(rng.sample(range(1, host.m + 1), rng.randint(1, host.m)))
+        g = restrict(host, mask)
+        want = {
+            (a, b)
+            for a in range(nv)
+            for b in range(a + 1, nv)
+            if host.pair_color(a, b) in mask
+        }
+        assert g.n == nv
+        assert g.edges == want
+        assert g.edge_count == len(want)
+        assert g.adj_bits == tuple(
+            sum(1 << b for b in range(nv) if host.pair_color(a, b) in mask)
+            for a in range(nv)
+        )
+
+
+def test_induced_subgraph_matches_edge_filter():
+    rng = random.Random(4)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        g = SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        verts = sorted(rng.sample(range(n), rng.randint(0, n)))
+        index = {v: i for i, v in enumerate(verts)}
+        h = induced_subgraph(g, reversed(verts))
+        assert h == SimpleGraph(
+            len(verts),
+            [(index[u], index[v]) for u, v in g.edges if u in index and v in index],
+        )
+
+
+def test_restricted_graph_equals_constructed_graph():
+    rng = random.Random(5)
+    for host in _random_hosts(rng, 20):
+        for c in sorted(host.used_colors()):
+            g = restrict(host, {c})
+            built = SimpleGraph(g.n, [(b, a) for a, b in sorted(g.edges)])
+            assert built == g and hash(built) == hash(g)
+            assert built != SimpleGraph(g.n + 1, g.edges)
+
+
+def test_components_of_active_set_by_least_vertex():
+    g = SimpleGraph(7, [(0, 5), (5, 2), (1, 6), (3, 4)])
+    assert components(g.adj_bits, 0b1111111) == [0b100101, 0b1000010, 0b11000]
+    # dropping vertex 5 splits the path 0-5-2
+    assert components(g.adj_bits, 0b1011111) == [0b1, 0b1000010, 0b100, 0b11000]
+    assert components(g.adj_bits, 0) == []

@@ -74,6 +74,30 @@ def test_canonical_name_sorts_terms():
     assert parse_pattern("P4uK2uP4").canonical_name == "K2u2P4"
 
 
+def test_canonical_name_of_relabeled_bases():
+    assert parse_pattern("V:4;E:0-3,3-1,1-2").canonical_name == "P4"
+    rng = random.Random(2)
+    for base in ("K2", "P3", "P4", "P5", "P6", "K3", "K1_3", "P4plus"):
+        g = parse_pattern(base).graph
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            edges = ",".join(f"{perm[u]}-{perm[v]}" for u, v in sorted(g.edges))
+            assert parse_pattern(f"V:{g.n};E:{edges}").canonical_name == base
+    assert parse_pattern("V:7;E:5-6,0-1,1-2,2-0,3-4").canonical_name == "2K2uK3"
+
+
+def test_canonical_name_keeps_explicit_non_base_components():
+    c4 = "V:4;E:0-1,0-3,1-2,2-3"
+    k14 = "V:5;E:0-1,0-2,0-3,0-4"
+    assert parse_pattern("V:4;E:0-1,1-2,2-3,3-0").canonical_name == c4
+    assert parse_pattern(k14).canonical_name == k14
+    # one non-base component makes the whole name explicit
+    assert parse_pattern("V:6;E:0-1,1-2,2-3,3-0,4-5").canonical_name == (
+        "V:6;E:0-1,0-3,1-2,2-3,4-5"
+    )
+
+
 def test_is_subgraph_examples():
     assert is_subgraph(parse_pattern("P3"), parse_pattern("P4plus"))
     assert not is_subgraph(parse_pattern("K3"), parse_pattern("P6"))
