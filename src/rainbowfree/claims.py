@@ -59,8 +59,8 @@ DEFAULT_SAMPLES = 1000
 class Claim:
     id: str
     provenance: str  # human-readable statement of what is being checked
-    expected: bool  # expected truth value of the property
     run: Callable[[int], tuple[bool, object]]  # seed -> (holds, witness)
+    expected: bool = True  # expected truth value of the property
 
 
 @dataclass
@@ -81,7 +81,20 @@ class RunReport:
         }
 
 
-def _rainbow_claim(cid, provenance, make_host, pattern_name, expect_free):
+# label -> (title, generator) of the constructions the rainbow claims run on
+_HOSTS = {
+    "R1": ("R1(9,4)", lambda: gen_R1(9, 4)),
+    "R1m6": ("R1(18,6)", lambda: gen_R1(18, 6)),
+    "R1m5": ("R1(12,5)", lambda: gen_R1(12, 5)),
+    "R2": ("R2(12,6)", lambda: gen_R2(12, 6)),
+    "F1": ("F1(12,6,4)", lambda: gen_F1(12, 6, 4)),
+    "F2": ("F2(13,6,5)", lambda: gen_F2(13, 6, 5)),
+    "F3": ("F3(12,12,6)", lambda: gen_F3(12, 12, 6)),
+}
+
+
+def _rainbow_claim(cid, provenance, label, pattern_name, expect_free):
+    make_host = _HOSTS[label][1]
     pat = parse_pattern(pattern_name)
 
     def run(seed):
@@ -90,11 +103,17 @@ def _rainbow_claim(cid, provenance, make_host, pattern_name, expect_free):
             return expect_free, "rainbow-free"
         return not expect_free, emb.to_json()
 
-    return Claim(cid, provenance, True, run)
+    return Claim(cid, provenance, run)
 
 
-def _claim(cid, provenance, fn, expected=True):
-    return Claim(cid, provenance, expected, fn)
+def _free(label, pattern):
+    provenance = f"{_HOSTS[label][0]} admits no rainbow {pattern}"
+    return _rainbow_claim(f"{label}-free-{pattern}", provenance, label, pattern, True)
+
+
+def _found(label, pattern):
+    provenance = f"{_HOSTS[label][0]} contains a rainbow {pattern}"
+    return _rainbow_claim(f"{label}-found-{pattern}", provenance, label, pattern, False)
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +138,23 @@ def _f3_star_colors(seed):
     return (len(stars) > 0 and not bad), {"rainbow_stars": len(stars), "missing_12": bad}
 
 
-def _mono_size(make_host, expect):
+def _largest_mono(label, expect):
+    title, make_host = _HOSTS[label]
+
     def run(seed):
         color, rep = best_monochromatic(make_host().host, k=1, mode="exact")
         return rep.lower == expect, {"color": color, "order": rep.lower, "expected": expect}
 
-    return run
+    return Claim(
+        f"{label}-largest-mono-{expect}",
+        f"largest monochromatic 1-connected subgraph of {title} has order {expect}",
+        run,
+    )
 
 
-def _component_floor(make_host, expect):
-    def run(seed):
-        color, comp = gyarfas_floor(make_host().host)
-        return len(comp) == expect, {"color": color, "order": len(comp), "expected": expect}
-
-    return run
+def _f1_floor(seed):
+    color, comp = gyarfas_floor(gen_F1(12, 6, 4).host)
+    return len(comp) == 9, {"color": color, "order": len(comp), "expected": 9}
 
 
 def _intro_two_colored(seed):
@@ -143,11 +165,11 @@ def _intro_two_colored(seed):
 
 
 def _counterexample_claim(t, n):
+    k = 4 * t
+    cap = n - 2 * t
+
     def run(seed):
-        gen = gen_counterexample_4t(t, n)
-        host = gen.host
-        k = 4 * t
-        cap = n - 2 * t
+        host = gen_counterexample_4t(t, n).host
         if not is_gallai(host):
             return False, "not a Gallai coloring"
         part = gallai_partition(host)
@@ -165,7 +187,12 @@ def _counterexample_claim(t, n):
                 }
         return True, {"cap": cap, "k": k, "subsets_checked": results}
 
-    return run
+    return Claim(
+        f"counter4t-t{t}",
+        f"counter4t({t},{n}): Gallai, and every 2-color mask caps "
+        f"{k}-connected order at {cap}",
+        run,
+    )
 
 
 def _counterexample_degrees(t, n):
@@ -193,7 +220,11 @@ def _counterexample_degrees(t, n):
         ok = ok and all(deg2[v] == 2 * t for v in low)
         return ok, {"degree_2t": len(high), "degree_2t_minus_1": len(low), "base": base}
 
-    return run
+    return Claim(
+        f"counter4t-t{t}-degrees",
+        f"counter4t({t},{n}): the two-colored block has the prescribed degree split",
+        run,
+    )
 
 
 def _lemma_sample_claim(k, samples=DEFAULT_SAMPLES):
@@ -422,323 +453,134 @@ def _gallai_sampler_check(seed):
 
 
 def build_registry() -> list[Claim]:
-    """All registered claims, in a stable order."""
-    claims: list[Claim] = []
-    add = claims.append
-
-    # R1 rainbow-freeness (the exclusion list) and found-copies
-    for pat in ("K3uP3", "K1_3uP3", "P4plusuP3", "P5uP3"):
-        add(
-            _rainbow_claim(
-                f"R1-free-{pat}",
-                f"R1(9,4) admits no rainbow {pat}",
-                lambda: gen_R1(9, 4),
-                pat,
-                expect_free=True,
-            )
-        )
-        add(
-            _rainbow_claim(
-                f"R1m6-free-{pat}",
-                f"R1(18,6) admits no rainbow {pat}",
-                lambda: gen_R1(18, 6),
-                pat,
-                expect_free=True,
-            )
-        )
-    add(
-        _rainbow_claim(
-            "R1-found-K2uK3",
-            "R1(9,4) contains a rainbow K2uK3",
-            lambda: gen_R1(9, 4),
-            "K2uK3",
-            expect_free=False,
-        )
-    )
-    for pat in ("K2uK3", "K2uP5", "K2uP4plus"):
-        add(
-            _rainbow_claim(
-                f"R1m5-found-{pat}",
-                f"R1(12,5) contains a rainbow {pat}",
-                lambda: gen_R1(12, 5),
-                pat,
-                expect_free=False,
-            )
-        )
-        add(
-            _rainbow_claim(
-                f"R2-found-{pat}",
-                f"R2(12,6) contains a rainbow {pat}",
-                lambda: gen_R2(12, 6),
-                pat,
-                expect_free=False,
-            )
-        )
-    add(
-        _rainbow_claim(
-            "R2-free-K2uP6",
-            "R2(12,6) admits no rainbow K2uP6",
-            lambda: gen_R2(12, 6),
-            "K2uP6",
-            expect_free=True,
-        )
-    )
-    add(
-        _rainbow_claim(
-            "R2-free-2P4",
-            "R2(12,6) admits no rainbow 2P4",
-            lambda: gen_R2(12, 6),
-            "2P4",
-            expect_free=True,
-        )
-    )
-    add(
-        _claim(
+    """All registered claims, in a stable order.  A claim's index seeds it,
+    so new claims go at the end."""
+    r1_free = ("K3uP3", "K1_3uP3", "P4plusuP3", "P5uP3")
+    r_found = ("K2uK3", "K2uP5", "K2uP4plus")
+    return [
+        # R1/R2 rainbow-freeness (the exclusion list) and found copies
+        *[c for pat in r1_free for c in (_free("R1", pat), _free("R1m6", pat))],
+        _found("R1", "K2uK3"),
+        *[c for pat in r_found for c in (_found("R1m5", pat), _found("R2", pat))],
+        _free("R2", "K2uP6"),
+        _free("R2", "2P4"),
+        Claim(
             "R1-rainbow-triangles-use-123",
             "every rainbow triangle in R1(9,4) uses exactly colors 1,2,3",
             _r1_triangle_colors,
-        )
-    )
-
-    # construction sizes
-    add(
-        _claim(
-            "R1-largest-mono-6",
-            "largest monochromatic 1-connected subgraph of R1(9,4) has order 6",
-            _mono_size(lambda: gen_R1(9, 4), 6),
-        )
-    )
-    add(
-        _claim(
-            "R2-largest-mono-8",
-            "largest monochromatic 1-connected subgraph of R2(12,6) has order 8",
-            _mono_size(lambda: gen_R2(12, 6), 8),
-        )
-    )
-    add(
-        _claim(
+        ),
+        # construction sizes
+        _largest_mono("R1", 6),
+        _largest_mono("R2", 8),
+        Claim(
             "R1-no-asms",
             "R1(9,4) has a spanning-size monochromatic connected subgraph",
             _r1_no_asms,
             expected=False,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "F1-floor-9",
             "largest monochromatic component of F1(12,6,4) has order 9",
-            _component_floor(lambda: gen_F1(12, 6, 4), 9),
-        )
-    )
-    add(
-        _claim(
-            "F2-largest-mono-12",
-            "largest monochromatic 1-connected subgraph of F2(13,6,5) has order 12",
-            _mono_size(lambda: gen_F2(13, 6, 5), 12),
-        )
-    )
-    add(
-        _claim(
-            "F3-largest-mono-12",
-            "largest monochromatic 1-connected subgraph of F3(12,12,6) has order 12",
-            _mono_size(lambda: gen_F3(12, 12, 6), 12),
-        )
-    )
-
-    # bipartite rainbow-freeness
-    add(
-        _rainbow_claim(
-            "F1-free-P4",
-            "F1(12,6,4) admits no rainbow P4",
-            lambda: gen_F1(12, 6, 4),
-            "P4",
-            expect_free=True,
-        )
-    )
-    add(
-        _rainbow_claim(
-            "F2-free-4K2",
-            "F2(13,6,5) admits no rainbow 4K2",
-            lambda: gen_F2(13, 6, 5),
-            "4K2",
-            expect_free=True,
-        )
-    )
-    add(
-        _rainbow_claim(
-            "F2-free-K2u2P3",
-            "F2(13,6,5) admits no rainbow K2u2P3",
-            lambda: gen_F2(13, 6, 5),
-            "K2u2P3",
-            expect_free=True,
-        )
-    )
-    add(
-        _rainbow_claim(
-            "F2-found-3K2",
-            "F2(13,6,5) contains a rainbow 3K2",
-            lambda: gen_F2(13, 6, 5),
-            "3K2",
-            expect_free=False,
-        )
-    )
-    add(
+            _f1_floor,
+        ),
+        _largest_mono("F2", 12),
+        _largest_mono("F3", 12),
+        # bipartite rainbow-freeness
+        _free("F1", "P4"),
+        _free("F2", "4K2"),
+        _free("F2", "K2u2P3"),
+        _found("F2", "3K2"),
         _rainbow_claim(
             "F3-free-K1_4",
             "F3(12,12,6) admits no rainbow four-edge star",
-            lambda: gen_F3(12, 12, 6),
+            "F3",
             "V:5;E:0-1,0-2,0-3,0-4",
-            expect_free=True,
-        )
-    )
-    add(
-        _rainbow_claim(
-            "F3-free-P3uK1_3",
-            "F3(12,12,6) admits no rainbow P3uK1_3",
-            lambda: gen_F3(12, 12, 6),
-            "P3uK1_3",
-            expect_free=True,
-        )
-    )
-    add(
-        _claim(
+            True,
+        ),
+        _free("F3", "P3uK1_3"),
+        Claim(
             "F3-stars-use-1-and-2",
             "every rainbow three-edge star in F3(12,12,6) uses colors 1 and 2",
             _f3_star_colors,
-        )
-    )
-
-    # intro example and the 4t counterexample
-    add(
-        _claim(
+        ),
+        # intro example and the 4t counterexample
+        Claim(
             "intro-two-colored-order-9",
             "intro(10,3): best 3-connected two-colored subgraph has order 9",
             _intro_two_colored,
-        )
-    )
-    add(
-        _claim(
-            "counter4t-t1",
-            "counter4t(1,20): Gallai, and every 2-color mask caps 4-connected order at 18",
-            _counterexample_claim(1, 20),
-        )
-    )
-    add(
-        _claim(
-            "counter4t-t2",
-            "counter4t(2,40): Gallai, and every 2-color mask caps 8-connected order at 36",
-            _counterexample_claim(2, 40),
-        )
-    )
-    add(
-        _claim(
-            "counter4t-t1-degrees",
-            "counter4t(1,20): the two-colored block has the prescribed degree split",
-            _counterexample_degrees(1, 20),
-        )
-    )
-    add(
-        _claim(
-            "counter4t-t2-degrees",
-            "counter4t(2,40): the two-colored block has the prescribed degree split",
-            _counterexample_degrees(2, 40),
-        )
-    )
-
-    # Gallai toolkit
-    add(
-        _claim(
+        ),
+        _counterexample_claim(1, 20),
+        _counterexample_claim(2, 40),
+        _counterexample_degrees(1, 20),
+        _counterexample_degrees(2, 40),
+        # Gallai toolkit
+        Claim(
             "gallai-sampler-valid",
             "sampled Gallai colorings are rainbow-triangle-free and use min(m, n-1) colors",
             _gallai_sampler_check,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "gallai-2conn-sampled",
             "1000 Gallai 3-colorings of K9 plus constructions all span a "
             "2-connected two-colored subgraph",
             _lemma_sample_claim(2),
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "gallai-3conn-sampled",
             "1000 Gallai 3-colorings of K9 plus constructions all hold a "
             "3-connected two-colored subgraph of order >= n-1",
             _lemma_sample_claim(3),
-        )
-    )
-
-    # bipartite structure
-    add(
-        _claim(
+        ),
+        # bipartite structure
+        Claim(
             "typeb-roundtrip",
             "200 planted block hosts classify as case B with the partition recovered",
             _typeb_roundtrip,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "caseA-small-palette",
             "200 rainbow-star-free hosts on <= 4 colors classify as case A",
             _case_a_hosts,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "background-spanning-kconn",
             "100 block hosts with >= k+4 colors: background color spans k-connected",
             _background_spanning,
-        )
-    )
-
-    # paths, cycles, degree sequences, dense extraction, floors
-    add(
-        _claim(
+        ),
+        # paths, cycles, degree sequences, dense extraction, floors
+        Claim(
             "path-quota-random",
             "1000 random colorings meet some per-color path quota; color-degree "
             "averages sum to n-1 exactly",
             _quota_random,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "cycle-floor-random",
             "300 random colorings: longest monochromatic cycle meets ceil(n/m)",
             _kano_li_random,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "mader-random",
             "500 random graphs: extracted subgraph is ceil(avg_degree/4)-connected",
             _mader_random,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "component-floors-everywhere",
             "largest monochromatic component meets its floor on constructions "
             "and random hosts",
             _floors_everywhere,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "degseq-vs-enumeration",
             "realizability test agrees with exhaustive graph enumeration to n=6",
             _degseq_small,
-        )
-    )
-    add(
-        _claim(
+        ),
+        Claim(
             "degseq-two-level",
             "the (2t x 2t, 2t x 2t-1) sequences realize for t=1..5",
             _degseq_corollary,
-        )
-    )
-    return claims
+        ),
+    ]
 
 
 def run_claims(

@@ -15,7 +15,12 @@ from .bipartite import (
     gen_type_b,
     verify_background_spanning_kconn,
 )
-from .connectivity import best_monochromatic, best_two_colored, largest_k_connected
+from .connectivity import (
+    CertificationError,
+    best_monochromatic,
+    best_two_colored,
+    largest_k_connected,
+)
 from .constructions import (
     gen_F1,
     gen_F2,
@@ -58,9 +63,7 @@ def _cmd_gen(args) -> int:
     kind = args.construction
     missing = [a for a in _GEN_REQUIRED[kind] if getattr(args, a) is None]
     if missing:
-        raise SystemExit(
-            f"{kind} needs --" + ", --".join(missing)
-        )
+        raise ValueError(f"{kind} needs --" + ", --".join(missing))
     if kind == "R1":
         gen = gen_R1(args.n, args.m)
     elif kind == "R2":
@@ -98,7 +101,7 @@ def _parse_colors_arg(value: str):
         return value
     if value.startswith("mask="):
         return frozenset(int(x) for x in value[len("mask=") :].split(","))
-    raise SystemExit(f"bad --colors value {value!r}; use mono, pairs, or mask=1,3")
+    raise ValueError(f"bad --colors value {value!r}; use mono, pairs, or mask=1,3")
 
 
 def _cmd_kconn(args) -> int:
@@ -142,7 +145,7 @@ def _cmd_gallai(args) -> int:
         witness = verify(host)
         _emit(witness.to_json())
         return 0 if witness.ok else 1
-    raise SystemExit("unknown gallai subcommand")
+    raise ValueError("unknown gallai subcommand")
 
 
 def _cmd_bipartite(args) -> int:
@@ -163,7 +166,7 @@ def _cmd_bipartite(args) -> int:
         witness = verify_background_spanning_kconn(host, args.k)
         _emit(witness.to_json())
         return 0 if witness.ok else 1
-    raise SystemExit("unknown bipartite subcommand")
+    raise ValueError("unknown bipartite subcommand")
 
 
 def _cmd_paths(args) -> int:
@@ -305,13 +308,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(exc: Exception, code: int) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Exit codes: 0 positive answer, 1 negative answer, 2 bad input, 3 internal
+    certificate failure.  Codes 2 and 3 print one JSON line on stderr, except
+    for argparse usage errors, which print argparse's usage text."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # `paths prop61 --a ... FILE` is the documented spelling for the quota check
     if len(argv) >= 2 and argv[0] == "paths" and argv[1] == "prop61":
         argv = ["prop61"] + argv[2:]
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CertificationError as exc:
+        return _refuse(exc, 3)
+    except (ValueError, OSError) as exc:
+        return _refuse(exc, 2)
 
 
 if __name__ == "__main__":

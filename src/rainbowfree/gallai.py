@@ -105,23 +105,15 @@ def _parts_to_partition(host: ColoredComplete, parts: list[int]) -> GallaiPartit
     return GallaiPartition(tuples, tuple(cross))
 
 
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [sub[i] + [first]] + sub[i + 1 :]
-        yield [[first]] + sub
-
-
 def gallai_partition(host: ColoredComplete) -> GallaiPartition:
     """Extract a partition with monochromatic part pairs and <= 2 cross colors.
 
     Candidate parts come from the connected components of the graph of edges
     colored outside a chosen pair {i, j}; mixed part pairs get merged.  Every
     candidate is re-checked by the independent validator before returning.
+    When {i, j} are the cross colors of a Gallai partition, each component
+    lies inside one of its parts and no merge joins two of them, so some pair
+    always certifies; the final raise is a certificate failure.
     """
     if host.n < 2:
         raise ValueError("need at least 2 vertices")
@@ -145,15 +137,6 @@ def gallai_partition(host: ColoredComplete) -> GallaiPartition:
         result = _parts_to_partition(host, parts)
         if validate_gallai_partition(host, result.parts) is None:
             return result
-    # safety net for tiny hosts; unreachable for genuine Gallai inputs
-    if host.n <= 10:
-        for raw in _set_partitions(list(range(host.n))):
-            if len(raw) < 2:
-                continue
-            if validate_gallai_partition(host, raw) is None:
-                return _parts_to_partition(
-                    host, [sum(1 << v for v in p) for p in raw]
-                )
     raise CertificationError("failed to certify a partition on a Gallai host")
 
 

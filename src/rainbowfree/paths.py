@@ -19,7 +19,6 @@ EXACT_LIMIT = 14
 # 2^EXACT_LIMIT * EXACT_LIMIT < _STATE_CAP, so searches on supports within
 # the limit always exhaust their state space and stay exact
 _STATE_CAP = 400_000
-_VBITS = 6  # endpoint field width in packed states; supports up to 64 vertices
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,8 @@ def _longest_path_bits(adj, target: int | None):
 
     BFS over (mask, endpoint) states with parent pointers; stops early once
     a path of order ``target`` appears.  exact=False means the state cap cut
-    the search short of exhausting the space.
+    the search short of exhausting the space.  A state packs the mask above
+    an endpoint field just wide enough for q - 1.
     """
     q = len(adj)
     if q == 0:
@@ -99,12 +99,14 @@ def _longest_path_bits(adj, target: int | None):
         # complete class: any vertex order is a Hamilton path
         path = list(range(q)) if target is None else list(range(min(q, target)))
         return path, True
+    vbits = (q - 1).bit_length()
+    vmask = (1 << vbits) - 1
     parents: dict[int, int] = {}
     frontier = []
     best_state = None
     best_len = 1
     for v in range(q):
-        state = ((1 << v) << _VBITS) | v
+        state = ((1 << v) << vbits) | v
         parents[state] = -1
         frontier.append(state)
         if best_state is None:
@@ -118,13 +120,13 @@ def _longest_path_bits(adj, target: int | None):
             break
         nxt = []
         for state in frontier:
-            mask, last = state >> _VBITS, state & ((1 << _VBITS) - 1)
+            mask, last = state >> vbits, state & vmask
             outs = adj[last] & ~mask
             while outs:
                 low = outs & -outs
                 w = low.bit_length() - 1
                 outs ^= low
-                ns = ((mask | low) << _VBITS) | w
+                ns = ((mask | low) << vbits) | w
                 if ns not in parents:
                     parents[ns] = state
                     nxt.append(ns)
@@ -135,7 +137,7 @@ def _longest_path_bits(adj, target: int | None):
     path = []
     state = best_state
     while state != -1:
-        path.append(state & ((1 << _VBITS) - 1))
+        path.append(state & vmask)
         state = parents[state]
     path.reverse()
     return path, exact
@@ -276,14 +278,15 @@ def _longest_cycle_bits(adj, target: int | None):
     if q >= 3 and all(adj[v] == full ^ (1 << v) for v in range(q)):
         return list(range(q)), True  # complete class: Hamilton cycle
     exact = True
-    vmask = (1 << _VBITS) - 1
+    vbits = (q - 1).bit_length()  # endpoint field width, as in _longest_path_bits
+    vmask = (1 << vbits) - 1
     for anchor in range(q):
         if target is not None and len(best) >= target:
             break
         if q - anchor < 3 or q - anchor <= len(best):
             break
         allowed = ~((1 << (anchor + 1)) - 1)
-        start = ((1 << anchor) << _VBITS) | anchor
+        start = ((1 << anchor) << vbits) | anchor
         parents = {start: -1}
         frontier = [start]
         while frontier:
@@ -292,7 +295,7 @@ def _longest_cycle_bits(adj, target: int | None):
                 break
             nxt = []
             for state in frontier:
-                mask, last = state >> _VBITS, state & vmask
+                mask, last = state >> vbits, state & vmask
                 size = mask.bit_count()
                 if size >= 3 and size > len(best) and (adj[last] >> anchor) & 1:
                     path = []
@@ -306,7 +309,7 @@ def _longest_cycle_bits(adj, target: int | None):
                     low = outs & -outs
                     w = low.bit_length() - 1
                     outs ^= low
-                    ns = ((mask | low) << _VBITS) | w
+                    ns = ((mask | low) << vbits) | w
                     if ns not in parents:
                         parents[ns] = state
                         nxt.append(ns)

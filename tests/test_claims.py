@@ -1,5 +1,28 @@
+import hashlib
+import json
+
 from rainbowfree.claims import build_registry, run_claims
 from rainbowfree.crosscheck import micro_crosscheck
+
+# A claim's seed derives from its index, so the order is part of the output.
+REGISTRY_IDS = [
+    "R1-free-K3uP3", "R1m6-free-K3uP3", "R1-free-K1_3uP3", "R1m6-free-K1_3uP3",
+    "R1-free-P4plusuP3", "R1m6-free-P4plusuP3", "R1-free-P5uP3", "R1m6-free-P5uP3",
+    "R1-found-K2uK3", "R1m5-found-K2uK3", "R2-found-K2uK3", "R1m5-found-K2uP5",
+    "R2-found-K2uP5", "R1m5-found-K2uP4plus", "R2-found-K2uP4plus", "R2-free-K2uP6",
+    "R2-free-2P4", "R1-rainbow-triangles-use-123", "R1-largest-mono-6",
+    "R2-largest-mono-8", "R1-no-asms", "F1-floor-9", "F2-largest-mono-12",
+    "F3-largest-mono-12", "F1-free-P4", "F2-free-4K2", "F2-free-K2u2P3",
+    "F2-found-3K2", "F3-free-K1_4", "F3-free-P3uK1_3", "F3-stars-use-1-and-2",
+    "intro-two-colored-order-9", "counter4t-t1", "counter4t-t2",
+    "counter4t-t1-degrees", "counter4t-t2-degrees", "gallai-sampler-valid",
+    "gallai-2conn-sampled", "gallai-3conn-sampled", "typeb-roundtrip",
+    "caseA-small-palette", "background-spanning-kconn", "path-quota-random",
+    "cycle-floor-random", "mader-random", "component-floors-everywhere",
+    "degseq-vs-enumeration", "degseq-two-level",
+]  # fmt: skip
+# sha256 of the canonical JSON of run_claims("*", 0) without timings
+REGISTRY_DIGEST = "448a4c1561f4e0860b0aec17e8f619517b28a106169aae2cdd9b2d44cb760818"
 
 
 def test_registry_ids_unique_and_provenanced():
@@ -24,9 +47,12 @@ def test_expected_fail_claim_passes():
 
 def test_construction_claims_pass():
     reports = run_claims("*")
-    assert len(reports) == len(build_registry())
+    assert [r.claim_id for r in reports] == REGISTRY_IDS
     for r in reports:
         assert r.status == "pass", (r.claim_id, r.witness)
+    records = [{k: v for k, v in r.to_json().items() if k != "millis"} for r in reports]
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"), default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == REGISTRY_DIGEST
 
 
 def test_crosscheck_small_full_spaces():

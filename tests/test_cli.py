@@ -1,8 +1,8 @@
 import json
 
-import pytest
-
+from rainbowfree import cli
 from rainbowfree.cli import main
+from rainbowfree.connectivity import CertificationError
 from rainbowfree.core import load_coloring
 
 
@@ -127,8 +127,42 @@ def test_verify_filter_and_json_report(tmp_path, capsys):
 
 
 def test_verify_unknown_filter_errors(capsys):
-    with pytest.raises(ValueError):
-        main(["verify", "--filter", "bogus-*"])
+    code = main(["verify", "--filter", "bogus-*"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "bogus-*" in err["message"]
+
+
+def test_detect_malformed_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("Kn 3 2\n1 9\n1\n")  # color 9 is out of range
+    code = main(["detect", "--pattern", "K3", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ColoringFormatError"
+    code = main(["detect", "--pattern", "K3", str(tmp_path / "missing.txt")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+def test_gen_missing_parameter_is_bad_input(capsys):
+    assert main(["gen", "R1", "--n", "9"]) == 2
+    assert "needs --m" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "g.txt")
+    run(capsys, "gallai", "sample", "--n", "6", "--m", "3", "-o", path)
+
+    def broken(host):
+        raise CertificationError("no partition certified")
+
+    monkeypatch.setattr(cli, "gallai_partition", broken)
+    code = main(["gallai", "partition", path])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "CertificationError"
 
 
 def test_crosscheck_cli(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -73,6 +74,16 @@ def test_partition_on_samples():
         host = sample_gallai(8, 3, seed)
         part = gallai_partition(host)
         assert validate_gallai_partition(host, part.parts) is None
+
+
+def test_partition_certifies_every_small_gallai_coloring():
+    # exhaustive over all colorings: the pair-components loop alone certifies
+    for n, m in ((3, 3), (4, 3), (4, 5), (5, 3)):
+        for colors in product(range(1, m + 1), repeat=n * (n - 1) // 2):
+            host = ColoredComplete(n, m, list(colors))
+            if is_gallai(host):
+                part = gallai_partition(host)
+                assert validate_gallai_partition(host, part.parts) is None, (n, m, colors)
 
 
 def test_partition_coarsening_soundness():

@@ -168,6 +168,21 @@ def test_cycle_degenerate_edge():
     assert w.length == 2  # a lone edge counts as a degenerate 2-cycle
 
 
+def test_path_and_cycle_above_64_vertices():
+    # the packed search state needs a 7-bit endpoint field on 70 vertices
+    n = 70
+    path = ColoredComplete.from_function(n, 2, lambda u, v: 1 if abs(u - v) == 1 else 2)
+    w = longest_mono_path(path, 1)
+    assert w.order == n and w.exact
+    c = longest_mono_cycle(path, 1)
+    assert c.vertices == (0, 1) and c.exact  # no cycle: a lone edge
+    ring = ColoredComplete.from_function(
+        n, 2, lambda u, v: 1 if abs(u - v) in (1, n - 1) else 2
+    )
+    c = longest_mono_cycle(ring, 1)
+    assert c.length == n and c.exact
+
+
 def test_cycle_agrees_with_recursion():
     rng = random.Random(26)
     for _ in range(120):
