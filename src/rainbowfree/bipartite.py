@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import ColoredBipartite, restrict
 from .connectivity import CertificationError, _find_cut_below_k
-from .constructions import Generated, _split_sizes
+from .constructions import Generated, _intervals, _split_sizes
 
 
 class RainbowStarPresent(ValueError):
@@ -88,7 +88,8 @@ def validate_type_b(host: ColoredBipartite, background: int, u_parts, v_parts) -
 
 def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     """Classify a rainbow-K_{1,3}-free host into case A (<= 4 colors) or a
-    certified case-B block structure (>= 5 colors).
+    certified case-B block structure (>= 5 colors).  Any host with a rainbow
+    K_{1,3} raises RainbowStarPresent, whatever its color count.
 
     Recovery sweeps every candidate background color b: in a genuine case-B
     coloring each vertex sees at most one non-background color, which names
@@ -96,12 +97,10 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     """
     if min(host.s, host.t) < 3:
         raise ValueError("both sides must have at least 3 vertices")
+    _require_star_free(host)
     used = frozenset(host.used_colors())
     if len(used) <= 4:
-        # case A is settled by the color count alone, so the freeness
-        # check only runs where the block structure is claimed
         return BipartiteStructure("A", used)
-    _require_star_free(host)
     counts = host.color_counts()
     candidates = sorted(used, key=lambda c: (-counts[c], c))
     for b in candidates:
@@ -182,14 +181,7 @@ def gen_type_b(
         raise ValueError("part sizes must sum to the side sizes")
     rng = random.Random(seed)
 
-    def bounds(sizes):
-        out, acc = [], 0
-        for sz in sizes:
-            out.append((acc, acc + sz))
-            acc += sz
-        return out
-
-    ub, vb = bounds(u_sizes), bounds(v_sizes)
+    ub, vb = _intervals(u_sizes), _intervals(v_sizes)
     u_block = [i + 2 for i, (lo, hi) in enumerate(ub) for _ in range(hi - lo)]
     v_block = [i + 2 for i, (lo, hi) in enumerate(vb) for _ in range(hi - lo)]
     grid = [[1] * t for _ in range(s)]

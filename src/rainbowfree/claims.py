@@ -142,7 +142,7 @@ def _largest_mono(label, expect):
     title, make_host = _HOSTS[label]
 
     def run(seed):
-        color, rep = best_monochromatic(make_host().host, k=1, mode="exact")
+        color, rep = best_monochromatic(make_host().host, k=1)
         return rep.lower == expect, {"color": color, "order": rep.lower, "expected": expect}
 
     return Claim(
@@ -159,7 +159,7 @@ def _f1_floor(seed):
 
 def _intro_two_colored(seed):
     gen = gen_intro_example(10, 3)
-    mask, rep = best_two_colored(gen.host, k=3, mode="exact")
+    mask, rep = best_two_colored(gen.host, k=3)
     want = 10 - (3 - 1) // 2
     return rep.lower == want, {"mask": sorted(mask), "order": rep.lower, "expected": want}
 
@@ -435,7 +435,7 @@ def _degseq_corollary(seed):
 
 def _r1_no_asms(seed):
     host = gen_R1(9, 4).host
-    color, rep = best_monochromatic(host, k=1, mode="exact")
+    color, rep = best_monochromatic(host, k=1)
     return rep.lower >= host.n - 1, {"best_order": rep.lower}
 
 

@@ -48,36 +48,25 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, default=str))
 
 
-_GEN_REQUIRED = {
-    "R1": ("n", "m"),
-    "R2": ("n", "m"),
-    "F1": ("s", "t", "m"),
-    "F2": ("s", "t", "m"),
-    "F3": ("s", "t", "m"),
-    "intro": ("n", "k"),
-    "counter4t": ("tparam", "n"),
+# construction -> (generator, its arguments in order)
+_GENERATORS = {
+    "R1": (gen_R1, ("n", "m")),
+    "R2": (gen_R2, ("n", "m")),
+    "F1": (gen_F1, ("s", "t", "m")),
+    "F2": (gen_F2, ("s", "t", "m")),
+    "F3": (gen_F3, ("s", "t", "m")),
+    "intro": (gen_intro_example, ("n", "k")),
+    "counter4t": (gen_counterexample_4t, ("tparam", "n")),
 }
 
 
 def _cmd_gen(args) -> int:
     kind = args.construction
-    missing = [a for a in _GEN_REQUIRED[kind] if getattr(args, a) is None]
+    generator, names = _GENERATORS[kind]
+    missing = [a for a in names if getattr(args, a) is None]
     if missing:
         raise ValueError(f"{kind} needs --" + ", --".join(missing))
-    if kind == "R1":
-        gen = gen_R1(args.n, args.m)
-    elif kind == "R2":
-        gen = gen_R2(args.n, args.m)
-    elif kind == "F1":
-        gen = gen_F1(args.s, args.t, args.m)
-    elif kind == "F2":
-        gen = gen_F2(args.s, args.t, args.m)
-    elif kind == "F3":
-        gen = gen_F3(args.s, args.t, args.m)
-    elif kind == "intro":
-        gen = gen_intro_example(args.n, args.k)
-    else:
-        gen = gen_counterexample_4t(args.tparam, args.n)
+    gen = generator(*(getattr(args, a) for a in names))
     if args.output:
         dump_coloring(gen.host, args.output)
     if args.describe or not args.output:
@@ -106,17 +95,16 @@ def _parse_colors_arg(value: str):
 
 def _cmd_kconn(args) -> int:
     host = load_coloring(args.file)
-    mode = "exact" if args.exact else "heuristic"
     colors = _parse_colors_arg(args.colors)
     if colors == "mono":
-        color, rep = best_monochromatic(host, args.k, mode)
+        color, rep = best_monochromatic(host, args.k)
         out = rep.to_json()
         out["color"] = color
     elif colors == "pairs":
-        mask, rep = best_two_colored(host, args.k, mode)
+        mask, rep = best_two_colored(host, args.k)
         out = rep.to_json()
     else:
-        out = largest_k_connected(host, colors, args.k, mode).to_json()
+        out = largest_k_connected(host, colors, args.k).to_json()
     _emit(out)
     return 0
 
@@ -221,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named construction")
-    p.add_argument("construction", choices=["R1", "R2", "F1", "F2", "F3", "intro", "counter4t"])
+    p.add_argument("construction", choices=list(_GENERATORS))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
@@ -240,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kconn", help="largest k-connected subgraph report")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", default="mono", help="mono | pairs | mask=1,3")
-    p.add_argument("--exact", action="store_true")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_kconn)
 

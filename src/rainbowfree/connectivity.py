@@ -246,11 +246,18 @@ def _greedy_descend(adj_bits, active: int, k: int) -> int:
         active = max(comps, key=lambda c: (c.bit_count(), -c)) | cut
 
 
-def _max_k_connected(adj_bits, active0: int, k: int, depth_cap: int | None):
+DEPTH_CAP = 20
+
+
+def _max_k_connected(adj_bits, active0: int, k: int):
     """Branch and bound over cut splits, seeded by k-core peeling.
 
+    A branch that reaches depth DEPTH_CAP is finished greedily.  Every child
+    set is smaller than its parent and keeps k + 1 vertices, so the depth
+    stays below n - k and the cap can only bind when n > k + DEPTH_CAP.
     Returns (best_mask, upper, capped) where upper >= the true optimum and
-    capped marks whether any branch stopped at the depth cap.
+    capped marks whether any branch stopped at the cap; if none did, best is
+    optimal and upper equals its order.
     """
     best = 0
     pending_upper = 0
@@ -270,7 +277,7 @@ def _max_k_connected(adj_bits, active0: int, k: int, depth_cap: int | None):
         if cut is None:
             best = S
             continue
-        if depth_cap is not None and depth >= depth_cap:
+        if depth >= DEPTH_CAP:
             capped = True
             pending_upper = max(pending_upper, size)
             greedy = _greedy_descend(adj_bits, S, k)
@@ -285,27 +292,20 @@ def _max_k_connected(adj_bits, active0: int, k: int, depth_cap: int | None):
     return best, max(lower, pending_upper), capped
 
 
-HEURISTIC_DEPTH_CAP = 20
-
-
-def largest_k_connected(host: Host, mask, k: int, mode: str = "exact") -> ConnectivityReport:
+def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
     """Largest vertex set whose mask-restricted induced graph is k-connected.
 
     A k-connected subgraph on a vertex set S exists iff the induced
     color-masked graph on S is k-connected, since adding edges never
-    destroys k-connectivity.  Exact mode explores the full cut-split tree
-    (exponential in the worst case; intended for small hosts or small k);
-    heuristic mode caps the depth and reports certified lower/upper bounds.
+    destroys k-connectivity.  The search is exact unless a branch hits
+    DEPTH_CAP; then the report carries certified lower/upper bounds and
+    ``exact=False``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
     allowed = normalize_mask(host, mask)
     g = restrict(host, allowed)
-    full = (1 << g.n) - 1
-    cap = None if mode == "exact" else HEURISTIC_DEPTH_CAP
-    best, upper, _ = _max_k_connected(g.adj_bits, full, k, cap)
+    best, upper, capped = _max_k_connected(g.adj_bits, (1 << g.n) - 1, k)
     witness = tuple(iter_bits(best))
     return ConnectivityReport(
         k=k,
@@ -313,36 +313,35 @@ def largest_k_connected(host: Host, mask, k: int, mode: str = "exact") -> Connec
         witness=witness,
         lower=len(witness),
         upper=upper,
-        exact=(mode == "exact"),
+        exact=not capped,
     )
 
 
-def best_monochromatic(host: Host, k: int, mode: str = "exact"):
+def _best_over_masks(host: Host, masks, k: int):
+    """(mask, report) with the largest witness; ties go to the first mask."""
+    best: tuple[tuple[int, ...], ConnectivityReport] | None = None
+    for mask in masks:
+        rep = largest_k_connected(host, mask, k)
+        if best is None or rep.lower > best[1].lower:
+            best = (mask, rep)
+    if best is None:
+        raise ValueError("host uses no colors")
+    return best
+
+
+def best_monochromatic(host: Host, k: int):
     """Maximize largest_k_connected over single colors; ties go to the
     smallest color id."""
-    best: tuple[int, ConnectivityReport] | None = None
-    for c in sorted(host.used_colors()):
-        rep = largest_k_connected(host, {c}, k, mode)
-        if best is None or rep.lower > best[1].lower:
-            best = (c, rep)
-    if best is None:
-        raise ValueError("host uses no colors")
-    return best
+    (color,), rep = _best_over_masks(host, [(c,) for c in sorted(host.used_colors())], k)
+    return color, rep
 
 
-def best_two_colored(host: Host, k: int, mode: str = "exact"):
+def best_two_colored(host: Host, k: int):
     """Maximize largest_k_connected over color masks of size at most two."""
     used = sorted(host.used_colors())
-    masks = [(c,) for c in used] + list(combinations(used, 2))
-    masks.sort()
-    best: tuple[frozenset[int], ConnectivityReport] | None = None
-    for mask in masks:
-        rep = largest_k_connected(host, mask, k, mode)
-        if best is None or rep.lower > best[1].lower:
-            best = (frozenset(mask), rep)
-    if best is None:
-        raise ValueError("host uses no colors")
-    return best
+    masks = sorted([(c,) for c in used] + list(combinations(used, 2)))
+    mask, rep = _best_over_masks(host, masks, k)
+    return frozenset(mask), rep
 
 
 def verify_order_cap(host: Host, mask, k: int, cap: int) -> OrderCapResult:
@@ -384,10 +383,10 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
 
     Strategy: peel at the fixed threshold alpha/2, certify; on failure split
     at a sub-k cut and keep the denser side; then a min-degree-deletion
-    sweep; finally exact search for small graphs.  Every returned subgraph
-    is re-verified, so a heuristic gap can only cause a later phase to run,
-    never a wrong answer.  Raises CertificationError if nothing certifies,
-    which would contradict the underlying theorem.
+    sweep; finally branch and bound for small graphs.  Every returned
+    subgraph is re-verified, so a miss in an earlier phase can only cause a
+    later phase to run, never a wrong answer.  Raises CertificationError if
+    nothing certifies, which would contradict the underlying theorem.
     """
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("average degree must be positive")
@@ -434,9 +433,9 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
             return induced_subgraph(g, iter_bits(S))
         v = min(iter_bits(S), key=lambda w: ((bits[w] & S).bit_count(), w))
         S &= ~(1 << v)
-    # phase 4: exact search on small graphs
+    # phase 4: branch and bound on small graphs (depth <= 16 < DEPTH_CAP)
     if g.n <= 18:
-        best, _, _ = _max_k_connected(bits, full, k, None)
+        best, _, _ = _max_k_connected(bits, full, k)
         if best and certified(best):
             return induced_subgraph(g, iter_bits(best))
     raise CertificationError(

@@ -10,6 +10,7 @@ emitting silently-wrong hosts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import ColoredBipartite, ColoredComplete, Host, SimpleGraph
 
@@ -133,18 +134,19 @@ def _split_sizes(total: int, parts: int) -> list[int]:
     return sizes
 
 
+def _intervals(sizes) -> list[tuple[int, int]]:
+    """Consecutive half-open ranges (lo, hi) of the given sizes, from 0."""
+    ends = list(accumulate(sizes, initial=0))
+    return list(zip(ends, ends[1:]))
+
+
 def gen_F1(s: int, t: int, m: int) -> Generated:
     """Bipartite coloring with U cut into m parts, part i colored i toward V."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if s < m:
         raise ValueError("s must be at least m")
-    sizes = _split_sizes(s, m)
-    bounds = []
-    acc = 0
-    for sz in sizes:
-        bounds.append((acc, acc + sz))
-        acc += sz
+    bounds = _intervals(_split_sizes(s, m))
 
     def color(u: int, v: int) -> int:
         for i, (lo, hi) in enumerate(bounds):
@@ -205,17 +207,8 @@ def gen_F3(s: int, t: int, m: int) -> Generated:
         raise ValueError("both sides must have at least m - 2 vertices")
     alpha = (m - 2) // 2 + 2  # blocks are indexed 3..m; low side is 3..alpha
 
-    def block_bounds(total: int):
-        sizes = _split_sizes(total, parts)
-        out = []
-        acc = 0
-        for sz in sizes:
-            out.append((acc, acc + sz))
-            acc += sz
-        return out
-
-    ub = block_bounds(s)
-    vb = block_bounds(t)
+    ub = _intervals(_split_sizes(s, parts))
+    vb = _intervals(_split_sizes(t, parts))
 
     def block_of(x: int, bounds) -> int:
         for i, (lo, hi) in enumerate(bounds):

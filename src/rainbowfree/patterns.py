@@ -167,25 +167,21 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # colors are pairwise distinct; that is a rainbow copy on colored hosts, and
 # a plain subgraph copy when pair_color names each host edge by its
 # endpoints.  The backtracker places pattern vertices component by
-# component, most-constrained vertex first.  Identical consecutive
-# components are embedded with strictly increasing least image vertex,
-# which removes the copy-permutation symmetry without losing any distinct
-# image.
+# component, most-constrained vertex first.  Consecutive copies of one base
+# graph are embedded with strictly increasing least image vertex, which
+# removes the copy-permutation symmetry without losing any distinct image.
 # ---------------------------------------------------------------------------
 
 
 def search_plan(g: SimpleGraph):
     """Vertex order, per-vertex placed neighbors, and component bookkeeping."""
+    def degrees(c) -> tuple[int, ...]:
+        return tuple(sorted((g.degree(v) for v in c), reverse=True))
+
     comps = sorted(
         g.components(),
-        key=lambda c: (
-            -len(c),
-            -sum(g.degree(v) for v in c),
-            tuple(sorted((g.degree(v) for v in c), reverse=True)),
-            min(c),
-        ),
+        key=lambda c: (-len(c), -sum(g.degree(v) for v in c), degrees(c), min(c)),
     )
-    comp_graphs = [induced_subgraph(g, c) for c in comps]
     order: list[int] = []
     comp_of: list[int] = []
     for ci, comp in enumerate(comps):
@@ -208,10 +204,13 @@ def search_plan(g: SimpleGraph):
     for v in order:
         placed_before.append(list(iter_bits(g.adj_bits[v] & seen)))
         seen |= 1 << v
-    # symmetry: component ci mirrors ci-1 when isomorphic
+    # symmetry: component ci mirrors ci-1 when both are the same base graph,
+    # which their degree sequences decide; repeated components that are not
+    # base graphs only lose this pruning
+    comp_degrees = [degrees(c) for c in comps]
     mirrors = [
-        ci > 0 and is_isomorphic(comp_graphs[ci], comp_graphs[ci - 1])
-        for ci in range(len(comps))
+        ci > 0 and d == comp_degrees[ci - 1] and d in _BASE_BY_DEGREES
+        for ci, d in enumerate(comp_degrees)
     ]
     comp_last_index = {}
     for i, ci in enumerate(comp_of):

@@ -1,18 +1,19 @@
+import json
 import random
 
 import pytest
 
 from rainbowfree.bipartite import (
     RainbowStarPresent,
-    _require_star_free,
     classify_k13_free,
     gen_type_b,
     validate_type_b,
     verify_background_spanning_kconn,
 )
+from rainbowfree.cli import main
 from rainbowfree.connectivity import is_k_connected
 from rainbowfree.constructions import gen_F1
-from rainbowfree.core import ColoredBipartite, flood, restrict
+from rainbowfree.core import ColoredBipartite, dump_coloring, flood, restrict
 from rainbowfree.patterns import parse_pattern
 from rainbowfree.rainbow import find_rainbow, is_rainbow_free
 
@@ -28,7 +29,10 @@ def test_three_color_host_is_case_a():
 
 
 def test_f1_is_case_a():
-    assert classify_k13_free(gen_F1(12, 6, 4).host).case == "A"
+    # a V vertex of F1 sees all m colors, so F1 is star-free only for m <= 2
+    assert classify_k13_free(gen_F1(12, 6, 2).host).case == "A"
+    with pytest.raises(RainbowStarPresent, match=r"at \(12, 0, 3, 6\)"):
+        classify_k13_free(gen_F1(12, 6, 4).host)
 
 
 def test_classify_rejects_rainbow_star():
@@ -38,10 +42,15 @@ def test_classify_rejects_rainbow_star():
         classify_k13_free(host)
 
 
-def test_three_color_star_is_still_case_a():
-    # with at most four colors the classification is settled by color count
+def test_three_color_star_is_rejected(tmp_path, capsys):
+    # the freeness check runs at every color count, case A included
     host = ColoredBipartite.from_function(3, 3, 3, lambda u, v: v + 1)
-    assert classify_k13_free(host).case == "A"
+    with pytest.raises(RainbowStarPresent):
+        classify_k13_free(host)
+    path = str(tmp_path / "star.txt")
+    dump_coloring(host, path)
+    assert main(["bipartite", "classify", path]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "RainbowStarPresent"
 
 
 def test_star_check_agrees_with_rainbow_search():
@@ -62,10 +71,7 @@ def test_star_check_agrees_with_rainbow_search():
     for host in hosts:
         emb = find_rainbow(host, k13)
         try:
-            if len(host.used_colors()) >= 5:
-                classify_k13_free(host)
-            else:
-                _require_star_free(host)
+            classify_k13_free(host)
         except RainbowStarPresent as exc:
             raised += 1
             assert emb is not None and str(exc) == f"rainbow K_{{1,3}} at {emb.mapping}"

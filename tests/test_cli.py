@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowfree import cli
 from rainbowfree.cli import main
 from rainbowfree.connectivity import CertificationError
@@ -46,14 +48,19 @@ def test_gen_describe_prints_parts(tmp_path, capsys):
 def test_kconn_modes(tmp_path, capsys):
     path = str(tmp_path / "r1.txt")
     run(capsys, "gen", "R1", "--n", "9", "--m", "4", "-o", path)
-    code, out = run(capsys, "kconn", "--k", "1", "--colors", "mono", "--exact", path)
+    code, out = run(capsys, "kconn", "--k", "1", "--colors", "mono", path)
     assert code == 0
     payload = json.loads(out)
     assert payload["lower"] == 6 and payload["exact"]
-    code, out = run(capsys, "kconn", "--k", "2", "--colors", "mask=1,2", "--exact", path)
+    code, out = run(capsys, "kconn", "--k", "2", "--colors", "mask=1,2", path)
     assert json.loads(out)["k"] == 2
     code, out = run(capsys, "kconn", "--k", "1", "--colors", "pairs", path)
-    assert json.loads(out)["exact"] is False  # heuristic is the default
+    payload = json.loads(out)
+    assert payload["exact"] is True and payload["lower"] == payload["upper"]
+    # the search reports its own exactness; there is no mode flag
+    with pytest.raises(SystemExit) as exc:
+        main(["kconn", "--k", "1", "--exact", path])
+    assert exc.value.code == 2
 
 
 def test_gallai_cycle(tmp_path, capsys):

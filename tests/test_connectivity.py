@@ -7,6 +7,7 @@ import pytest
 
 from rainbowfree.claims import _random_graph
 from rainbowfree.connectivity import (
+    DEPTH_CAP,
     CertificationError,
     _find_cut_below_k,
     _peel_to_kcore,
@@ -97,14 +98,14 @@ def test_is_k_connected_agrees_with_brute_force():
 
 def test_largest_k_connected_r1_examples():
     host = gen_R1(9, 4).host
-    rep = largest_k_connected(host, {1}, 1, "exact")
+    rep = largest_k_connected(host, {1}, 1)
     assert (rep.lower, rep.upper, rep.exact) == (6, 6, True)
     assert rep.witness == (0, 1, 2, 3, 4, 5)
 
 
 def test_largest_k_connected_mono_k6():
     host = ColoredComplete(6, 1, [1] * 15)
-    rep = largest_k_connected(host, {1}, 5, "exact")
+    rep = largest_k_connected(host, {1}, 5)
     assert rep.lower == 6
 
 
@@ -117,7 +118,7 @@ def test_largest_exact_agrees_with_enumeration():
         masks = [{c} for c in used] + ([set(used[:2])] if len(used) >= 2 else [])
         for mask in masks:
             for k in (1, 2, 3):
-                rep = largest_k_connected(host, mask, k, "exact")
+                rep = largest_k_connected(host, mask, k)
                 want = oracle_largest_k_connected(restrict(host, mask), k)
                 assert rep.lower == want and rep.upper == want
 
@@ -127,20 +128,39 @@ def test_largest_exact_agrees_with_enumeration_n12():
     for _ in range(3):
         host = random_host(rng, 12, 3)
         for k in (2, 3):
-            rep = largest_k_connected(host, {1}, k, "exact")
+            rep = largest_k_connected(host, {1}, k)
             want = oracle_largest_k_connected(restrict(host, {1}), k)
             assert rep.lower == want and rep.upper == want
 
 
-def test_heuristic_brackets_exact():
+def test_uncapped_search_is_exact():
+    # below n = k + 21 the depth cap cannot bind, so every answer is exact
     rng = random.Random(15)
     for _ in range(60):
         host = random_host(rng, rng.randint(4, 10), rng.randint(1, 3))
         for k in (1, 2):
-            exact = largest_k_connected(host, {1}, k, "exact")
-            heur = largest_k_connected(host, {1}, k, "heuristic")
-            assert not heur.exact
-            assert heur.lower <= exact.lower <= heur.upper
+            rep = largest_k_connected(host, {1}, k)
+            want = oracle_largest_k_connected(restrict(host, {1}), k)
+            assert rep.exact is True
+            assert rep.lower == rep.upper == want
+
+
+def test_depth_cap_reports_bounds():
+    # color 1 is a chain of 22 triangles, consecutive ones sharing a cut
+    # vertex; splitting off one triangle per level runs past DEPTH_CAP = 20
+    triangles = DEPTH_CAP + 2
+    chain = {
+        frozenset(e)
+        for i in range(triangles)
+        for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))
+    }
+    host = ColoredComplete.from_function(
+        2 * triangles + 1, 2, lambda u, v: 1 if frozenset((u, v)) in chain else 2
+    )
+    rep = largest_k_connected(host, {1}, 2)
+    assert rep.exact is False
+    assert rep.lower == 3 <= rep.upper
+    assert is_k_connected(induced_subgraph(restrict(host, {1}), rep.witness), 2)
 
 
 def test_monotone_in_k_and_mask():
@@ -148,24 +168,24 @@ def test_monotone_in_k_and_mask():
     for _ in range(40):
         host = random_host(rng, 8, 3)
         used = sorted(host.used_colors())
-        o1 = largest_k_connected(host, {used[0]}, 1, "exact").lower
-        o2 = largest_k_connected(host, {used[0]}, 2, "exact").lower
+        o1 = largest_k_connected(host, {used[0]}, 1).lower
+        o2 = largest_k_connected(host, {used[0]}, 2).lower
         assert o2 <= o1
         if len(used) >= 2:
-            wide = largest_k_connected(host, set(used[:2]), 2, "exact").lower
+            wide = largest_k_connected(host, set(used[:2]), 2).lower
             assert wide >= o2
 
 
 def test_best_monochromatic_r1():
     host = gen_R1(9, 4).host
-    color, rep = best_monochromatic(host, 2, "exact")
+    color, rep = best_monochromatic(host, 2)
     assert color in (1, 2, 3)
     assert rep.lower == 6
 
 
 def test_best_monochromatic_spanning_for_mono_host():
     host = ColoredComplete(7, 1, [1] * 21)
-    color, rep = best_monochromatic(host, 1, "exact")
+    color, rep = best_monochromatic(host, 1)
     assert color == 1 and rep.lower == 7
 
 
@@ -174,7 +194,7 @@ def test_best_two_colored_counterexample_bounded():
     for mask in combinations(sorted(host.used_colors()), 2):
         assert verify_order_cap(host, mask, 4, 18).ok
     # and the cap is tight for the decisive masks: order 18 is reachable
-    rep = largest_k_connected(host, {1, 3}, 4, "heuristic")
+    rep = largest_k_connected(host, {1, 3}, 4)
     assert rep.lower <= 18
 
 

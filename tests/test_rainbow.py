@@ -98,6 +98,31 @@ def test_detector_agrees_with_injection_oracle():
             ), (host._colors, pat.canonical_name)
 
 
+def test_repeated_non_base_components_agree_with_oracle():
+    # two C4s: repeated components that are not base graphs get no mirror
+    # pruning, and the search must still agree with the injection oracle
+    pat = parse_pattern("V:8;E:0-1,1-2,2-3,0-3,4-5,5-6,6-7,4-7")
+    assert not any(pat.plan[4])
+    rng = random.Random(11)
+    hosts = [random_host(rng, 8, m) for m in (6, 8, 10, 12)]
+    # plant a rainbow copy on a shuffled vertex set of a 7-color host
+    colors = {}
+    image = rng.sample(range(8), 8)
+    for c, (u, v) in enumerate(pat.graph.edges, start=8):
+        colors[frozenset((image[u], image[v]))] = c
+    hosts.append(
+        ColoredComplete.from_function(
+            8, 15, lambda a, b: colors.get(frozenset((a, b)), rng.randint(1, 7))
+        )
+    )
+    found = 0
+    for host in hosts:
+        emb = find_rainbow(host, pat)
+        assert (emb is not None) == oracle_rainbow_exists(host, pat), host._colors
+        found += emb is not None
+    assert 0 < found < len(hosts)
+
+
 def test_count_zero_iff_free():
     rng = random.Random(8)
     pats = [parse_pattern(s) for s in ("P3", "K3", "2K2")]
