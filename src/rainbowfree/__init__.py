@@ -12,7 +12,6 @@ from .core import (
     load_coloring,
     read_coloring,
     restrict,
-    used_colors,
     write_coloring,
 )
 from .patterns import (

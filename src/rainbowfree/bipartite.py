@@ -44,13 +44,11 @@ def _require_star_free(host: ColoredBipartite):
     """Raise RainbowStarPresent at the first vertex seeing three colors; the
     witness adds the least neighbor of each of the first three colors met,
     ascending, which is find_rainbow's first rainbow K_{1,3}."""
-    n = host.vertex_count
-    for v in range(n):
-        first: dict[int, int] = {}
-        for w in range(host.s, n) if v < host.s else range(host.s):
-            first.setdefault(host.pair_color(v, w), w)
-            if len(first) == 3:
-                raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *first.values())}")
+    rows = [host.color_masks(c) for c in host.used_colors()]
+    for v in range(host.vertex_count):
+        firsts = sorted((row[v] & -row[v]).bit_length() - 1 for row in rows if row[v])
+        if len(firsts) >= 3:
+            raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *firsts[:3])}")
 
 
 def validate_type_b(host: ColoredBipartite, background: int, u_parts, v_parts) -> str | None:
@@ -98,7 +96,7 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     if min(host.s, host.t) < 3:
         raise ValueError("both sides must have at least 3 vertices")
     _require_star_free(host)
-    used = frozenset(host.used_colors())
+    used = host.used_colors()
     if len(used) <= 4:
         return BipartiteStructure("A", used)
     counts = host.color_counts()
@@ -113,31 +111,19 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
 
 
 def _recover_blocks(host, b: int, used) -> BipartiteStructure | None:
-    u_color: list[int | None] = [None] * host.s
-    v_color: list[int | None] = [None] * host.t
-    for u in range(host.s):
-        for v in range(host.t):
-            c = host.color(u, v)
-            if c == b:
-                continue
-            if u_color[u] is None:
-                u_color[u] = c
-            elif u_color[u] != c:
-                return None
-            if v_color[v] is None:
-                v_color[v] = c
-            elif v_color[v] != c:
-                return None
     block_colors = sorted(used - {b})
+    rows = [(c, host.color_masks(c)) for c in block_colors]
+    # each global vertex's one non-background color, else the default block
     default = block_colors[0]
-    u_parts = {c: [] for c in block_colors}
-    v_parts = {c: [] for c in block_colors}
-    for u in range(host.s):
-        u_parts[u_color[u] if u_color[u] is not None else default].append(u)
-    for v in range(host.t):
-        v_parts[v_color[v] if v_color[v] is not None else default].append(v)
-    u_parts = {c: tuple(p) for c, p in u_parts.items()}
-    v_parts = {c: tuple(p) for c, p in v_parts.items()}
+    block_of = []
+    for x in range(host.vertex_count):
+        seen = [c for c, row in rows if row[x]]
+        if len(seen) > 1:
+            return None
+        block_of.append(seen[0] if seen else default)
+    u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
+    v_block = block_of[host.s:]
+    v_parts = {c: tuple(v for v in range(host.t) if v_block[v] == c) for c in block_colors}
     if validate_type_b(host, b, u_parts, v_parts) is not None:
         return None
     renumbering = {b: 1}

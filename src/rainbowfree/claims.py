@@ -201,21 +201,14 @@ def _counterexample_degrees(t, n):
         host = gen.host
         v2 = gen.parts["V2"]
         base = v2[0]
-        deg1 = {
-            v: sum(
-                1
-                for w in v2
-                if w != v and host.color(v, w) == 1
-            )
-            for v in v2
-        }
+        inside = sum(1 << v for v in v2)
+        ones, twos = host.color_masks(1), host.color_masks(2)
+        deg1 = {v: (ones[v] & inside).bit_count() for v in v2}
         high = sorted(v for v in v2 if deg1[v] == 2 * t)
         low = sorted(v for v in v2 if deg1[v] == 2 * t - 1)
         ok = len(high) == 2 * t and len(low) == 2 * t
         # complementary statement for color 2 inside V2
-        deg2 = {
-            v: sum(1 for w in v2 if w != v and host.color(v, w) == 2) for v in v2
-        }
+        deg2 = {v: (twos[v] & inside).bit_count() for v in v2}
         ok = ok and all(deg2[v] == 2 * t - 1 for v in high)
         ok = ok and all(deg2[v] == 2 * t for v in low)
         return ok, {"degree_2t": len(high), "degree_2t_minus_1": len(low), "base": base}

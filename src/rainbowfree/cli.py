@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import claims as claims_mod
@@ -302,15 +303,22 @@ def _refuse(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     """Exit codes: 0 positive answer, 1 negative answer, 2 bad input, 3 internal
-    certificate failure.  Codes 2 and 3 print one JSON line on stderr, except
-    for argparse usage errors, which print argparse's usage text."""
+    certificate failure, 141 output closed early by its reader.  Codes 2 and 3
+    print one JSON line on stderr; argparse usage errors print usage text."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # `paths prop61 --a ... FILE` is the documented spelling for the quota check
     if len(argv) >= 2 and argv[0] == "paths" and argv[1] == "prop61":
         argv = ["prop61"] + argv[2:]
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a reader that stops early (`... | head`) is not bad input; 141 is
+        # 128 + SIGPIPE, and devnull keeps the interpreter's last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CertificationError as exc:
         return _refuse(exc, 3)
     except (ValueError, OSError) as exc:

@@ -4,12 +4,15 @@ bitset graph layer, and file I/O.
 Colors are dense integers 1..m.  Vertices are 0-indexed.  For a bipartite
 host the two sides share one global vertex numbering: the left side U is
 0..s-1 and the right side V is s..s+t-1.  A SimpleGraph is its adjacency
-bitmasks, and every graph helper here works on them.  All objects are
-immutable after construction and therefore safe to share between threads.
+bitmasks, and every graph helper here works on them.  A host builds its
+per-color adjacency masks lazily, in one pass on first use, and every
+color-class scan reads them.  All objects are immutable after construction
+(the masks are assigned once, complete) and so safe to share between threads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Iterator, TextIO, Union
 
@@ -158,26 +161,66 @@ def _tri_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-class ColoredComplete:
-    """An edge-coloring of K_n by colors 1..m, stored as a flat triangular array."""
+class _ColoredHost:
+    """The color range ``m``, the flat tuple of ``want`` edge colors and its
+    per-color masks; subclasses check their sizes and define ``_key``."""
 
-    __slots__ = ("n", "m", "_colors")
+    __slots__ = ("m", "_colors", "_masks")
 
-    def __init__(self, n: int, m: int, colors: Iterable[int]):
-        if not (2 <= n <= MAX_VERTICES):
-            raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
+    def __init__(self, m: int, colors: Iterable[int], want: int):
         if m < 1:
             raise ValueError("m must be at least 1")
         colors = tuple(colors)
-        want = n * (n - 1) // 2
         if len(colors) != want:
             raise ValueError(f"expected {want} edge colors, got {len(colors)}")
         for c in colors:
             if not (1 <= c <= m):
                 raise ValueError(f"color {c} out of range 1..{m}")
-        self.n = n
         self.m = m
         self._colors = colors
+        self._masks = None
+
+    def used_colors(self) -> frozenset[int]:
+        """The exact set of colors appearing on at least one edge."""
+        return frozenset(self._colors)
+
+    def color_counts(self) -> dict[int, int]:
+        return dict(Counter(self._colors))
+
+    def color_masks(self, c: int) -> tuple[int, ...]:
+        """Adjacency bitmasks, one per global vertex, of the edges colored ``c``.
+
+        All colors are built in one edge pass on first use and kept; the
+        finished dict is assigned once, so no thread sees a partial one.
+        """
+        masks = self._masks
+        if masks is None:
+            rows = {col: [0] * self.vertex_count for col in self.used_colors()}
+            for u, v, col in self.edge_iter():
+                row = rows[col]
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+            masks = {col: tuple(row) for col, row in rows.items()}
+            self._masks = masks
+        return masks.get(c) or (0,) * self.vertex_count
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class ColoredComplete(_ColoredHost):
+    """An edge-coloring of K_n by colors 1..m, stored as a flat triangular array."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int, m: int, colors: Iterable[int]):
+        if not (2 <= n <= MAX_VERTICES):
+            raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
+        self.n = n
+        super().__init__(m, colors, n * (n - 1) // 2)
 
     @classmethod
     def from_function(cls, n: int, m: int, fn) -> "ColoredComplete":
@@ -202,58 +245,35 @@ class ColoredComplete:
         return self.color(u, v)
 
     def edge_iter(self) -> Iterator[tuple[int, int, int]]:
-        for u, v in combinations(range(self.n), 2):
-            yield u, v, self._colors[_tri_index(self.n, u, v)]
+        # combinations() walks the pairs in the row-major order of _colors
+        for (u, v), c in zip(combinations(range(self.n), 2), self._colors):
+            yield u, v, c
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self._colors)
-
-    def color_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self._colors:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredComplete)
-            and (self.n, self.m, self._colors) == (other.n, other.m, other._colors)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self._colors))
+    def _key(self) -> tuple:
+        return (self.n, self.m, self._colors)
 
     def __repr__(self) -> str:
         return f"ColoredComplete(n={self.n}, m={self.m})"
 
 
-class ColoredBipartite:
+class ColoredBipartite(_ColoredHost):
     """An edge-coloring of K_{s,t} by colors 1..m.
 
     Local indices: u in 0..s-1 on the left, v in 0..t-1 on the right.
-    Global indices (used by :func:`restrict` and the rainbow detector) are
-    0..s-1 for U and s..s+t-1 for V.
+    Global indices (used by :func:`restrict`, ``color_masks`` and the rainbow
+    detector) are 0..s-1 for U and s..s+t-1 for V.
     """
 
-    __slots__ = ("s", "t", "m", "_colors")
+    __slots__ = ("s", "t")
 
     def __init__(self, s: int, t: int, m: int, colors: Iterable[int]):
         if s < 1 or t < 1:
             raise ValueError("both sides must be non-empty")
         if s + t > MAX_VERTICES:
             raise ValueError("host too large")
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        colors = tuple(colors)
-        if len(colors) != s * t:
-            raise ValueError(f"expected {s * t} edge colors, got {len(colors)}")
-        for c in colors:
-            if not (1 <= c <= m):
-                raise ValueError(f"color {c} out of range 1..{m}")
         self.s = s
         self.t = t
-        self.m = m
-        self._colors = colors
+        super().__init__(m, colors, s * t)
 
     @classmethod
     def from_function(cls, s: int, t: int, m: int, fn) -> "ColoredBipartite":
@@ -285,35 +305,14 @@ class ColoredBipartite:
             for v in range(self.t):
                 yield u, self.s + v, self._colors[base + v]
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self._colors)
-
-    def color_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self._colors:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredBipartite)
-            and (self.s, self.t, self.m, self._colors)
-            == (other.s, other.t, other.m, other._colors)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.t, self.m, self._colors))
+    def _key(self) -> tuple:
+        return (self.s, self.t, self.m, self._colors)
 
     def __repr__(self) -> str:
         return f"ColoredBipartite(s={self.s}, t={self.t}, m={self.m})"
 
 
 Host = Union[ColoredComplete, ColoredBipartite]
-
-
-def used_colors(host: Host) -> frozenset[int]:
-    """The exact set of colors appearing on at least one edge."""
-    return host.used_colors()
 
 
 def normalize_mask(host: Host, mask: Iterable[int]) -> frozenset[int]:
@@ -331,10 +330,8 @@ def color_bits(host: Host, colors) -> list[int]:
     """Adjacency bitmasks, over the host's global vertices, of the edges
     whose color is in ``colors`` (which may be empty)."""
     bits = [0] * host.vertex_count
-    for u, v, c in host.edge_iter():
-        if c in colors:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+    for c in colors:
+        bits = [a | b for a, b in zip(bits, host.color_masks(c))]
     return bits
 
 

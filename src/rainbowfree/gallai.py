@@ -73,22 +73,12 @@ def _merge_until_monochromatic(host: ColoredComplete, parts: list[int]) -> list[
     while changed and len(parts) >= 2:
         changed = False
         for i, j in combinations(range(len(parts)), 2):
-            color = None
-            mixed = False
-            for u in iter_bits(parts[i]):
-                for v in iter_bits(parts[j]):
-                    c = host.color(u, v)
-                    if color is None:
-                        color = c
-                    elif c != color:
-                        mixed = True
-                        break
-                if mixed:
-                    break
-            if mixed:
-                merged = parts[i] | parts[j]
+            P, Q = parts[i], parts[j]
+            # monochromatic iff all of P sees all of Q in one edge's color
+            masks = host.color_masks(host.color(next(iter_bits(P)), next(iter_bits(Q))))
+            if any(masks[u] & Q != Q for u in iter_bits(P)):
                 parts = [p for idx, p in enumerate(parts) if idx not in (i, j)]
-                parts.append(merged)
+                parts.append(P | Q)
                 changed = True
                 break
     return parts

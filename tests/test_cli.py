@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rainbowfree
 from rainbowfree import cli
 from rainbowfree.cli import main
 from rainbowfree.connectivity import CertificationError
@@ -152,6 +157,25 @@ def test_detect_malformed_file_is_bad_input(tmp_path, capsys):
     code = main(["detect", "--pattern", "K3", str(tmp_path / "missing.txt")])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+def test_closed_stdout_is_not_bad_input():
+    # the reader end is closed before the CLI writes, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(rainbowfree.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rainbowfree.cli", "gen", "R1", "--n", "60", "--m", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141  # not 2 (bad input) or 3 (certificate failure)
 
 
 def test_gen_missing_parameter_is_bad_input(capsys):

@@ -12,7 +12,6 @@ from rainbowfree.core import (
     induced_subgraph,
     read_coloring,
     restrict,
-    used_colors,
     write_coloring,
 )
 
@@ -22,7 +21,7 @@ def mono_k(n, color=1, m=1):
 
 
 def test_used_colors_monochromatic():
-    assert used_colors(mono_k(4)) == {1}
+    assert mono_k(4).used_colors() == {1}
 
 
 def test_color_lookup_symmetric():
@@ -200,6 +199,18 @@ def test_restrict_matches_pair_color_filter():
             sum(1 << b for b in range(nv) if host.pair_color(a, b) in mask)
             for a in range(nv)
         )
+        # the per-color masks behind restrict, on global vertex numbering
+        for c in range(1, host.m + 1):
+            assert host.color_masks(c) == tuple(
+                sum(1 << b for b in range(nv) if host.pair_color(a, b) == c)
+                for a in range(nv)
+            )
+        counts = {
+            c: sum(b.bit_count() for b in host.color_masks(c)) // 2
+            for c in range(1, host.m + 1)
+        }
+        assert host.color_counts() == {c: k for c, k in counts.items() if k}
+        assert host.used_colors() == {c for c, k in counts.items() if k}
 
 
 def test_induced_subgraph_matches_edge_filter():
