@@ -228,7 +228,9 @@ class TwoColorWitness:
         }
 
 
-def _check_hypotheses(host: ColoredComplete) -> list[int]:
+def _two_color_witness(host: ColoredComplete, k: int, drop_one: bool, reason: str):
+    """The first two-color mask, in color order, whose class has no cut below
+    k on all vertices or, when drop_one holds, on all but one vertex."""
     used = sorted(host.used_colors())
     if len(used) != 3:
         raise ValueError(f"exactly 3 colors required, host uses {len(used)}")
@@ -236,7 +238,14 @@ def _check_hypotheses(host: ColoredComplete) -> list[int]:
         raise ValueError("n must be at least 7")
     if not is_gallai(host):
         raise NotGallaiError("host contains a rainbow triangle")
-    return used
+    full = (1 << host.n) - 1
+    spans = [full] + ([full & ~(1 << d) for d in range(host.n)] if drop_one else [])
+    for mask in combinations(used, 2):
+        adj = restrict(host, mask).adj_bits
+        for S in spans:
+            if _find_cut_below_k(adj, S, k) is None:
+                return TwoColorWitness(True, k, frozenset(mask), tuple(iter_bits(S)))
+    return TwoColorWitness(False, k, frozenset(), (), reason)
 
 
 def verify_two_color_2connected(host: ColoredComplete) -> TwoColorWitness:
@@ -245,33 +254,13 @@ def verify_two_color_2connected(host: ColoredComplete) -> TwoColorWitness:
     Existence is a theorem for Gallai 3-colorings with n >= 7; a returned
     failure is therefore a falsification report, not an exception.
     """
-    used = _check_hypotheses(host)
-    n = host.n
-    full = (1 << n) - 1
-    for mask in combinations(used, 2):
-        g = restrict(host, mask)
-        if _find_cut_below_k(g.adj_bits, full, 2) is None:
-            return TwoColorWitness(True, 2, frozenset(mask), tuple(range(n)))
-    return TwoColorWitness(
-        False, 2, frozenset(), (), "no spanning 2-connected two-colored subgraph"
+    return _two_color_witness(
+        host, 2, False, "no spanning 2-connected two-colored subgraph"
     )
 
 
 def verify_two_color_3connected(host: ColoredComplete) -> TwoColorWitness:
     """Search for a 3-connected subgraph of order >= n - 1 using <= 2 colors."""
-    used = _check_hypotheses(host)
-    n = host.n
-    full = (1 << n) - 1
-    for mask in combinations(used, 2):
-        g = restrict(host, mask)
-        if _find_cut_below_k(g.adj_bits, full, 3) is None:
-            return TwoColorWitness(True, 3, frozenset(mask), tuple(range(n)))
-        for drop in range(n):
-            S = full & ~(1 << drop)
-            if _find_cut_below_k(g.adj_bits, S, 3) is None:
-                return TwoColorWitness(
-                    True, 3, frozenset(mask), tuple(iter_bits(S))
-                )
-    return TwoColorWitness(
-        False, 3, frozenset(), (), "no 3-connected two-colored subgraph of order >= n-1"
+    return _two_color_witness(
+        host, 3, True, "no 3-connected two-colored subgraph of order >= n-1"
     )

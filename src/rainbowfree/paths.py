@@ -2,9 +2,12 @@
 and the classical density bound for long paths.
 
 Exact searches run a BFS over (visited set, endpoint) states on the
-non-isolated vertices of one color class.  Within EXACT_LIMIT support
-vertices the state space fits under the cap and results are exact; beyond
-that the search may stop at the cap and the witness is flagged inexact.
+non-isolated vertices of one color class.  Both the path and the cycle
+search build each level with the one level expansion ``_expand``, the only
+place search states are created, and read witnesses back with
+``_walk_back``.  Within EXACT_LIMIT support vertices the state space fits
+under the cap and results are exact; beyond that the search may stop at the
+cap and the witness is flagged inexact.
 """
 
 from __future__ import annotations
@@ -83,64 +86,68 @@ def validate_cycle(host: Host, witness: CycleWitness) -> None:
             raise ValueError(f"pair ({a},{b}) is not an edge of color {witness.color}")
 
 
+def _complete(adj) -> bool:
+    full = (1 << len(adj)) - 1
+    return all(a == full ^ (1 << v) for v, a in enumerate(adj))
+
+
+def _expand(adj, frontier, parents, allowed: int, vbits: int) -> list[int]:
+    """The next BFS level: every state not yet in ``parents`` that extends a
+    frontier state by an edge to an unvisited vertex in ``allowed``.  A state
+    packs the visited mask above an endpoint field ``vbits`` wide."""
+    vmask = (1 << vbits) - 1
+    nxt = []
+    for state in frontier:
+        mask, last = state >> vbits, state & vmask
+        outs = adj[last] & ~mask & allowed
+        while outs:
+            low = outs & -outs
+            outs ^= low
+            ns = ((mask | low) << vbits) | (low.bit_length() - 1)
+            if ns not in parents:
+                parents[ns] = state
+                nxt.append(ns)
+    return nxt
+
+
+def _walk_back(parents, state: int, vbits: int) -> list[int]:
+    """The path ending in ``state``, read from its start along ``parents``."""
+    vmask = (1 << vbits) - 1
+    path = []
+    while state != -1:
+        path.append(state & vmask)
+        state = parents[state]
+    path.reverse()
+    return path
+
+
 def _longest_path_bits(adj, target: int | None):
     """(best path as vertex list, exact) for adjacency bitmasks over 0..q-1.
 
     BFS over (mask, endpoint) states with parent pointers; stops early once
     a path of order ``target`` appears.  exact=False means the state cap cut
-    the search short of exhausting the space.  A state packs the mask above
-    an endpoint field just wide enough for q - 1.
+    the search short of exhausting the space.  The longest path found is
+    the first state of the last level reached.
     """
     q = len(adj)
-    if q == 0:
-        return [], True
-    full = (1 << q) - 1
-    if all(adj[v] == full ^ (1 << v) for v in range(q)):
-        # complete class: any vertex order is a Hamilton path
-        path = list(range(q)) if target is None else list(range(min(q, target)))
-        return path, True
+    if _complete(adj):
+        # complete class (or none): any vertex order is a Hamilton path
+        return list(range(q if target is None else min(q, target))), True
     vbits = (q - 1).bit_length()
-    vmask = (1 << vbits) - 1
-    parents: dict[int, int] = {}
-    frontier = []
-    best_state = None
-    best_len = 1
-    for v in range(q):
-        state = ((1 << v) << vbits) | v
-        parents[state] = -1
-        frontier.append(state)
-        if best_state is None:
-            best_state = state
+    frontier = [((1 << v) << vbits) | v for v in range(q)]
+    parents = dict.fromkeys(frontier, -1)
+    order = 1
     exact = True
-    while frontier:
-        if target is not None and best_len >= target:
-            break
+    while target is None or order < target:
         if len(parents) > _STATE_CAP:
             exact = False
             break
-        nxt = []
-        for state in frontier:
-            mask, last = state >> vbits, state & vmask
-            outs = adj[last] & ~mask
-            while outs:
-                low = outs & -outs
-                w = low.bit_length() - 1
-                outs ^= low
-                ns = ((mask | low) << vbits) | w
-                if ns not in parents:
-                    parents[ns] = state
-                    nxt.append(ns)
-                    ln = (mask | low).bit_count()
-                    if ln > best_len:
-                        best_len, best_state = ln, ns
+        nxt = _expand(adj, frontier, parents, -1, vbits)
+        if not nxt:
+            break
         frontier = nxt
-    path = []
-    state = best_state
-    while state != -1:
-        path.append(state & vmask)
-        state = parents[state]
-    path.reverse()
-    return path, exact
+        order += 1
+    return _walk_back(parents, frontier[0], vbits), exact
 
 
 def _compact(g: SimpleGraph):
@@ -270,15 +277,15 @@ def _longest_cycle_bits(adj, target: int | None):
     """Longest cycle (vertex list, length >= 3) for adjacency bitmasks.
 
     Anchors each search at the least cycle vertex and extends paths through
-    larger-indexed vertices only, closing back to the anchor.
+    larger-indexed vertices only, closing back to the anchor.  The first
+    state of a level that closes a longer cycle gives the witness.
     """
     q = len(adj)
-    best: list[int] = []
-    full = (1 << q) - 1
-    if q >= 3 and all(adj[v] == full ^ (1 << v) for v in range(q)):
+    if q >= 3 and _complete(adj):
         return list(range(q)), True  # complete class: Hamilton cycle
+    best: list[int] = []
     exact = True
-    vbits = (q - 1).bit_length()  # endpoint field width, as in _longest_path_bits
+    vbits = (q - 1).bit_length()
     vmask = (1 << vbits) - 1
     for anchor in range(q):
         if target is not None and len(best) >= target:
@@ -289,31 +296,18 @@ def _longest_cycle_bits(adj, target: int | None):
         start = ((1 << anchor) << vbits) | anchor
         parents = {start: -1}
         frontier = [start]
+        size = 1
         while frontier:
             if len(parents) > _STATE_CAP:
                 exact = False
                 break
-            nxt = []
-            for state in frontier:
-                mask, last = state >> vbits, state & vmask
-                size = mask.bit_count()
-                if size >= 3 and size > len(best) and (adj[last] >> anchor) & 1:
-                    path = []
-                    st = state
-                    while st != -1:
-                        path.append(st & vmask)
-                        st = parents[st]
-                    best = path[::-1]
-                outs = adj[last] & ~mask & allowed
-                while outs:
-                    low = outs & -outs
-                    w = low.bit_length() - 1
-                    outs ^= low
-                    ns = ((mask | low) << vbits) | w
-                    if ns not in parents:
-                        parents[ns] = state
-                        nxt.append(ns)
-            frontier = nxt
+            if size >= 3 and size > len(best):
+                for state in frontier:
+                    if (adj[state & vmask] >> anchor) & 1:
+                        best = _walk_back(parents, state, vbits)
+                        break
+            frontier = _expand(adj, frontier, parents, allowed, vbits)
+            size += 1
     return best, exact
 
 

@@ -166,15 +166,24 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # or None for a non-edge.  An embedding is accepted when all mapped edge
 # colors are pairwise distinct; that is a rainbow copy on colored hosts, and
 # a plain subgraph copy when pair_color names each host edge by its
-# endpoints.  The backtracker places pattern vertices component by
-# component, most-constrained vertex first.  Consecutive copies of one base
-# graph are embedded with strictly increasing least image vertex, which
-# removes the copy-permutation symmetry without losing any distinct image.
+# endpoints.  The plan is one step per pattern vertex: components are
+# placed one after another, most-constrained vertex first.  Consecutive
+# copies of one base graph are embedded with strictly increasing least image
+# vertex, which removes the copy-permutation symmetry without losing any
+# distinct image.  The backtracker keeps each step's running least image, so
+# this mirror test is one integer compare made before any color lookup: it
+# sets the lowest candidate of the step that closes a mirrored component.
 # ---------------------------------------------------------------------------
 
 
-def search_plan(g: SimpleGraph):
-    """Vertex order, per-vertex placed neighbors, and component bookkeeping."""
+def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
+    """The placement steps of g, one per vertex, in placement order.
+
+    A step is (vertex, its already placed neighbors, whether it starts a
+    component, mirror).  mirror is None except on the step that closes a
+    copy of the base graph placed just before it; there it is the index of
+    the step that closed that previous copy.
+    """
     def degrees(c) -> tuple[int, ...]:
         return tuple(sorted((g.degree(v) for v in c), reverse=True))
 
@@ -182,66 +191,51 @@ def search_plan(g: SimpleGraph):
         g.components(),
         key=lambda c: (-len(c), -sum(g.degree(v) for v in c), degrees(c), min(c)),
     )
-    order: list[int] = []
-    comp_of: list[int] = []
+    steps: list[tuple] = []
+    placed = 0
     for ci, comp in enumerate(comps):
-        start = max(comp, key=lambda v: (g.degree(v), -v))
-        pending = set(comp) - {start}
-        order.append(start)
-        comp_of.append(ci)
-        placed = 1 << start
+        pending = set(comp)
         while pending:
-            nxt = max(
+            # earlier components are not adjacent, so the first pick of a
+            # component is its highest-degree vertex
+            v = max(
                 pending,
-                key=lambda v: ((g.adj_bits[v] & placed).bit_count(), g.degree(v), -v),
+                key=lambda u: ((g.adj_bits[u] & placed).bit_count(), g.degree(u), -u),
             )
-            order.append(nxt)
-            comp_of.append(ci)
-            placed |= 1 << nxt
-            pending.remove(nxt)
-    placed_before: list[list[int]] = []
-    seen = 0
-    for v in order:
-        placed_before.append(list(iter_bits(g.adj_bits[v] & seen)))
-        seen |= 1 << v
-    # symmetry: component ci mirrors ci-1 when both are the same base graph,
-    # which their degree sequences decide; repeated components that are not
-    # base graphs only lose this pruning
-    comp_degrees = [degrees(c) for c in comps]
-    mirrors = [
-        ci > 0 and d == comp_degrees[ci - 1] and d in _BASE_BY_DEGREES
-        for ci, d in enumerate(comp_degrees)
-    ]
-    comp_last_index = {}
-    for i, ci in enumerate(comp_of):
-        comp_last_index[ci] = i
-    return order, placed_before, comp_of, comp_last_index, mirrors
+            pending.remove(v)
+            anchors = tuple(iter_bits(g.adj_bits[v] & placed))
+            steps.append((v, anchors, len(pending) == len(comp) - 1, None))
+            placed |= 1 << v
+        # repeated components that are not base graphs only lose this pruning
+        d = degrees(comp)
+        if ci and d == degrees(comps[ci - 1]) and d in _BASE_BY_DEGREES:
+            steps[-1] = steps[-1][:3] + (len(steps) - 1 - len(comp),)
+    return tuple(steps)
 
 
 def embeddings(vertex_count: int, pair_color, plan) -> Iterator[tuple[int, ...]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge colors."""
-    order, placed_before, comp_of, comp_last, mirrors = plan
-    if len(order) > vertex_count:
+    if len(plan) > vertex_count:
         raise ValueError("pattern larger than host")
     nv = vertex_count
-    image = [-1] * len(order)
+    image = [-1] * len(plan)  # pattern vertex -> host vertex
+    least = [nv] * len(plan)  # step -> least image in its component so far
     used_vertices: set[int] = set()
     used_colors: set = set()
-    comp_min: dict[int, int] = {}  # component index -> least image vertex
-
-    def comp_min_of(ci: int) -> int:
-        lo = comp_last[ci]
-        verts = [image[order[i]] for i in range(lo + 1) if comp_of[i] == ci]
-        return min(verts)
 
     def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
+        if i == len(plan):
             yield tuple(image)
             return
-        p = order[i]
-        anchors = placed_before[i]
-        ci = comp_of[i]
-        for cand in range(nv):
+        p, anchors, starts, mirror = plan[i]
+        below = nv if starts else least[i - 1]
+        first = 0
+        if mirror is not None:
+            # the component's least image must exceed its predecessor's
+            if below <= least[mirror]:
+                return
+            first = least[mirror] + 1
+        for cand in range(first, nv):
             if cand in used_vertices:
                 continue
             new_colors = []
@@ -255,23 +249,12 @@ def embeddings(vertex_count: int, pair_color, plan) -> Iterator[tuple[int, ...]]
             if not ok:
                 continue
             image[p] = cand
+            least[i] = cand if cand < below else below
             used_vertices.add(cand)
             used_colors.update(new_colors)
-            if i == comp_last[ci] and mirrors[ci]:
-                # identical consecutive components: force increasing least image
-                if comp_min_of(ci) <= comp_min[ci - 1]:
-                    used_vertices.remove(cand)
-                    used_colors.difference_update(new_colors)
-                    image[p] = -1
-                    continue
-            if i == comp_last[ci]:
-                comp_min[ci] = comp_min_of(ci)
             yield from extend(i + 1)
-            if i == comp_last[ci]:
-                comp_min.pop(ci, None)
             used_vertices.remove(cand)
             used_colors.difference_update(new_colors)
-            image[p] = -1
 
     yield from extend(0)
 

@@ -33,12 +33,9 @@ class Embedding:
     mapping: tuple[int, ...]  # pattern vertex i -> host (global) vertex
     colors: frozenset[int]
 
-    def image_edges(self, host: Host) -> frozenset[tuple[int, int]]:
-        out = set()
-        for u, v in self.pattern.graph.edges:
-            a, b = self.mapping[u], self.mapping[v]
-            out.add((a, b) if a < b else (b, a))
-        return frozenset(out)
+    def image_edges(self) -> frozenset[tuple[int, int]]:
+        m = self.mapping
+        return frozenset(tuple(sorted((m[u], m[v]))) for u, v in self.pattern.graph.edges)
 
     def to_json(self) -> dict:
         return {
@@ -103,7 +100,7 @@ def count_rainbow(host: Host, pattern: Pattern) -> int:
     images = set()
     for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
         emb = Embedding(pattern, mapping, frozenset())
-        images.add(emb.image_edges(host))
+        images.add(emb.image_edges())
     return len(images)
 
 

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from rainbowfree.constructions import gen_F1, gen_R1
+from rainbowfree.constructions import gen_F1, gen_F3, gen_R1
 from rainbowfree.core import ColoredComplete, SimpleGraph, ceil_div, restrict
 from rainbowfree.oracles import oracle_longest_cycle_length, oracle_longest_path_order
 from rainbowfree.paths import (
@@ -206,3 +208,20 @@ def test_kano_li_floor_random():
         color, best = kano_li_floor(host)  # raises on a floor violation
         if ceil_div(n, m) >= 3:
             assert best.length >= ceil_div(n, m)
+
+
+def test_golden_path_and_cycle_witnesses():
+    # witnesses must stay byte-identical when the search changes, inexact
+    # (state-capped) answers included
+    rng = random.Random(31)
+    hosts = [random_host(rng, n, m) for n, m in [(10, 2), (12, 3), (14, 2), (16, 3), (17, 3)]]
+    hosts += [gen_R1(18, 6).host, gen_F3(12, 12, 6).host]
+    witnesses = []
+    for host in hosts:
+        for c in sorted(host.used_colors()):
+            witnesses.append(
+                [longest_mono_path(host, c).to_json(), longest_mono_cycle(host, c).to_json()]
+            )
+    assert any(not w["exact"] for pair in witnesses for w in pair)
+    digest = hashlib.sha256(json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
+    assert digest == "af8c9f18963d2c708d9d17b6081fb5d075cd7e58ef7d6771290361753b13576d"

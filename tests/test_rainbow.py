@@ -1,9 +1,19 @@
+import hashlib
+import json
 import random
+from itertools import permutations
 
 import pytest
 
 from rainbowfree.claims import run_claims
-from rainbowfree.constructions import gen_F1, gen_F3, gen_R1, gen_R2, gen_counterexample_4t
+from rainbowfree.constructions import (
+    gen_F1,
+    gen_F2,
+    gen_F3,
+    gen_R1,
+    gen_R2,
+    gen_counterexample_4t,
+)
 from rainbowfree.core import ColoredComplete
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree.patterns import is_subgraph, parse_pattern
@@ -102,7 +112,7 @@ def test_repeated_non_base_components_agree_with_oracle():
     # two C4s: repeated components that are not base graphs get no mirror
     # pruning, and the search must still agree with the injection oracle
     pat = parse_pattern("V:8;E:0-1,1-2,2-3,0-3,4-5,5-6,6-7,4-7")
-    assert not any(pat.plan[4])
+    assert all(mirror is None for _, _, _, mirror in pat.plan)
     rng = random.Random(11)
     hosts = [random_host(rng, 8, m) for m in (6, 8, 10, 12)]
     # plant a rainbow copy on a shuffled vertex set of a 7-color host
@@ -152,6 +162,25 @@ def test_monotonicity_under_subpattern():
                 assert is_rainbow_free(host, pb)
 
 
+def test_count_matches_injection_oracle():
+    # repeated components are where the mirror rule prunes: the count of
+    # distinct image edge sets must match trying every injection
+    rng = random.Random(41)
+    pats = [parse_pattern(s) for s in ("2K2", "3K2", "2P3", "K2uP3")]
+    for _ in range(20):
+        n = rng.randint(6, 7)
+        host = random_host(rng, n, rng.randint(3, 5))
+        for pat in pats:
+            images = set()
+            for mapping in permutations(range(n), pat.order):
+                colors = [host.pair_color(mapping[u], mapping[v]) for u, v in pat.graph.edges]
+                if len(set(colors)) == len(colors):
+                    images.add(
+                        frozenset(frozenset((mapping[u], mapping[v])) for u, v in pat.graph.edges)
+                    )
+            assert count_rainbow(host, pat) == len(images), (host._colors, pat.canonical_name)
+
+
 def test_enumerate_yields_valid_embeddings():
     host = gen_R1(9, 4).host
     tri = parse_pattern("K3")
@@ -187,6 +216,17 @@ GOLDEN_FOUND_MAPS = {
     "F2-found-3K2": [0, 13, 6, 14, 12, 15],
 }
 
+GOLDEN_ENUMERATIONS = [
+    ("R1(9,4)", "3K2", 4128, "6d9e7c211d25124ae6a4243e33fefe4b779f5d065e70d2926b26d1ee3a739f1f"),
+    ("R1(9,4)", "2P3", 864, "0172dd92445ce8e241d076b54d97d6275d885f06d5d84007fcfc595302fb1446"),
+    (
+        "F2(13,6,5)",
+        "2K2uK1_3",
+        41472,
+        "6961110dbd737fce00c4548d7e329f5a6ecb9acc040403ac8dfd0367fe41feab",
+    ),
+]
+
 
 def test_golden_witnesses():
     reports = run_claims("*-found-*")
@@ -195,3 +235,10 @@ def test_golden_witnesses():
     assert sum(1 for _ in enumerate_rainbow(gen_R1(9, 4).host, k3)) == 162
     star = parse_pattern("K1_3")
     assert sum(1 for _ in enumerate_rainbow(gen_F3(12, 12, 6).host, star)) == 7776
+    # enumeration order on patterns with repeated components, where the
+    # mirror rule applies: sha256 of the ordered mappings, with their counts
+    hosts = {"R1(9,4)": gen_R1(9, 4).host, "F2(13,6,5)": gen_F2(13, 6, 5).host}
+    for label, name, count, digest in GOLDEN_ENUMERATIONS:
+        maps = [list(e.mapping) for e in enumerate_rainbow(hosts[label], parse_pattern(name))]
+        assert len(maps) == count, name
+        assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == digest, name
