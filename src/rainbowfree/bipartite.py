@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .core import ColoredBipartite, restrict
-from .connectivity import CertificationError, _find_cut_below_k
+from .connectivity import CertificationError, is_k_connected
 from .constructions import Generated, _intervals, _split_sizes
 
 
@@ -242,8 +242,7 @@ def verify_background_spanning_kconn(host: ColoredBipartite, k: int) -> Spanning
     structure = classify_k13_free(host)  # raises on a rainbow star
     b = structure.background
     g = restrict(host, {b})
-    full = (1 << g.n) - 1
-    if _find_cut_below_k(g.adj_bits, full, k) is None:
+    if is_k_connected(g, k):
         return SpanningWitness(True, k, b, g.n)
     return SpanningWitness(
         False, k, b, g.n, "background subgraph is not spanning k-connected"

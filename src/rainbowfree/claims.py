@@ -220,14 +220,13 @@ def _counterexample_degrees(t, n):
     )
 
 
-def _lemma_sample_claim(k, samples=DEFAULT_SAMPLES):
+def _lemma_sample_claim(k):
     verify = verify_two_color_2connected if k == 2 else verify_two_color_3connected
 
     def run(seed):
-        rng_base = seed
         failures = []
-        for i in range(samples):
-            host = sample_gallai(9, 3, rng_base + i)
+        for i in range(DEFAULT_SAMPLES):
+            host = sample_gallai(9, 3, seed + i)
             w = verify(host)
             if not w.ok or (k == 2 and w.order != 9) or (k == 3 and w.order < 8):
                 failures.append(i)
@@ -242,7 +241,7 @@ def _lemma_sample_claim(k, samples=DEFAULT_SAMPLES):
             n = host.n
             if not w.ok or (k == 2 and w.order != n) or (k == 3 and w.order < n - 1):
                 failures.append(f"construction-{j}")
-        return not failures, {"samples": samples, "failures": failures}
+        return not failures, {"samples": DEFAULT_SAMPLES, "failures": failures}
 
     return run
 
@@ -313,10 +312,10 @@ def _background_spanning(seed):
     return not failures, {"hosts": 100, "failures": failures[:5]}
 
 
-def _quota_random(seed, samples=DEFAULT_SAMPLES):
+def _quota_random(seed):
     rng = random.Random(seed)
     failures = []
-    for i in range(samples):
+    for i in range(DEFAULT_SAMPLES):
         n = rng.randint(5, 12)
         m = rng.randint(1, 4)
         colors = [rng.randint(1, m) for _ in range(n * (n - 1) // 2)]
@@ -329,7 +328,7 @@ def _quota_random(seed, samples=DEFAULT_SAMPLES):
             failures.append((i, n, m, quotas))
         if sum(color_degree_averages(host)) != Fraction(n - 1):
             failures.append((i, "degree identity"))
-    return not failures, {"samples": samples, "failures": failures[:5]}
+    return not failures, {"samples": DEFAULT_SAMPLES, "failures": failures[:5]}
 
 
 def _kano_li_random(seed):

@@ -364,8 +364,6 @@ def verify_order_cap(host: Host, mask, k: int, cap: int) -> OrderCapResult:
             checked += 1
             if S & low_degree:
                 continue  # a vertex of total masked degree < k is in S
-            if any((g.adj_bits[v] & S).bit_count() < k for v in iter_bits(S)):
-                continue
             if _find_cut_below_k(g.adj_bits, S, k) is None:
                 return OrderCapResult(
                     ok=False,
@@ -398,15 +396,9 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
     def certified(S: int) -> bool:
         return S.bit_count() >= k + 1 and _find_cut_below_k(bits, S, k) is None
 
-    # phase 1: delete vertices of degree <= alpha/2, threshold fixed from g
-    S = full
-    changed = True
-    while changed and S:
-        changed = False
-        for v in iter_bits(S):
-            if (bits[v] & S).bit_count() * n0 <= e0:
-                S &= ~(1 << v)
-                changed = True
+    # phase 1: delete vertices of degree <= alpha/2 = e0/n0, threshold fixed
+    # from g: the (e0 // n0 + 1)-core
+    S = _peel_to_kcore(bits, full, e0 // n0 + 1)
     # phase 2: certify, splitting toward the denser side on failure
     seen = set()
     while S and S not in seen:

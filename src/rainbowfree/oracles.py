@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-import numpy as np
-
 from .core import Host, SimpleGraph, flood, iter_bits
 
 
@@ -143,18 +141,23 @@ def oracle_is_subgraph(small: SimpleGraph, big: SimpleGraph) -> bool:
 
 def realizable_degree_sequences(n: int) -> set[tuple[int, ...]]:
     """All sorted-non-increasing degree sequences of simple graphs on n
-    vertices, by enumerating every edge subset (vectorized; n <= 7 is instant).
+    vertices, by enumerating every edge subset.
+
+    Invariant: after each edge (u, v), ``vectors`` holds the degree vectors
+    of every subset of the edges seen so far -- each old subset without
+    (u, v), and each with it, which bumps u and v by one.  Subsets with the
+    same vector share one entry, so n = 7 (2^21 edge subsets) stays under a
+    second.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    edges = list(combinations(range(n), 2))
-    e = len(edges)
-    masks = np.arange(1 << e, dtype=np.int64)
-    degs = np.zeros((1 << e, n), dtype=np.int8)
-    for idx, (u, v) in enumerate(edges):
-        bit = ((masks >> idx) & 1).astype(np.int8)
-        degs[:, u] += bit
-        degs[:, v] += bit
-    degs = np.sort(degs, axis=1)[:, ::-1]
-    unique = np.unique(degs, axis=0)
-    return {tuple(int(x) for x in row) for row in unique}
+    vectors = {(0,) * n}
+    for u, v in combinations(range(n), 2):
+        bumped = set()
+        for vec in vectors:
+            bump = list(vec)
+            bump[u] += 1
+            bump[v] += 1
+            bumped.add(tuple(bump))
+        vectors |= bumped
+    return {tuple(sorted(vec, reverse=True)) for vec in vectors}

@@ -171,6 +171,7 @@ def test_realize_rejects_unrealizable():
 def test_eg_agrees_with_enumeration_to_n6():
     for n in range(1, 7):
         truth = realizable_degree_sequences(n)
+        assert len(truth) == [1, 2, 4, 11, 31, 102][n - 1]  # OEIS A004251
         for raw in combinations_with_replacement(range(n - 1, -1, -1), n):
             seq = tuple(sorted(raw, reverse=True))
             assert eg_realizable(seq) == (seq in truth), (n, seq)

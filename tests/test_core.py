@@ -1,8 +1,13 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rainbowfree
 from rainbowfree.core import (
     ColoredBipartite,
     ColoredComplete,
@@ -243,3 +248,10 @@ def test_components_of_active_set_by_least_vertex():
     # dropping vertex 5 splits the path 0-5-2
     assert components(g.adj_bits, 0b1011111) == [0b1, 0b1000010, 0b100, 0b11000]
     assert components(g.adj_bits, 0) == []
+
+
+def test_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(rainbowfree.__file__).parents[1]))
+    code = "import rainbowfree, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
