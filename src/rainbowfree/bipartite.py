@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import ColoredBipartite, restrict
+from .core import MAX_VERTICES, ColoredBipartite, restrict
 from .connectivity import CertificationError, is_k_connected
-from .constructions import Generated, _intervals, _split_sizes
+from .constructions import Generated, _blocks, _split_sizes
 
 
 class RainbowStarPresent(ValueError):
@@ -148,11 +148,13 @@ def gen_type_b(
     seed: int = 0,
     background_prob: float = 0.5,
 ) -> Generated:
-    """A random case-B host: blocks (U_i, V_i) for i = 2..m, each block edge
-    colored i or background 1 (probability background_prob), everything else
-    background.  After the random fill, every block vertex is guaranteed at
-    least one edge of its own color, so classification recovers the planted
-    partition exactly; that repair also keeps all m colors in use.
+    """A random case-B host: each side is cut into consecutive blocks U_i,
+    V_i for i = 2..m of the given part sizes (near-even by default).  Each
+    edge of a block pair (U_i, V_i) is colored i or background 1 (probability
+    background_prob), everything else background.  After the random fill,
+    every block vertex is guaranteed at least one edge of its own color, so
+    classification recovers the planted partition exactly; that repair also
+    keeps all m colors in use.
     """
     if m < 5:
         raise ValueError("m must be at least 5")
@@ -165,32 +167,28 @@ def gen_type_b(
         raise ValueError("part sizes must be positive")
     if sum(u_sizes) != s or sum(v_sizes) != t:
         raise ValueError("part sizes must sum to the side sizes")
+    if s + t > MAX_VERTICES:  # the host's own check comes after the s x t grid
+        raise ValueError("host too large")
     rng = random.Random(seed)
 
-    ub, vb = _intervals(u_sizes), _intervals(v_sizes)
-    u_block = [i + 2 for i, (lo, hi) in enumerate(ub) for _ in range(hi - lo)]
-    v_block = [i + 2 for i, (lo, hi) in enumerate(vb) for _ in range(hi - lo)]
+    u_block, u_parts = _blocks(u_sizes)
+    v_block, v_parts = _blocks(v_sizes)
     grid = [[1] * t for _ in range(s)]
     for u in range(s):
         for v in range(t):
             if u_block[u] == v_block[v] and rng.random() >= background_prob:
-                grid[u][v] = u_block[u]
+                grid[u][v] = u_block[u] + 2
     # repair: every block vertex keeps at least one edge of its block color
-    for i, (ulo, uhi) in enumerate(ub):
-        vlo, vhi = vb[i]
-        c = i + 2
-        for u in range(ulo, uhi):
-            if all(grid[u][v] != c for v in range(vlo, vhi)):
-                grid[u][vlo] = c
-        for v in range(vlo, vhi):
-            if all(grid[u][v] != c for u in range(ulo, uhi)):
-                grid[ulo][v] = c
+    for c, us, vs in zip(range(2, m + 1), u_parts, v_parts):
+        for u in us:
+            if all(grid[u][v] != c for v in vs):
+                grid[u][vs[0]] = c
+        for v in vs:
+            if all(grid[u][v] != c for u in us):
+                grid[us[0]][v] = c
     host = ColoredBipartite(s, t, m, [grid[u][v] for u in range(s) for v in range(t)])
-    parts = {}
-    for i, (lo, hi) in enumerate(ub):
-        parts[f"U{i + 2}"] = tuple(range(lo, hi))
-    for i, (lo, hi) in enumerate(vb):
-        parts[f"V{i + 2}"] = tuple(range(lo, hi))
+    parts = {f"U{i + 2}": part for i, part in enumerate(u_parts)}
+    parts.update({f"V{i + 2}": part for i, part in enumerate(v_parts)})
     return Generated(
         host,
         parts,

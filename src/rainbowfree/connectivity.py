@@ -174,7 +174,6 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
     with fewer than k vertices misses one of the k anchors, which then lies
     in one component while some non-neighbor lies in another.
     """
-    size = active.bit_count()
     for v in iter_bits(active):
         deg = (adj_bits[v] & active).bit_count()
         if deg < k:
@@ -399,15 +398,12 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
     # phase 1: delete vertices of degree <= alpha/2 = e0/n0, threshold fixed
     # from g: the (e0 // n0 + 1)-core
     S = _peel_to_kcore(bits, full, e0 // n0 + 1)
-    # phase 2: certify, splitting toward the denser side on failure
-    seen = set()
-    while S and S not in seen:
-        seen.add(S)
-        if certified(S):
-            return induced_subgraph(g, iter_bits(S))
-        if S.bit_count() < k + 1:
-            break
+    # phase 2: certify, splitting toward the denser side on failure; a split
+    # keeps one of at least two components plus the cut, so S strictly shrinks
+    while S.bit_count() >= k + 1:
         cut = _find_cut_below_k(bits, S, k)
+        if cut is None:
+            return induced_subgraph(g, iter_bits(S))
         comps = components(bits, S & ~cut)
 
         def density(c: int) -> Fraction:

@@ -1,10 +1,17 @@
 """Deterministic generators for the extremal colorings, plus degree-sequence
 realizability (Erdos-Gallai test and largest-first realization).
 
+Every construction is a blow-up.  ``_blocks`` cuts the vertices (each side
+of a bipartite host) into consecutive blocks, a quotient coloring gives
+each pair of blocks one color, and a listed set of exceptional edges
+overrides it: R1's matching and R2's star inside V1, F2's special vertex,
+and the realized degree sequence inside the counterexample's V2.
+
 Every generator returns a :class:`Generated` wrapper carrying the host and
 the named vertex-set partition as metadata; the host itself never stores
 part names.  Generators reject degenerate parameter choices instead of
-emitting silently-wrong hosts.
+emitting silently-wrong hosts, and refuse more than MAX_VERTICES vertices
+before allocating anything per vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import ColoredBipartite, ColoredComplete, Host, SimpleGraph
+from .core import MAX_VERTICES, ColoredBipartite, ColoredComplete, Host, SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -27,13 +34,22 @@ class Generated:
         return {"spec": self.spec, "parts": {k: list(v) for k, v in self.parts.items()}}
 
 
-def _three_parts(n: int, sizes: tuple[int, int, int]):
-    a, b, c = sizes
-    v1 = tuple(range(a))
-    v2 = tuple(range(a, a + b))
-    v3 = tuple(range(a + b, a + b + c))
-    assert a + b + c == n
-    return v1, v2, v3
+def _blocks(sizes) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Consecutive blocks of the given sizes from vertex 0: the block index of
+    each vertex, and the vertices of each block."""
+    ends = list(accumulate(sizes, initial=0))
+    if ends[-1] > MAX_VERTICES:
+        raise ValueError("host too large")
+    block_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return block_of, tuple(tuple(range(lo, hi)) for lo, hi in zip(ends, ends[1:]))
+
+
+def _split_sizes(total: int, parts: int) -> list[int]:
+    """Near-even split; the remainder goes to the last part."""
+    base = total // parts
+    sizes = [base] * parts
+    sizes[-1] += total - base * parts
+    return sizes
 
 
 def gen_intro_example(n: int, k: int) -> Generated:
@@ -48,96 +64,55 @@ def gen_intro_example(n: int, k: int) -> Generated:
         raise ValueError("k must be at least 3 (smaller k leaves empty parts)")
     if n < k + 2:
         raise ValueError("n must be at least k + 2")
-    sizes = (n - k + 1, (k - 1 + 1) // 2, (k - 1) // 2)
-    v1, v2, v3 = _three_parts(n, sizes)
-    part_of = {}
-    for p, verts in enumerate((v1, v2, v3)):
-        for v in verts:
-            part_of[v] = p
-    cross = {(0, 1): 1, (1, 2): 1, (0, 2): 2}
-
-    def color(u: int, v: int) -> int:
-        pu, pv = part_of[u], part_of[v]
-        if pu == pv:
-            return 3
-        return cross[(min(pu, pv), max(pu, pv))]
-
-    host = ColoredComplete.from_function(n, 3, color)
+    block, parts = _blocks((n - k + 1, k // 2, (k - 1) // 2))
+    quotient = ((3, 1, 2), (1, 3, 1), (2, 1, 3))
+    host = ColoredComplete.from_function(n, 3, lambda u, v: quotient[block[u]][block[v]])
     return Generated(
         host,
-        {"V1": v1, "V2": v2, "V3": v3},
+        dict(zip(("V1", "V2", "V3"), parts)),
         {"id": "intro", "n": n, "k": k, "m": 3},
     )
 
 
-def _r_base(n: int, m: int, construction: str) -> Generated:
+def _r_base(n: int, m: int, construction: str, shape: str, edge) -> Generated:
+    """Parts V1, V2, V3 with |V2| = |V3| = floor(n/3).  V1 and V1-V2 are
+    color 1, V2 and V2-V3 color 2, V3 and V1-V3 color 3, except the edges
+    edge(0), edge(1), ... inside V1, which carry colors 4..m."""
     if m < 4:
         raise ValueError("m must be at least 4")
     third = n // 3
-    sizes = (n - 2 * third, third, third)
-    if sizes[1] < 1:
+    if third < 1:
         raise ValueError("n too small for three parts")
-    v1, v2, v3 = _three_parts(n, sizes)
-    extra = m - 3  # edges inside V1 carrying colors 4..m
-    if construction == "R1":
-        if len(v1) // 2 < extra:
-            raise ValueError(
-                f"V1 of size {len(v1)} cannot host a rainbow matching of {extra} edges"
-            )
-        special = {(2 * i, 2 * i + 1): 4 + i for i in range(extra)}
-    else:
-        if len(v1) < extra + 1:
-            raise ValueError(
-                f"V1 of size {len(v1)} cannot host a rainbow star of {extra} edges"
-            )
-        special = {(0, 1 + i): 4 + i for i in range(extra)}
-    part_of = {}
-    for p, verts in enumerate((v1, v2, v3)):
-        for v in verts:
-            part_of[v] = p
-    interior = {0: 1, 1: 2, 2: 3}
-    cross = {(0, 1): 1, (1, 2): 2, (0, 2): 3}
+    extra = m - 3
+    # the edges run along V1, so the last one has the largest endpoint
+    if edge(extra - 1)[1] >= n - 2 * third:
+        raise ValueError(
+            f"V1 of size {n - 2 * third} cannot host a rainbow {shape} of {extra} edges"
+        )
+    special = {edge(i): 4 + i for i in range(extra)}
+    block, parts = _blocks((n - 2 * third, third, third))
+    quotient = ((1, 1, 3), (1, 2, 2), (3, 2, 3))
 
     def color(u: int, v: int) -> int:
-        pu, pv = part_of[u], part_of[v]
-        if pu == pv:
-            if pu == 0:
-                key = (u, v) if u < v else (v, u)
-                if key in special:
-                    return special[key]
-            return interior[pu]
-        return cross[(min(pu, pv), max(pu, pv))]
+        # from_function passes u < v, the order of every special key
+        return special.get((u, v)) or quotient[block[u]][block[v]]
 
     host = ColoredComplete.from_function(n, m, color)
     return Generated(
         host,
-        {"V1": v1, "V2": v2, "V3": v3},
+        dict(zip(("V1", "V2", "V3"), parts)),
         {"id": construction, "n": n, "m": m},
     )
 
 
 def gen_R1(n: int, m: int) -> Generated:
     """Three-part coloring with a rainbow matching (colors 4..m) inside V1."""
-    return _r_base(n, m, "R1")
+    return _r_base(n, m, "R1", "matching", lambda i: (2 * i, 2 * i + 1))
 
 
 def gen_R2(n: int, m: int) -> Generated:
     """Three-part coloring with a rainbow star (colors 4..m) inside V1."""
-    return _r_base(n, m, "R2")
-
-
-def _split_sizes(total: int, parts: int) -> list[int]:
-    """Near-even split; the remainder goes to the last part."""
-    base = total // parts
-    sizes = [base] * parts
-    sizes[-1] += total - base * parts
-    return sizes
-
-
-def _intervals(sizes) -> list[tuple[int, int]]:
-    """Consecutive half-open ranges (lo, hi) of the given sizes, from 0."""
-    ends = list(accumulate(sizes, initial=0))
-    return list(zip(ends, ends[1:]))
+    return _r_base(n, m, "R2", "star", lambda i: (0, 1 + i))
 
 
 def gen_F1(s: int, t: int, m: int) -> Generated:
@@ -146,17 +121,10 @@ def gen_F1(s: int, t: int, m: int) -> Generated:
         raise ValueError("m must be at least 1")
     if s < m:
         raise ValueError("s must be at least m")
-    bounds = _intervals(_split_sizes(s, m))
-
-    def color(u: int, v: int) -> int:
-        for i, (lo, hi) in enumerate(bounds):
-            if lo <= u < hi:
-                return i + 1
-        raise AssertionError
-
-    host = ColoredBipartite.from_function(s, t, m, color)
-    parts = {f"U{i + 1}": tuple(range(lo, hi)) for i, (lo, hi) in enumerate(bounds)}
-    return Generated(host, parts, {"id": "F1", "s": s, "t": t, "m": m})
+    block, parts = _blocks(_split_sizes(s, m))
+    host = ColoredBipartite.from_function(s, t, m, lambda u, v: block[u] + 1)
+    named = {f"U{i + 1}": part for i, part in enumerate(parts)}
+    return Generated(host, named, {"id": "F1", "s": s, "t": t, "m": m})
 
 
 def gen_F2(s: int, t: int, m: int) -> Generated:
@@ -173,21 +141,15 @@ def gen_F2(s: int, t: int, m: int) -> Generated:
     if t < m - 2:
         raise ValueError("t must be at least m - 2 so colors 3..m all appear")
     half = (s - 1) // 2
-    u1 = tuple(range(s - 1 - half))
-    u2 = tuple(range(len(u1), s - 1))
-    special = s - 1
+    block, parts = _blocks((s - 1 - half, half, 1))
 
     def color(u: int, v: int) -> int:
-        if u < len(u1):
-            return 1
-        if u < s - 1:
-            return 2
-        return 3 + (v % (m - 2))
+        return block[u] + 1 if block[u] < 2 else 3 + (v % (m - 2))
 
     host = ColoredBipartite.from_function(s, t, m, color)
     return Generated(
         host,
-        {"U1": u1, "U2": u2, "u": (special,)},
+        dict(zip(("U1", "U2", "u"), parts)),
         {"id": "F2", "s": s, "t": t, "m": m},
     )
 
@@ -202,34 +164,21 @@ def gen_F3(s: int, t: int, m: int) -> Generated:
     """
     if m < 4:
         raise ValueError("m must be at least 4")
-    parts = m - 2
-    if s < parts or t < parts:
+    if s < m - 2 or t < m - 2:
         raise ValueError("both sides must have at least m - 2 vertices")
-    alpha = (m - 2) // 2 + 2  # blocks are indexed 3..m; low side is 3..alpha
-
-    ub = _intervals(_split_sizes(s, parts))
-    vb = _intervals(_split_sizes(t, parts))
-
-    def block_of(x: int, bounds) -> int:
-        for i, (lo, hi) in enumerate(bounds):
-            if lo <= x < hi:
-                return i + 3
-        raise AssertionError
+    alpha = (m - 2) // 2 + 2  # blocks are labelled 3..m; low side is 3..alpha
+    u_block, u_parts = _blocks(_split_sizes(s, m - 2))
+    v_block, v_parts = _blocks(_split_sizes(t, m - 2))
 
     def color(u: int, v: int) -> int:
-        bu, bv = block_of(u, ub), block_of(v, vb)
-        if bu == bv:
-            return bu
-        if (bu <= alpha) != (bv <= alpha):
-            return 1
-        return 2
+        i, j = u_block[u] + 3, v_block[v] + 3
+        if i == j:
+            return i
+        return 1 if (i <= alpha) != (j <= alpha) else 2
 
     host = ColoredBipartite.from_function(s, t, m, color)
-    named = {}
-    for i, (lo, hi) in enumerate(ub):
-        named[f"U{i + 3}"] = tuple(range(lo, hi))
-    for i, (lo, hi) in enumerate(vb):
-        named[f"V{i + 3}"] = tuple(range(lo, hi))
+    named = {f"U{i + 3}": part for i, part in enumerate(u_parts)}
+    named.update({f"V{i + 3}": part for i, part in enumerate(v_parts)})
     return Generated(host, named, {"id": "F3", "s": s, "t": t, "m": m, "alpha": alpha})
 
 
@@ -317,35 +266,25 @@ def gen_counterexample_4t(t: int, n: int) -> Generated:
         raise ValueError("t must be positive")
     if n < 10 * t + 1:
         raise ValueError("n must be at least 10t + 1")
-    v1 = tuple(range(n - 6 * t))
-    v2 = tuple(range(n - 6 * t, n - 2 * t))
-    v3 = tuple(range(n - 2 * t, n))
+    # V2 is two blocks: the 2t vertices of color-1 degree 2t, then the rest
+    block, (v1, high, low, v3) = _blocks((n - 6 * t, 2 * t, 2 * t, 2 * t))
+    quotient = ((3, 1, 2, 3), (1, 0, 0, 3), (2, 0, 0, 3), (3, 3, 3, 3))
     inner = realize_degree_sequence(corollary_sequence(t))
-    # local index i in V2 has color-1 degree 2t for i < 2t, else 2t - 1
-    high = set(range(2 * t))
-    base = v2[0]
+    base = high[0]
 
     def color(u: int, v: int) -> int:
-        u_in2 = base <= u < base + 4 * t
-        v_in2 = base <= v < base + 4 * t
-        if u_in2 and v_in2:
-            return 1 if inner.has_edge(u - base, v - base) else 2
-        if u_in2 or v_in2:
-            w = u - base if u_in2 else v - base
-            other = v if u_in2 else u
-            if other < len(v1):
-                return 1 if w in high else 2
-        return 3
+        # 0 marks the pairs inside V2, colored by the realization
+        return quotient[block[u]][block[v]] or (1 if inner.has_edge(u - base, v - base) else 2)
 
     host = ColoredComplete.from_function(n, 3, color)
     return Generated(
         host,
         {
             "V1": v1,
-            "V2": v2,
+            "V2": high + low,
             "V3": v3,
-            "V2_color1_degree_2t": tuple(v2[i] for i in range(2 * t)),
-            "V2_color1_degree_2t_minus_1": tuple(v2[i] for i in range(2 * t, 4 * t)),
+            "V2_color1_degree_2t": high,
+            "V2_color1_degree_2t_minus_1": low,
         },
         {"id": "counter4t", "t": t, "n": n, "k": 4 * t, "m": 3},
     )

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ColoredComplete, color_bits, components, iter_bits, restrict
+from .core import MAX_VERTICES, ColoredComplete, color_bits, components, iter_bits, restrict
 from .connectivity import CertificationError, _find_cut_below_k
 from .rainbow import find_rainbow_triangle
 
@@ -148,6 +148,8 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
         raise ValueError("need at least 2 vertices")
     if m < 1:
         raise ValueError("m must be at least 1")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
     target = min(m, n - 1)
     colors: dict[tuple[int, int], int] = {}

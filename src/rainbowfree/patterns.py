@@ -61,14 +61,18 @@ def disjoint_union(graphs: list[SimpleGraph]) -> SimpleGraph:
     return SimpleGraph._from_bits(bits)
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_PATTERN_VERTICES:
+        raise ValueError(f"pattern has {n} > {MAX_PATTERN_VERTICES} vertices")
+
+
 class Pattern:
     """A small graph to search for, paired with its canonical grammar name."""
 
     __slots__ = ("graph", "canonical_name", "plan")
 
     def __init__(self, graph: SimpleGraph):
-        if graph.n > MAX_PATTERN_VERTICES:
-            raise ValueError(f"pattern has {graph.n} > {MAX_PATTERN_VERTICES} vertices")
+        _check_order(graph.n)
         if graph.n < 2:
             raise ValueError("pattern must have at least 2 vertices")
         if any(graph.degree(v) == 0 for v in range(graph.n)):
@@ -108,7 +112,7 @@ def parse_pattern(name: str) -> Pattern:
     if name.startswith("V:"):
         return Pattern(_parse_explicit(name))
     pos = 0
-    parts: list[SimpleGraph] = []
+    terms: list[tuple[int, SimpleGraph]] = []
     while True:
         match = _TERM_RE.match(name, pos)
         if match is None:
@@ -116,14 +120,16 @@ def parse_pattern(name: str) -> Pattern:
         count = int(match.group(1)) if match.group(1) else 1
         if count < 1:
             raise ValueError(f"zero count in pattern name {name!r}")
-        parts.extend([BASE_GRAPHS[match.group(2)]] * count)
+        terms.append((count, BASE_GRAPHS[match.group(2)]))
         pos = match.end()
         if pos == len(name):
             break
         if name[pos] != "u":
             raise ValueError(f"bad pattern name {name!r} at position {pos}")
         pos += 1
-    return Pattern(disjoint_union(parts))
+    # refuse before building: disjoint_union costs grow with the count
+    _check_order(sum(count * base.n for count, base in terms))
+    return Pattern(disjoint_union([base for count, base in terms for _ in range(count)]))
 
 
 def _parse_explicit(name: str) -> SimpleGraph:
@@ -139,6 +145,7 @@ def _parse_explicit(name: str) -> SimpleGraph:
             if em is None:
                 raise ValueError(f"bad edge token {item!r} in {name!r}")
             edges.append((int(em.group(1)), int(em.group(2))))
+    _check_order(n)
     return SimpleGraph(n, edges)
 
 

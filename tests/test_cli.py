@@ -202,3 +202,15 @@ def test_crosscheck_cli(capsys):
     payload = json.loads(out)
     assert payload["ok"] and payload["mode"] == "full"
     assert payload["colorings"] == 2**6
+
+
+def test_oversized_inputs_are_bad_input(tmp_path, capsys):
+    path = str(tmp_path / "r1.txt")
+    run(capsys, "gen", "R1", "--n", "9", "--m", "4", "-o", path)
+    assert main(["detect", "--pattern", "100000K2", path]) == 2
+    assert "> 12 vertices" in json.loads(capsys.readouterr().err)["message"]
+    out = str(tmp_path / "b.txt")
+    argv = ["bipartite", "gen-b", "--s", "2001", "--t", "8000", "--m", "5", "-o", out]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "host too large"
+    assert not os.path.exists(out)

@@ -1,9 +1,13 @@
+import hashlib
 import io
+import json
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
 
+from rainbowfree.bipartite import gen_type_b
 from rainbowfree.constructions import (
     corollary_sequence,
     eg_realizable,
@@ -17,7 +21,7 @@ from rainbowfree.constructions import (
     realize_degree_sequence,
 )
 from rainbowfree.core import write_coloring
-from rainbowfree.gallai import is_gallai
+from rainbowfree.gallai import is_gallai, sample_gallai
 from rainbowfree.oracles import realizable_degree_sequences
 
 
@@ -218,3 +222,95 @@ def test_counterexample_rejects_small_n():
         gen_counterexample_4t(1, 10)
     with pytest.raises(ValueError):
         gen_counterexample_4t(0, 20)
+
+
+def _fingerprint(make, *args) -> str:
+    """The host text, parts and spec of one call, or its refusal message."""
+    try:
+        gen = make(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}\n"
+    return dumps(gen.host) + json.dumps(gen.describe()) + "\n"
+
+
+def _type_b_calls():
+    """Seeded gen_type_b calls: planted sizes, near-even defaults, refusals."""
+    rng = random.Random(10)
+    calls = []
+    for _ in range(60):
+        m = rng.randint(5, 8)
+        u_sizes = [rng.randint(1, 4) for _ in range(m - 1)]
+        v_sizes = [rng.randint(1, 4) for _ in range(m - 1)]
+        prob = rng.choice((0.0, 0.5, 0.9, 1.0, rng.random()))
+        calls.append((sum(u_sizes), sum(v_sizes), m, u_sizes, v_sizes, rng.randrange(1000), prob))
+    for s in range(1, 12):
+        for m in range(4, 9):
+            calls.append((s, 2 * s, m, None, None, s + m))
+    for u_sizes, v_sizes in (
+        ([2, 2, 2, 2], None),
+        ([6, 1, 1, 1, 1], [2, 2, 2, 2, 1]),
+        ([6, 1, 1, 1, 0], [2, 2, 2, 2, 2]),
+        ([5, 1, 1, 1, 1], [3, 2, 2, 2, 2]),
+    ):
+        calls.append((10, 10, 6, u_sizes, v_sizes))
+    return calls
+
+
+# sha256 of the concatenated fingerprints of each generator over its grid
+GOLDEN_GENERATORS = {
+    "R1": "6c25984b3531c7811f5836b6616779c29cb475a55823429e9aeb26d6ce38d625",
+    "R2": "cdcbc7b1d4d879c8874f2ce429653e53825849d3691b8d661d073636af872546",
+    "intro": "4f7791826516fc27d63067c17236b4e86c6abc50be8c6a891c72d65629a72834",
+    "F1": "b7fddd58bed559908f95e38bb6746f2f9f6ca620faed658a36766c837fd6f9eb",
+    "F2": "f427286d5defb243630f6df21efd6eabaae22a1368dfbc0369349a9adcd5571f",
+    "F3": "a1965c8a04124df264945e362898bf82eab9a14e97b8d27e31d95d5ad2cb1a18",
+    "counter4t": "6f7e32e0d425d6ee2d711f0b15517884f7b89370e548a36dd087e44f08619371",
+    "type-b": "ee66eb6fc1dc6ee744dbd4215d765c7f92d32b045fe33ad734a7d2a24e5396be",
+}
+
+
+def _generator_grid():
+    bipartite = [(s, t, m) for s in range(1, 14) for t in range(1, 14) for m in range(10)]
+    return {
+        "R1": [(gen_R1, (n, m)) for n in range(1, 40) for m in range(3, 10)],
+        "R2": [(gen_R2, (n, m)) for n in range(1, 40) for m in range(3, 10)],
+        "intro": [(gen_intro_example, (n, k)) for n in range(1, 40) for k in range(1, 12)],
+        "F1": [(gen_F1, args) for args in bipartite],
+        "F2": [(gen_F2, args) for args in bipartite],
+        "F3": [(gen_F3, args) for args in bipartite],
+        "counter4t": [(gen_counterexample_4t, (t, n)) for t in range(4) for n in range(1, 45)],
+        "type-b": [(gen_type_b, args) for args in _type_b_calls()],
+    }
+
+
+def test_golden_generators():
+    for label, calls in _generator_grid().items():
+        text = "".join(_fingerprint(make, *args) for make, args in calls)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GENERATORS[label], label
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (gen_R1, (10**6, 4)),
+        (gen_R2, (10**6, 4)),
+        (gen_intro_example, (10**6, 5)),
+        (gen_F1, (10**6, 3, 3)),
+        (gen_F1, (3, 10**6, 3)),
+        (gen_F2, (10**6, 3, 3)),
+        (gen_F3, (10**6, 10**6, 6)),
+        (gen_counterexample_4t, (1, 10**6)),
+        (gen_type_b, (2001, 8000, 5)),
+        (sample_gallai, (12000, 3, 0)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None) or repr(x),
+)
+def test_oversized_generator_refused_before_allocation(make, args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            make(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

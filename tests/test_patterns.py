@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -235,3 +236,15 @@ def test_is_isomorphic_basic():
     assert is_isomorphic(a, b)
     c = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
     assert not is_isomorphic(a, c)
+
+
+@pytest.mark.parametrize("name", ["V:10000000;E:0-1", "8000K2", "100000K2", "K3u100000P6"])
+def test_oversized_pattern_refused_before_building(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="> 12 vertices"):
+            parse_pattern(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
