@@ -159,16 +159,26 @@ def gen_type_b(
     if m < 5:
         raise ValueError("m must be at least 5")
     blocks = m - 1
-    u_sizes = list(u_sizes) if u_sizes is not None else _split_sizes(s, blocks)
-    v_sizes = list(v_sizes) if v_sizes is not None else _split_sizes(t, blocks)
-    if len(u_sizes) != blocks or len(v_sizes) != blocks:
+    sides = [
+        (s, None if u_sizes is None else list(u_sizes)),
+        (t, None if v_sizes is None else list(v_sizes)),
+    ]
+    given = [sizes for _, sizes in sides if sizes is not None]
+    if any(len(sizes) != blocks for sizes in given):
         raise ValueError(f"need {blocks} part sizes per side")
-    if any(x < 1 for x in u_sizes + v_sizes):
+    # decided before any default split is built: a near-even split of fewer
+    # vertices than blocks has empty parts, and otherwise sums to its side
+    if any(x < 1 for sizes in given for x in sizes) or any(
+        sizes is None and blocks > side for side, sizes in sides
+    ):
         raise ValueError("part sizes must be positive")
-    if sum(u_sizes) != s or sum(v_sizes) != t:
+    if any(sizes is not None and sum(sizes) != side for side, sizes in sides):
         raise ValueError("part sizes must sum to the side sizes")
     if s + t > MAX_VERTICES:  # the host's own check comes after the s x t grid
         raise ValueError("host too large")
+    u_sizes, v_sizes = (
+        _split_sizes(side, blocks) if sizes is None else sizes for side, sizes in sides
+    )
     rng = random.Random(seed)
 
     u_block, u_parts = _blocks(u_sizes)

@@ -6,8 +6,10 @@ host the two sides share one global vertex numbering: the left side U is
 0..s-1 and the right side V is s..s+t-1.  A SimpleGraph is its adjacency
 bitmasks, and every graph helper here works on them.  A host builds its
 per-color adjacency masks lazily, in one pass on first use, and every
-color-class scan reads them.  All objects are immutable after construction
-(the masks are assigned once, complete) and so safe to share between threads.
+color-class scan reads them; its twin classes are derived from those masks
+on first use too.  All objects are immutable after construction (the masks
+and twin classes are assigned once, complete) and so safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -162,10 +164,11 @@ def _tri_index(n: int, u: int, v: int) -> int:
 
 
 class _ColoredHost:
-    """The color range ``m``, the flat tuple of ``want`` edge colors and its
-    per-color masks; subclasses check their sizes and define ``_key``."""
+    """The color range ``m``, the flat tuple of ``want`` edge colors, its
+    per-color masks and twin classes; subclasses check their sizes and
+    define ``_key``, which equality and hashing read (never the caches)."""
 
-    __slots__ = ("m", "_colors", "_masks")
+    __slots__ = ("m", "_colors", "_masks", "_twins")
 
     def __init__(self, m: int, colors: Iterable[int], want: int):
         if m < 1:
@@ -179,6 +182,7 @@ class _ColoredHost:
         self.m = m
         self._colors = colors
         self._masks = None
+        self._twins = None
 
     def used_colors(self) -> frozenset[int]:
         """The exact set of colors appearing on at least one edge."""
@@ -193,6 +197,9 @@ class _ColoredHost:
         All colors are built in one edge pass on first use and kept; the
         finished dict is assigned once, so no thread sees a partial one.
         """
+        return self._color_rows().get(c) or (0,) * self.vertex_count
+
+    def _color_rows(self) -> dict[int, tuple[int, ...]]:
         masks = self._masks
         if masks is None:
             rows = {col: [0] * self.vertex_count for col in self.used_colors()}
@@ -202,7 +209,48 @@ class _ColoredHost:
                 row[v] |= 1 << u
             masks = {col: tuple(row) for col, row in rows.items()}
             self._masks = masks
-        return masks.get(c) or (0,) * self.vertex_count
+        return masks
+
+    def twin_prev(self) -> tuple[int, ...] | None:
+        """The twin classes, as the previous member of each vertex's class
+        (-1 for the least), or None when every class is a single vertex.
+
+        u and v are twins when every other vertex w has
+        ``pair_color(u, w) == pair_color(v, w)``, so swapping them is a
+        color-preserving automorphism.  Twins have equal per-color degrees,
+        so rows are compared only within a degree group, with both endpoints
+        masked out.  Computed once from the colors, never from generator
+        metadata, and assigned once.
+        """
+        if self._twins is None:
+            self._twins = self._twin_classes()
+        return self._twins or None
+
+    def _twin_classes(self) -> tuple[int, ...]:
+        nv = self.vertex_count
+        rows = list(self._color_rows().values())
+        degrees = list(zip(*[[b.bit_count() for b in row] for row in rows]))
+        if len(set(degrees)) == nv:
+            return ()
+        groups: dict[tuple, list[int]] = {}
+        for v, key in enumerate(degrees):
+            groups.setdefault(key, []).append(v)
+        prev = [-1] * nv
+        for group in groups.values():
+            last: dict[int, int] = {}  # class head -> latest member so far
+            for v in group:
+                for head in last:
+                    keep = ~((1 << v) | (1 << head))
+                    for row in rows:
+                        if (row[v] ^ row[head]) & keep:
+                            break
+                    else:
+                        prev[v] = last[head]
+                        last[head] = v
+                        break
+                else:
+                    last[v] = v
+        return tuple(prev) if max(prev) >= 0 else ()
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._key() == other._key()

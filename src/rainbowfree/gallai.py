@@ -152,7 +152,10 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
         raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
     target = min(m, n - 1)
-    colors: dict[tuple[int, int], int] = {}
+    # the flat row-major triangle of ColoredComplete: pair a < b sits at
+    # offset[a] + b
+    colors = [0] * (n * (n - 1) // 2)
+    offset = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
 
     def fill(verts: list[int], required: list[int]) -> None:
         if len(verts) <= 1:
@@ -160,7 +163,7 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
         if len(required) == 1:
             c = required[0]
             for a, b in combinations(verts, 2):
-                colors[(a, b) if a < b else (b, a)] = c
+                colors[offset[a] + b if a < b else offset[b] + a] = c
             return
         upper = min(5, len(verts), len(verts) - len(required) + 2)
         l = rng.randint(3, upper)
@@ -182,7 +185,7 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
                 c = rng.choice((c1, c2))
             for a in groups[gi]:
                 for b in groups[gj]:
-                    colors[(a, b) if a < b else (b, a)] = c
+                    colors[offset[a] + b if a < b else offset[b] + a] = c
         rest = [c for c in required if c != c1 and c != c2]
         rng.shuffle(rest)
         capacity = [len(g) - 1 for g in groups]
@@ -199,7 +202,7 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
             fill(group, req)
 
     fill(list(range(n)), list(range(1, target + 1)))
-    return ColoredComplete.from_function(n, m, lambda u, v: colors[(u, v)])
+    return ColoredComplete(n, m, colors)
 
 
 # ---------------------------------------------------------------------------

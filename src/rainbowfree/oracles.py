@@ -1,15 +1,38 @@
 """Naive brute-force oracles.
 
 Deliberately simple and slow: these re-derive answers by exhaustive
-enumeration and share no search code with the production implementations
-they cross-check.  Everything here is only meant for micro-scale inputs.
+enumeration and share no search or graph code with the production
+implementations they cross-check (not even ``core.flood``: connectivity and
+bit listing are written out here), so one bug cannot hide on both sides.
+Everything here is only meant for micro-scale inputs, except the quotient
+oracle, which enumerates maps onto twin classes and so reaches the paper's
+blow-up constructions.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .core import Host, SimpleGraph, flood, iter_bits
+from .core import Host, SimpleGraph
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, by testing every position."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _connected(adj_bits, rest: int) -> bool:
+    """Whether the non-empty vertex set ``rest`` induces a connected graph:
+    take reached vertices off a frontier one at a time, adding their
+    unreached neighbors in ``rest``, until the frontier is empty."""
+    reach = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj_bits[low.bit_length() - 1] & rest & ~reach
+        reach |= new
+        frontier |= new
+    return reach == rest
 
 
 def oracle_rainbow_exists(host: Host, pattern) -> bool:
@@ -32,6 +55,61 @@ def oracle_rainbow_exists(host: Host, pattern) -> bool:
     return False
 
 
+def oracle_rainbow_exists_quotient(host: Host, pattern) -> bool:
+    """Decide a rainbow copy on the host's quotient by twin classes.
+
+    Two vertices share a class when every other vertex sees both in one
+    color, or neither; classes are found by comparing ``pair_color`` rows.
+    Each pattern vertex goes to a class, no class takes more pattern
+    vertices than it holds, and an edge's color is read from the quotient:
+    the one color between two classes, or the color inside a class.  An
+    injection picks distinct class members, so a rainbow class map exists
+    exactly when a rainbow copy does.  Pattern vertices are assigned in
+    index order, and a branch stops at its first missing or repeated color.
+    """
+    g = pattern.graph if hasattr(pattern, "graph") else pattern
+    nv = host.vertex_count
+    if g.n > nv:
+        raise ValueError("pattern larger than host")
+    if g.edge_count > len(host.used_colors()):
+        return False  # a rainbow copy needs one color per edge
+    color = host.pair_color
+    classes: list[list[int]] = []
+    for v in range(nv):
+        for members in classes:
+            u = members[0]
+            if all(color(u, w) == color(v, w) for w in range(nv) if w not in (u, v)):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    # between classes any members will do; inside one, its first and last
+    # members, which coincide (pair_color None) for a single vertex
+    quotient = [[color(a[0], b[-1]) for b in classes] for a in classes]
+    room = [len(members) for members in classes]
+    earlier = [[u for u in range(v) if g.has_edge(u, v)] for v in range(g.n)]
+    place = [-1] * g.n
+
+    def extend(v: int, used: frozenset) -> bool:
+        if v == g.n:
+            return True
+        for a in range(len(classes)):
+            if not room[a]:
+                continue
+            new = [quotient[a][place[u]] for u in earlier[v]]
+            if None in new or len(set(new)) < len(new) or used.intersection(new):
+                continue
+            place[v] = a
+            room[a] -= 1
+            found = extend(v + 1, used.union(new))
+            room[a] += 1
+            if found:
+                return True
+        return False
+
+    return extend(0, frozenset())
+
+
 def oracle_vertex_connectivity(g: SimpleGraph) -> int:
     """Minimum size of a disconnecting vertex set, by ascending enumeration."""
     n = g.n
@@ -47,8 +125,7 @@ def oracle_vertex_connectivity(g: SimpleGraph) -> int:
             rest = full
             for v in cut:
                 rest &= ~(1 << v)
-            start = (rest & -rest).bit_length() - 1
-            if flood(g.adj_bits, rest, start) != rest:
+            if not _connected(g.adj_bits, rest):
                 return size
     return n - 1
 
@@ -59,13 +136,11 @@ def oracle_is_k_connected_bits(adj_bits, subset: int, k: int) -> bool:
     size = subset.bit_count()
     if size < k + 1:
         return False
-    verts = list(iter_bits(subset))
-    for cut in combinations(verts, k - 1):
+    for cut in combinations(_members(subset), k - 1):
         rest = subset
         for v in cut:
             rest &= ~(1 << v)
-        start = (rest & -rest).bit_length() - 1
-        if flood(adj_bits, rest, start) != rest:
+        if not _connected(adj_bits, rest):
             return False
     return True
 
@@ -93,7 +168,7 @@ def oracle_largest_k_connected(g: SimpleGraph, k: int) -> int:
 def oracle_longest_path_order(g: SimpleGraph) -> int:
     """Longest path order by plain recursive extension (no memoization)."""
     best = 1 if g.n else 0
-    adj = [set(iter_bits(b)) for b in g.adj_bits]
+    adj = [set(_members(b)) for b in g.adj_bits]
 
     def extend(last: int, visited: set[int]) -> None:
         nonlocal best
@@ -112,7 +187,7 @@ def oracle_longest_path_order(g: SimpleGraph) -> int:
 def oracle_longest_cycle_length(g: SimpleGraph) -> int:
     """Longest cycle length (0 when acyclic) by recursive extension."""
     best = 0
-    adj = [set(iter_bits(b)) for b in g.adj_bits]
+    adj = [set(_members(b)) for b in g.adj_bits]
 
     def extend(anchor: int, last: int, visited: set[int]) -> None:
         nonlocal best

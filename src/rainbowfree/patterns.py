@@ -174,12 +174,22 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # colors are pairwise distinct; that is a rainbow copy on colored hosts, and
 # a plain subgraph copy when pair_color names each host edge by its
 # endpoints.  The plan is one step per pattern vertex: components are
-# placed one after another, most-constrained vertex first.  Consecutive
-# copies of one base graph are embedded with strictly increasing least image
-# vertex, which removes the copy-permutation symmetry without losing any
-# distinct image.  The backtracker keeps each step's running least image, so
-# this mirror test is one integer compare made before any color lookup: it
-# sets the lowest candidate of the step that closes a mirrored component.
+# placed one after another, most-constrained vertex first.  Candidates are
+# tried in increasing order, so the search visits solutions in
+# lexicographic order of their step images.
+#
+# Mirror floor: consecutive copies of one base graph are embedded with
+# strictly increasing least image vertex, which removes the copy-permutation
+# symmetry without losing any distinct image.  A copy's least image exceeds
+# L exactly when every image in it does, so every step of a mirrored copy
+# starts its candidates above the least image of the copy before it: one
+# integer compare made before any color lookup.
+#
+# Twin rule: when the caller passes the host's twin classes, a candidate is
+# skipped if the previous member of its class is unused and not below the
+# step's lowest candidate (see ``embeddings`` for why the first solution
+# survives).  Only existence search uses it; enumeration and counting keep
+# the full symmetry-reduced search.
 # ---------------------------------------------------------------------------
 
 
@@ -187,9 +197,9 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
     """The placement steps of g, one per vertex, in placement order.
 
     A step is (vertex, its already placed neighbors, whether it starts a
-    component, mirror).  mirror is None except on the step that closes a
-    copy of the base graph placed just before it; there it is the index of
-    the step that closed that previous copy.
+    component, mirror).  mirror is None except on the steps of a copy of the
+    base graph placed just before it; there it is the index of the step that
+    closed that previous copy.
     """
     def degrees(c) -> tuple[int, ...]:
         return tuple(sorted((g.degree(v) for v in c), reverse=True))
@@ -201,6 +211,10 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
     steps: list[tuple] = []
     placed = 0
     for ci, comp in enumerate(comps):
+        # repeated components that are not base graphs only lose this pruning
+        d = degrees(comp)
+        mirrored = ci > 0 and d == degrees(comps[ci - 1]) and d in _BASE_BY_DEGREES
+        mirror = len(steps) - 1 if mirrored else None
         pending = set(comp)
         while pending:
             # earlier components are not adjacent, so the first pick of a
@@ -211,17 +225,31 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
             )
             pending.remove(v)
             anchors = tuple(iter_bits(g.adj_bits[v] & placed))
-            steps.append((v, anchors, len(pending) == len(comp) - 1, None))
+            steps.append((v, anchors, len(pending) == len(comp) - 1, mirror))
             placed |= 1 << v
-        # repeated components that are not base graphs only lose this pruning
-        d = degrees(comp)
-        if ci and d == degrees(comps[ci - 1]) and d in _BASE_BY_DEGREES:
-            steps[-1] = steps[-1][:3] + (len(steps) - 1 - len(comp),)
     return tuple(steps)
 
 
-def embeddings(vertex_count: int, pair_color, plan) -> Iterator[tuple[int, ...]]:
-    """Every injective map (symmetry-reduced) with pairwise distinct edge colors."""
+def embeddings(vertex_count: int, pair_color, plan, prev=None) -> Iterator[tuple[int, ...]]:
+    """Every injective map (symmetry-reduced) with pairwise distinct edge
+    colors, in lexicographic order of step images.
+
+    With ``prev`` (the host's ``twin_prev()``), a candidate c is skipped when
+    its previous twin c' = prev[c] is unused and at or above the step's
+    lowest candidate.  The first map yielded is then the same as without
+    ``prev``, and none is yielded exactly when none exists.  Proof: let S be
+    the first solution of the unpruned search, and suppose the rule skips
+    S's image c at step i for c'.  Neither c nor c' is an image of an
+    earlier step.  The swap (c c') is a color-preserving automorphism of the
+    host, so it maps S to another rainbow injection S'.  Re-sort each run of
+    identical components by least image.  Copies before step i's copy are
+    unchanged.  Step i's copy keeps its place: its images all stay at or
+    above the floor, and its least image only falls while the copy that
+    held c' only gains.  So the result agrees with S before step i, has
+    c' < c at step i, and is a valid solution before S: a contradiction.
+    The pruned search visits a subset of the same tree in the same order,
+    so it meets S first.
+    """
     if len(plan) > vertex_count:
         raise ValueError("pattern larger than host")
     nv = vertex_count
@@ -236,13 +264,13 @@ def embeddings(vertex_count: int, pair_color, plan) -> Iterator[tuple[int, ...]]
             return
         p, anchors, starts, mirror = plan[i]
         below = nv if starts else least[i - 1]
-        first = 0
-        if mirror is not None:
-            # the component's least image must exceed its predecessor's
-            if below <= least[mirror]:
-                return
-            first = least[mirror] + 1
-        for cand in range(first, nv):
+        # every image of a mirrored copy exceeds its predecessor's least image
+        first = 0 if mirror is None else least[mirror] + 1
+        cands = range(first, nv)
+        if prev is not None:
+            # the children restore used_vertices, so one filter serves the step
+            cands = [c for c in cands if prev[c] < first or prev[c] in used_vertices]
+        for cand in cands:
             if cand in used_vertices:
                 continue
             new_colors = []

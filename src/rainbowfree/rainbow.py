@@ -4,7 +4,19 @@ colored host such that all mapped edge colors are pairwise distinct.
 The search is the pattern-search engine in ``patterns`` run on the host's
 ``pair_color``.  Hosts are complete or complete bipartite, so color
 distinctness carries the pruning; edge existence only matters on bipartite
-hosts (same-side pairs are non-edges).
+hosts (same-side pairs are non-edges).  Repeated base-graph components are
+placed in increasing order of least image, and every step of a mirrored
+copy starts above the least image of the copy before it.
+
+``find_rainbow`` also passes the host's twin classes (vertices that every
+other vertex sees in one color): a candidate is skipped when the previous
+member of its class is unused and also a candidate at that step, so a run
+of unused twins is tried once, not once per member.  The paper's
+constructions are a few blocks plus a quotient coloring, so most vertices
+have twins and this cuts the freeness proofs by orders of magnitude; the
+first witness stays the one the full search finds (the argument is in
+``patterns.embeddings``).  ``enumerate_rainbow`` and ``count_rainbow`` keep
+the full search, because they report every branch.
 """
 
 from __future__ import annotations
@@ -69,9 +81,11 @@ def validate_embedding(host: Host, pattern: Pattern, mapping) -> None:
 def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     """One rainbow embedding of the pattern, or None when none exists.
 
-    The search is exhaustive, so None certifies rainbow-freeness.
+    The search is exhaustive up to twin swaps, so None certifies
+    rainbow-freeness; a found map is the first one of the full search.
     """
-    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
+    twins = host.twin_prev()
+    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan, twins):
         emb = Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
         validate_embedding(host, pattern, mapping)
         return emb

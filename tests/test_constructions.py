@@ -301,6 +301,7 @@ def test_golden_generators():
         (gen_F3, (10**6, 10**6, 6)),
         (gen_counterexample_4t, (1, 10**6)),
         (gen_type_b, (2001, 8000, 5)),
+        (gen_type_b, (10, 10, 10**6)),
         (sample_gallai, (12000, 3, 0)),
     ],
     ids=lambda x: getattr(x, "__name__", None) or repr(x),

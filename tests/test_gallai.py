@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -152,6 +154,35 @@ def test_sampler_deterministic():
     b = sample_gallai(9, 3, 123)
     assert a == b
     assert a != sample_gallai(9, 3, 124)
+
+
+# sha256 of repr(host._colors): the sampler's output and its rng draw order
+GOLDEN_SAMPLES = {
+    (2, 1, 0): "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f",
+    (9, 3, 123): "82ca3dbeff57aced60fd7a145e1d980f1150e402e881a95b2e3b2f7f8cec1f9f",
+    (40, 5, 7): "603abdb0a6373dc02a227ca681389b28a0b878ccc74d14922182227da9f32690",
+    (200, 4, 1): "01c465272f42e7877e138d8d6062c303f41e16308af82d7febdd27f6bd858ce6",
+    (257, 12, 99): "46a77c26e62a98fc852822af1139249583b5ff2f29c13b2f695ad882f5899a35",
+}
+
+
+def test_sampler_golden_colors():
+    for args, digest in GOLDEN_SAMPLES.items():
+        colors = sample_gallai(*args)._colors
+        assert hashlib.sha256(repr(colors).encode()).hexdigest() == digest, args
+
+
+def test_sampler_memory_stays_near_the_color_array():
+    # the colors of K_1500 are 1.1 M entries, about 9 MB per flat copy;
+    # keying them by vertex-pair tuples peaked at 116 MB
+    tracemalloc.start()
+    try:
+        host = sample_gallai(1500, 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(host.used_colors()) == 4
+    assert peak < 40 << 20
 
 
 def test_sampler_single_color():

@@ -126,6 +126,14 @@ def test_is_subgraph_vs_injection_oracle():
         assert is_subgraph(g, h) == oracle_is_subgraph(g, h)
 
 
+def test_mirror_floor_on_every_step_of_a_repeated_copy():
+    # each later copy points at the step that closed the copy before it
+    mirrors = [step[3] for step in parse_pattern("3P3").plan]
+    assert mirrors == [None] * 3 + [2] * 3 + [5] * 3
+    mirrors = [step[3] for step in parse_pattern("K2u2P3").plan]
+    assert mirrors == [None] * 3 + [2] * 3 + [None] * 2
+
+
 def test_is_subgraph_reflexive_and_monotone():
     for name in ("K3", "P4plus", "K2u2P3"):
         p = parse_pattern(name)
