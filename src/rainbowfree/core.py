@@ -6,8 +6,8 @@ host the two sides share one global vertex numbering: the left side U is
 0..s-1 and the right side V is s..s+t-1.  A SimpleGraph is its adjacency
 bitmasks, and every graph helper here works on them.  A host builds its
 per-color adjacency masks lazily, in one pass on first use, and every
-color-class scan reads them; its twin classes are derived from those masks
-on first use too.  All objects are immutable after construction (the masks
+color-class scan reads them; its twin classes are found from its rows on
+first use too.  All objects are immutable after construction (the masks
 and twin classes are assigned once, complete) and so safe to share between
 threads.
 """
@@ -15,7 +15,8 @@ threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations, islice
+from operator import mul
 from typing import Iterable, Iterator, TextIO, Union
 
 MAX_VERTICES = 10_000
@@ -163,6 +164,11 @@ def _tri_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
+def _tri_offsets(n: int) -> list[int]:
+    """Per vertex a, the offset with pair a < b at ``offset[a] + b``."""
+    return [_tri_index(n, a, a + 1) - a - 1 for a in range(n)]
+
+
 class _ColoredHost:
     """The color range ``m``, the flat tuple of ``want`` edge colors, its
     per-color masks and twin classes; subclasses check their sizes and
@@ -197,9 +203,6 @@ class _ColoredHost:
         All colors are built in one edge pass on first use and kept; the
         finished dict is assigned once, so no thread sees a partial one.
         """
-        return self._color_rows().get(c) or (0,) * self.vertex_count
-
-    def _color_rows(self) -> dict[int, tuple[int, ...]]:
         masks = self._masks
         if masks is None:
             rows = {col: [0] * self.vertex_count for col in self.used_colors()}
@@ -209,7 +212,7 @@ class _ColoredHost:
                 row[v] |= 1 << u
             masks = {col: tuple(row) for col, row in rows.items()}
             self._masks = masks
-        return masks
+        return masks.get(c) or (0,) * self.vertex_count
 
     def twin_prev(self) -> tuple[int, ...] | None:
         """The twin classes, as the previous member of each vertex's class
@@ -217,9 +220,10 @@ class _ColoredHost:
 
         u and v are twins when every other vertex w has
         ``pair_color(u, w) == pair_color(v, w)``, so swapping them is a
-        color-preserving automorphism.  Twins have equal per-color degrees,
-        so rows are compared only within a degree group, with both endpoints
-        masked out.  Computed once from the colors, never from generator
+        color-preserving automorphism.  One pass over the rows keeps two
+        numbers per vertex and nothing per color, so the classes take O(n)
+        memory beyond the host however many colors it uses, and build no
+        color masks.  Computed once from the colors, never from generator
         metadata, and assigned once.
         """
         if self._twins is None:
@@ -227,29 +231,45 @@ class _ColoredHost:
         return self._twins or None
 
     def _twin_classes(self) -> tuple[int, ...]:
+        # Twins see one multiset of colors, and their rows agree outside the
+        # pair.  Per vertex keep a hash of that multiset (``seen``, a key
+        # twins share) and a sum of its row weighted by position (``weight``),
+        # so that taking out the pair's own entries tests a pair in O(1).
         nv = self.vertex_count
-        rows = list(self._color_rows().values())
-        degrees = list(zip(*[[b.bit_count() for b in row] for row in rows]))
-        if len(set(degrees)) == nv:
-            return ()
-        groups: dict[tuple, list[int]] = {}
-        for v, key in enumerate(degrees):
-            groups.setdefault(key, []).append(v)
+        pos = [hash((w, -1)) for w in range(nv)]
+        seen = []
+        weight = []
+        for v in range(nv):
+            row = self._row(v)
+            weight.append(sum(map(mul, pos, row)))
+            row.sort()
+            seen.append(hash(tuple(row)))
+
+        # The least vertex p of a group takes its twins out; the others are
+        # split by the color they see p in, which twins share, so no group
+        # is compared pair by pair.
+        groups: dict[int, list[int]] = {}
+        for v in range(nv):
+            groups.setdefault(seen[v], []).append(v)
+        todo = [group for group in groups.values() if len(group) > 1]
         prev = [-1] * nv
-        for group in groups.values():
-            last: dict[int, int] = {}  # class head -> latest member so far
-            for v in group:
-                for head in last:
-                    keep = ~((1 << v) | (1 << head))
-                    for row in rows:
-                        if (row[v] ^ row[head]) & keep:
-                            break
-                    else:
-                        prev[v] = last[head]
-                        last[head] = v
-                        break
-                else:
-                    last[v] = v
+        while todo:
+            p, *rest = todo.pop()
+            row = self._row(p)
+            last = p
+            parts: dict[int, list[int]] = {}
+            for v in rest:
+                c = row[v]
+                if weight[p] - pos[v] * c == weight[v] - pos[p] * c:
+                    row[p], row[v] = c, 0  # v's row has the pair's entries swapped
+                    twin = row == self._row(v)
+                    row[p], row[v] = 0, c
+                    if twin:
+                        prev[v] = last
+                        last = v
+                        continue
+                parts.setdefault(c, []).append(v)
+            todo.extend(part for part in parts.values() if len(part) > 1)
         return tuple(prev) if max(prev) >= 0 else ()
 
     def __eq__(self, other) -> bool:
@@ -291,6 +311,14 @@ class ColoredComplete(_ColoredHost):
         if u == v:
             return None
         return self.color(u, v)
+
+    def _row(self, v: int) -> list:
+        """The color of vw for every vertex w (0 for w = v), read by slices."""
+        n, colors = self.n, self._colors
+        # the index of (w, v) grows by n - w - 2 from one w to the next
+        lower = islice(accumulate(range(n - 2, 0, -1), initial=v - 1), v)
+        start = v * (2 * n - v - 1) // 2
+        return [*map(colors.__getitem__, lower), 0, *colors[start:start + n - v - 1]]
 
     def edge_iter(self) -> Iterator[tuple[int, int, int]]:
         # combinations() walks the pairs in the row-major order of _colors
@@ -345,6 +373,14 @@ class ColoredBipartite(_ColoredHost):
         if a < self.s <= b:
             return self._colors[a * self.t + (b - self.s)]
         return None
+
+    def _row(self, a: int) -> list:
+        """The color of aw for every global vertex w (0 on a's own side),
+        read by slices."""
+        s, t, colors = self.s, self.t, self._colors
+        if a < s:
+            return [0] * s + list(colors[a * t:(a + 1) * t])
+        return list(colors[a - s::t]) + [0] * t
 
     def edge_iter(self) -> Iterator[tuple[int, int, int]]:
         """Yield (global u, global v, color) for every edge."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import MAX_VERTICES, ColoredComplete, color_bits, components, iter_bits, restrict
+from .core import _tri_offsets
 from .connectivity import CertificationError, _find_cut_below_k
 from .rainbow import find_rainbow_triangle
 
@@ -152,10 +153,9 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
         raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
     target = min(m, n - 1)
-    # the flat row-major triangle of ColoredComplete: pair a < b sits at
-    # offset[a] + b
+    # ColoredComplete's flat color list: pair a < b sits at offset[a] + b
     colors = [0] * (n * (n - 1) // 2)
-    offset = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+    offset = _tri_offsets(n)
 
     def fill(verts: list[int], required: list[int]) -> None:
         if len(verts) <= 1:

@@ -185,11 +185,14 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # starts its candidates above the least image of the copy before it: one
 # integer compare made before any color lookup.
 #
-# Twin rule: when the caller passes the host's twin classes, a candidate is
-# skipped if the previous member of its class is unused and not below the
-# step's lowest candidate (see ``embeddings`` for why the first solution
-# survives).  Only existence search uses it; enumeration and counting keep
-# the full symmetry-reduced search.
+# Twin rule: when the caller passes a way to get the host's twin classes, a
+# candidate is skipped if the previous member of its class is unused and not
+# below the step's lowest candidate (see ``embeddings`` for why the first
+# solution survives).  The classes cost a pass over the host, so a search
+# asks for them only when it reaches TWIN_DELAY nodes without a solution,
+# and then starts again; a short search never pays for them.  Only existence
+# search uses the rule; enumeration and counting keep the full
+# symmetry-reduced search.
 # ---------------------------------------------------------------------------
 
 
@@ -230,18 +233,30 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def embeddings(vertex_count: int, pair_color, plan, prev=None) -> Iterator[tuple[int, ...]]:
+# search nodes visited before the twin classes are asked for: 143 of 15,000
+# searches over sampled 3-colorings of K6 reach it, and a freeness proof on
+# a construction passes it at once
+TWIN_DELAY = 16
+
+
+class _Restart(Exception):
+    """The search reached TWIN_DELAY nodes before its first map."""
+
+
+def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tuple[int, ...]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
     colors, in lexicographic order of step images.
 
-    With ``prev`` (the host's ``twin_prev()``), a candidate c is skipped when
-    its previous twin c' = prev[c] is unused and at or above the step's
-    lowest candidate.  The first map yielded is then the same as without
-    ``prev``, and none is yielded exactly when none exists.  Proof: let S be
-    the first solution of the unpruned search, and suppose the rule skips
-    S's image c at step i for c'.  Neither c nor c' is an image of an
-    earlier step.  The swap (c c') is a color-preserving automorphism of the
-    host, so it maps S to another rainbow injection S'.  Re-sort each run of
+    ``twins``, when given, returns the host's ``twin_prev()`` as ``prev``.
+    A search that reaches its TWIN_DELAY-th node before yielding a map starts
+    again with the classes, and then skips a candidate c when its previous
+    twin c' = prev[c] is unused and at or above the step's lowest candidate.
+    The first map yielded is the same as without ``twins``, and none is
+    yielded exactly when none exists.  Proof: let S be the first solution
+    of the unpruned search, and suppose the rule skips S's image c at step
+    i for c'.  Neither c nor c' is an image of an earlier step.  The swap
+    (c c') is a color-preserving automorphism of the host, so it maps S to
+    another rainbow injection S'.  Re-sort each run of
     identical components by least image.  Copies before step i's copy are
     unchanged.  Step i's copy keeps its place: its images all stay at or
     above the floor, and its least image only falls while the copy that
@@ -257,9 +272,13 @@ def embeddings(vertex_count: int, pair_color, plan, prev=None) -> Iterator[tuple
     least = [nv] * len(plan)  # step -> least image in its component so far
     used_vertices: set[int] = set()
     used_colors: set = set()
+    prev = None
+    delay = TWIN_DELAY if twins is not None else 0
 
     def extend(i: int) -> Iterator[tuple[int, ...]]:
+        nonlocal delay
         if i == len(plan):
+            delay = 0  # a map once yielded is never yielded again
             yield tuple(image)
             return
         p, anchors, starts, mirror = plan[i]
@@ -267,6 +286,10 @@ def embeddings(vertex_count: int, pair_color, plan, prev=None) -> Iterator[tuple
         # every image of a mirrored copy exceeds its predecessor's least image
         first = 0 if mirror is None else least[mirror] + 1
         cands = range(first, nv)
+        if delay:
+            delay -= 1
+            if not delay:
+                raise _Restart
         if prev is not None:
             # the children restore used_vertices, so one filter serves the step
             cands = [c for c in cands if prev[c] < first or prev[c] in used_vertices]
@@ -291,7 +314,13 @@ def embeddings(vertex_count: int, pair_color, plan, prev=None) -> Iterator[tuple
             used_vertices.remove(cand)
             used_colors.difference_update(new_colors)
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    except _Restart:
+        prev = twins()
+        used_vertices.clear()
+        used_colors.clear()
+        yield from extend(0)
 
 
 def _as_graph(g) -> SimpleGraph:

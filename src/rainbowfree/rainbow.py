@@ -8,15 +8,18 @@ hosts (same-side pairs are non-edges).  Repeated base-graph components are
 placed in increasing order of least image, and every step of a mirrored
 copy starts above the least image of the copy before it.
 
-``find_rainbow`` also passes the host's twin classes (vertices that every
-other vertex sees in one color): a candidate is skipped when the previous
-member of its class is unused and also a candidate at that step, so a run
-of unused twins is tried once, not once per member.  The paper's
-constructions are a few blocks plus a quotient coloring, so most vertices
-have twins and this cuts the freeness proofs by orders of magnitude; the
-first witness stays the one the full search finds (the argument is in
-``patterns.embeddings``).  ``enumerate_rainbow`` and ``count_rainbow`` keep
-the full search, because they report every branch.
+``find_rainbow`` also hands the search the host's twin classes (vertices
+that every other vertex sees in one color), which it asks for once it has
+visited ``patterns.TWIN_DELAY`` nodes: from then on a candidate is skipped
+when the previous member of its class is unused and also a candidate at
+that step, so a run of unused twins is tried once, not once per member.
+The paper's constructions are a few blocks plus a quotient coloring, so
+most vertices have twins and this cuts the freeness proofs by orders of
+magnitude, while a search that ends sooner never pays the pass over the
+host that finds the classes.  The first witness stays the one the full
+search finds (the argument is in ``patterns.embeddings``).
+``enumerate_rainbow`` and ``count_rainbow`` keep the full search, because
+they report every branch.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     The search is exhaustive up to twin swaps, so None certifies
     rainbow-freeness; a found map is the first one of the full search.
     """
-    twins = host.twin_prev()
-    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan, twins):
+    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan, host.twin_prev):
         emb = Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
         validate_embedding(host, pattern, mapping)
         return emb

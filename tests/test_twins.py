@@ -3,11 +3,13 @@ blow-ups against the injection oracle, the quotient oracle and the full
 (unpruned) search."""
 
 import random
+import tracemalloc
 from math import perm
 
 from rainbowfree.claims import _HOSTS, build_registry
 from rainbowfree.core import ColoredBipartite, ColoredComplete
 from rainbowfree.oracles import oracle_rainbow_exists, oracle_rainbow_exists_quotient
+from rainbowfree import patterns
 from rainbowfree.patterns import parse_pattern
 from rainbowfree.rainbow import enumerate_rainbow, find_rainbow
 
@@ -22,6 +24,10 @@ PATTERNS = [
 
 # injections tried by the injection oracle, at most, per comparison
 INJECTION_LIMIT = 20_000
+
+# the twin rule from the first node, and from a restart after the default
+# delay (the longer searches here reach it)
+DELAYS = (1, patterns.TWIN_DELAY)
 
 
 def _blocks(rng, count):
@@ -114,6 +120,58 @@ def test_twin_prev_small_cases():
     assert ColoredBipartite(2, 2, 2, [1, 2, 1, 2]).twin_prev() == (-1, 0, -1, -1)
 
 
+def one_factorization(n):
+    """The round-robin proper coloring of K_n (n even) by n - 1 colors: every
+    vertex sees every color once, and no two vertices are twins."""
+    def color(u, v):
+        return (2 * u if v == n - 1 else u + v) % (n - 1) + 1
+    return ColoredComplete.from_function(n, n - 1, color)
+
+
+def test_twin_classes_cost_linear_memory_on_many_colors():
+    # per-color masks of the first two hosts peak at 6.3 MB and 45 MB; the
+    # classes keep O(n) numbers and build none
+    n = 300
+    hosts = [
+        one_factorization(n),
+        ColoredComplete(n // 2, n * n, range(1, (n // 2) * (n // 2 - 1) // 2 + 1)),
+        ColoredComplete.from_function(n, 7, lambda u, v: (u + v) % 7 + 1),
+    ]
+    for host, classes in zip(hosts, (None, None, 7)):
+        # a short search settles before the delay and never pays the pass
+        assert find_rainbow(host, parse_pattern("P3")) is not None
+        assert host._twins is None
+        tracemalloc.start()
+        try:
+            prev = host.twin_prev()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (host, peak)
+        assert host._masks is None
+        assert (prev and prev.count(-1)) == classes
+
+
+def test_long_search_starts_again_with_twin_classes():
+    host = _HOSTS["R1"][1]().host
+    plan = parse_pattern("P5uP3").plan
+
+    def color_lookups(twins):
+        count = 0
+
+        def color(a, b):
+            nonlocal count
+            count += 1
+            return host.pair_color(a, b)
+
+        assert next(patterns.embeddings(host.vertex_count, color, plan, twins), None) is None
+        return count
+
+    # 409 lookups against 11,316 for the full search
+    assert color_lookups(host.twin_prev) * 10 < color_lookups(None)
+    assert host._twins is not None and host._masks is None
+
+
 def test_twin_cache_ignored_by_equality_and_hash():
     a = ColoredComplete(6, 2, [1, 1, 2, 2, 1] * 3)
     b = ColoredComplete(6, 2, [1, 1, 2, 2, 1] * 3)
@@ -122,7 +180,7 @@ def test_twin_cache_ignored_by_equality_and_hash():
     assert a._twins is not None and b._twins is None
 
 
-def test_blow_ups_agree_with_oracles_and_full_search():
+def test_blow_ups_agree_with_oracles_and_full_search(monkeypatch):
     mismatches = []
     comparisons = injection_checks = found = 0
     for host in blow_ups(62, 80):
@@ -130,11 +188,17 @@ def test_blow_ups_agree_with_oracles_and_full_search():
         for pat in PATTERNS:
             if pat.order > nv:
                 continue
-            emb = find_rainbow(host, pat)
+            witnesses = set()
+            for delay in DELAYS:
+                monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
+                emb = find_rainbow(host, pat)
+                witnesses.add(emb and emb.mapping)
             fast = emb is not None
             quotient = oracle_rainbow_exists_quotient(host, pat)
             comparisons += 1
             found += fast
+            if len(witnesses) > 1:
+                mismatches.append(("delay", host._colors, pat.canonical_name))
             if fast != quotient:
                 mismatches.append(("quotient", host._colors, pat.canonical_name))
             if fast or quotient:
@@ -171,12 +235,23 @@ FLOOR_CASES = [
 ]
 
 
-def test_twin_rule_respects_the_mirror_floor():
+def test_twin_rule_respects_the_mirror_floor(monkeypatch):
     for host, name, first in FLOOR_CASES:
         pat = parse_pattern(name)
         assert host.twin_prev() is not None
         assert next(enumerate_rainbow(host, pat)).mapping == first
-        assert find_rainbow(host, pat).mapping == first, (host, name)
+        for delay in DELAYS:
+            monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
+            assert find_rainbow(host, pat).mapping == first, (host, name, delay)
+
+
+def test_search_that_has_yielded_never_starts_again(monkeypatch):
+    host, pat = FLOOR_CASES[0][0], parse_pattern("P3")
+    first = next(enumerate_rainbow(host, pat)).mapping
+    for delay in range(1, 40):
+        monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
+        maps = list(patterns.embeddings(host.vertex_count, host.pair_color, pat.plan, host.twin_prev))
+        assert maps[0] == first and len(maps) == len(set(maps)), delay
 
 
 def test_quotient_oracle_decides_every_registry_rainbow_claim():
