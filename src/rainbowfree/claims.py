@@ -1,9 +1,10 @@
 """Claim registry: each entry binds a generated host (or seeded sampler) to
-one checkable property and its expected outcome, so the whole battery can
-run as a batch with reproducible seeds.
+one checkable property, which passes if and only if it holds, so the whole
+battery can run as a batch with reproducible seeds.
 
-Sampled claims default to 1000 seeds; per-claim seeds derive from the master
-seed through a fixed counter so reports are reproducible.
+Each sampled claim states its own count, from 100 to 1000 samples; per-claim
+seeds derive from the master seed through a fixed counter so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .connectivity import (
     verify_order_cap,
 )
 from .constructions import (
+    _blocks,
+    _split_sizes,
     corollary_sequence,
     eg_realizable,
     gen_F1,
@@ -38,7 +41,7 @@ from .constructions import (
     gen_intro_example,
     realize_degree_sequence,
 )
-from .core import ColoredBipartite, ColoredComplete, SimpleGraph, ceil_div
+from .core import ColoredBipartite, SimpleGraph, _random_complete, ceil_div
 from .gallai import (
     gallai_partition,
     is_gallai,
@@ -60,7 +63,6 @@ class Claim:
     id: str
     provenance: str  # human-readable statement of what is being checked
     run: Callable[[int], tuple[bool, object]]  # seed -> (holds, witness)
-    expected: bool = True  # expected truth value of the property
 
 
 @dataclass
@@ -93,12 +95,15 @@ _HOSTS = {
 }
 
 
+def _host(label):
+    return _HOSTS[label][1]().host
+
+
 def _rainbow_claim(cid, provenance, label, pattern_name, expect_free):
-    make_host = _HOSTS[label][1]
     pat = parse_pattern(pattern_name)
 
     def run(seed):
-        emb = find_rainbow(make_host().host, pat)
+        emb = find_rainbow(_host(label), pat)
         if emb is None:
             return expect_free, "rainbow-free"
         return not expect_free, emb.to_json()
@@ -122,7 +127,7 @@ def _found(label, pattern):
 
 
 def _r1_triangle_colors(seed):
-    host = gen_R1(9, 4).host
+    host = _host("R1")
     triangles = list(enumerate_rainbow(host, parse_pattern("K3")))
     bad = [e.to_json() for e in triangles if e.colors != frozenset({1, 2, 3})]
     return (len(triangles) > 0 and not bad), {
@@ -132,28 +137,26 @@ def _r1_triangle_colors(seed):
 
 
 def _f3_star_colors(seed):
-    host = gen_F3(12, 12, 6).host
+    host = _host("F3")
     stars = list(enumerate_rainbow(host, parse_pattern("K1_3")))
     bad = [e.to_json() for e in stars if not {1, 2} <= e.colors]
     return (len(stars) > 0 and not bad), {"rainbow_stars": len(stars), "missing_12": bad}
 
 
 def _largest_mono(label, expect):
-    title, make_host = _HOSTS[label]
-
     def run(seed):
-        color, rep = best_monochromatic(make_host().host, k=1)
+        color, rep = best_monochromatic(_host(label), k=1)
         return rep.lower == expect, {"color": color, "order": rep.lower, "expected": expect}
 
     return Claim(
         f"{label}-largest-mono-{expect}",
-        f"largest monochromatic 1-connected subgraph of {title} has order {expect}",
+        f"largest monochromatic 1-connected subgraph of {_HOSTS[label][0]} has order {expect}",
         run,
     )
 
 
 def _f1_floor(seed):
-    color, comp = gyarfas_floor(gen_F1(12, 6, 4).host)
+    color, comp = gyarfas_floor(_host("F1"))
     return len(comp) == 9, {"color": color, "order": len(comp), "expected": 9}
 
 
@@ -220,131 +223,118 @@ def _counterexample_degrees(t, n):
     )
 
 
-def _lemma_sample_claim(k):
-    verify = verify_two_color_2connected if k == 2 else verify_two_color_3connected
+def _sampled(key, count, case):
+    """The run of a sampled claim: one rng seeded by the claim's seed, and
+    ``case(rng, seed, i)`` for each i < count.  A case returns its failures
+    (empty when the sample holds), or None when the sample does not apply;
+    the witness counts the samples that applied and keeps five failures."""
 
     def run(seed):
-        failures = []
-        for i in range(DEFAULT_SAMPLES):
-            host = sample_gallai(9, 3, seed + i)
-            w = verify(host)
-            if not w.ok or (k == 2 and w.order != 9) or (k == 3 and w.order < 8):
-                failures.append(i)
-        hosts = [
-            gen_intro_example(10, 3).host,
-            gen_intro_example(12, 5).host,
-            gen_counterexample_4t(1, 20).host,
-            gen_counterexample_4t(2, 40).host,
-        ]
-        for j, host in enumerate(hosts):
-            w = verify(host)
-            n = host.n
-            if not w.ok or (k == 2 and w.order != n) or (k == 3 and w.order < n - 1):
-                failures.append(f"construction-{j}")
-        return not failures, {"samples": DEFAULT_SAMPLES, "failures": failures}
+        rng = random.Random(seed)
+        applied, failures = 0, []
+        for i in range(count):
+            found = case(rng, seed, i)
+            if found is not None:
+                applied += 1
+                failures += found
+        return not failures, {key: applied, "failures": failures[:5]}
 
     return run
 
 
-def _typeb_roundtrip(seed):
-    rng = random.Random(seed)
-    failures = []
-    for i in range(200):
-        m = rng.choice([5, 6, 7, 8])
-        s = rng.randint(8, 12)  # m - 1 <= 7, so blocks always fit
-        t = rng.randint(8, 12)
-        gen = gen_type_b(s, t, m, seed=seed * 1009 + i)
-        structure = classify_k13_free(gen.host)
-        if structure.case != "B":
-            failures.append((i, "not case B"))
-            continue
-        for c in range(2, m + 1):
-            if structure.u_parts[c] != gen.parts[f"U{c}"] or structure.v_parts[
-                c
-            ] != gen.parts[f"V{c}"]:
-                failures.append((i, c))
-                break
-    return not failures, {"hosts": 200, "failures": failures[:5]}
+def _gallai_sampler_case(rng, seed, i):
+    n, m = 4 + i % 7, 1 + i % 4
+    host = sample_gallai(n, m, seed + i)
+    failures = [] if is_gallai(host) else [(i, "rainbow triangle")]
+    if len(host.used_colors()) != min(m, n - 1):
+        failures.append((i, "color count"))
+    return failures
 
 
-def _case_a_hosts(seed):
-    rng = random.Random(seed)
-    failures = []
-    for i in range(200):
-        s, t = rng.randint(4, 10), rng.randint(4, 10)
-        if i % 2 == 0:
-            # random 2-coloring: a rainbow star needs three colors
-            host = ColoredBipartite(
-                s, t, 2, [rng.randint(1, 2) for _ in range(s * t)]
-            )
-        else:
-            # block layout on 3..4 colors: every vertex still sees <= 2 colors
-            m = rng.choice([3, 4])
-            blocks = m - 1
-            u_block = [min(u * blocks // s, blocks - 1) for u in range(s)]
-            v_block = [min(v * blocks // t, blocks - 1) for v in range(t)]
-            colors = []
-            for u in range(s):
-                for v in range(t):
-                    if u_block[u] == v_block[v]:
-                        colors.append(u_block[u] + 2)
-                    else:
-                        colors.append(1)
-            host = ColoredBipartite(s, t, m, colors)
-        structure = classify_k13_free(host)
-        if structure.case != "A":
-            failures.append(i)
-    return not failures, {"hosts": 200, "failures": failures[:5]}
+def _lemma_sample_claim(k):
+    verify = verify_two_color_2connected if k == 2 else verify_two_color_3connected
+
+    def holds(host):  # k = 2 spans the host, k = 3 misses at most one vertex
+        w = verify(host)
+        return w.ok and w.order >= host.n - (k - 2)
+
+    def case(rng, seed, i):
+        return [] if holds(sample_gallai(9, 3, seed + i)) else [i]
+
+    sampled = _sampled("samples", DEFAULT_SAMPLES, case)
+
+    def run(seed):
+        _, witness = sampled(seed)
+        failures = witness["failures"]
+        gens = (
+            gen_intro_example(10, 3),
+            gen_intro_example(12, 5),
+            gen_counterexample_4t(1, 20),
+            gen_counterexample_4t(2, 40),
+        )
+        failures += [f"construction-{j}" for j, gen in enumerate(gens) if not holds(gen.host)]
+        del failures[5:]
+        return not failures, witness
+
+    return run
 
 
-def _background_spanning(seed):
-    rng = random.Random(seed)
-    failures = []
-    for i in range(100):
-        k = (i % 3) + 1
-        m = rng.randint(k + 4, k + 6)
-        s = rng.randint(m - 1, m + 4)
-        t = rng.randint(m - 1, m + 4)
-        gen = gen_type_b(s, t, m, seed=seed * 7919 + i)
-        w = verify_background_spanning_kconn(gen.host, k)
-        if not w.ok:
-            failures.append(i)
-    return not failures, {"hosts": 100, "failures": failures[:5]}
+def _typeb_case(rng, seed, i):
+    m = rng.choice([5, 6, 7, 8])
+    s, t = rng.randint(8, 12), rng.randint(8, 12)  # m - 1 <= 7, so blocks always fit
+    gen = gen_type_b(s, t, m, seed=seed * 1009 + i)
+    structure = classify_k13_free(gen.host)
+    if structure.case != "B":
+        return [(i, "not case B")]
+    for c in range(2, m + 1):
+        want = (gen.parts[f"U{c}"], gen.parts[f"V{c}"])
+        if (structure.u_parts[c], structure.v_parts[c]) != want:
+            return [(i, c)]
+    return []
 
 
-def _quota_random(seed):
-    rng = random.Random(seed)
-    failures = []
-    for i in range(DEFAULT_SAMPLES):
-        n = rng.randint(5, 12)
-        m = rng.randint(1, 4)
-        colors = [rng.randint(1, m) for _ in range(n * (n - 1) // 2)]
-        host = ColoredComplete(n, m, colors)
-        total = n + 2 * m - 2
-        cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
-        quotas = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-        result = check_mono_path_quota(host, quotas)
-        if not result.ok:
-            failures.append((i, n, m, quotas))
-        if sum(color_degree_averages(host)) != Fraction(n - 1):
-            failures.append((i, "degree identity"))
-    return not failures, {"samples": DEFAULT_SAMPLES, "failures": failures[:5]}
+def _small_palette_case(rng, seed, i):
+    s, t = rng.randint(4, 10), rng.randint(4, 10)
+    if i % 2 == 0:
+        # random 2-coloring: a rainbow star needs three colors
+        host = ColoredBipartite(s, t, 2, [rng.randint(1, 2) for _ in range(s * t)])
+    else:
+        # gen_type_b's block layout on 3..4 colors: every vertex sees <= 2 colors
+        m = rng.choice([3, 4])
+        u_block, _ = _blocks(_split_sizes(s, m - 1))
+        v_block, _ = _blocks(_split_sizes(t, m - 1))
+        host = ColoredBipartite.from_function(
+            s, t, m, lambda u, v: u_block[u] + 2 if u_block[u] == v_block[v] else 1
+        )
+    return [] if classify_k13_free(host).case == "A" else [i]
 
 
-def _kano_li_random(seed):
-    rng = random.Random(seed)
-    failures = []
-    for i in range(300):
-        n = rng.randint(6, 12)
-        m = rng.randint(2, 3)
-        colors = [rng.randint(1, m) for _ in range(n * (n - 1) // 2)]
-        host = ColoredComplete(n, m, colors)
-        if ceil_div(n, m) < 3:
-            continue
-        color, witness = kano_li_floor(host)  # raises on violation
-        if witness.length < ceil_div(n, m):
-            failures.append(i)
-    return not failures, {"samples": 300, "failures": failures[:5]}
+def _background_case(rng, seed, i):
+    k = i % 3 + 1
+    m = rng.randint(k + 4, k + 6)
+    s, t = rng.randint(m - 1, m + 4), rng.randint(m - 1, m + 4)
+    gen = gen_type_b(s, t, m, seed=seed * 7919 + i)
+    return [] if verify_background_spanning_kconn(gen.host, k).ok else [i]
+
+
+def _quota_case(rng, seed, i):
+    n, m = rng.randint(5, 12), rng.randint(1, 4)
+    host = _random_complete(rng, n, m)
+    total = n + 2 * m - 2
+    cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
+    quotas = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    failures = [] if check_mono_path_quota(host, quotas).ok else [(i, n, m, quotas)]
+    if sum(color_degree_averages(host)) != Fraction(n - 1):
+        failures.append((i, "degree identity"))
+    return failures
+
+
+def _cycle_floor_case(rng, seed, i):
+    n, m = rng.randint(6, 12), rng.randint(2, 3)
+    host = _random_complete(rng, n, m)
+    floor = ceil_div(n, m)
+    # kano_li_floor raises on a violation
+    return [] if floor < 3 or kano_li_floor(host)[1].length >= floor else [i]
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -352,48 +342,25 @@ def _random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def _mader_random(seed):
-    rng = random.Random(seed)
-    failures = []
-    tried = 0
-    for i in range(500):
-        n = rng.randint(8, 30)
-        p = rng.choice([0.3, 0.5, 0.8])
-        g = _random_graph(rng, n, p)
-        if g.edge_count == 0:
-            continue
-        tried += 1
-        k = ceil_div(g.edge_count, 2 * g.n)
-        sub = mader_extract(g)  # raises CertificationError on failure
-        if not is_k_connected(sub, k):
-            failures.append(i)
-    return not failures, {"extractions": tried, "failures": failures[:5]}
+def _mader_case(rng, seed, i):
+    n = rng.randint(8, 30)
+    g = _random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+    if g.edge_count == 0:
+        return None
+    sub = mader_extract(g)  # raises CertificationError on failure
+    return [] if is_k_connected(sub, ceil_div(g.edge_count, 2 * g.n)) else [i]
 
 
 def _floors_everywhere(seed):
     rng = random.Random(seed)
-    hosts = [
-        gen_R1(9, 4).host,
-        gen_R2(12, 6).host,
-        gen_R1(12, 5).host,
-        gen_F1(12, 6, 4).host,
-        gen_F2(13, 6, 5).host,
-        gen_F3(12, 12, 6).host,
-        gen_intro_example(10, 3).host,
-        gen_counterexample_4t(1, 20).host,
-    ]
-    for i in range(200):
-        n = rng.randint(4, 12)
-        m = rng.randint(2, 4)
-        hosts.append(
-            ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
-        )
+    hosts = [_host(label) for label in ("R1", "R2", "R1m5", "F1", "F2", "F3")]
+    hosts += [gen_intro_example(10, 3).host, gen_counterexample_4t(1, 20).host]
+    hosts += [_random_complete(rng, rng.randint(4, 12), rng.randint(2, 4)) for _ in range(200)]
     checked = 0
     for host in hosts:
-        if len(host.used_colors()) < 2:
-            continue
-        gyarfas_floor(host)  # raises on violation
-        checked += 1
+        if len(host.used_colors()) >= 2:
+            gyarfas_floor(host)  # raises on violation
+            checked += 1
     return True, {"hosts_checked": checked}
 
 
@@ -426,22 +393,9 @@ def _degseq_corollary(seed):
 
 
 def _r1_no_asms(seed):
-    host = gen_R1(9, 4).host
+    host = _host("R1")
     color, rep = best_monochromatic(host, k=1)
-    return rep.lower >= host.n - 1, {"best_order": rep.lower}
-
-
-def _gallai_sampler_check(seed):
-    failures = []
-    for i in range(200):
-        n = 4 + (i % 7)
-        m = 1 + (i % 4)
-        host = sample_gallai(n, m, seed + i)
-        if not is_gallai(host):
-            failures.append((i, "rainbow triangle"))
-        if len(host.used_colors()) != min(m, n - 1):
-            failures.append((i, "color count"))
-    return not failures, {"samples": 200, "failures": failures[:5]}
+    return rep.lower < host.n - 1, {"best_order": rep.lower}
 
 
 def build_registry() -> list[Claim]:
@@ -466,9 +420,8 @@ def build_registry() -> list[Claim]:
         _largest_mono("R2", 8),
         Claim(
             "R1-no-asms",
-            "R1(9,4) has a spanning-size monochromatic connected subgraph",
+            "R1(9,4) has no spanning-size monochromatic connected subgraph",
             _r1_no_asms,
-            expected=False,
         ),
         Claim(
             "F1-floor-9",
@@ -509,7 +462,7 @@ def build_registry() -> list[Claim]:
         Claim(
             "gallai-sampler-valid",
             "sampled Gallai colorings are rainbow-triangle-free and use min(m, n-1) colors",
-            _gallai_sampler_check,
+            _sampled("samples", 200, _gallai_sampler_case),
         ),
         Claim(
             "gallai-2conn-sampled",
@@ -527,34 +480,34 @@ def build_registry() -> list[Claim]:
         Claim(
             "typeb-roundtrip",
             "200 planted block hosts classify as case B with the partition recovered",
-            _typeb_roundtrip,
+            _sampled("hosts", 200, _typeb_case),
         ),
         Claim(
             "caseA-small-palette",
             "200 rainbow-star-free hosts on <= 4 colors classify as case A",
-            _case_a_hosts,
+            _sampled("hosts", 200, _small_palette_case),
         ),
         Claim(
             "background-spanning-kconn",
             "100 block hosts with >= k+4 colors: background color spans k-connected",
-            _background_spanning,
+            _sampled("hosts", 100, _background_case),
         ),
         # paths, cycles, degree sequences, dense extraction, floors
         Claim(
             "path-quota-random",
             "1000 random colorings meet some per-color path quota; color-degree "
             "averages sum to n-1 exactly",
-            _quota_random,
+            _sampled("samples", DEFAULT_SAMPLES, _quota_case),
         ),
         Claim(
             "cycle-floor-random",
             "300 random colorings: longest monochromatic cycle meets ceil(n/m)",
-            _kano_li_random,
+            _sampled("samples", 300, _cycle_floor_case),
         ),
         Claim(
             "mader-random",
             "500 random graphs: extracted subgraph is ceil(avg_degree/4)-connected",
-            _mader_random,
+            _sampled("extractions", 500, _mader_case),
         ),
         Claim(
             "component-floors-everywhere",
@@ -587,18 +540,15 @@ def run_claims(
     ]
     if not selected:
         raise ValueError(f"no claim matches {pattern!r}")
-
-    def execute(item):
-        idx, claim = item
+    reports = []
+    for idx, claim in selected:
         derived = seed * 1_000_003 + idx
         start = time.monotonic()
         try:
             holds, witness = claim.run(derived)
-            status = "pass" if holds == claim.expected else "fail"
+            status = "pass" if holds else "fail"
         except Exception:
-            status = "error"
-            witness = traceback.format_exc(limit=3)
+            status, witness = "error", traceback.format_exc(limit=3)
         millis = int((time.monotonic() - start) * 1000)
-        return RunReport(claim.id, status, witness, millis, derived)
-
-    return [execute(item) for item in selected]
+        reports.append(RunReport(claim.id, status, witness, millis, derived))
+    return reports

@@ -332,6 +332,12 @@ class ColoredComplete(_ColoredHost):
         return f"ColoredComplete(n={self.n}, m={self.m})"
 
 
+def _random_complete(rng, n: int, m: int) -> ColoredComplete:
+    """A coloring of K_n drawn from ``rng``: one ``randint(1, m)`` per pair, in
+    the order of the flat array."""
+    return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
+
+
 class ColoredBipartite(_ColoredHost):
     """An edge-coloring of K_{s,t} by colors 1..m.
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 
-from .core import ColoredComplete, restrict
+from .core import ColoredComplete, _random_complete, restrict
 from .connectivity import largest_k_connected, vertex_connectivity
 from .oracles import (
     oracle_largest_k_connected,
@@ -123,8 +123,7 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
     else:
         rng = random.Random(seed)
         for i in range(budget):
-            colors = tuple(rng.randint(1, m) for _ in range(pairs))
-            host = ColoredComplete(n, m, colors)
+            host = _random_complete(rng, n, m)
             # rotate the heavier largest-k-connected check across colors
             mask = {(i % m) + 1}
             _check_host(host, patterns, [1, 2], [mask], report)

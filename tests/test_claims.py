@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from rainbowfree.claims import build_registry, run_claims
+import random
+
+from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
 from rainbowfree.crosscheck import micro_crosscheck
 
 # A claim's seed derives from its index, so the order is part of the output.
@@ -43,6 +45,45 @@ def test_reports_reproducible():
 def test_expected_fail_claim_passes():
     reports = run_claims("R1-no-asms")
     assert reports[0].status == "pass"
+
+
+def test_runner_statuses_and_derived_seeds():
+    def boom(seed):
+        raise RuntimeError("boom")
+
+    registry = [
+        Claim("holds", "always", lambda seed: (True, seed)),
+        Claim("fails", "never", lambda seed: (False, seed)),
+        Claim("raises", "crashes", boom),
+    ]
+    reports = run_claims("*", seed=3, registry=registry)
+    assert [(r.claim_id, r.status, r.seed) for r in reports] == [
+        ("holds", "pass", 3 * 1_000_003),
+        ("fails", "fail", 3 * 1_000_003 + 1),
+        ("raises", "error", 3 * 1_000_003 + 2),
+    ]
+    assert reports[1].witness == 3 * 1_000_003 + 1
+    assert "Traceback" in reports[2].witness and "RuntimeError: boom" in reports[2].witness
+    # a filtered run keeps each claim's index in the table, and so its seed
+    (report,) = run_claims("raises", seed=3, registry=registry)
+    assert report.seed == 3 * 1_000_003 + 2
+
+
+def test_sampled_counts_applied_samples_and_keeps_five_failures():
+    draws = []
+
+    def case(rng, seed, i):
+        draws.append(rng.random())
+        if i % 3 == 0:
+            return None  # does not apply, and its failure is never seen
+        return [(seed, i)] if i % 3 == 1 else []
+
+    holds, witness = _sampled("tried", 30, case)(7)
+    assert not holds
+    assert witness == {"tried": 20, "failures": [(7, 1), (7, 4), (7, 7), (7, 10), (7, 13)]}
+    rng = random.Random(7)
+    assert draws == [rng.random() for _ in range(30)]
+    assert _sampled("tried", 4, lambda rng, seed, i: [])(0) == (True, {"tried": 4, "failures": []})
 
 
 def test_construction_claims_pass():

@@ -126,6 +126,14 @@ def test_paths_and_cycles(tmp_path, capsys):
     assert code == 0 and json.loads(out)["length"] == 6
 
 
+def test_verify_reports_failing_claim(monkeypatch, capsys):
+    broken = rainbowfree.Claim("broken", "never holds", lambda seed: (False, {"seed": seed}))
+    monkeypatch.setattr(rainbowfree.claims, "build_registry", lambda: [broken])
+    code, out = run(capsys, "verify")
+    assert code == 1
+    assert out.startswith("FAIL  broken (") and "0/1 claims passed" in out
+
+
 def test_verify_filter_and_json_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out = run(
