@@ -40,6 +40,11 @@ class BipartiteStructure:
         return out
 
 
+def _require_bipartite(host) -> None:
+    if not isinstance(host, ColoredBipartite):
+        raise ValueError(f"needs a coloring of K_{{s,t}}, got {type(host).__name__}")
+
+
 def _require_star_free(host: ColoredBipartite):
     """Raise RainbowStarPresent at the first vertex seeing three colors; the
     witness adds the least neighbor of each of the first three colors met,
@@ -93,6 +98,7 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     coloring each vertex sees at most one non-background color, which names
     its block, so the sweep is complete and the validator guards the result.
     """
+    _require_bipartite(host)
     if min(host.s, host.t) < 3:
         raise ValueError("both sides must have at least 3 vertices")
     _require_star_free(host)
@@ -239,6 +245,7 @@ def verify_background_spanning_kconn(host: ColoredBipartite, k: int) -> Spanning
     min(s, t) >= m - 1.  Existence is a theorem under these hypotheses;
     a failed check comes back as a falsification report.
     """
+    _require_bipartite(host)
     if k < 1:
         raise ValueError("k must be at least 1")
     used = host.used_colors()

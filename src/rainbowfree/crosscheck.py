@@ -103,6 +103,8 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
         raise ValueError("max_n must be at least 2")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     n, m = max_n, max_m
     pairs = n * (n - 1) // 2
     space = m**pairs

@@ -39,7 +39,13 @@ class GallaiPartition:
         }
 
 
+def _require_complete(host) -> None:
+    if not isinstance(host, ColoredComplete):
+        raise ValueError(f"needs a coloring of K_n, got {type(host).__name__}")
+
+
 def is_gallai(host: ColoredComplete) -> bool:
+    _require_complete(host)
     return find_rainbow_triangle(host) is None
 
 
@@ -106,6 +112,7 @@ def gallai_partition(host: ColoredComplete) -> GallaiPartition:
     lies inside one of its parts and no merge joins two of them, so some pair
     always certifies; the final raise is a certificate failure.
     """
+    _require_complete(host)
     if host.n < 2:
         raise ValueError("need at least 2 vertices")
     if not is_gallai(host):
@@ -236,6 +243,7 @@ class TwoColorWitness:
 def _two_color_witness(host: ColoredComplete, k: int, drop_one: bool, reason: str):
     """The first two-color mask, in color order, whose class has no cut below
     k on all vertices or, when drop_one holds, on all but one vertex."""
+    _require_complete(host)
     used = sorted(host.used_colors())
     if len(used) != 3:
         raise ValueError(f"exactly 3 colors required, host uses {len(used)}")

@@ -189,10 +189,10 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # candidate is skipped if the previous member of its class is unused and not
 # below the step's lowest candidate (see ``embeddings`` for why the first
 # solution survives).  The classes cost a pass over the host, so a search
-# asks for them only when it reaches TWIN_DELAY nodes without a solution,
-# and then starts again; a short search never pays for them.  Only existence
-# search uses the rule; enumeration and counting keep the full
-# symmetry-reduced search.
+# asks for them only at its TWIN_DELAY-th node and switches the rule on
+# there, in place: open steps prune their remaining candidates too, and a
+# short search never pays for the classes.  Only existence search uses the
+# rule; enumeration and counting keep the full symmetry-reduced search.
 # ---------------------------------------------------------------------------
 
 
@@ -239,31 +239,27 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
 TWIN_DELAY = 16
 
 
-class _Restart(Exception):
-    """The search reached TWIN_DELAY nodes before its first map."""
-
-
 def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tuple[int, ...]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
     colors, in lexicographic order of step images.
 
     ``twins``, when given, returns the host's ``twin_prev()`` as ``prev``.
-    A search that reaches its TWIN_DELAY-th node before yielding a map starts
-    again with the classes, and then skips a candidate c when its previous
-    twin c' = prev[c] is unused and at or above the step's lowest candidate.
-    The first map yielded is the same as without ``twins``, and none is
-    yielded exactly when none exists.  Proof: let S be the first solution
-    of the unpruned search, and suppose the rule skips S's image c at step
-    i for c'.  Neither c nor c' is an image of an earlier step.  The swap
-    (c c') is a color-preserving automorphism of the host, so it maps S to
-    another rainbow injection S'.  Re-sort each run of
+    The search asks for it at its TWIN_DELAY-th node, and from then on skips
+    a candidate c when its previous twin c' = prev[c] is unused and at or
+    above the step's lowest candidate.  The first map yielded is the same as
+    without ``twins``, and none is yielded exactly when none exists.  Proof:
+    let S be the first solution of the unpruned search, and suppose the rule
+    skips S's image c at step i for c'.  Neither c nor c' is an image of an
+    earlier step.  The swap (c c') is a color-preserving automorphism of the
+    host, so it maps S to another rainbow injection S'.  Re-sort each run of
     identical components by least image.  Copies before step i's copy are
     unchanged.  Step i's copy keeps its place: its images all stay at or
     above the floor, and its least image only falls while the copy that
     held c' only gains.  So the result agrees with S before step i, has
     c' < c at step i, and is a valid solution before S: a contradiction.
-    The pruned search visits a subset of the same tree in the same order,
-    so it meets S first.
+    The argument looks at one skip at a time, so the rule may switch on at
+    any node, even partway through a step's candidates.  The pruned search
+    visits a subset of the same tree in the same order, so it meets S first.
     """
     if len(plan) > vertex_count:
         raise ValueError("pattern larger than host")
@@ -276,25 +272,22 @@ def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tupl
     delay = TWIN_DELAY if twins is not None else 0
 
     def extend(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal delay
+        nonlocal delay, prev
         if i == len(plan):
-            delay = 0  # a map once yielded is never yielded again
             yield tuple(image)
             return
+        if delay:
+            delay -= 1
+            if not delay:
+                prev = twins()
         p, anchors, starts, mirror = plan[i]
         below = nv if starts else least[i - 1]
         # every image of a mirrored copy exceeds its predecessor's least image
         first = 0 if mirror is None else least[mirror] + 1
-        cands = range(first, nv)
-        if delay:
-            delay -= 1
-            if not delay:
-                raise _Restart
-        if prev is not None:
-            # the children restore used_vertices, so one filter serves the step
-            cands = [c for c in cands if prev[c] < first or prev[c] in used_vertices]
-        for cand in cands:
+        for cand in range(first, nv):
             if cand in used_vertices:
+                continue
+            if prev is not None and prev[cand] >= first and prev[cand] not in used_vertices:
                 continue
             new_colors = []
             ok = True
@@ -314,13 +307,7 @@ def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tupl
             used_vertices.remove(cand)
             used_colors.difference_update(new_colors)
 
-    try:
-        yield from extend(0)
-    except _Restart:
-        prev = twins()
-        used_vertices.clear()
-        used_colors.clear()
-        yield from extend(0)
+    yield from extend(0)
 
 
 def _as_graph(g) -> SimpleGraph:

@@ -9,17 +9,13 @@ placed in increasing order of least image, and every step of a mirrored
 copy starts above the least image of the copy before it.
 
 ``find_rainbow`` also hands the search the host's twin classes (vertices
-that every other vertex sees in one color), which it asks for once it has
-visited ``patterns.TWIN_DELAY`` nodes: from then on a candidate is skipped
-when the previous member of its class is unused and also a candidate at
-that step, so a run of unused twins is tried once, not once per member.
-The paper's constructions are a few blocks plus a quotient coloring, so
-most vertices have twins and this cuts the freeness proofs by orders of
-magnitude, while a search that ends sooner never pays the pass over the
-host that finds the classes.  The first witness stays the one the full
-search finds (the argument is in ``patterns.embeddings``).
-``enumerate_rainbow`` and ``count_rainbow`` keep the full search, because
-they report every branch.
+that every other vertex sees in one color), so a run of unused twins is
+tried once, not once per member; the paper's constructions are a few blocks
+plus a quotient coloring, so this cuts their freeness proofs by orders of
+magnitude.  The engine comment in ``patterns`` says when the rule switches
+on, and ``patterns.embeddings`` why the first witness stays the one the full
+search finds.  ``enumerate_rainbow`` and ``count_rainbow`` keep the full
+search, because they report every branch.
 """
 
 from __future__ import annotations
@@ -29,16 +25,6 @@ from typing import Iterator
 
 from .core import Host, ColoredComplete
 from .patterns import Pattern, embeddings, parse_pattern
-
-_K3 = None
-
-
-def _triangle() -> Pattern:
-    global _K3
-    if _K3 is None:
-        _K3 = parse_pattern("K3")
-    return _K3
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -134,6 +120,6 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
                 cjk = color(j, k)
                 if cjk != cij and cjk != cik:
                     return Embedding(
-                        _triangle(), (i, j, k), frozenset((cij, cik, cjk))
+                        parse_pattern("K3"), (i, j, k), frozenset((cij, cik, cjk))
                     )
     return None

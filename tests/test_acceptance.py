@@ -3,10 +3,11 @@ with its wall time.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 All expected values are pinned exactly (tolerance 0 after the stated
 rounding); sampled criteria demand zero failures at full sample counts.
-Criteria 1-4, 6 and 7 run their claims from the registry (``claims.py``).
-Criteria 5, 8, 9 and 11 keep their own bodies because they are stricter than
-the registry's copies (more sizes, samples or hosts); criterion 10 is the
-oracle cross-check.
+Criteria 1-4, 6 and 7 run their claims from the registry (``claims.py``),
+and so does criterion 5 for the two-level sequences (t = 1..5).  Criteria 5
+(its enumeration up to n = 7), 8, 9 and 11 keep their own bodies because
+they are stricter than the registry's copies (more sizes, samples or hosts);
+criterion 10 is the oracle cross-check.
 """
 
 import random
@@ -17,7 +18,6 @@ from itertools import combinations, combinations_with_replacement
 from rainbowfree.claims import build_registry, run_claims
 from rainbowfree.connectivity import gyarfas_floor, is_k_connected, mader_extract
 from rainbowfree.constructions import (
-    corollary_sequence,
     eg_realizable,
     gen_F1,
     gen_F2,
@@ -28,7 +28,7 @@ from rainbowfree.constructions import (
     gen_intro_example,
     realize_degree_sequence,
 )
-from rainbowfree.core import ColoredComplete, SimpleGraph, ceil_div
+from rainbowfree.core import SimpleGraph, _random_complete, ceil_div
 from rainbowfree.crosscheck import micro_crosscheck
 from rainbowfree.gallai import sample_gallai
 from rainbowfree.oracles import realizable_degree_sequences
@@ -105,10 +105,7 @@ def test_criterion_05_degree_sequences():
                 assert eg_realizable(seq) == (seq in truth), (n, seq)
                 if seq in truth:
                     assert realize_degree_sequence(seq).degree_sequence() == seq
-        for t in range(1, 6):
-            seq = corollary_sequence(t)
-            assert eg_realizable(seq)
-            assert realize_degree_sequence(seq).degree_sequence() == seq
+        run_registry("degseq-two-level")
 
 
 def test_criterion_06_structure_roundtrip():
@@ -127,9 +124,7 @@ def test_criterion_08_path_quotas():
         for trial in range(1000):
             n = rng.randint(4, 12)
             m = rng.randint(1, 4)
-            host = ColoredComplete(
-                n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)]
-            )
+            host = _random_complete(rng, n, m)
             assert sum(color_degree_averages(host)) == Fraction(n - 1)
             total = n + 2 * m - 2
             cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
@@ -184,11 +179,7 @@ def test_criterion_11_component_floors():
         rng = random.Random(111)
         for _ in range(300):
             n, m = rng.randint(4, 12), rng.randint(2, 4)
-            hosts.append(
-                ColoredComplete(
-                    n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)]
-                )
-            )
+            hosts.append(_random_complete(rng, n, m))
         for seed in range(100):
             hosts.append(sample_gallai(rng.randint(5, 10), 3, seed))
         checked = 0

@@ -222,3 +222,32 @@ def test_oversized_inputs_are_bad_input(tmp_path, capsys):
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["message"] == "host too large"
     assert not os.path.exists(out)
+
+
+def test_wrong_host_kind_is_bad_input(tmp_path, capsys):
+    kst = str(tmp_path / "b.txt")
+    run(capsys, "bipartite", "gen-b", "--s", "6", "--t", "6", "--m", "5", "-o", kst)
+    kn = str(tmp_path / "r2.txt")
+    run(capsys, "gen", "R2", "--n", "12", "--m", "6", "-o", kn)  # 6 >= k + 4 colors
+    cases = [
+        (["gallai", "check", kst], "K_n"),
+        (["gallai", "partition", kst], "K_n"),
+        (["gallai", "verify", "--lemma", "2conn", kst], "K_n"),
+        (["gallai", "verify", "--lemma", "3conn", kst], "K_n"),
+        (["bipartite", "classify", kn], "K_{s,t}"),
+        (["bipartite", "verify-cor43", "--k", "1", kn], "K_{s,t}"),
+    ]
+    for argv, kind in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError" and kind in err["message"], argv
+
+
+def test_crosscheck_refuses_empty_sample(capsys):
+    for samples in ("0", "-5"):
+        argv = ["crosscheck", "--max-n", "3", "--max-m", "2", "--samples", samples]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == "budget must be at least 1"

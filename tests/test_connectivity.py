@@ -25,6 +25,7 @@ from rainbowfree.constructions import gen_F1, gen_R1, gen_counterexample_4t
 from rainbowfree.core import (
     ColoredComplete,
     SimpleGraph,
+    _random_complete,
     ceil_div,
     flood,
     induced_subgraph,
@@ -43,10 +44,6 @@ def complete(n):
 
 def random_graph(rng, n, p):
     return SimpleGraph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-
-
-def random_host(rng, n, m):
-    return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
 
 
 def test_kappa_known_values():
@@ -113,7 +110,7 @@ def test_largest_exact_agrees_with_enumeration():
     rng = random.Random(14)
     for _ in range(120):
         n, m = rng.randint(3, 9), rng.randint(1, 3)
-        host = random_host(rng, n, m)
+        host = _random_complete(rng, n, m)
         used = sorted(host.used_colors())
         masks = [{c} for c in used] + ([set(used[:2])] if len(used) >= 2 else [])
         for mask in masks:
@@ -126,7 +123,7 @@ def test_largest_exact_agrees_with_enumeration():
 def test_largest_exact_agrees_with_enumeration_n12():
     rng = random.Random(45)
     for _ in range(3):
-        host = random_host(rng, 12, 3)
+        host = _random_complete(rng, 12, 3)
         for k in (2, 3):
             rep = largest_k_connected(host, {1}, k)
             want = oracle_largest_k_connected(restrict(host, {1}), k)
@@ -137,7 +134,7 @@ def test_uncapped_search_is_exact():
     # below n = k + 21 the depth cap cannot bind, so every answer is exact
     rng = random.Random(15)
     for _ in range(60):
-        host = random_host(rng, rng.randint(4, 10), rng.randint(1, 3))
+        host = _random_complete(rng, rng.randint(4, 10), rng.randint(1, 3))
         for k in (1, 2):
             rep = largest_k_connected(host, {1}, k)
             want = oracle_largest_k_connected(restrict(host, {1}), k)
@@ -166,7 +163,7 @@ def test_depth_cap_reports_bounds():
 def test_monotone_in_k_and_mask():
     rng = random.Random(16)
     for _ in range(40):
-        host = random_host(rng, 8, 3)
+        host = _random_complete(rng, 8, 3)
         used = sorted(host.used_colors())
         o1 = largest_k_connected(host, {used[0]}, 1).lower
         o2 = largest_k_connected(host, {used[0]}, 2).lower
@@ -239,7 +236,7 @@ def test_gyarfas_floor_f1():
 def test_gyarfas_floor_two_colored_spans():
     rng = random.Random(18)
     for _ in range(30):
-        host = random_host(rng, rng.randint(4, 10), 2)
+        host = _random_complete(rng, rng.randint(4, 10), 2)
         if len(host.used_colors()) < 2:
             continue
         color, comp = gyarfas_floor(host)
@@ -249,7 +246,7 @@ def test_gyarfas_floor_two_colored_spans():
 def test_gyarfas_floor_random_three_colorings():
     rng = random.Random(19)
     for _ in range(120):
-        host = random_host(rng, 12, 3)
+        host = _random_complete(rng, 12, 3)
         if len(host.used_colors()) < 2:
             continue
         color, comp = gyarfas_floor(host)

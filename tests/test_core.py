@@ -13,6 +13,7 @@ from rainbowfree.core import (
     ColoredComplete,
     ColoringFormatError,
     SimpleGraph,
+    _random_complete,
     components,
     induced_subgraph,
     read_coloring,
@@ -65,7 +66,7 @@ def test_mask_partition_splits_edges():
     rng = random.Random(0)
     for _ in range(30):
         n, m = rng.randint(3, 8), rng.randint(2, 4)
-        host = ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
+        host = _random_complete(rng, n, m)
         masks = _random_color_partition(rng, sorted(host.used_colors()))
         pieces = [restrict(host, mk).edges for mk in masks]
         assert sum(len(p) for p in pieces) == n * (n - 1) // 2
@@ -136,7 +137,7 @@ def test_roundtrip_is_identity():
     rng = random.Random(1)
     for _ in range(20):
         n, m = rng.randint(2, 9), rng.randint(1, 5)
-        host = ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
+        host = _random_complete(rng, n, m)
         buf = io.StringIO()
         write_coloring(host, buf)
         assert read_coloring(io.StringIO(buf.getvalue())) == host
@@ -180,7 +181,7 @@ def test_components():
 def _random_hosts(rng, count):
     for _ in range(count):
         n, m = rng.randint(2, 9), rng.randint(1, 4)
-        yield ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
+        yield _random_complete(rng, n, m)
         s, t = rng.randint(1, 6), rng.randint(1, 6)
         yield ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)])
 

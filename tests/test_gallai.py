@@ -7,7 +7,7 @@ import pytest
 
 from rainbowfree.connectivity import is_k_connected
 from rainbowfree.constructions import gen_counterexample_4t, gen_intro_example
-from rainbowfree.core import ColoredComplete, induced_subgraph, restrict
+from rainbowfree.core import ColoredComplete, _random_complete, induced_subgraph, restrict
 from rainbowfree.gallai import (
     NotGallaiError,
     gallai_partition,
@@ -19,14 +19,10 @@ from rainbowfree.gallai import (
 )
 
 
-def random_host(rng, n, m):
-    return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
-
-
 def test_two_colored_hosts_are_gallai():
     rng = random.Random(20)
     for _ in range(40):
-        assert is_gallai(random_host(rng, rng.randint(3, 9), 2))
+        assert is_gallai(_random_complete(rng, rng.randint(3, 9), 2))
 
 
 def test_rainbow_k3_is_not_gallai():

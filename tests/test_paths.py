@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from rainbowfree.constructions import gen_F1, gen_F3, gen_R1
-from rainbowfree.core import ColoredComplete, SimpleGraph, ceil_div, restrict
+from rainbowfree.core import ColoredComplete, SimpleGraph, _random_complete, ceil_div, restrict
 from rainbowfree.oracles import oracle_longest_cycle_length, oracle_longest_path_order
 from rainbowfree.paths import (
     check_eg_path_bound,
@@ -19,10 +19,6 @@ from rainbowfree.paths import (
     validate_cycle,
     validate_path,
 )
-
-
-def random_host(rng, n, m):
-    return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
 
 
 def test_longest_path_mono_k4():
@@ -55,7 +51,7 @@ def test_longest_path_agrees_with_recursion():
         # the recursion oracle is exponential on dense classes; keep the
         # single-color (complete) hosts small
         n = rng.randint(4, 7) if m == 1 else rng.randint(4, 10)
-        host = random_host(rng, n, m)
+        host = _random_complete(rng, n, m)
         for c in sorted(host.used_colors()):
             w = longest_mono_path(host, c)
             validate_path(host, w)
@@ -94,7 +90,7 @@ def test_quota_random_instances():
     for _ in range(200):
         n = rng.randint(5, 12)
         m = rng.randint(1, 4)
-        host = random_host(rng, n, m)
+        host = _random_complete(rng, n, m)
         total = n + 2 * m - 2
         cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
         quotas = [b - a for a, b in zip([0] + cuts, cuts + [total])]
@@ -110,7 +106,7 @@ def test_degree_average_identity():
     for _ in range(100):
         n = rng.randint(3, 12)
         m = rng.randint(1, 4)
-        host = random_host(rng, n, m)
+        host = _random_complete(rng, n, m)
         avgs = color_degree_averages(host)
         assert sum(avgs) == Fraction(n - 1)
 
@@ -188,7 +184,7 @@ def test_path_and_cycle_above_64_vertices():
 def test_cycle_agrees_with_recursion():
     rng = random.Random(26)
     for _ in range(120):
-        host = random_host(rng, rng.randint(4, 9), rng.randint(1, 3))
+        host = _random_complete(rng, rng.randint(4, 9), rng.randint(1, 3))
         for c in sorted(host.used_colors()):
             w = longest_mono_cycle(host, c)
             validate_cycle(host, w)
@@ -204,7 +200,7 @@ def test_kano_li_floor_random():
     for _ in range(150):
         n = rng.randint(6, 12)
         m = rng.randint(2, 3)
-        host = random_host(rng, n, m)
+        host = _random_complete(rng, n, m)
         color, best = kano_li_floor(host)  # raises on a floor violation
         if ceil_div(n, m) >= 3:
             assert best.length >= ceil_div(n, m)
@@ -214,7 +210,7 @@ def test_golden_path_and_cycle_witnesses():
     # witnesses must stay byte-identical when the search changes, inexact
     # (state-capped) answers included
     rng = random.Random(31)
-    hosts = [random_host(rng, n, m) for n, m in [(10, 2), (12, 3), (14, 2), (16, 3), (17, 3)]]
+    hosts = [_random_complete(rng, n, m) for n, m in [(10, 2), (12, 3), (14, 2), (16, 3), (17, 3)]]
     hosts += [gen_R1(18, 6).host, gen_F3(12, 12, 6).host]
     witnesses = []
     for host in hosts:

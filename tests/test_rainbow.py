@@ -14,7 +14,7 @@ from rainbowfree.constructions import (
     gen_R2,
     gen_counterexample_4t,
 )
-from rainbowfree.core import ColoredComplete
+from rainbowfree.core import ColoredComplete, _random_complete
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree.patterns import is_subgraph, parse_pattern
 from rainbowfree.rainbow import (
@@ -29,10 +29,6 @@ from rainbowfree.rainbow import (
 
 def mono_k(n, m=1):
     return ColoredComplete(n, m, [1] * (n * (n - 1) // 2))
-
-
-def random_host(rng, n, m):
-    return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
 
 
 def test_find_k2uk3_in_r1():
@@ -69,7 +65,7 @@ def test_triangle_scan_matches_generic_search():
     rng = random.Random(5)
     tri = parse_pattern("K3")
     for _ in range(200):
-        host = random_host(rng, rng.randint(3, 8), rng.randint(2, 4))
+        host = _random_complete(rng, rng.randint(3, 8), rng.randint(2, 4))
         fast = find_rainbow_triangle(host)
         slow = find_rainbow(host, tri)
         assert (fast is None) == (slow is None)
@@ -80,7 +76,7 @@ def test_triangle_scan_matches_generic_search():
 def test_two_colored_host_has_no_rainbow_triangle():
     rng = random.Random(6)
     for _ in range(50):
-        host = random_host(rng, rng.randint(3, 9), 2)
+        host = _random_complete(rng, rng.randint(3, 9), 2)
         assert find_rainbow_triangle(host) is None
 
 
@@ -99,7 +95,7 @@ def test_detector_agrees_with_injection_oracle():
     pats = [parse_pattern(s) for s in ("P3", "K3", "P4", "2K2", "K1_3", "K2uP3")]
     for _ in range(150):
         n = rng.randint(4, 7)
-        host = random_host(rng, n, rng.randint(2, 4))
+        host = _random_complete(rng, n, rng.randint(2, 4))
         for pat in pats:
             if pat.order > n:
                 continue
@@ -114,7 +110,7 @@ def test_repeated_non_base_components_agree_with_oracle():
     pat = parse_pattern("V:8;E:0-1,1-2,2-3,0-3,4-5,5-6,6-7,4-7")
     assert all(mirror is None for _, _, _, mirror in pat.plan)
     rng = random.Random(11)
-    hosts = [random_host(rng, 8, m) for m in (6, 8, 10, 12)]
+    hosts = [_random_complete(rng, 8, m) for m in (6, 8, 10, 12)]
     # plant a rainbow copy on a shuffled vertex set of a 7-color host
     colors = {}
     image = rng.sample(range(8), 8)
@@ -137,7 +133,7 @@ def test_count_zero_iff_free():
     rng = random.Random(8)
     pats = [parse_pattern(s) for s in ("P3", "K3", "2K2")]
     for _ in range(60):
-        host = random_host(rng, rng.randint(4, 7), rng.randint(2, 3))
+        host = _random_complete(rng, rng.randint(4, 7), rng.randint(2, 3))
         for pat in pats:
             assert (count_rainbow(host, pat) == 0) == is_rainbow_free(host, pat)
 
@@ -154,7 +150,7 @@ def test_monotonicity_under_subpattern():
     rng = random.Random(9)
     pairs = [("P3", "P4"), ("P3", "K1_3"), ("K2uP3", "K2uP4"), ("2K2", "2K2uK3")]
     for _ in range(40):
-        host = random_host(rng, 7, 3)
+        host = _random_complete(rng, 7, 3)
         for small, big in pairs:
             ps, pb = parse_pattern(small), parse_pattern(big)
             assert is_subgraph(ps, pb)
@@ -169,7 +165,7 @@ def test_count_matches_injection_oracle():
     pats = [parse_pattern(s) for s in ("2K2", "3K2", "2P3", "K2uP3")]
     for _ in range(20):
         n = rng.randint(6, 7)
-        host = random_host(rng, n, rng.randint(3, 5))
+        host = _random_complete(rng, n, rng.randint(3, 5))
         for pat in pats:
             images = set()
             for mapping in permutations(range(n), pat.order):

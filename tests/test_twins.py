@@ -7,7 +7,7 @@ import tracemalloc
 from math import perm
 
 from rainbowfree.claims import _HOSTS, build_registry
-from rainbowfree.core import ColoredBipartite, ColoredComplete
+from rainbowfree.core import ColoredBipartite, ColoredComplete, _random_complete
 from rainbowfree.oracles import oracle_rainbow_exists, oracle_rainbow_exists_quotient
 from rainbowfree import patterns
 from rainbowfree.patterns import parse_pattern
@@ -25,8 +25,8 @@ PATTERNS = [
 # injections tried by the injection oracle, at most, per comparison
 INJECTION_LIMIT = 20_000
 
-# the twin rule from the first node, and from a restart after the default
-# delay (the longer searches here reach it)
+# the twin rule from the first node, and switched on at the default delay
+# (the longer searches here reach it)
 DELAYS = (1, patterns.TWIN_DELAY)
 
 
@@ -98,9 +98,7 @@ def test_twin_prev_matches_definition():
     hosts = list(blow_ups(61, 120))
     for _ in range(60):
         n = rng.randint(2, 8)
-        hosts.append(
-            ColoredComplete(n, 3, [rng.randint(1, 3) for _ in range(n * (n - 1) // 2)])
-        )
+        hosts.append(_random_complete(rng, n, 3))
         s, t = rng.randint(1, 4), rng.randint(1, 4)
         hosts.append(ColoredBipartite(s, t, 2, [rng.randint(1, 2) for _ in range(s * t)]))
     with_twins = 0
@@ -152,24 +150,52 @@ def test_twin_classes_cost_linear_memory_on_many_colors():
         assert (prev and prev.count(-1)) == classes
 
 
-def test_long_search_starts_again_with_twin_classes():
+def _color_calls(host, pat, twins):
+    """The first map of one existence search, and its pair_color calls in order."""
+    calls = []
+
+    def color(a, b):
+        calls.append((a, b))
+        return host.pair_color(a, b)
+
+    first = next(patterns.embeddings(host.vertex_count, color, pat.plan, twins), None)
+    return first, calls
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def test_long_search_switches_on_twin_classes():
     host = _HOSTS["R1"][1]().host
-    plan = parse_pattern("P5uP3").plan
-
-    def color_lookups(twins):
-        count = 0
-
-        def color(a, b):
-            nonlocal count
-            count += 1
-            return host.pair_color(a, b)
-
-        assert next(patterns.embeddings(host.vertex_count, color, plan, twins), None) is None
-        return count
-
-    # 409 lookups against 11,316 for the full search
-    assert color_lookups(host.twin_prev) * 10 < color_lookups(None)
+    pat = parse_pattern("P5uP3")
+    first, pruned = _color_calls(host, pat, host.twin_prev)
+    assert first is None
+    # 397 lookups against 11,316 for the full search
+    assert len(pruned) <= 409 and len(pruned) * 10 < len(_color_calls(host, pat, None)[1])
     assert host._twins is not None and host._masks is None
+
+
+def test_twin_rule_switches_on_without_replaying_the_search():
+    # the rule only skips candidates, so the pruned search makes a subsequence
+    # of the full search's lookups; replaying its first nodes would not
+    cases = [(_HOSTS["R1"][1]().host, parse_pattern("P5uP3"))]
+    cases += [(host, pat) for host in blow_ups(63, 40) for pat in PATTERNS[-4:]]
+    reached = 0
+    for host, pat in cases:
+        if pat.order > host.vertex_count:
+            continue
+        asked = []
+
+        def twins():
+            asked.append(True)
+            return host.twin_prev()
+
+        pruned = _color_calls(host, pat, twins)[1]
+        reached += bool(asked)
+        assert _is_subsequence(pruned, _color_calls(host, pat, None)[1]), (host, pat)
+    assert reached > 100
 
 
 def test_twin_cache_ignored_by_equality_and_hash():
@@ -245,7 +271,7 @@ def test_twin_rule_respects_the_mirror_floor(monkeypatch):
             assert find_rainbow(host, pat).mapping == first, (host, name, delay)
 
 
-def test_search_that_has_yielded_never_starts_again(monkeypatch):
+def test_every_delay_keeps_the_first_map_and_repeats_none(monkeypatch):
     host, pat = FLOOR_CASES[0][0], parse_pattern("P3")
     first = next(enumerate_rainbow(host, pat)).mapping
     for delay in range(1, 40):
