@@ -60,7 +60,18 @@ class CrosscheckReport:
         }
 
 
-def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report) -> None:
+def _memo(memo: dict, oracle, g, *args):
+    """``oracle(g, *args)``, computed once per exact graph ``g`` and ``args``
+    in ``memo``.  The graph oracles are pure functions of their input, and
+    sampled hosts repeat the same labeled color classes many times over."""
+    key = (oracle, g.adj_bits, *args)
+    answer = memo.get(key)
+    if answer is None:
+        answer = memo[key] = oracle(g, *args)
+    return answer
+
+
+def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) -> None:
     note = report.mismatches.append
     colors = tuple(host._colors)
     for pat in patterns:
@@ -74,12 +85,12 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report) -> None:
     for c in used:
         g = per_color[c]
         fast = vertex_connectivity(g)
-        slow = oracle_vertex_connectivity(g)
+        slow = _memo(memo, oracle_vertex_connectivity, g)
         report.comparisons += 1
         if fast != slow:
             note(("kappa", c, colors, fast, slow))
         wit = longest_mono_path(host, c)
-        slow_len = oracle_longest_path_order(g)
+        slow_len = _memo(memo, oracle_longest_path_order, g)
         report.comparisons += 1
         if not wit.exact or wit.order != slow_len:
             note(("path", c, colors, wit.order, slow_len))
@@ -89,7 +100,7 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report) -> None:
             continue
         for k in ks:
             rep = largest_k_connected(host, mask, k)
-            slow = oracle_largest_k_connected(restrict(host, mask), k)
+            slow = _memo(memo, oracle_largest_k_connected, restrict(host, mask), k)
             report.comparisons += 1
             if not rep.exact or rep.lower != slow or rep.upper != slow:
                 note(("lkc", sorted(mask), k, colors, rep.lower, slow))
@@ -98,7 +109,10 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report) -> None:
 def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE_BUDGET) -> CrosscheckReport:
     """Cross-check rainbow detection, vertex connectivity, exact
     largest-k-connected search, and longest monochromatic paths against
-    brute-force oracles over all (or ``budget`` sampled) colorings."""
+    brute-force oracles over all (or ``budget`` sampled) colorings.  Each
+    oracle answer is kept for the rest of the call, so a color class seen
+    again is checked against the kept answer; the fast side runs on every
+    host."""
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     if max_m < 1:
@@ -113,6 +127,7 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
     report = CrosscheckReport(n, m, "full" if full else "sampled", seed=seed)
     names = _FULL_PATTERNS if full else _SAMPLED_PATTERNS
     patterns = [p for p in map(parse_pattern, names) if p.order <= n]
+    memo: dict = {}
     if full:
         ks = [1, 2, 3]
         for colors in product(range(1, m + 1), repeat=pairs):
@@ -120,7 +135,7 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
             masks = [{c} for c in sorted(host.used_colors())]
             if m >= 2:
                 masks.append({1, 2})
-            _check_host(host, patterns, ks, masks, report)
+            _check_host(host, patterns, ks, masks, report, memo)
             report.colorings += 1
     else:
         rng = random.Random(seed)
@@ -128,7 +143,7 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
             host = _random_complete(rng, n, m)
             # rotate the heavier largest-k-connected check across colors
             mask = {(i % m) + 1}
-            _check_host(host, patterns, [1, 2], [mask], report)
+            _check_host(host, patterns, [1, 2], [mask], report, memo)
             report.colorings += 1
     report.millis = int((time.monotonic() - start) * 1000)
     return report

@@ -1,13 +1,14 @@
 """Longest monochromatic paths and cycles, the per-color path-quota check,
 and the classical density bound for long paths.
 
-Exact searches run a BFS over (visited set, endpoint) states on the
-non-isolated vertices of one color class.  Both the path and the cycle
-search build each level with the one level expansion ``_expand``, the only
-place search states are created, and read witnesses back with
-``_walk_back``.  Within EXACT_LIMIT support vertices the state space fits
-under the cap and results are exact; beyond that the search may stop at the
-cap and the witness is flagged inexact.
+Exact searches run on the non-isolated vertices of one color class, one
+level per path order (Bellman; Held and Karp, 1962).  A level maps each
+vertex set that some path covers to the bitset of that set's path
+endpoints.  Both the path and the cycle search build each level with the
+one level function ``_next_level``, keep every level, and rebuild the
+witness from them with ``_least_path``.  Within EXACT_LIMIT support
+vertices the search fits under the cap and results are exact; beyond that
+it may stop at the cap and the witness is flagged inexact.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .core import Host, SimpleGraph, ceil_div, induced_subgraph, restrict
 from .connectivity import CertificationError
 
 EXACT_LIMIT = 14
-# 2^EXACT_LIMIT * EXACT_LIMIT < _STATE_CAP, so searches on supports within
-# the limit always exhaust their state space and stay exact
+# The cap counts (vertex set, endpoint) pairs, each endpoint bit of a level
+# entry once.  2^EXACT_LIMIT * EXACT_LIMIT < _STATE_CAP, so searches on
+# supports within the limit always exhaust their pairs and stay exact
 _STATE_CAP = 400_000
 
 
@@ -91,63 +93,101 @@ def _complete(adj) -> bool:
     return all(a == full ^ (1 << v) for v, a in enumerate(adj))
 
 
-def _expand(adj, frontier, parents, allowed: int, vbits: int) -> list[int]:
-    """The next BFS level: every state not yet in ``parents`` that extends a
-    frontier state by an edge to an unvisited vertex in ``allowed``.  A state
-    packs the visited mask above an endpoint field ``vbits`` wide."""
-    vmask = (1 << vbits) - 1
-    nxt = []
-    for state in frontier:
-        mask, last = state >> vbits, state & vmask
-        outs = adj[last] & ~mask & allowed
-        while outs:
-            low = outs & -outs
-            outs ^= low
-            ns = ((mask | low) << vbits) | (low.bit_length() - 1)
-            if ns not in parents:
-                parents[ns] = state
-                nxt.append(ns)
+def _next_level(adj, level: dict, allowed: int) -> dict:
+    """The level after ``level``, a map from each vertex set reached to the
+    bitset of its endpoints: the paths through exactly that set end there.
+
+    A vertex v in ``allowed`` outside ``mask`` extends some path of ``mask``
+    when it is adjacent to one of its endpoints, and then v ends a path
+    through ``mask | v``.  That pair is reached only from ``mask``, so every
+    (set, endpoint) pair is made once.
+
+    The witness is the lexicographically least path of the last level
+    reached, which is the path a breadth-first search over (set, endpoint)
+    pairs reports first: listed in order of discovery, such a level is
+    sorted by the least path reaching each pair, by induction on the level.
+    The levels stop at the same order under the cap, because the pairs are
+    the cap's unit, and ``_least_path`` rebuilds that least path from them,
+    so the witness does not depend on the order of any level.
+    """
+    nxt: dict = {}
+    get = nxt.get
+    for mask, ends in level.items():
+        reach = 0
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            reach |= adj[low.bit_length() - 1]
+        reach &= allowed & ~mask
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            grown = mask | low
+            nxt[grown] = get(grown, 0) | low
     return nxt
 
 
-def _walk_back(parents, state: int, vbits: int) -> list[int]:
-    """The path ending in ``state``, read from its start along ``parents``."""
-    vmask = (1 << vbits) - 1
-    path = []
-    while state != -1:
-        path.append(state & vmask)
-        state = parents[state]
-    path.reverse()
+def _pairs(level: dict) -> int:
+    """The (set, endpoint) pairs of a level, the unit of the state cap."""
+    return sum(map(int.bit_count, level.values()))
+
+
+def _least_path(adj, levels, path: list[int], order: int) -> list[int]:
+    """Extend ``path`` to the lexicographically least path of ``order``
+    vertices through a set of ``levels[order - 1]``.
+
+    ``levels[i]`` maps the sets of i + 1 vertices to their path endpoints;
+    every set contains the vertices ``path`` holds at the call (none for a
+    path search, the anchor for a cycle search).  ``sets`` holds the
+    remainders: top-level sets less the vertices placed since.  A path
+    through a remainder, read backwards from one of its endpoints, completes
+    the prefix (for a cycle it ends next to the anchor, where its
+    anchor-rooted path started).  So the next vertex is the least remainder
+    endpoint next to the last vertex placed, and the remainders that end
+    there drop it.  What is left of such a remainder has an endpoint next to
+    the vertex just placed, so every step has a choice.
+    """
+    i = order - 1
+    sets = list(levels[i])
+    while len(path) < order:
+        level = levels[i]
+        ends = 0
+        for mask in sets:
+            ends |= level[mask]
+        if path:
+            ends &= adj[path[-1]]
+        low = ends & -ends
+        path.append(low.bit_length() - 1)
+        sets = [mask ^ low for mask in sets if level[mask] & low]
+        i -= 1
     return path
 
 
 def _longest_path_bits(adj, target: int | None):
     """(best path as vertex list, exact) for adjacency bitmasks over 0..q-1.
 
-    BFS over (mask, endpoint) states with parent pointers; stops early once
-    a path of order ``target`` appears.  exact=False means the state cap cut
-    the search short of exhausting the space.  The longest path found is
-    the first state of the last level reached.
+    Builds the levels of paths of 1, 2, ... vertices from every start and
+    stops early once a path of order ``target`` appears.  exact=False means
+    the state cap cut the search short of exhausting the space.  The path
+    returned is the lexicographically least of the last level reached.
     """
     q = len(adj)
     if _complete(adj):
         # complete class (or none): any vertex order is a Hamilton path
         return list(range(q if target is None else min(q, target))), True
-    vbits = (q - 1).bit_length()
-    frontier = [((1 << v) << vbits) | v for v in range(q)]
-    parents = dict.fromkeys(frontier, -1)
-    order = 1
+    levels = [{1 << v: 1 << v for v in range(q)}]
+    states = q
     exact = True
-    while target is None or order < target:
-        if len(parents) > _STATE_CAP:
+    while target is None or len(levels) < target:
+        if states > _STATE_CAP:
             exact = False
             break
-        nxt = _expand(adj, frontier, parents, -1, vbits)
+        nxt = _next_level(adj, levels[-1], -1)
         if not nxt:
             break
-        frontier = nxt
-        order += 1
-    return _walk_back(parents, frontier[0], vbits), exact
+        levels.append(nxt)
+        states += _pairs(nxt)
+    return _least_path(adj, levels, [], len(levels)), exact
 
 
 def _compact(g: SimpleGraph):
@@ -276,38 +316,42 @@ def check_eg_path_bound(g: SimpleGraph, k: int) -> PathWitness:
 def _longest_cycle_bits(adj, target: int | None):
     """Longest cycle (vertex list, length >= 3) for adjacency bitmasks.
 
-    Anchors each search at the least cycle vertex and extends paths through
-    larger-indexed vertices only, closing back to the anchor.  The first
-    state of a level that closes a longer cycle gives the witness.
+    Anchors each search at the least cycle vertex and grows paths from it
+    through larger-indexed vertices only; a level whose paths can end next
+    to the anchor closes a cycle of its size.  Each anchor has its own state
+    cap, and a level over the cap is not read.  The witness is the
+    lexicographically least anchor-rooted path of the largest closing size,
+    from the first anchor that reaches it.
     """
     q = len(adj)
     if q >= 3 and _complete(adj):
         return list(range(q)), True  # complete class: Hamilton cycle
     best: list[int] = []
     exact = True
-    vbits = (q - 1).bit_length()
-    vmask = (1 << vbits) - 1
     for anchor in range(q):
         if target is not None and len(best) >= target:
             break
         if q - anchor < 3 or q - anchor <= len(best):
             break
         allowed = ~((1 << (anchor + 1)) - 1)
-        start = ((1 << anchor) << vbits) | anchor
-        parents = {start: -1}
-        frontier = [start]
-        size = 1
-        while frontier:
-            if len(parents) > _STATE_CAP:
+        levels = [{1 << anchor: 1 << anchor}]
+        states = 1
+        closing = 0
+        while True:
+            if states > _STATE_CAP:
                 exact = False
                 break
+            size = len(levels)
             if size >= 3 and size > len(best):
-                for state in frontier:
-                    if (adj[state & vmask] >> anchor) & 1:
-                        best = _walk_back(parents, state, vbits)
-                        break
-            frontier = _expand(adj, frontier, parents, allowed, vbits)
-            size += 1
+                if any(ends & adj[anchor] for ends in levels[-1].values()):
+                    closing = size
+            nxt = _next_level(adj, levels[-1], allowed)
+            if not nxt:
+                break
+            levels.append(nxt)
+            states += _pairs(nxt)
+        if closing:
+            best = _least_path(adj, levels, [anchor], closing)
     return best, exact
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,8 @@ from rainbowfree.constructions import gen_F1, gen_F3, gen_R1
 from rainbowfree.core import ColoredComplete, SimpleGraph, _random_complete, ceil_div, restrict
 from rainbowfree.oracles import oracle_longest_cycle_length, oracle_longest_path_order
 from rainbowfree.paths import (
+    _longest_cycle_bits,
+    _longest_path_bits,
     check_eg_path_bound,
     check_mono_path_quota,
     color_degree_averages,
@@ -221,3 +224,110 @@ def test_golden_path_and_cycle_witnesses():
     assert any(not w["exact"] for pair in witnesses for w in pair)
     digest = hashlib.sha256(json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
     assert digest == "af8c9f18963d2c708d9d17b6081fb5d075cd7e58ef7d6771290361753b13576d"
+
+
+def _all_paths(nbrs):
+    """Every path of a graph given as sorted neighbour lists, as a vertex
+    sequence (each path once per direction), by plain depth-first search."""
+    out = []
+
+    def grow(path, seen):
+        out.append(tuple(path))
+        for w in nbrs[path[-1]]:
+            if w not in seen:
+                seen.add(w)
+                path.append(w)
+                grow(path, seen)
+                path.pop()
+                seen.remove(w)
+
+    for v in sorted(nbrs):
+        grow([v], {v})
+    return out
+
+
+def test_witness_is_lexicographically_first():
+    # the path witness is the least vertex sequence among the longest paths,
+    # a quota witness the least path of the quota's order, and the cycle
+    # witness the least longest cycle written from its least vertex
+    rng = random.Random(32)
+    checked = 0
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        n = rng.randint(3, 7) if m == 1 else rng.randint(3, 9)
+        host = _random_complete(rng, n, m)
+        for c in sorted(host.used_colors()):
+            nbrs = {}
+            for u, v in combinations(range(n), 2):
+                if host.pair_color(u, v) == c:
+                    nbrs.setdefault(u, []).append(v)
+                    nbrs.setdefault(v, []).append(u)
+            for v in nbrs:
+                nbrs[v].sort()
+            paths = _all_paths(nbrs)
+            longest = max(map(len, paths))
+            w = longest_mono_path(host, c)
+            assert w.exact
+            assert w.vertices == min(p for p in paths if len(p) == longest)
+            for a in range(2, longest + 1):
+                quotas = [a + 1 if i < c else a for i in range(1, m + 1)]
+                if sum(quotas) > n + 2 * m - 2:
+                    continue
+                res = check_mono_path_quota(host, quotas)
+                assert res.color == c
+                assert res.witness.vertices == min(p for p in paths if len(p) == a)
+            cycles = [p for p in paths if len(p) >= 3 and p[0] == min(p) and p[0] in nbrs[p[-1]]]
+            cw = longest_mono_cycle(host, c)
+            assert cw.exact
+            if cycles:
+                length = max(map(len, cycles))
+                assert cw.vertices == min(p for p in cycles if len(p) == length)
+            else:
+                least = min(nbrs)
+                assert cw.vertices == (least, nbrs[least][0])
+            checked += 1
+    assert checked > 300
+
+
+def _random_adj(rng, q, p):
+    adj = [0] * q
+    for u, v in combinations(range(q), 2):
+        if rng.random() < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+def test_golden_capped_searches():
+    # where the state cap stops a search decides both the witness and its
+    # exact flag; classes of 18-22 vertices put the cap on either side of it,
+    # for whole path searches, target-limited ones and per cycle anchor
+    rng = random.Random(41)
+    results = []
+    for q, p in [(18, 0.5), (19, 0.35), (20, 0.5), (21, 0.3), (22, 0.25), (20, 0.2)]:
+        adj = _random_adj(rng, q, p)
+        for path, exact in (
+            _longest_path_bits(adj, None),
+            _longest_path_bits(adj, q // 2),
+            _longest_cycle_bits(adj, None),
+        ):
+            results.append([path, exact])
+    flags = [exact for _, exact in results]
+    for kind in range(3):
+        assert {True, False} == set(flags[kind::3])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "88a7cb11e20e0ab1a7ae5889e548e39d0a2a18e7573f687d214b9f50c3db0d0d"
+
+
+def test_capped_search_memory():
+    # a capped search on 20 vertices reaches about 400,000 (set, endpoint)
+    # pairs; keeping one entry per set, not per pair, holds it near 10 MB
+    adj = _random_adj(random.Random(5), 20, 0.5)
+    tracemalloc.start()
+    try:
+        path, exact = _longest_path_bits(adj, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path) == 7 and not exact
+    assert peak < 20 * 2**20
