@@ -318,12 +318,14 @@ def _background_case(rng, seed, i):
 
 
 def _quota_case(rng, seed, i):
-    n, m = rng.randint(5, 12), rng.randint(1, 4)
+    n, m = rng.randint(4, 12), rng.randint(1, 4)
     host = _random_complete(rng, n, m)
     total = n + 2 * m - 2
     cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
     quotas = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    failures = [] if check_mono_path_quota(host, quotas).ok else [(i, n, m, quotas)]
+    res = check_mono_path_quota(host, quotas)
+    ok = res.ok and not 2 <= res.witness.order < quotas[res.color - 1]
+    failures = [] if ok else [(i, n, m, quotas)]
     if sum(color_degree_averages(host)) != Fraction(n - 1):
         failures.append((i, "degree identity"))
     return failures

@@ -376,59 +376,49 @@ def verify_order_cap(host: Host, mask, k: int, cap: int) -> OrderCapResult:
 
 
 def mader_extract(g: SimpleGraph) -> SimpleGraph:
-    """A ceil(alpha/4)-connected subgraph of a graph with average degree alpha.
+    """A k-connected subgraph, k = ceil(e/2n), of a graph with n vertices and
+    e > 0 edges (Mader; Diestel's proof, Graph Theory, Prop. 1.4.3).
 
-    Strategy: peel at the fixed threshold alpha/2, certify; on failure split
-    at a sub-k cut and keep the denser side; then a min-degree-deletion
-    sweep; finally branch and bound for small graphs.  Every returned
-    subgraph is re-verified, so a miss in an earlier phase can only cause a
-    later phase to run, never a wrong answer.  Raises CertificationError if
-    nothing certifies, which would contradict the underlying theorem.
+    With gamma = e/n > 2(k - 1), every set S the loop keeps satisfies
+    (*) n*||S|| >= e*(|S| - k + 1) and |S| >= 2k - 1, as the whole graph does:
+    - Deleting a vertex of degree <= gamma keeps (*): no set of 2k - 1
+      vertices meets the edge bound (it needs gamma*k > 2k(k - 1) edges and
+      has at most (2k - 1)(k - 1); for k = 1, a single vertex has no edges),
+      so S has at least 2k vertices before the deletion.
+    - At a cut X with |X| < k, the sides c | X (c a component of S - X) hold
+      every edge of S, and the right-hand sides of (*) sum to at most S's,
+      so some side meets the edge bound.  When the minimum degree exceeds
+      gamma, every side holds a vertex with all of its neighbours, so it
+      has more than gamma + 1 > 2k - 1 vertices and that side satisfies (*).
+    The loop peels, then keeps the densest side satisfying (*) at each cut.
+    If no side does, the minimum degree is at most gamma and peeling again
+    removes a vertex; CertificationError reports a bug otherwise.  S shrinks
+    at every step and keeps 2k >= k + 1 vertices, so it ends k-connected.
     """
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("average degree must be positive")
-    e0, n0 = g.edge_count, g.n
-    k = ceil_div(e0, 2 * n0)  # ceil(alpha / 4) with alpha = 2 e0 / n0
+    n, e = g.n, g.edge_count
+    k = ceil_div(e, 2 * n)
     bits = g.adj_bits
-    full = (1 << g.n) - 1
-
-    def certified(S: int) -> bool:
-        return S.bit_count() >= k + 1 and _find_cut_below_k(bits, S, k) is None
-
-    # phase 1: delete vertices of degree <= alpha/2 = e0/n0, threshold fixed
-    # from g: the (e0 // n0 + 1)-core
-    S = _peel_to_kcore(bits, full, e0 // n0 + 1)
-    # phase 2: certify, splitting toward the denser side on failure; a split
-    # keeps one of at least two components plus the cut, so S strictly shrinks
-    while S.bit_count() >= k + 1:
+    S = _peel_to_kcore(bits, (1 << n) - 1, e // n + 1)
+    while True:
         cut = _find_cut_below_k(bits, S, k)
         if cut is None:
             return induced_subgraph(g, iter_bits(S))
-        comps = components(bits, S & ~cut)
-
-        def density(c: int) -> Fraction:
-            sub = c | cut
-            edges = sum(
-                (bits[v] & sub).bit_count() for v in iter_bits(sub)
-            ) // 2
-            return Fraction(edges, sub.bit_count())
-
-        S = max(comps, key=lambda c: (density(c), c.bit_count(), -c)) | cut
-    # phase 3: global min-degree-deletion sweep
-    S = full
-    while S.bit_count() >= k + 1:
-        if certified(S):
-            return induced_subgraph(g, iter_bits(S))
-        v = min(iter_bits(S), key=lambda w: ((bits[w] & S).bit_count(), w))
-        S &= ~(1 << v)
-    # phase 4: branch and bound on small graphs (depth <= 16 < DEPTH_CAP)
-    if g.n <= 18:
-        best, _, _ = _max_k_connected(bits, full, k)
-        if best and certified(best):
-            return induced_subgraph(g, iter_bits(best))
-    raise CertificationError(
-        f"could not certify a {k}-connected subgraph (n={g.n}, e={g.edge_count})"
-    )
+        sides = []
+        for c in components(bits, S & ~cut):
+            side = c | cut
+            size = side.bit_count()
+            edges = sum((bits[v] & side).bit_count() for v in iter_bits(side)) // 2
+            if size >= 2 * k - 1 and n * edges >= e * (size - k + 1):
+                sides.append((Fraction(edges, size), size, -side))
+        if sides:
+            S = -max(sides)[2]
+            continue
+        peeled = _peel_to_kcore(bits, S, e // n + 1)
+        if peeled == S:
+            raise CertificationError(f"no side keeps Mader's bound (n={n}, e={e})")
+        S = peeled
 
 
 def gyarfas_floor(host: Host):

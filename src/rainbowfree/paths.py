@@ -313,7 +313,7 @@ def check_eg_path_bound(g: SimpleGraph, k: int) -> PathWitness:
     return PathWitness(None, verts, True)
 
 
-def _longest_cycle_bits(adj, target: int | None):
+def _longest_cycle_bits(adj):
     """Longest cycle (vertex list, length >= 3) for adjacency bitmasks.
 
     Anchors each search at the least cycle vertex and grows paths from it
@@ -329,8 +329,6 @@ def _longest_cycle_bits(adj, target: int | None):
     best: list[int] = []
     exact = True
     for anchor in range(q):
-        if target is not None and len(best) >= target:
-            break
         if q - anchor < 3 or q - anchor <= len(best):
             break
         allowed = ~((1 << (anchor + 1)) - 1)
@@ -359,7 +357,7 @@ def longest_mono_cycle(host: Host, color: int) -> CycleWitness:
     """Longest cycle in one color class; a lone edge counts as a degenerate
     cycle of length 2 (an unused color is rejected, so length 1 never occurs)."""
     support, adj = _color_class(host, color)
-    cycle, exact = _longest_cycle_bits(adj, None)
+    cycle, exact = _longest_cycle_bits(adj)
     if cycle:
         witness = CycleWitness(color, tuple(support[i] for i in cycle), exact)
     else:

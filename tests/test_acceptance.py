@@ -4,18 +4,18 @@ with its wall time.  Run with ``pytest tests/test_acceptance.py -v -s``.
 All expected values are pinned exactly (tolerance 0 after the stated
 rounding); sampled criteria demand zero failures at full sample counts.
 Criteria 1-4, 6 and 7 run their claims from the registry (``claims.py``),
-and so does criterion 5 for the two-level sequences (t = 1..5).  Criteria 5
-(its enumeration up to n = 7), 8, 9 and 11 keep their own bodies because
-they are stricter than the registry's copies (more sizes, samples or hosts);
+and so does criterion 5 for the two-level sequences (t = 1..5).  Criterion 8
+runs the registry's path-quota sample case under its own seed.  Criteria 5
+(its enumeration up to n = 7), 9 and 11 keep their own bodies because they
+are stricter than the registry's copies (more sizes, samples or hosts);
 criterion 10 is the oracle cross-check.
 """
 
 import random
 import time
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from rainbowfree.claims import build_registry, run_claims
+from rainbowfree.claims import _quota_case, _sampled, build_registry, run_claims
 from rainbowfree.connectivity import gyarfas_floor, is_k_connected, mader_extract
 from rainbowfree.constructions import (
     eg_realizable,
@@ -32,7 +32,6 @@ from rainbowfree.core import SimpleGraph, _random_complete, ceil_div
 from rainbowfree.crosscheck import micro_crosscheck
 from rainbowfree.gallai import sample_gallai
 from rainbowfree.oracles import realizable_degree_sequences
-from rainbowfree.paths import check_mono_path_quota, color_degree_averages
 
 
 class budget:
@@ -120,19 +119,8 @@ def test_criterion_07_background_spanning():
 
 def test_criterion_08_path_quotas():
     with budget("8 path quotas and degree identity", 300):
-        rng = random.Random(808)
-        for trial in range(1000):
-            n = rng.randint(4, 12)
-            m = rng.randint(1, 4)
-            host = _random_complete(rng, n, m)
-            assert sum(color_degree_averages(host)) == Fraction(n - 1)
-            total = n + 2 * m - 2
-            cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
-            quotas = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-            res = check_mono_path_quota(host, quotas)
-            assert res.ok, (trial, n, m, quotas)
-            if res.witness.order >= 2:
-                assert res.witness.order >= quotas[res.color - 1]
+        holds, witness = _sampled("samples", 1000, _quota_case)(808)
+        assert holds, witness
 
 
 def test_criterion_09_dense_subgraph_extraction():

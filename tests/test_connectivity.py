@@ -316,6 +316,41 @@ def planted_cut_cases():
             yield g, active, k
 
 
+def planted_blocks(rng):
+    """Dense blocks of 3-12 vertices (edge density 0.6-1.0) in a chain,
+    consecutive blocks joined by 0-3 edges, plus up to two random chords."""
+    blocks, n = [], 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(3, 12)
+        blocks.append(range(n, n + size))
+        n += size
+    edges = set()
+    for block in blocks:
+        p = rng.uniform(0.6, 1.0)
+        edges.update(e for e in combinations(block, 2) if rng.random() < p)
+    for a, b in zip(blocks, blocks[1:]):
+        for _ in range(rng.randint(0, 3)):
+            edges.add((rng.choice(a), rng.choice(b)))
+    for _ in range(rng.randint(0, 2)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return SimpleGraph(n, edges)
+
+
+def split_cases():
+    """The first 300 planted-block graphs of seed 1500 whose first peel, at
+    degree > e/n, still leaves a cut below k = ceil(e/2n): mader_extract
+    has to split them."""
+    rng = random.Random(1500)
+    count = 0
+    while count < 300:
+        g = planted_blocks(rng)
+        n, e = g.n, g.edge_count
+        S = _peel_to_kcore(g.adj_bits, (1 << n) - 1, e // n + 1)
+        if _find_cut_below_k(g.adj_bits, S, ceil_div(e, 2 * n)) is not None:
+            count += 1
+            yield g
+
+
 # Recorded with the dict-network flow kernel this bitset kernel replaced.
 # Every maximum flow leaves the same residual-reachable set, so the cut of
 # the first failing anchor pair must not move.
@@ -390,6 +425,112 @@ GOLDEN_MADER = (  # (order, edges, sha256 prefix of the sorted edge list)
     (11, 27, "a73e940d0987"),
 )
 
+# Recorded with the extraction the single loop replaced, whose split loop
+# fell back to a min-degree sweep and a branch and bound; one (order,
+# edges, sha256 prefix of the sorted edge list) per split case.
+GOLDEN_MADER_SPLITS = (
+    (11, 37, "7a0cda6d885a"), (13, 68, "61f58aac3ce4"), (11, 46, "7800b9d9564e"),
+    (7, 21, "c2cd794859f6"), (10, 45, "2a881430eadb"), (11, 48, "d704a22931b9"),
+    (12, 59, "e85c2919baad"), (22, 88, "c17933f3786e"), (8, 12, "ba5ca001fa39"),
+    (10, 39, "0fa9fa7cdae9"), (8, 19, "bc3c489bc01d"), (12, 40, "2ea7b94eceb7"),
+    (11, 30, "a0277d89e53b"), (9, 31, "c9cb1a63fdad"), (11, 44, "d94d2e53ecc0"),
+    (9, 35, "709b28154ad8"), (7, 15, "6fb25813052e"), (15, 40, "5398987403d8"),
+    (7, 17, "422d7107b676"), (7, 15, "57fef9fcd903"), (17, 64, "f2cf3cfc2af9"),
+    (7, 14, "4cf6b5b71ab8"), (9, 28, "df685ce604af"), (12, 65, "10803e3d3e7d"),
+    (6, 14, "c3aa70144fb5"), (12, 54, "095fec08501b"), (9, 28, "7e3d7dde42d8"),
+    (12, 50, "4041797b1a7c"), (10, 41, "cd4009664f87"), (11, 45, "b050355ffe16"),
+    (14, 42, "60952ed6f4a2"), (11, 47, "c946807ddd3f"), (18, 63, "8e8debdc528d"),
+    (12, 65, "3bd8f601f352"), (11, 49, "008f5b34420d"), (9, 30, "d0929e03983e"),
+    (21, 81, "05e4b9df1533"), (7, 14, "83521b22cc24"), (12, 55, "f6509405a0ee"),
+    (21, 94, "efb943eb300f"), (11, 39, "ce027c865852"), (10, 40, "5fa791f51920"),
+    (18, 76, "343dcd16146c"), (12, 66, "af6e1a742150"), (5, 9, "b139ba4e0122"),
+    (6, 15, "834403c8d06a"), (10, 45, "2a881430eadb"), (8, 25, "b10dd37824b4"),
+    (11, 54, "e9c63fa68184"), (10, 41, "26564299a1ab"), (11, 46, "2cf51be3786b"),
+    (10, 27, "c8398984a989"), (9, 35, "709b28154ad8"), (12, 50, "831380b15579"),
+    (12, 55, "8930af497987"), (11, 50, "6eb74580a0e7"), (8, 23, "d936f169f05c"),
+    (8, 28, "d71733957207"), (11, 52, "8f97950e6e77"), (17, 54, "cd4fa2d75976"),
+    (11, 53, "eae39deb3acc"), (24, 118, "9baa9845e696"), (11, 54, "378d047d13aa"),
+    (10, 34, "e52a9f48fced"), (11, 38, "385ab00ee437"), (7, 16, "e329c338a0bf"),
+    (11, 52, "499ab852e6a3"), (10, 41, "06883d099af4"), (12, 65, "cacced0980c0"),
+    (12, 57, "13a6f589c518"), (12, 51, "3056cd0e70e2"), (12, 45, "6a3017119bea"),
+    (18, 73, "fc2fb2ef3fee"), (10, 44, "d80802dfdd83"), (11, 53, "fe9e4fd7d5de"),
+    (7, 16, "4a4e8f44cff4"), (10, 43, "57cedfdfda28"), (12, 64, "178efaefef50"),
+    (7, 20, "d4409a173ec2"), (10, 44, "a6bf943a10fc"), (12, 57, "3cb354efed7a"),
+    (12, 36, "f29348fa76d2"), (11, 51, "5087c402ef75"), (10, 39, "3a9949fe263b"),
+    (8, 24, "e7e04eb81249"), (12, 37, "88e4d214a209"), (17, 58, "4f66ef444b79"),
+    (8, 28, "d71733957207"), (10, 32, "7357779b9471"), (12, 43, "c63944e3eae7"),
+    (5, 10, "d02d8214d0cc"), (8, 26, "ed42e21490a6"), (7, 20, "fba0c7daf250"),
+    (7, 21, "c2cd794859f6"), (10, 43, "64a25633322c"), (11, 40, "2ebc74047f49"),
+    (14, 40, "b654fb38442a"), (12, 49, "0b8464133f08"), (11, 51, "a8e473789152"),
+    (7, 18, "bc8da4741407"), (10, 31, "9d36b75d202c"), (5, 10, "d02d8214d0cc"),
+    (11, 48, "2e7e416b982d"), (9, 28, "8becd9ffaa63"), (12, 63, "81ae47762fe2"),
+    (24, 97, "c432216fa410"), (16, 53, "e86fde2ec89f"), (8, 26, "de2b518764ae"),
+    (11, 52, "2d4a1e45e7f0"), (10, 37, "48bcc153396c"), (9, 36, "0f1330faca56"),
+    (22, 112, "8e3b263741bd"), (9, 34, "3528fcad45a3"), (10, 45, "2a881430eadb"),
+    (11, 41, "7f733823b441"), (9, 32, "9a799a8616d8"), (9, 31, "e764df3e5471"),
+    (12, 60, "48098e471967"), (12, 55, "30af7e6712f1"), (10, 40, "2ff74120e0d9"),
+    (11, 42, "bd2d8ea5aa91"), (12, 64, "9a184bb40b55"), (20, 79, "0105bfaca8ba"),
+    (15, 45, "9341ab996636"), (20, 76, "d7229cd665a5"), (11, 45, "71d85e9ef3e1"),
+    (17, 47, "1ac9576cf053"), (8, 27, "26ace34c3b95"), (12, 52, "8fe23050ddc5"),
+    (12, 65, "f472849ac1aa"), (11, 54, "1a20fc3db02d"), (6, 13, "843176eae166"),
+    (10, 43, "96bd94178848"), (11, 52, "e94f9f610d4b"), (24, 116, "e1187c063895"),
+    (13, 34, "02bf0d889f52"), (10, 19, "0c26e0a9e123"), (11, 50, "210e4c8a17ec"),
+    (11, 53, "41f3db4eddca"), (23, 100, "c2d7cf0a4e9b"), (12, 60, "efcc9ef36879"),
+    (12, 54, "fcb00c95ed16"), (11, 48, "99224185b94b"), (12, 55, "a753eb39ea34"),
+    (10, 40, "59ab1a5a0acd"), (34, 130, "62a1aa100e13"), (13, 37, "7d0ce9d8fa20"),
+    (18, 59, "9b7c1532e1a5"), (7, 20, "312e8a7fe8ff"), (8, 21, "3fbdd3823dfe"),
+    (12, 41, "9dfb3058e2ef"), (9, 23, "1c2e020c2b86"), (10, 39, "e83eabf2b7f8"),
+    (24, 98, "adaf3057e346"), (21, 81, "e6cf172c6de4"), (6, 15, "834403c8d06a"),
+    (12, 60, "2efe5b1b312b"), (18, 55, "afd98cf6df63"), (6, 15, "834403c8d06a"),
+    (11, 43, "cc64827c77f9"), (18, 59, "7ea1397f8523"), (9, 21, "7fe3592574d1"),
+    (6, 15, "834403c8d06a"), (10, 38, "83081ef7b523"), (11, 46, "72bfdbbbb800"),
+    (17, 73, "fbbaf54d72dd"), (18, 51, "2098eeb91f9d"), (12, 60, "2d2ff01bfac5"),
+    (29, 116, "e021033e940c"), (10, 39, "0feb55d13e4a"), (7, 20, "1ffa9d0443e9"),
+    (8, 25, "1c2c9b5f5b6d"), (23, 105, "bf19c88c8845"), (10, 35, "24cc0b048e39"),
+    (11, 50, "134812f17d88"), (11, 49, "09863357956c"), (11, 52, "8ffe9bcd7d56"),
+    (10, 35, "245245fcf538"), (5, 9, "2bd05c6ac800"), (4, 5, "70b9eb98493d"),
+    (8, 26, "a661c080fe5e"), (12, 59, "eb81f67d84a5"), (8, 25, "491a78ac3adf"),
+    (22, 86, "dc392db7496f"), (12, 63, "d1041ce85312"), (10, 36, "a3f8d1bebda9"),
+    (12, 48, "aa038b5eb5b2"), (11, 39, "f98df0f613ef"), (12, 57, "02320a942e2b"),
+    (10, 40, "3da74eb774e6"), (11, 33, "73ad59d790e6"), (8, 28, "d71733957207"),
+    (9, 31, "836e9eaab615"), (10, 32, "79930286ffdb"), (11, 51, "1a6c1903e40f"),
+    (12, 58, "29f52f1a6889"), (10, 45, "2a881430eadb"), (7, 20, "173ab4ecae90"),
+    (10, 44, "2da2290d0a79"), (12, 60, "de2ae3d82e51"), (10, 37, "3d04c4cbbfff"),
+    (6, 13, "122b7b5cf4aa"), (12, 50, "772f139b56f1"), (8, 25, "aff957b31c7f"),
+    (6, 15, "834403c8d06a"), (27, 97, "2d7b4c0826a1"), (18, 70, "cc4950a24098"),
+    (13, 35, "a9402abebd4c"), (12, 55, "29939f3a1b02"), (12, 48, "f470a1220f7a"),
+    (11, 52, "a0c008bbfb15"), (12, 55, "d637c301f342"), (5, 10, "d02d8214d0cc"),
+    (8, 26, "ecacbca820d8"), (10, 40, "21702603babe"), (10, 38, "aef81581c6da"),
+    (9, 29, "f1803d8a5efa"), (11, 54, "81147bab0bf3"), (11, 33, "2abd49ed696c"),
+    (13, 39, "e4ebff7b8f8d"), (12, 50, "3551e07b54c3"), (12, 51, "3fad01df925f"),
+    (10, 29, "515cdaf88653"), (11, 53, "380869bd4777"), (12, 44, "ae1b08b27e2b"),
+    (8, 28, "d71733957207"), (10, 45, "2a881430eadb"), (21, 55, "5773af3f3c24"),
+    (9, 26, "69aca3b4b3c5"), (12, 46, "276c397a06d2"), (12, 55, "690fe50b9b5e"),
+    (23, 96, "fe36f37209ab"), (10, 44, "2da2290d0a79"), (12, 60, "2a0fea2883ef"),
+    (10, 34, "21fe399474de"), (7, 19, "d4afe5f2433f"), (4, 6, "8cf7c838487f"),
+    (23, 101, "b0639e31a04c"), (15, 52, "6d38b40e415e"), (11, 43, "ac7b11f20bf3"),
+    (13, 37, "05e8061c2e0f"), (11, 54, "0740733c2f1c"), (7, 20, "1ffa9d0443e9"),
+    (6, 15, "834403c8d06a"), (7, 20, "d4409a173ec2"), (12, 45, "a5bf230b51e7"),
+    (8, 21, "e4d129166ebb"), (11, 48, "71edb8a6abee"), (7, 19, "417890045703"),
+    (28, 105, "34f7f7eee99e"), (6, 13, "006f15d09dc0"), (13, 38, "ddacbf05eaeb"),
+    (9, 34, "4a1542235cea"), (11, 53, "c2dab785bc9a"), (10, 20, "3327159af434"),
+    (16, 48, "fbd7db90a6ed"), (11, 33, "69393b233b27"), (5, 10, "d02d8214d0cc"),
+    (11, 46, "5a971cb5828c"), (20, 79, "b9d649d38fc7"), (12, 64, "41f411c5591f"),
+    (10, 32, "290c5029a3e2"), (12, 60, "0607daf2e4e8"), (10, 45, "2a881430eadb"),
+    (10, 43, "c4778ed25b4d"), (6, 14, "f1d61e89ab6d"), (8, 28, "d71733957207"),
+    (12, 63, "2394b271bddd"), (12, 65, "beb183bbe7c8"), (11, 36, "ef29ead5436f"),
+    (8, 26, "8a9f06a5943f"), (12, 46, "89836a21ead2"), (28, 105, "91a7bee2cd9e"),
+    (11, 48, "c732693f5498"), (12, 61, "de5763363665"), (11, 36, "a168f499ea9a"),
+    (10, 44, "7093432b263e"), (22, 95, "778bcfd66b49"), (21, 77, "f52ca9124902"),
+    (12, 66, "af6e1a742150"), (20, 79, "4a5c23a703d5"), (16, 66, "f33ef2a6e0d4"),
+    (12, 59, "7c7f5b979400"), (8, 26, "48a4b50e62c5"), (12, 64, "b15225b4b134"),
+    (11, 41, "3b59b092da25"), (10, 34, "34a330cd05d4"), (8, 26, "b2a355fadc0b"),
+    (11, 40, "d5b858fef1d9"), (10, 34, "cb982c00a3ee"), (12, 54, "1e258cea419b"),
+    (9, 26, "67ce44bf2e3b"), (11, 52, "330676a107be"), (10, 45, "2a881430eadb"),
+    (20, 86, "dcc7398f4120"), (11, 40, "814509209962"), (10, 43, "9d080655b0ab"),
+    (11, 37, "e18c4e822501"), (11, 47, "2ee4d35a5cb9"), (11, 46, "c8f00f30dec8"),
+)
+
 
 def test_golden_cuts():
     got = [_find_cut_below_k(g.adj_bits, a, k) for g, a, k in planted_cut_cases()]
@@ -410,6 +551,35 @@ def test_golden_mader_witnesses():
         digest = hashlib.sha256(repr(sorted(sub.edges)).encode()).hexdigest()[:12]
         got.append((sub.n, sub.edge_count, digest))
     assert got == list(GOLDEN_MADER)
+
+
+def test_golden_mader_split_witnesses():
+    got = []
+    for g in split_cases():
+        sub = mader_extract(g)
+        digest = hashlib.sha256(repr(sorted(sub.edges)).encode()).hexdigest()[:12]
+        got.append((sub.n, sub.edge_count, digest))
+    assert got == list(GOLDEN_MADER_SPLITS)
+
+
+def test_mader_meets_the_theorem_bound():
+    # with k = ceil(e/2n), the output H is k-connected and keeps the
+    # invariant of Diestel's proof against the input's n and e:
+    # n*||H|| >= e*(|H| - k + 1) and |H| >= 2k - 1
+    rng = random.Random(1501)
+    graphs = [
+        random_graph(rng, rng.randint(2, 40), rng.uniform(0.02, 0.95))
+        for _ in range(200)
+    ]
+    graphs += [planted_blocks(rng) for _ in range(200)]
+    for g in graphs:
+        n, e = g.n, g.edge_count
+        if e == 0:
+            continue
+        k = ceil_div(e, 2 * n)
+        sub = mader_extract(g)
+        assert is_k_connected(sub, k)
+        assert n * sub.edge_count >= e * (sub.n - k + 1) and sub.n >= 2 * k - 1
 
 
 def test_split_flow_reroutes_around_a_used_vertex():

@@ -1,0 +1,28 @@
+"""The library runs on the standard library alone, as ``dependencies = []``
+in pyproject.toml says: every module imports only standard-library or
+relative modules."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rainbowfree"
+
+
+def test_library_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert modules and not outside

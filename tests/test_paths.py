@@ -170,7 +170,7 @@ def test_cycle_degenerate_edge():
 
 
 def test_path_and_cycle_above_64_vertices():
-    # the packed search state needs a 7-bit endpoint field on 70 vertices
+    # on 70 vertices the levels' vertex sets and endpoint bitsets pass 64 bits
     n = 70
     path = ColoredComplete.from_function(n, 2, lambda u, v: 1 if abs(u - v) == 1 else 2)
     w = longest_mono_path(path, 1)
@@ -309,7 +309,7 @@ def test_golden_capped_searches():
         for path, exact in (
             _longest_path_bits(adj, None),
             _longest_path_bits(adj, q // 2),
-            _longest_cycle_bits(adj, None),
+            _longest_cycle_bits(adj),
         ):
             results.append([path, exact])
     flags = [exact for _, exact in results]
