@@ -338,6 +338,13 @@ def _random_complete(rng, n: int, m: int) -> ColoredComplete:
     return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
 
 
+def _require_complete(host) -> None:
+    """Refuse a host that is not a coloring of K_n, for the statements that
+    are theorems about K_n only."""
+    if not isinstance(host, ColoredComplete):
+        raise ValueError(f"needs a coloring of K_n, got {type(host).__name__}")
+
+
 class ColoredBipartite(_ColoredHost):
     """An edge-coloring of K_{s,t} by colors 1..m.
 

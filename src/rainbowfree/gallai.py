@@ -14,7 +14,15 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import MAX_VERTICES, ColoredComplete, color_bits, components, iter_bits, restrict
+from .core import (
+    MAX_VERTICES,
+    ColoredComplete,
+    _require_complete,
+    color_bits,
+    components,
+    iter_bits,
+    restrict,
+)
 from .core import _tri_offsets
 from .connectivity import CertificationError, _find_cut_below_k
 from .rainbow import find_rainbow_triangle
@@ -37,11 +45,6 @@ class GallaiPartition:
             "parts": [list(p) for p in self.parts],
             "cross_colors": [list(x) for x in self.cross_colors],
         }
-
-
-def _require_complete(host) -> None:
-    if not isinstance(host, ColoredComplete):
-        raise ValueError(f"needs a coloring of K_n, got {type(host).__name__}")
 
 
 def is_gallai(host: ColoredComplete) -> bool:

@@ -6,9 +6,14 @@ level per path order (Bellman; Held and Karp, 1962).  A level maps each
 vertex set that some path covers to the bitset of that set's path
 endpoints.  Both the path and the cycle search build each level with the
 one level function ``_next_level``, keep every level, and rebuild the
-witness from them with ``_least_path``.  Within EXACT_LIMIT support
-vertices the search fits under the cap and results are exact; beyond that
-it may stop at the cap and the witness is flagged inexact.
+witness from them with ``_least_path``.  The levels count (vertex set,
+endpoint) pairs against ``_STATE_CAP``; a search the cap stops is flagged
+inexact.  On supports of at most ``_PATH_UNCAPPED`` vertices (paths) or
+``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and there one
+lexicographic depth-first search, ``_first_path``, answers first: it stops
+at the first path whose order meets an upper bound, which is the level
+search's witness.  Only when it finds none do the levels run (on the
+2-core, for a cycle).
 """
 
 from __future__ import annotations
@@ -16,14 +21,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Host, SimpleGraph, ceil_div, induced_subgraph, restrict
-from .connectivity import CertificationError
+from .core import (
+    Host,
+    SimpleGraph,
+    _require_complete,
+    ceil_div,
+    components,
+    induced_subgraph,
+    iter_bits,
+    restrict,
+)
+from .connectivity import CertificationError, _peel_to_kcore
 
+# Supports of at most EXACT_LIMIT vertices always get exact answers, for
+# paths and cycles alike; the two bounds below are the largest orders where
+# the state count makes that certain
 EXACT_LIMIT = 14
 # The cap counts (vertex set, endpoint) pairs, each endpoint bit of a level
-# entry once.  2^EXACT_LIMIT * EXACT_LIMIT < _STATE_CAP, so searches on
-# supports within the limit always exhaust their pairs and stay exact
+# entry once
 _STATE_CAP = 400_000
+# A path search on q vertices makes at most q * 2^(q-1) pairs, and a cycle
+# search at most (q-1) * 2^(q-2) + 1 per anchor.  Up to these orders (15 and
+# 16) the cap cannot bind, so the searches are exact
+_PATH_UNCAPPED = max(q for q in range(1, 64) if q << (q - 1) <= _STATE_CAP)
+_CYCLE_UNCAPPED = max(q for q in range(2, 64) if ((q - 1) << (q - 2)) + 1 <= _STATE_CAP)
 
 
 @dataclass(frozen=True)
@@ -190,6 +211,78 @@ def _longest_path_bits(adj, target: int | None):
     return _least_path(adj, levels, [], len(levels)), exact
 
 
+def _first_path(adj, starts: int, order: int, close: int) -> list[int] | None:
+    """The lexicographically least path of ``order`` >= 2 vertices that
+    starts in ``starts`` and ends in ``close``, or None if there is none.
+
+    A depth-first search tries starts and then neighbours in ascending
+    order, so the first such path it completes is the least one.  Whether a
+    (vertex set, endpoint) state extends to one does not depend on the order
+    the set was covered in, so a state whose extensions all failed is dead
+    and is never expanded again.  The dead states are kept as the levels
+    are, one endpoint bitset per vertex set.
+    """
+    dead: dict[int, int] = {}
+    get = dead.get
+    path: list[int] = []
+
+    def grow(mask: int, last: int, left: int) -> bool:
+        nbrs = adj[last] & ~mask
+        if left == 1:
+            nbrs &= close
+            if nbrs:
+                path.append((nbrs & -nbrs).bit_length() - 1)
+            return bool(nbrs)
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            grown = mask | low
+            if get(grown, 0) & low:
+                continue
+            v = low.bit_length() - 1
+            path.append(v)
+            if grow(grown, v, left - 1):
+                return True
+            path.pop()
+            dead[grown] = get(grown, 0) | low
+        return False
+
+    for v in iter_bits(starts):
+        path.append(v)
+        if grow(1 << v, v, order - 1):
+            return path
+        path.pop()
+    return None
+
+
+def _longest_path(adj, target: int | None):
+    """``_longest_path_bits(adj, target)``, answered by ``_first_path``
+    where the cap cannot bind.
+
+    No path is longer than the largest component, so a path of that order,
+    or of ``target`` if smaller, is as long as the last level the level
+    search would build, and the least such path is that search's witness.
+    It lies in a component at least that large.  Only if there is none do
+    the levels run.
+    """
+    q = len(adj)
+    if q > _PATH_UNCAPPED or _complete(adj):
+        return _longest_path_bits(adj, target)
+    comps = components(adj, (1 << q) - 1)
+    order = max(map(int.bit_count, comps))
+    if target is not None:
+        order = min(order, target)
+    if order >= 2:
+        starts = 0
+        for comp in comps:
+            if comp.bit_count() >= order:
+                starts |= comp
+        path = _first_path(adj, starts, order, -1)
+        if path is not None:
+            return path, True
+    return _longest_path_bits(adj, target)
+
+
 def _compact(g: SimpleGraph):
     """(support, adjacency bitmasks of g relabeled onto 0..len(support)-1)."""
     support = g.support()
@@ -207,9 +300,10 @@ def _color_class(host: Host, color: int):
 
 def longest_mono_path(host: Host, color: int) -> PathWitness:
     """A longest path within one color class; exact whenever the search space
-    was exhausted (guaranteed for supports of at most EXACT_LIMIT vertices)."""
+    was exhausted, which is certain for supports of at most ``_PATH_UNCAPPED``
+    vertices."""
     support, adj = _color_class(host, color)
-    path, exact = _longest_path_bits(adj, None)
+    path, exact = _longest_path(adj, None)
     witness = PathWitness(color, tuple(support[i] for i in path), exact)
     validate_path(host, witness)
     return witness
@@ -218,7 +312,7 @@ def longest_mono_path(host: Host, color: int) -> PathWitness:
 def _mono_path_of_order(host: Host, color: int, order: int):
     """(witness or None, conclusive).  None+True means provably absent."""
     support, adj = _color_class(host, color)
-    path, exact = _longest_path_bits(adj, order)
+    path, exact = _longest_path(adj, order)
     if len(path) >= order:
         witness = PathWitness(color, tuple(support[i] for i in path[:order]), True)
         validate_path(host, witness)
@@ -304,7 +398,7 @@ def check_eg_path_bound(g: SimpleGraph, k: int) -> PathWitness:
             f"need |E| > (k-1)n/2 = {(k - 1) * g.n / 2}, got {g.edge_count}"
         )
     support, adj = _compact(g)
-    path, exact = _longest_path_bits(adj, k + 1)
+    path, exact = _longest_path(adj, k + 1)
     if len(path) < k + 1:
         if exact:
             raise CertificationError("density bound violated: no such path found")
@@ -353,11 +447,35 @@ def _longest_cycle_bits(adj):
     return best, exact
 
 
-def longest_mono_cycle(host: Host, color: int) -> CycleWitness:
-    """Longest cycle in one color class; a lone edge counts as a degenerate
-    cycle of length 2 (an unused color is rejected, so length 1 never occurs)."""
-    support, adj = _color_class(host, color)
-    cycle, exact = _longest_cycle_bits(adj)
+def _two_core(adj) -> int:
+    """The bitset of the 2-core, the vertices of the graph's cycles and of
+    the paths between them."""
+    return _peel_to_kcore(adj, (1 << len(adj)) - 1, 2)
+
+
+def _longest_cycle(adj):
+    """``_longest_cycle_bits(adj)``, answered by ``_first_path`` where the
+    cap cannot bind.
+
+    Every cycle lies in the 2-core.  A Hamilton cycle of the core is a
+    longest cycle, and the least one written from the core's least vertex is
+    the level search's witness.  Only if the core has none do the levels
+    run, on the core relabeled in order, which keeps their witness.
+    """
+    if len(adj) > _CYCLE_UNCAPPED or _complete(adj):
+        return _longest_cycle_bits(adj)
+    verts = list(iter_bits(_two_core(adj)))
+    if not verts:
+        return [], True
+    core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
+    cycle = _first_path(core, 1, len(core), core[0])
+    if cycle is None:
+        cycle = _longest_cycle_bits(core)[0]
+    return [verts[i] for i in cycle], True
+
+
+def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:
+    cycle, exact = _longest_cycle(adj)
     if cycle:
         witness = CycleWitness(color, tuple(support[i] for i in cycle), exact)
     else:
@@ -368,14 +486,29 @@ def longest_mono_cycle(host: Host, color: int) -> CycleWitness:
     return witness
 
 
+def longest_mono_cycle(host: Host, color: int) -> CycleWitness:
+    """Longest cycle in one color class; a lone edge counts as a degenerate
+    cycle of length 2 (an unused color is rejected, so length 1 never occurs)."""
+    return _cycle_witness(host, color, *_color_class(host, color))
+
+
 def kano_li_floor(host: Host):
-    """Best monochromatic cycle over all used colors, asserted to have length
-    at least ceil(n/m) whenever that floor is itself at least 3 (below that
-    the degenerate-cycle convention would dominate, so nothing is enforced).
+    """Best monochromatic cycle over all used colors of a coloring of K_n,
+    asserted to have length at least ceil(n/m) whenever that floor is itself
+    at least 3 (below that the degenerate-cycle convention would dominate,
+    so nothing is enforced).  Other hosts are refused: the floor is a
+    theorem about K_n.
+
+    A color whose 2-core is no larger than the best cycle so far is not
+    searched: it holds no longer cycle, and ties keep the first color.
     """
+    _require_complete(host)
     best: CycleWitness | None = None
     for c in sorted(host.used_colors()):
-        w = longest_mono_cycle(host, c)
+        support, adj = _color_class(host, c)
+        if best is not None and _two_core(adj).bit_count() <= best.length:
+            continue
+        w = _cycle_witness(host, c, support, adj)
         if best is None or w.length > best.length:
             best = w
     bound = ceil_div(host.vertex_count, host.m)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,20 @@ def test_paths_and_cycles(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"]
     code, out = run(capsys, "cycles", "--color", "1", path)
     assert code == 0 and json.loads(out)["length"] == 6
+
+
+def test_readme_cli_block_answers(tmp_path, monkeypatch, capsys):
+    # every line of the README's CLI block, run in order in one directory,
+    # answers: exit 0 (positive) or 1 (negative), never bad input or worse
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 15 and all(argv[0] == "rainbowfree" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code = main(argv[1:])
+        capsys.readouterr()
+        assert code in (0, 1), argv
 
 
 def test_verify_reports_failing_claim(monkeypatch, capsys):

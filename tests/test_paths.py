@@ -7,11 +7,21 @@ from itertools import combinations
 
 import pytest
 
+from rainbowfree import paths
 from rainbowfree.constructions import gen_F1, gen_F3, gen_R1
-from rainbowfree.core import ColoredComplete, SimpleGraph, _random_complete, ceil_div, restrict
+from rainbowfree.core import (
+    ColoredBipartite,
+    ColoredComplete,
+    SimpleGraph,
+    _random_complete,
+    ceil_div,
+    restrict,
+)
 from rainbowfree.oracles import oracle_longest_cycle_length, oracle_longest_path_order
 from rainbowfree.paths import (
+    _longest_cycle,
     _longest_cycle_bits,
+    _longest_path,
     _longest_path_bits,
     check_eg_path_bound,
     check_mono_path_quota,
@@ -331,3 +341,104 @@ def test_capped_search_memory():
         tracemalloc.stop()
     assert len(path) == 7 and not exact
     assert peak < 20 * 2**20
+
+
+def _random_class(rng, q):
+    """Adjacency bitmasks of a random graph on q vertices, relabeled at
+    random: dense or sparse, pendant-heavy, disconnected, or without a
+    Hamilton cycle (unbalanced bipartite, two cliques at a cut vertex)."""
+    shape = rng.choice(["random", "pendants", "split", "bipartite", "blocks"])
+    if shape == "random":
+        edges = [e for e in combinations(range(q), 2) if rng.random() < rng.choice([0.15, 0.3, 0.5])]
+    elif shape == "pendants":
+        k = rng.randint(1, max(1, q // 2))
+        edges = [e for e in combinations(range(k), 2) if rng.random() < 0.5]
+        edges += [(rng.randrange(v), v) for v in range(max(k, 1), q)]
+    elif shape == "split":
+        a = rng.randint(1, q - 1) if q > 1 else 1
+        edges = [
+            (u, v) for u, v in combinations(range(q), 2)
+            if (u < a) == (v < a) and rng.random() < 0.5
+        ]
+    elif shape == "bipartite":
+        # the largest component is unbalanced bipartite, and a path on the
+        # vertices left over can be longer than its longest path
+        a, b = rng.randint(1, 3), rng.randint(4, 8)
+        edges = [(u, v) for u in range(a) for v in range(a, min(q, a + b)) if rng.random() < 0.8]
+        edges += [(v - 1, v) for v in range(a + b + 1, q)]
+    else:
+        a = rng.randint(1, q - 1) if q > 1 else 1
+        edges = [
+            (u, v) for u, v in combinations(range(q), 2)
+            if (u <= a and v <= a) or (u >= a and v >= a)
+        ]
+    perm = list(range(q))
+    rng.shuffle(perm)
+    adj = [0] * q
+    for u, v in edges:
+        adj[perm[u]] |= 1 << perm[v]
+        adj[perm[v]] |= 1 << perm[u]
+    return adj
+
+
+def test_depth_first_route_matches_the_level_search():
+    # where the cap cannot bind, the depth-first answer is the level search's
+    # (witness, exact), for whole, target-limited and cycle searches alike
+    rng = random.Random(42)
+    for _ in range(400):
+        q = rng.choice([2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
+        adj = _random_class(rng, q)
+        if q <= paths._PATH_UNCAPPED:
+            for target in (None, 2, 3, q // 2, q):
+                assert _longest_path(adj, target) == _longest_path_bits(adj, target), (adj, target)
+        assert _longest_cycle(adj) == _longest_cycle_bits(adj), adj
+
+
+def test_depth_first_route_stops_where_the_cap_can_bind(monkeypatch):
+    # a path search on q vertices makes at most q * 2^(q-1) (set, endpoint)
+    # pairs and a cycle anchor (q-1) * 2^(q-2) + 1, so the cap cannot bind on
+    # 15 and 16 vertices and can on 16 and 17
+    cap = paths._STATE_CAP
+    assert 15 * 2**14 <= cap < 16 * 2**15
+    assert 15 * 2**14 + 1 <= cap < 16 * 2**15 + 1
+    assert (paths._PATH_UNCAPPED, paths._CYCLE_UNCAPPED) == (15, 16)
+    assert paths.EXACT_LIMIT <= paths._PATH_UNCAPPED
+    searched = []
+    first_path = paths._first_path
+    monkeypatch.setattr(
+        paths, "_first_path", lambda adj, *rest: searched.append(len(adj)) or first_path(adj, *rest)
+    )
+    for q in (15, 16):
+        line = [(1 << v - 1 if v else 0) | (1 << v + 1 if v + 1 < q else 0) for v in range(q)]
+        assert _longest_path(line, None) == (list(range(q)), True)
+    for q in (16, 17):
+        ring = [1 << (v - 1) % q | 1 << (v + 1) % q for v in range(q)]
+        assert _longest_cycle(ring) == (list(range(q)), True)
+    assert searched == [15, 16]
+    # on 16 vertices the level search does reach the cap, and its inexact
+    # answer stands
+    dense = [((1 << 16) - 1) ^ (1 << v) for v in range(16)]
+    dense[0] ^= 1 << 15
+    dense[15] ^= 1
+    path, exact = _longest_path(dense, None)
+    assert not exact and (path, exact) == _longest_path_bits(dense, None)
+    assert searched == [15, 16]
+
+
+def test_kano_li_floor_matches_every_color():
+    # colors whose 2-core cannot beat the best cycle so far are skipped; the
+    # answer is still the first color with the longest cycle
+    rng = random.Random(43)
+    for _ in range(200):
+        host = _random_complete(rng, rng.randint(3, 14), rng.randint(1, 4))
+        cycles = [longest_mono_cycle(host, c) for c in sorted(host.used_colors())]
+        best = max(cycles, key=lambda w: w.length)
+        assert kano_li_floor(host) == (best.color, best)
+
+
+def test_kano_li_floor_refuses_bipartite_hosts():
+    # the floor is a theorem about K_n; on K_{2,4} in one color it would read
+    # a 4-cycle against a floor of 6
+    host = ColoredBipartite(2, 4, 1, [1] * 8)
+    with pytest.raises(ValueError, match="K_n"):
+        kano_li_floor(host)
