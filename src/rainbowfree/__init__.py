@@ -81,7 +81,6 @@ from .bipartite import (
 from .paths import (
     CycleWitness,
     PathWitness,
-    check_eg_path_bound,
     check_mono_path_quota,
     color_degree_averages,
     kano_li_floor,

@@ -1,14 +1,21 @@
-"""Longest monochromatic paths and cycles, the per-color path-quota check,
-and the classical density bound for long paths.
+"""Longest monochromatic paths and cycles, and the per-color path-quota
+check.
 
 Exact searches run on the non-isolated vertices of one color class, one
 level per path order (Bellman; Held and Karp, 1962).  A level maps each
 vertex set that some path covers to the bitset of that set's path
 endpoints.  Both the path and the cycle search build each level with the
 one level function ``_next_level``, keep every level, and rebuild the
-witness from them with ``_least_path``.  The levels count (vertex set,
-endpoint) pairs against ``_STATE_CAP``; a search the cap stops is flagged
-inexact.  On supports of at most ``_PATH_UNCAPPED`` vertices (paths) or
+witness from them with ``_least_path``.  A set grows by every allowed
+vertex outside it next to one of its endpoints.  On classes of at most
+``_TABLE_ORDER`` = 22 vertices, a search builds lookup tables once a level
+holds more sets than they have entries (``_expander``), and every later
+level, of any cycle anchor, grows by two lookups per set in place of two
+bit loops.  The lookups give the same bits in the same ascending order,
+so each level keeps its keys, values and insertion order.  The levels
+count (vertex set, endpoint) pairs against ``_STATE_CAP``; a search the
+cap stops is flagged inexact, at the same level with or without tables.
+On supports of at most ``_PATH_UNCAPPED`` vertices (paths) or
 ``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and there one
 lexicographic depth-first search, ``_first_path``, answers first: it stops
 at the first path whose order meets an upper bound, which is the level
@@ -45,6 +52,9 @@ _STATE_CAP = 400_000
 # 16) the cap cannot bind, so the searches are exact
 _PATH_UNCAPPED = max(q for q in range(1, 64) if q << (q - 1) <= _STATE_CAP)
 _CYCLE_UNCAPPED = max(q for q in range(2, 64) if ((q - 1) << (q - 2)) + 1 <= _STATE_CAP)
+# The largest class whose level search may build lookup tables (two of at
+# most 2^11 entries)
+_TABLE_ORDER = 22
 
 
 @dataclass(frozen=True)
@@ -114,14 +124,47 @@ def _complete(adj) -> bool:
     return all(a == full ^ (1 << v) for v, a in enumerate(adj))
 
 
-def _next_level(adj, level: dict, allowed: int) -> dict:
+def _level_tables(adj):
+    """(h, lo, hi, lo_bits, hi_bits): lookup tables over the low h =
+    ceil(q/2) vertices of a class and over the high q - h.
+
+    ``lo[s]`` is the OR of ``adj`` over the vertices of an h-bit subset s,
+    and ``lo_bits[s]`` its bits as an ascending tuple of bit values;
+    ``hi[s]`` and ``hi_bits[s]`` are the same for the subset ``s << h`` of
+    the high vertices, with the bits already shifted.  Each table doubles
+    per vertex: the subsets holding vertex i follow those below it, and i
+    is their largest bit, so it goes last in each tuple.
+    """
+    q = len(adj)
+    h = (q + 1) // 2
+
+    def half(first, last):
+        ors, bits = [0], [()]
+        for v in range(first, last):
+            a, b = adj[v], (1 << v,)
+            ors += [x | a for x in ors]
+            bits += [t + b for t in bits]
+        return ors, bits
+
+    lo, lo_bits = half(0, h)
+    hi, hi_bits = half(h, q)
+    return h, lo, hi, lo_bits, hi_bits
+
+
+def _next_level(adj, level: dict, allowed: int, tables=None) -> dict:
     """The level after ``level``, a map from each vertex set reached to the
     bitset of its endpoints: the paths through exactly that set end there.
 
     A vertex v in ``allowed`` outside ``mask`` extends some path of ``mask``
     when it is adjacent to one of its endpoints, and then v ends a path
     through ``mask | v``.  That pair is reached only from ``mask``, so every
-    (set, endpoint) pair is made once.
+    (set, endpoint) pair is made once.  Without ``tables`` the neighbours of
+    the endpoints are ORed one endpoint at a time, and the new endpoints
+    are taken lowest bit first.  With the tables of ``_level_tables`` the
+    OR is two lookups, one per half of the endpoint bitset, and the new
+    endpoints are the low half's tuple followed by the high half's: the
+    same bits in the same ascending order.  So both ways make the same
+    level, with the same keys, values and insertion order.
 
     The witness is the lexicographically least path of the last level
     reached, which is the path a breadth-first search over (set, endpoint)
@@ -133,19 +176,55 @@ def _next_level(adj, level: dict, allowed: int) -> dict:
     """
     nxt: dict = {}
     get = nxt.get
+    if tables is None:
+        for mask, ends in level.items():
+            reach = 0
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                reach |= adj[low.bit_length() - 1]
+            reach &= allowed & ~mask
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                grown = mask | low
+                nxt[grown] = get(grown, 0) | low
+        return nxt
+    h, lo, hi, lo_bits, hi_bits = tables
+    half = (1 << h) - 1
     for mask, ends in level.items():
-        reach = 0
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            reach |= adj[low.bit_length() - 1]
-        reach &= allowed & ~mask
-        while reach:
-            low = reach & -reach
-            reach ^= low
+        reach = (lo[ends & half] | hi[ends >> h]) & allowed & ~mask
+        for low in lo_bits[reach & half]:
+            grown = mask | low
+            nxt[grown] = get(grown, 0) | low
+        for low in hi_bits[reach >> h]:
             grown = mask | low
             nxt[grown] = get(grown, 0) | low
     return nxt
+
+
+def _expander(adj):
+    """``_next_level`` for one search over ``adj``, with tables once they
+    pay.
+
+    Building the tables costs about one step per entry, so they are built
+    the first time a level holds more sets than the tables have entries,
+    and then serve every later level (and every later cycle anchor).  Above
+    ``_TABLE_ORDER`` vertices they are never built: the tables would grow
+    past 2^11 entries each, and the cap binds within a few levels there.
+    """
+    q = len(adj)
+    h = (q + 1) // 2
+    entries = (1 << h) + (1 << (q - h)) if q <= _TABLE_ORDER else None
+    tables = None
+
+    def expand(level: dict, allowed: int) -> dict:
+        nonlocal tables
+        if tables is None and entries is not None and len(level) > entries:
+            tables = _level_tables(adj)
+        return _next_level(adj, level, allowed, tables)
+
+    return expand
 
 
 def _pairs(level: dict) -> int:
@@ -199,11 +278,12 @@ def _longest_path_bits(adj, target: int | None):
     levels = [{1 << v: 1 << v for v in range(q)}]
     states = q
     exact = True
+    grow = _expander(adj)
     while target is None or len(levels) < target:
         if states > _STATE_CAP:
             exact = False
             break
-        nxt = _next_level(adj, levels[-1], -1)
+        nxt = grow(levels[-1], -1)
         if not nxt:
             break
         levels.append(nxt)
@@ -283,19 +363,16 @@ def _longest_path(adj, target: int | None):
     return _longest_path_bits(adj, target)
 
 
-def _compact(g: SimpleGraph):
-    """(support, adjacency bitmasks of g relabeled onto 0..len(support)-1)."""
-    support = g.support()
-    return support, induced_subgraph(g, support).adj_bits
-
-
 def _color_class(host: Host, color: int):
+    """(support, adjacency bitmasks of the class relabeled onto
+    0..len(support)-1)."""
     if not (1 <= color <= host.m):
         raise ValueError(f"color {color} outside declared range 1..{host.m}")
-    support, adj = _compact(restrict(host, {color}))
+    g = restrict(host, {color})
+    support = g.support()
     if not support:
         raise ValueError(f"color {color} is unused")
-    return support, adj
+    return support, induced_subgraph(g, support).adj_bits
 
 
 def longest_mono_path(host: Host, color: int) -> PathWitness:
@@ -341,9 +418,11 @@ def check_mono_path_quota(host: Host, quotas) -> QuotaWitness:
     color i holding a monochromatic path of order >= a_i.
 
     Quotas of 0 or 1 are vacuously met (empty / single-vertex path); a quota
-    of 2 is met by any edge of that color.  Existence is a theorem whenever
-    the precondition holds, so a False report is a falsification.
+    of 2 is met by any edge of that color.  Existence is a theorem about K_n
+    whenever the precondition holds, so a False report is a falsification;
+    other hosts are refused.
     """
+    _require_complete(host)
     quotas = list(quotas)
     m = host.m
     if len(quotas) != m:
@@ -385,28 +464,6 @@ def color_degree_averages(host: Host) -> list[Fraction]:
     return [Fraction(2 * counts.get(c, 0), n) for c in range(1, host.m + 1)]
 
 
-def check_eg_path_bound(g: SimpleGraph, k: int) -> PathWitness:
-    """A path of order k + 1 in a graph with more than (k-1)n/2 edges.
-
-    Classical density bound; k >= 2 and the strict edge-count inequality are
-    preconditions, and non-existence would be a theorem breach.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if 2 * g.edge_count <= (k - 1) * g.n:
-        raise ValueError(
-            f"need |E| > (k-1)n/2 = {(k - 1) * g.n / 2}, got {g.edge_count}"
-        )
-    support, adj = _compact(g)
-    path, exact = _longest_path(adj, k + 1)
-    if len(path) < k + 1:
-        if exact:
-            raise CertificationError("density bound violated: no such path found")
-        raise CertificationError("path search exceeded the state cap")
-    verts = tuple(support[i] for i in path[: k + 1])
-    return PathWitness(None, verts, True)
-
-
 def _longest_cycle_bits(adj):
     """Longest cycle (vertex list, length >= 3) for adjacency bitmasks.
 
@@ -422,6 +479,7 @@ def _longest_cycle_bits(adj):
         return list(range(q)), True  # complete class: Hamilton cycle
     best: list[int] = []
     exact = True
+    grow = _expander(adj)
     for anchor in range(q):
         if q - anchor < 3 or q - anchor <= len(best):
             break
@@ -437,7 +495,7 @@ def _longest_cycle_bits(adj):
             if size >= 3 and size > len(best):
                 if any(ends & adj[anchor] for ends in levels[-1].values()):
                     closing = size
-            nxt = _next_level(adj, levels[-1], allowed)
+            nxt = grow(levels[-1], allowed)
             if not nxt:
                 break
             levels.append(nxt)

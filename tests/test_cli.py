@@ -121,10 +121,15 @@ def test_paths_and_cycles(tmp_path, capsys):
     run(capsys, "gen", "F1", "--s", "12", "--t", "6", "--m", "4", "-o", path)
     code, out = run(capsys, "paths", "--color", "1", path)
     assert code == 0 and json.loads(out)["order"] == 7
-    code, out = run(capsys, "paths", "prop61", "--a", "3,3,3,3", path)
-    assert code == 0 and json.loads(out)["ok"]
     code, out = run(capsys, "cycles", "--color", "1", path)
     assert code == 0 and json.loads(out)["length"] == 6
+    # the quota check is a theorem about K_n: a K_{s,t} host is bad input
+    code, _ = run(capsys, "paths", "prop61", "--a", "3,3,3,3", path)
+    assert code == 2
+    kn = str(tmp_path / "r1.txt")
+    run(capsys, "gen", "R1", "--n", "9", "--m", "4", "-o", kn)
+    code, out = run(capsys, "paths", "prop61", "--a", "3,3,3,3", kn)
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_readme_cli_block_answers(tmp_path, monkeypatch, capsys):

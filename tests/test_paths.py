@@ -3,7 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -12,7 +12,6 @@ from rainbowfree.constructions import gen_F1, gen_F3, gen_R1
 from rainbowfree.core import (
     ColoredBipartite,
     ColoredComplete,
-    SimpleGraph,
     _random_complete,
     ceil_div,
     restrict,
@@ -23,7 +22,6 @@ from rainbowfree.paths import (
     _longest_cycle_bits,
     _longest_path,
     _longest_path_bits,
-    check_eg_path_bound,
     check_mono_path_quota,
     color_degree_averages,
     kano_li_floor,
@@ -98,6 +96,14 @@ def test_quota_rejects_oversized_sum():
         check_mono_path_quota(host, [9, 4])  # 13 > n + 2m - 2 = 7
 
 
+def test_quota_refuses_bipartite_hosts():
+    # the quota statement is a theorem about K_n; K_{1,5} in one color has
+    # no path of order 6 although 6 <= n + 2m - 2
+    host = ColoredBipartite(1, 5, 1, [1] * 5)
+    with pytest.raises(ValueError, match="K_n"):
+        check_mono_path_quota(host, [6])
+
+
 def test_quota_random_instances():
     rng = random.Random(23)
     for _ in range(200):
@@ -122,38 +128,6 @@ def test_degree_average_identity():
         host = _random_complete(rng, n, m)
         avgs = color_degree_averages(host)
         assert sum(avgs) == Fraction(n - 1)
-
-
-def test_eg_path_bound_examples():
-    k4 = SimpleGraph(4, combinations(range(4), 2))
-    w = check_eg_path_bound(k4, 3)
-    assert w.order == 4
-    c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert check_eg_path_bound(c6, 2).order == 3
-
-
-def test_eg_path_bound_rejects_sparse():
-    c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    with pytest.raises(ValueError):
-        check_eg_path_bound(c6, 3)  # needs > 6 edges
-    with pytest.raises(ValueError):
-        check_eg_path_bound(c6, 1)
-
-
-def test_eg_path_bound_random():
-    rng = random.Random(25)
-    found = 0
-    for _ in range(300):
-        n = rng.randint(4, 12)
-        g = SimpleGraph(
-            n, [e for e in combinations(range(n), 2) if rng.random() < 0.6]
-        )
-        for k in range(2, 7):
-            if 2 * g.edge_count > (k - 1) * g.n:
-                w = check_eg_path_bound(g, k)
-                assert w.order == k + 1
-                found += 1
-    assert found > 100
 
 
 def test_cycle_mono_k5():
@@ -341,6 +315,81 @@ def test_capped_search_memory():
         tracemalloc.stop()
     assert len(path) == 7 and not exact
     assert peak < 20 * 2**20
+
+
+def _plain_next_level(adj, level, allowed):
+    """The next level by its definition: each set grows by every vertex of
+    ``allowed`` outside it that is adjacent to one of its endpoints, and
+    that vertex ends a path through the grown set; vertices in ascending
+    order."""
+    nxt = {}
+    for mask, ends in level.items():
+        reach = 0
+        for v in range(len(adj)):
+            if ends >> v & 1:
+                reach |= adj[v]
+        for w in range(len(adj)):
+            if reach >> w & 1 and allowed >> w & 1 and not mask >> w & 1:
+                nxt[mask | 1 << w] = nxt.get(mask | 1 << w, 0) | 1 << w
+    return nxt
+
+
+def test_table_expansion_matches_a_plain_expansion():
+    # with and without lookup tables, a level grows into the same sets and
+    # endpoints in the same insertion order, from every start and from
+    # anchored cycle starts (only larger-indexed vertices allowed)
+    rng = random.Random(44)
+    for q in (1, 2, 3, 7, 8, 11, 12, 21, 22, 23, 70):
+        adj = _random_adj(rng, q, rng.choice([0.2, 0.35, 0.5]))
+        tables = paths._level_tables(adj) if q <= 23 else None
+        starts = [(-1, {1 << v: 1 << v for v in range(q)})]
+        starts += [(~((1 << a + 1) - 1), {1 << a: 1 << a}) for a in sorted({0, q // 3, q - 1})]
+        for allowed, level in starts:
+            while level:
+                want = list(_plain_next_level(adj, level, allowed).items())
+                assert list(paths._next_level(adj, level, allowed).items()) == want
+                if tables is not None:
+                    assert list(paths._next_level(adj, level, allowed, tables).items()) == want
+                # a prefix of a level is a level too; it keeps the test small
+                level = dict(islice(want, 150))
+
+
+def test_tables_are_built_once_and_only_for_large_levels(monkeypatch):
+    built = []
+    anchors = set()
+    level_tables, next_level = paths._level_tables, paths._next_level
+
+    def count_builds(adj):
+        built.append(len(adj))
+        return level_tables(adj)
+
+    def note_anchor(adj, level, allowed, tables=None):
+        if tables is not None:
+            anchors.add(allowed)
+        return next_level(adj, level, allowed, tables)
+
+    monkeypatch.setattr(paths, "_level_tables", count_builds)
+    monkeypatch.setattr(paths, "_next_level", note_anchor)
+    # every cycle anchor of a 17-vertex class shares one build
+    host = _random_complete(random.Random(45), 17, 2)
+    assert len(restrict(host, {1}).support()) == 17
+    longest_mono_cycle(host, 1)
+    assert built == [17] and len(anchors) > 1
+    # K6 classes never build them, nor a class the depth-first route answers
+    built.clear()
+    rng = random.Random(46)
+    for _ in range(100):
+        host = _random_complete(rng, 6, rng.randint(1, 3))
+        for c in sorted(host.used_colors()):
+            longest_mono_path(host, c)
+            longest_mono_cycle(host, c)
+    host = _random_complete(random.Random(47), 15, 2)
+    _, adj = paths._color_class(host, 1)
+    assert len(adj) == 15
+    assert longest_mono_path(host, 1).exact
+    assert built == []
+    _longest_path_bits(adj, None)
+    assert built == [15]
 
 
 def _random_class(rng, q):
