@@ -29,11 +29,9 @@ from .patterns import (
 )
 from .rainbow import (
     Embedding,
-    count_rainbow,
     enumerate_rainbow,
     find_rainbow,
     find_rainbow_triangle,
-    is_rainbow_free,
     validate_embedding,
 )
 from .connectivity import (

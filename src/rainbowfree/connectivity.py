@@ -232,63 +232,34 @@ def is_k_connected(g: SimpleGraph, k: int) -> bool:
     return _find_cut_below_k(g.adj_bits, full, k) is None
 
 
-def _greedy_descend(adj_bits, active: int, k: int) -> int:
-    """Follow the largest side of successive cuts until certified or exhausted."""
-    while True:
-        active = _peel_to_kcore(adj_bits, active, k)
-        if active.bit_count() < k + 1:
-            return 0
-        cut = _find_cut_below_k(adj_bits, active, k)
-        if cut is None:
-            return active
-        comps = components(adj_bits, active & ~cut)
-        active = max(comps, key=lambda c: (c.bit_count(), -c)) | cut
+def _max_k_connected(adj_bits, active0: int, k: int) -> int:
+    """The largest k-connected induced subgraph inside active0, as a bitmask
+    (0 if there is none).
 
-
-DEPTH_CAP = 20
-
-
-def _max_k_connected(adj_bits, active0: int, k: int):
-    """Branch and bound over cut splits, seeded by k-core peeling.
-
-    A branch that reaches depth DEPTH_CAP is finished greedily.  Every child
-    set is smaller than its parent and keeps k + 1 vertices, so the depth
-    stays below n - k and the cap can only bind when n > k + DEPTH_CAP.
-    Returns (best_mask, upper, capped) where upper >= the true optimum and
-    capped marks whether any branch stopped at the cap; if none did, best is
-    optimal and upper equals its order.
+    An exhaustive branch and bound over cut splits, seeded by k-core
+    peeling.  A k-connected T inside S survives the peel, and at a cut X of
+    S with |X| < k, T - X stays connected, so T lies in one side c | X (c a
+    component of S - X).  Each side is smaller than S, so the search ends;
+    a set no larger than the best found so far is pruned.  The search is
+    exponential in the worst case (k = 1 reduces to components).
     """
     best = 0
-    pending_upper = 0
-    capped = False
     seen: set[int] = set()
-    stack: list[tuple[int, int]] = [(active0, 0)]
+    stack = [active0]
     while stack:
-        S, depth = stack.pop()
-        S = _peel_to_kcore(adj_bits, S, k)
+        S = _peel_to_kcore(adj_bits, stack.pop(), k)
         size = S.bit_count()
-        if size < k + 1 or size <= best.bit_count():
-            continue
-        if S in seen:
+        if size < k + 1 or size <= best.bit_count() or S in seen:
             continue
         seen.add(S)
         cut = _find_cut_below_k(adj_bits, S, k)
         if cut is None:
             best = S
             continue
-        if depth >= DEPTH_CAP:
-            capped = True
-            pending_upper = max(pending_upper, size)
-            greedy = _greedy_descend(adj_bits, S, k)
-            if greedy.bit_count() > best.bit_count():
-                best = greedy
-            continue
         comps = components(adj_bits, S & ~cut)
         comps.sort(key=lambda c: (c.bit_count(), -c))
-        for comp in comps:
-            stack.append((comp | cut, depth + 1))
-    lower = best.bit_count()
-    return best, max(lower, pending_upper), capped
+        stack.extend(comp | cut for comp in comps)
+    return best
 
 
 def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
@@ -296,23 +267,21 @@ def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
 
     A k-connected subgraph on a vertex set S exists iff the induced
     color-masked graph on S is k-connected, since adding edges never
-    destroys k-connectivity.  The search is exact unless a branch hits
-    DEPTH_CAP; then the report carries certified lower/upper bounds and
-    ``exact=False``.
+    destroys k-connectivity.  The search is exhaustive, so the report is
+    exact: ``lower == upper == len(witness)``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     allowed = normalize_mask(host, mask)
     g = restrict(host, allowed)
-    best, upper, capped = _max_k_connected(g.adj_bits, (1 << g.n) - 1, k)
-    witness = tuple(iter_bits(best))
+    witness = tuple(iter_bits(_max_k_connected(g.adj_bits, (1 << g.n) - 1, k)))
     return ConnectivityReport(
         k=k,
         mask=allowed,
         witness=witness,
         lower=len(witness),
-        upper=upper,
-        exact=not capped,
+        upper=len(witness),
+        exact=True,
     )
 
 
@@ -380,20 +349,24 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
     e > 0 edges (Mader; Diestel's proof, Graph Theory, Prop. 1.4.3).
 
     With gamma = e/n > 2(k - 1), every set S the loop keeps satisfies
-    (*) n*||S|| >= e*(|S| - k + 1) and |S| >= 2k - 1, as the whole graph does:
-    - Deleting a vertex of degree <= gamma keeps (*): no set of 2k - 1
-      vertices meets the edge bound (it needs gamma*k > 2k(k - 1) edges and
-      has at most (2k - 1)(k - 1); for k = 1, a single vertex has no edges),
-      so S has at least 2k vertices before the deletion.
-    - At a cut X with |X| < k, the sides c | X (c a component of S - X) hold
-      every edge of S, and the right-hand sides of (*) sum to at most S's,
-      so some side meets the edge bound.  When the minimum degree exceeds
-      gamma, every side holds a vertex with all of its neighbours, so it
-      has more than gamma + 1 > 2k - 1 vertices and that side satisfies (*).
-    The loop peels, then keeps the densest side satisfying (*) at each cut.
-    If no side does, the minimum degree is at most gamma and peeling again
-    removes a vertex; CertificationError reports a bug otherwise.  S shrinks
-    at every step and keeps 2k >= k + 1 vertices, so it ends k-connected.
+    (*) n*||S|| >= e*(|S| - k + 1) and |S| >= 2k - 1, as the whole graph
+    does.  No set of 2k - 1 vertices meets the edge bound (it needs
+    gamma*k > 2k(k - 1) edges and has at most (2k - 1)(k - 1); for k = 1, a
+    single vertex has no edges), so S has at least 2k vertices.
+    - Deleting a vertex of degree <= gamma keeps (*), so the first peel does.
+    - At a cut X with x = |X| < k, the r sides c | X (c a component of
+      S - X) hold every edge of S, so by (*) their margins ||side|| -
+      gamma*(|side| - k + 1) sum to at least (r - 1)*D, with
+      D = ||X|| + gamma*(k - 1 - x) >= 0.  A side of at most 2k - 2
+      vertices has at most |c|(|c| - 1)/2 + |c|*x <= |c|(3k - 4)/2 <
+      gamma*|c| edges outside X, so its margin is below D.  Not every side
+      is that small: S would then hold at most
+      x(x - 1)/2 + (|S| - x)(2k - 3 + x)/2 <= 2(k - 1)(|S| - k + 1) edges,
+      too few for (*) as |S| >= 2k.  So the sides of at least 2k - 1
+      vertices have margins summing to at least 0, and one of them keeps (*).
+    The loop peels, then keeps the densest side satisfying (*) at each cut;
+    CertificationError reports a bug if no side does.  S shrinks at every
+    step and keeps 2k >= k + 1 vertices, so it ends k-connected.
     """
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("average degree must be positive")
@@ -412,13 +385,9 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
             edges = sum((bits[v] & side).bit_count() for v in iter_bits(side)) // 2
             if size >= 2 * k - 1 and n * edges >= e * (size - k + 1):
                 sides.append((Fraction(edges, size), size, -side))
-        if sides:
-            S = -max(sides)[2]
-            continue
-        peeled = _peel_to_kcore(bits, S, e // n + 1)
-        if peeled == S:
+        if not sides:
             raise CertificationError(f"no side keeps Mader's bound (n={n}, e={e})")
-        S = peeled
+        S = -max(sides)[2]
 
 
 def gyarfas_floor(host: Host):

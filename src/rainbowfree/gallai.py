@@ -37,9 +37,6 @@ class GallaiPartition:
     parts: tuple[tuple[int, ...], ...]
     cross_colors: tuple[tuple[int, int, int], ...]  # (part i, part j, color)
 
-    def color_set(self) -> frozenset[int]:
-        return frozenset(c for _, _, c in self.cross_colors)
-
     def to_json(self) -> dict:
         return {
             "parts": [list(p) for p in self.parts],

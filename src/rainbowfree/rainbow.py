@@ -14,8 +14,8 @@ tried once, not once per member; the paper's constructions are a few blocks
 plus a quotient coloring, so this cuts their freeness proofs by orders of
 magnitude.  The engine comment in ``patterns`` says when the rule switches
 on, and ``patterns.embeddings`` why the first witness stays the one the full
-search finds.  ``enumerate_rainbow`` and ``count_rainbow`` keep the full
-search, because they report every branch.
+search finds.  ``enumerate_rainbow`` keeps the full search, because it
+reports every branch.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class Embedding:
     pattern: Pattern
     mapping: tuple[int, ...]  # pattern vertex i -> host (global) vertex
     colors: frozenset[int]
-
-    def image_edges(self) -> frozenset[tuple[int, int]]:
-        m = self.mapping
-        return frozenset(tuple(sorted((m[u], m[v]))) for u, v in self.pattern.graph.edges)
 
     def to_json(self) -> dict:
         return {
@@ -90,20 +86,6 @@ def enumerate_rainbow(host: Host, pattern: Pattern) -> Iterator[Embedding]:
     """All rainbow embeddings (one per search branch, symmetry-reduced)."""
     for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
         yield Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
-
-
-def is_rainbow_free(host: Host, pattern: Pattern) -> bool:
-    return find_rainbow(host, pattern) is None
-
-
-def count_rainbow(host: Host, pattern: Pattern) -> int:
-    """Number of rainbow copies, counted up to automorphisms of the pattern
-    (two embeddings with the same image edge set are the same copy)."""
-    images = set()
-    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
-        emb = Embedding(pattern, mapping, frozenset())
-        images.add(emb.image_edges())
-    return len(images)
 
 
 def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:

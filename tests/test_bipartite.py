@@ -15,7 +15,7 @@ from rainbowfree.connectivity import is_k_connected
 from rainbowfree.constructions import gen_F1
 from rainbowfree.core import ColoredBipartite, dump_coloring, flood, restrict
 from rainbowfree.patterns import parse_pattern
-from rainbowfree.rainbow import find_rainbow, is_rainbow_free
+from rainbowfree.rainbow import find_rainbow
 
 
 def test_three_color_host_is_case_a():
@@ -89,13 +89,13 @@ def test_classify_rejects_tiny_sides():
 def test_gen_type_b_is_rainbow_star_free():
     for seed in range(20):
         gen = gen_type_b(10, 9, 6, seed=seed)
-        assert is_rainbow_free(gen.host, parse_pattern("K1_3"))
+        assert find_rainbow(gen.host, parse_pattern("K1_3")) is None
 
 
 def test_gen_type_b_pure_blocks_still_star_free():
     gen = gen_type_b(10, 10, 5, seed=0, background_prob=0.0)
     host = gen.host
-    assert is_rainbow_free(host, parse_pattern("K1_3"))
+    assert find_rainbow(host, parse_pattern("K1_3")) is None
     assert classify_k13_free(host).case == "B"
 
 

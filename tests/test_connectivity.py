@@ -7,7 +7,6 @@ import pytest
 
 from rainbowfree.claims import _random_graph
 from rainbowfree.connectivity import (
-    DEPTH_CAP,
     CertificationError,
     _find_cut_below_k,
     _peel_to_kcore,
@@ -117,7 +116,8 @@ def test_largest_exact_agrees_with_enumeration():
             for k in (1, 2, 3):
                 rep = largest_k_connected(host, mask, k)
                 want = oracle_largest_k_connected(restrict(host, mask), k)
-                assert rep.lower == want and rep.upper == want
+                assert rep.exact is True
+                assert rep.lower == rep.upper == len(rep.witness) == want
 
 
 def test_largest_exact_agrees_with_enumeration_n12():
@@ -130,34 +130,67 @@ def test_largest_exact_agrees_with_enumeration_n12():
             assert rep.lower == want and rep.upper == want
 
 
-def test_uncapped_search_is_exact():
-    # below n = k + 21 the depth cap cannot bind, so every answer is exact
-    rng = random.Random(15)
-    for _ in range(60):
-        host = _random_complete(rng, rng.randint(4, 10), rng.randint(1, 3))
-        for k in (1, 2):
-            rep = largest_k_connected(host, {1}, k)
-            want = oracle_largest_k_connected(restrict(host, {1}), k)
-            assert rep.exact is True
-            assert rep.lower == rep.upper == want
+def colored_by(n, edges):
+    """K_n with the given edges in color 1 and every other pair in color 2."""
+    edges = set(edges)
+    return ColoredComplete.from_function(n, 2, lambda u, v: 1 if (u, v) in edges else 2)
 
 
-def test_depth_cap_reports_bounds():
+def glued_chain(k, blocks):
+    """Color 1 is a chain of K_{k+2} blocks, consecutive blocks sharing k - 1
+    vertices, on k + 2 + 3(blocks - 1) vertices: every shared set is a cut
+    below k, so the largest k-connected subgraph is one block."""
+    n = k + 2 + 3 * (blocks - 1)
+    return colored_by(
+        n, (e for b in range(blocks) for e in combinations(range(3 * b, 3 * b + k + 2), 2))
+    )
+
+
+def test_triangle_chain_is_exact():
     # color 1 is a chain of 22 triangles, consecutive ones sharing a cut
-    # vertex; splitting off one triangle per level runs past DEPTH_CAP = 20
-    triangles = DEPTH_CAP + 2
-    chain = {
-        frozenset(e)
-        for i in range(triangles)
-        for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))
-    }
-    host = ColoredComplete.from_function(
-        2 * triangles + 1, 2, lambda u, v: 1 if frozenset((u, v)) in chain else 2
+    # vertex; the search splits off one triangle per level, 22 levels deep
+    triangles = 22
+    host = colored_by(
+        2 * triangles + 1,
+        (e for i in range(triangles) for e in combinations(range(2 * i, 2 * i + 3), 2)),
     )
     rep = largest_k_connected(host, {1}, 2)
-    assert rep.exact is False
-    assert rep.lower == 3 <= rep.upper
+    assert (rep.lower, rep.upper, rep.exact) == (3, 3, True)
     assert is_k_connected(induced_subgraph(restrict(host, {1}), rep.witness), 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_deep_glued_chains_are_exact(k):
+    # 150 blocks on 451-453 vertices, so the cut splits nest about 150 deep
+    host = glued_chain(k, 150)
+    rep = largest_k_connected(host, {1}, k)
+    assert (rep.lower, rep.upper, rep.exact) == (k + 2, k + 2, True)
+    first = rep.witness[0]
+    assert first % 3 == 0 and rep.witness == tuple(range(first, first + k + 2))
+
+
+def test_largest_agrees_with_networkx_k_components():
+    # networkx shares no code with the search.  Its k_components (3.6.1)
+    # sometimes misses a k-component; where it reports less, the witness
+    # must be k-connected by networkx's own node_connectivity
+    rng = random.Random(22)
+    hosts = [_random_complete(rng, rng.randint(12, 18), rng.randint(2, 4)) for _ in range(30)]
+    hosts.append(glued_chain(2, 24))  # 73 vertices
+    agree = total = 0
+    for host in hosts:
+        g = restrict(host, {1})
+        G = to_networkx(g)
+        components = nx.k_components(G)
+        for k in (1, 2, 3, 4):
+            rep = largest_k_connected(host, {1}, k)
+            assert rep.exact and rep.lower == rep.upper == len(rep.witness)
+            want = max((len(c) for c in components.get(k, [])), default=0)
+            assert rep.lower >= want, (host.n, k)
+            if rep.lower > want:
+                assert nx.node_connectivity(G.subgraph(rep.witness)) >= k
+            agree += rep.lower == want
+            total += 1
+    assert agree >= 0.95 * total, (agree, total)
 
 
 def test_monotone_in_k_and_mask():

@@ -53,7 +53,7 @@ def test_partition_intro_example():
     host = gen_intro_example(10, 3).host
     part = gallai_partition(host)
     assert validate_gallai_partition(host, part.parts) is None
-    assert part.color_set() <= {1, 2}
+    assert {c for _, _, c in part.cross_colors} <= {1, 2}
 
 
 def test_partition_monochromatic_host():
@@ -91,7 +91,7 @@ def test_partition_coarsening_soundness():
         host = sample_gallai(9, 3, seed)
         part = gallai_partition(host)
         l = len(part.parts)
-        for a in sorted(part.color_set()):
+        for a in sorted({c for _, _, c in part.cross_colors}):
             quotient = {i: set() for i in range(l)}
             for i, j, c in part.cross_colors:
                 if c == a:

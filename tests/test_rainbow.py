@@ -18,17 +18,24 @@ from rainbowfree.core import ColoredComplete, _random_complete
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree.patterns import is_subgraph, parse_pattern
 from rainbowfree.rainbow import (
-    count_rainbow,
     enumerate_rainbow,
     find_rainbow,
     find_rainbow_triangle,
-    is_rainbow_free,
     validate_embedding,
 )
 
 
 def mono_k(n, m=1):
     return ColoredComplete(n, m, [1] * (n * (n - 1) // 2))
+
+
+def rainbow_copies(host, pat):
+    """The image edge sets of the full search's rainbow embeddings: the
+    rainbow copies of pat, counted up to its automorphisms."""
+    return {
+        frozenset(frozenset((emb.mapping[u], emb.mapping[v])) for u, v in pat.graph.edges)
+        for emb in enumerate_rainbow(host, pat)
+    }
 
 
 def test_find_k2uk3_in_r1():
@@ -40,7 +47,7 @@ def test_find_k2uk3_in_r1():
 
 
 def test_r2_has_no_rainbow_k2up6():
-    assert is_rainbow_free(gen_R2(12, 6).host, parse_pattern("K2uP6"))
+    assert find_rainbow(gen_R2(12, 6).host, parse_pattern("K2uP6")) is None
 
 
 def test_monochromatic_host_has_no_rainbow_p3():
@@ -53,12 +60,12 @@ def test_pattern_larger_than_host_errors():
 
 
 def test_f1_rainbow_p4_free():
-    assert is_rainbow_free(gen_F1(12, 6, 4).host, parse_pattern("P4"))
+    assert find_rainbow(gen_F1(12, 6, 4).host, parse_pattern("P4")) is None
 
 
 def test_f3_rainbow_star4_free():
     host = gen_F3(12, 12, 4).host
-    assert is_rainbow_free(host, parse_pattern("V:5;E:0-1,0-2,0-3,0-4"))
+    assert find_rainbow(host, parse_pattern("V:5;E:0-1,0-2,0-3,0-4")) is None
 
 
 def test_triangle_scan_matches_generic_search():
@@ -135,15 +142,15 @@ def test_count_zero_iff_free():
     for _ in range(60):
         host = _random_complete(rng, rng.randint(4, 7), rng.randint(2, 3))
         for pat in pats:
-            assert (count_rainbow(host, pat) == 0) == is_rainbow_free(host, pat)
+            assert (not rainbow_copies(host, pat)) == (find_rainbow(host, pat) is None)
 
 
 def test_count_up_to_automorphism_on_known_host():
     # K4 colored with a proper 3-edge-coloring: every triangle is rainbow,
     # and each of the three perfect matchings is monochromatic
     host = ColoredComplete(4, 3, [1, 2, 3, 3, 2, 1])
-    assert count_rainbow(host, parse_pattern("K3")) == 4
-    assert count_rainbow(host, parse_pattern("2K2")) == 0
+    assert len(rainbow_copies(host, parse_pattern("K3"))) == 4
+    assert len(rainbow_copies(host, parse_pattern("2K2"))) == 0
 
 
 def test_monotonicity_under_subpattern():
@@ -154,8 +161,8 @@ def test_monotonicity_under_subpattern():
         for small, big in pairs:
             ps, pb = parse_pattern(small), parse_pattern(big)
             assert is_subgraph(ps, pb)
-            if is_rainbow_free(host, ps):
-                assert is_rainbow_free(host, pb)
+            if find_rainbow(host, ps) is None:
+                assert find_rainbow(host, pb) is None
 
 
 def test_count_matches_injection_oracle():
@@ -174,7 +181,7 @@ def test_count_matches_injection_oracle():
                     images.add(
                         frozenset(frozenset((mapping[u], mapping[v])) for u, v in pat.graph.edges)
                     )
-            assert count_rainbow(host, pat) == len(images), (host._colors, pat.canonical_name)
+            assert rainbow_copies(host, pat) == images, (host._colors, pat.canonical_name)
 
 
 def test_enumerate_yields_valid_embeddings():
