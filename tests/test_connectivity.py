@@ -130,6 +130,18 @@ def test_largest_exact_agrees_with_enumeration_n12():
             assert rep.lower == want and rep.upper == want
 
 
+def test_uncapped_search_is_exact():
+    # the search has no depth cap, so every answer is exact
+    rng = random.Random(15)
+    for _ in range(60):
+        host = _random_complete(rng, rng.randint(4, 10), rng.randint(1, 3))
+        for k in (1, 2):
+            rep = largest_k_connected(host, {1}, k)
+            want = oracle_largest_k_connected(restrict(host, {1}), k)
+            assert rep.exact is True
+            assert rep.lower == rep.upper == len(rep.witness) == want
+
+
 def colored_by(n, edges):
     """K_n with the given edges in color 1 and every other pair in color 2."""
     edges = set(edges)
