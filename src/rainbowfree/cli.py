@@ -124,17 +124,16 @@ def _cmd_gallai(args) -> int:
         host = sample_gallai(args.n, args.m, args.seed)
         dump_coloring(host, args.output)
         return 0
-    if args.gallai_cmd == "verify":
-        host = load_coloring(args.file)
-        verify = (
-            verify_two_color_2connected
-            if args.lemma == "2conn"
-            else verify_two_color_3connected
-        )
-        witness = verify(host)
-        _emit(witness.to_json())
-        return 0 if witness.ok else 1
-    raise ValueError("unknown gallai subcommand")
+    # "verify": the subcommand is required, so no other value gets here
+    host = load_coloring(args.file)
+    verify = (
+        verify_two_color_2connected
+        if args.lemma == "2conn"
+        else verify_two_color_3connected
+    )
+    witness = verify(host)
+    _emit(witness.to_json())
+    return 0 if witness.ok else 1
 
 
 def _cmd_bipartite(args) -> int:
@@ -150,12 +149,11 @@ def _cmd_bipartite(args) -> int:
         if args.describe:
             _emit(gen.describe())
         return 0
-    if args.bipartite_cmd == "verify-cor43":
-        host = load_coloring(args.file)
-        witness = verify_background_spanning_kconn(host, args.k)
-        _emit(witness.to_json())
-        return 0 if witness.ok else 1
-    raise ValueError("unknown bipartite subcommand")
+    # "verify-cor43": the subcommand is required, so no other value gets here
+    host = load_coloring(args.file)
+    witness = verify_background_spanning_kconn(host, args.k)
+    _emit(witness.to_json())
+    return 0 if witness.ok else 1
 
 
 def _cmd_paths(args) -> int:

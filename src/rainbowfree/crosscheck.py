@@ -26,6 +26,10 @@ from .patterns import parse_pattern
 from .rainbow import find_rainbow
 
 SAMPLE_BUDGET = 100_000
+# The largest n the brute-force oracles finish on: their cost grows
+# factorially in n, and one coloring of a one-color K_10 already costs about
+# ten times one of K_9
+MAX_ORDER = 9
 
 _FULL_PATTERNS = ["P3", "K3", "P4", "2K2", "K1_3"]
 _SAMPLED_PATTERNS = ["P3", "K3", "2K2"]
@@ -115,6 +119,8 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
     host."""
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    if max_n > MAX_ORDER:
+        raise ValueError(f"max_n must be at most {MAX_ORDER}")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
     if budget < 1:

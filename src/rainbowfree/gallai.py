@@ -113,8 +113,6 @@ def gallai_partition(host: ColoredComplete) -> GallaiPartition:
     always certifies; the final raise is a certificate failure.
     """
     _require_complete(host)
-    if host.n < 2:
-        raise ValueError("need at least 2 vertices")
     if not is_gallai(host):
         raise NotGallaiError("host contains a rainbow triangle")
     used = sorted(host.used_colors())

@@ -4,23 +4,21 @@ check.
 Exact searches run on the non-isolated vertices of one color class, one
 level per path order (Bellman; Held and Karp, 1962).  A level maps each
 vertex set that some path covers to the bitset of that set's path
-endpoints.  Both the path and the cycle search build each level with the
-one level function ``_next_level``, keep every level, and rebuild the
-witness from them with ``_least_path``.  A set grows by every allowed
-vertex outside it next to one of its endpoints.  On classes of at most
-``_TABLE_ORDER`` = 22 vertices, a search builds lookup tables once a level
-holds more sets than they have entries (``_expander``), and every later
-level, of any cycle anchor, grows by two lookups per set in place of two
-bit loops.  The lookups give the same bits in the same ascending order,
-so each level keeps its keys, values and insertion order.  The levels
-count (vertex set, endpoint) pairs against ``_STATE_CAP``; a search the
-cap stops is flagged inexact, at the same level with or without tables.
-On supports of at most ``_PATH_UNCAPPED`` vertices (paths) or
-``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and there one
-lexicographic depth-first search, ``_first_path``, answers first: it stops
-at the first path whose order meets an upper bound, which is the level
-search's witness.  Only when it finds none do the levels run (on the
-2-core, for a cycle).
+endpoints.  Both the path and the cycle search take the lookup tables of
+``_level_tables`` once, at their start (none above ``_TABLE_ORDER`` = 22
+vertices), grow their levels with the one cap loop ``_levels``, and
+rebuild the witness from them with ``_least_path``.  A set grows by every
+allowed vertex outside it next to one of its endpoints; with tables that
+is two lookups per set in place of two bit loops, with the same bits in
+the same ascending order, so each level keeps its keys, values and
+insertion order.  The levels count (vertex set, endpoint) pairs against
+``_STATE_CAP``; a search the cap stops is flagged inexact, at the same
+level with or without tables.  On supports of at most ``_PATH_UNCAPPED``
+vertices (paths) or ``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and
+there one lexicographic depth-first search, ``_first_path``, answers
+first: it stops at the first path whose order meets an upper bound, which
+is the level search's witness.  Only when it finds none do the levels run
+(on the 2-core, for a cycle).
 """
 
 from __future__ import annotations
@@ -52,8 +50,9 @@ _STATE_CAP = 400_000
 # 16) the cap cannot bind, so the searches are exact
 _PATH_UNCAPPED = max(q for q in range(1, 64) if q << (q - 1) <= _STATE_CAP)
 _CYCLE_UNCAPPED = max(q for q in range(2, 64) if ((q - 1) << (q - 2)) + 1 <= _STATE_CAP)
-# The largest class whose level search may build lookup tables (two of at
-# most 2^11 entries)
+# The largest class whose level search gets lookup tables (two of at most
+# 2^11 entries); above it the tables would outgrow the few levels the cap
+# lets such a search build
 _TABLE_ORDER = 22
 
 
@@ -126,7 +125,8 @@ def _complete(adj) -> bool:
 
 def _level_tables(adj):
     """(h, lo, hi, lo_bits, hi_bits): lookup tables over the low h =
-    ceil(q/2) vertices of a class and over the high q - h.
+    ceil(q/2) vertices of a class and over the high q - h, or None when the
+    class has more than ``_TABLE_ORDER`` vertices.
 
     ``lo[s]`` is the OR of ``adj`` over the vertices of an h-bit subset s,
     and ``lo_bits[s]`` its bits as an ascending tuple of bit values;
@@ -136,6 +136,8 @@ def _level_tables(adj):
     is their largest bit, so it goes last in each tuple.
     """
     q = len(adj)
+    if q > _TABLE_ORDER:
+        return None
     h = (q + 1) // 2
 
     def half(first, last):
@@ -158,13 +160,14 @@ def _next_level(adj, level: dict, allowed: int, tables=None) -> dict:
     A vertex v in ``allowed`` outside ``mask`` extends some path of ``mask``
     when it is adjacent to one of its endpoints, and then v ends a path
     through ``mask | v``.  That pair is reached only from ``mask``, so every
-    (set, endpoint) pair is made once.  Without ``tables`` the neighbours of
-    the endpoints are ORed one endpoint at a time, and the new endpoints
-    are taken lowest bit first.  With the tables of ``_level_tables`` the
-    OR is two lookups, one per half of the endpoint bitset, and the new
-    endpoints are the low half's tuple followed by the high half's: the
-    same bits in the same ascending order.  So both ways make the same
-    level, with the same keys, values and insertion order.
+    (set, endpoint) pair is made once.  ``tables`` is what
+    ``_level_tables(adj)`` returned.  When it is None the neighbours of the
+    endpoints are ORed one endpoint at a time, and the new endpoints are
+    taken lowest bit first.  With tables the OR is two lookups, one per
+    half of the endpoint bitset, and the new endpoints are the low half's
+    tuple followed by the high half's: the same bits in the same ascending
+    order.  So both ways make the same level, with the same keys, values
+    and insertion order.
 
     The witness is the lexicographically least path of the last level
     reached, which is the path a breadth-first search over (set, endpoint)
@@ -203,33 +206,28 @@ def _next_level(adj, level: dict, allowed: int, tables=None) -> dict:
     return nxt
 
 
-def _expander(adj):
-    """``_next_level`` for one search over ``adj``, with tables once they
-    pay.
-
-    Building the tables costs about one step per entry, so they are built
-    the first time a level holds more sets than the tables have entries,
-    and then serve every later level (and every later cycle anchor).  Above
-    ``_TABLE_ORDER`` vertices they are never built: the tables would grow
-    past 2^11 entries each, and the cap binds within a few levels there.
-    """
-    q = len(adj)
-    h = (q + 1) // 2
-    entries = (1 << h) + (1 << (q - h)) if q <= _TABLE_ORDER else None
-    tables = None
-
-    def expand(level: dict, allowed: int) -> dict:
-        nonlocal tables
-        if tables is None and entries is not None and len(level) > entries:
-            tables = _level_tables(adj)
-        return _next_level(adj, level, allowed, tables)
-
-    return expand
-
-
 def _pairs(level: dict) -> int:
     """The (set, endpoint) pairs of a level, the unit of the state cap."""
     return sum(map(int.bit_count, level.values()))
+
+
+def _levels(adj, first: dict, allowed: int, tables, limit: int | None = None):
+    """(levels, exact): the levels grown from ``first`` by ``_next_level``
+    until one is empty, ``limit`` levels exist, or the (set, endpoint) pairs
+    pass ``_STATE_CAP``.  exact=False means the cap stopped them, and then
+    the last level is the one that passed it.
+    """
+    levels = [first]
+    states = _pairs(first)
+    while limit is None or len(levels) < limit:
+        if states > _STATE_CAP:
+            return levels, False
+        nxt = _next_level(adj, levels[-1], allowed, tables)
+        if not nxt:
+            break
+        levels.append(nxt)
+        states += _pairs(nxt)
+    return levels, True
 
 
 def _least_path(adj, levels, path: list[int], order: int) -> list[int]:
@@ -275,19 +273,8 @@ def _longest_path_bits(adj, target: int | None):
     if _complete(adj):
         # complete class (or none): any vertex order is a Hamilton path
         return list(range(q if target is None else min(q, target))), True
-    levels = [{1 << v: 1 << v for v in range(q)}]
-    states = q
-    exact = True
-    grow = _expander(adj)
-    while target is None or len(levels) < target:
-        if states > _STATE_CAP:
-            exact = False
-            break
-        nxt = grow(levels[-1], -1)
-        if not nxt:
-            break
-        levels.append(nxt)
-        states += _pairs(nxt)
+    first = {1 << v: 1 << v for v in range(q)}
+    levels, exact = _levels(adj, first, -1, _level_tables(adj), target)
     return _least_path(adj, levels, [], len(levels)), exact
 
 
@@ -346,7 +333,7 @@ def _longest_path(adj, target: int | None):
     the levels run.
     """
     q = len(adj)
-    if q > _PATH_UNCAPPED or _complete(adj):
+    if q > _PATH_UNCAPPED:
         return _longest_path_bits(adj, target)
     comps = components(adj, (1 << q) - 1)
     order = max(map(int.bit_count, comps))
@@ -479,29 +466,19 @@ def _longest_cycle_bits(adj):
         return list(range(q)), True  # complete class: Hamilton cycle
     best: list[int] = []
     exact = True
-    grow = _expander(adj)
+    tables = _level_tables(adj)
     for anchor in range(q):
         if q - anchor < 3 or q - anchor <= len(best):
             break
         allowed = ~((1 << (anchor + 1)) - 1)
-        levels = [{1 << anchor: 1 << anchor}]
-        states = 1
-        closing = 0
-        while True:
-            if states > _STATE_CAP:
-                exact = False
+        levels, done = _levels(adj, {1 << anchor: 1 << anchor}, allowed, tables)
+        if not done:
+            exact = False
+            levels.pop()
+        for size in range(len(levels), max(2, len(best)), -1):
+            if any(ends & adj[anchor] for ends in levels[size - 1].values()):
+                best = _least_path(adj, levels, [anchor], size)
                 break
-            size = len(levels)
-            if size >= 3 and size > len(best):
-                if any(ends & adj[anchor] for ends in levels[-1].values()):
-                    closing = size
-            nxt = grow(levels[-1], allowed)
-            if not nxt:
-                break
-            levels.append(nxt)
-            states += _pairs(nxt)
-        if closing:
-            best = _least_path(adj, levels, [anchor], closing)
     return best, exact
 
 
@@ -520,7 +497,7 @@ def _longest_cycle(adj):
     the level search's witness.  Only if the core has none do the levels
     run, on the core relabeled in order, which keeps their witness.
     """
-    if len(adj) > _CYCLE_UNCAPPED or _complete(adj):
+    if len(adj) > _CYCLE_UNCAPPED:
         return _longest_cycle_bits(adj)
     verts = list(iter_bits(_two_core(adj)))
     if not verts:

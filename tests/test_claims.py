@@ -3,6 +3,8 @@ import json
 
 import random
 
+import pytest
+
 from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
 from rainbowfree.crosscheck import micro_crosscheck
 
@@ -106,3 +108,11 @@ def test_crosscheck_small_full_spaces():
 def test_crosscheck_sampled_mode():
     r = micro_crosscheck(6, 3, seed=11, budget=400)
     assert r.ok and r.mode == "sampled" and r.colorings == 400
+
+
+def test_crosscheck_refuses_orders_its_oracles_cannot_finish():
+    # the oracles' cost grows factorially in n; the refusal comes before the
+    # size of the coloring space is computed
+    for n in (10, 10**5):
+        with pytest.raises(ValueError, match="max_n must be at most 9"):
+            micro_crosscheck(n, 1)

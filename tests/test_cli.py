@@ -266,6 +266,14 @@ def test_wrong_host_kind_is_bad_input(tmp_path, capsys):
         assert err["error"] == "ValueError" and kind in err["message"], argv
 
 
+def test_crosscheck_refuses_orders_its_oracles_cannot_finish(capsys):
+    assert main(["crosscheck", "--max-n", "10", "--max-m", "1"]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == ""
+    assert json.loads(line) == {"error": "ValueError", "message": "max_n must be at most 9"}
+
+
 def test_crosscheck_refuses_empty_sample(capsys):
     for samples in ("0", "-5"):
         argv = ["crosscheck", "--max-n", "3", "--max-m", "2", "--samples", samples]

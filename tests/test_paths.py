@@ -354,7 +354,7 @@ def test_table_expansion_matches_a_plain_expansion():
                 level = dict(islice(want, 150))
 
 
-def test_tables_are_built_once_and_only_for_large_levels(monkeypatch):
+def test_tables_are_built_once_per_level_search(monkeypatch):
     built = []
     anchors = set()
     level_tables, next_level = paths._level_tables, paths._next_level
@@ -363,7 +363,7 @@ def test_tables_are_built_once_and_only_for_large_levels(monkeypatch):
         built.append(len(adj))
         return level_tables(adj)
 
-    def note_anchor(adj, level, allowed, tables=None):
+    def note_anchor(adj, level, allowed, tables):
         if tables is not None:
             anchors.add(allowed)
         return next_level(adj, level, allowed, tables)
@@ -375,14 +375,8 @@ def test_tables_are_built_once_and_only_for_large_levels(monkeypatch):
     assert len(restrict(host, {1}).support()) == 17
     longest_mono_cycle(host, 1)
     assert built == [17] and len(anchors) > 1
-    # K6 classes never build them, nor a class the depth-first route answers
+    # a class the depth-first route answers builds none; its level search one
     built.clear()
-    rng = random.Random(46)
-    for _ in range(100):
-        host = _random_complete(rng, 6, rng.randint(1, 3))
-        for c in sorted(host.used_colors()):
-            longest_mono_path(host, c)
-            longest_mono_cycle(host, c)
     host = _random_complete(random.Random(47), 15, 2)
     _, adj = paths._color_class(host, 1)
     assert len(adj) == 15
@@ -390,6 +384,10 @@ def test_tables_are_built_once_and_only_for_large_levels(monkeypatch):
     assert built == []
     _longest_path_bits(adj, None)
     assert built == [15]
+    # above _TABLE_ORDER there are no tables to build
+    rng = random.Random(48)
+    assert level_tables(_random_adj(rng, 22, 0.3)) is not None
+    assert level_tables(_random_adj(rng, 23, 0.3)) is None
 
 
 def _random_class(rng, q):
