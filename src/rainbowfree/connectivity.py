@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .core import (
     Host,
@@ -60,7 +61,9 @@ class ConnectivityReport:
 
 @dataclass(frozen=True)
 class OrderCapResult:
-    """Outcome of exhaustively refuting k-connected subgraphs above a cap."""
+    """Outcome of refuting k-connected subgraphs above a cap: the number of
+    vertex subsets of order above max(cap, optimum), which the exact answer
+    rules out, and a largest k-connected set when the cap fails."""
 
     ok: bool
     k: int
@@ -312,35 +315,23 @@ def best_two_colored(host: Host, k: int):
 
 
 def verify_order_cap(host: Host, mask, k: int, cap: int) -> OrderCapResult:
-    """Certify that no k-connected subgraph under ``mask`` has order > cap,
-    by checking every vertex subset of size cap+1 .. n exactly."""
-    allowed = normalize_mask(host, mask)
-    g = restrict(host, allowed)
-    n = g.n
-    full = (1 << n) - 1
-    low_degree = 0
-    for v in range(n):
-        if g.degree(v) < k:
-            low_degree |= 1 << v
-    checked = 0
-    for size in range(n, cap, -1):
-        for removed in combinations(range(n), n - size):
-            S = full
-            for v in removed:
-                S &= ~(1 << v)
-            checked += 1
-            if S & low_degree:
-                continue  # a vertex of total masked degree < k is in S
-            if _find_cut_below_k(g.adj_bits, S, k) is None:
-                return OrderCapResult(
-                    ok=False,
-                    k=k,
-                    mask=allowed,
-                    cap=cap,
-                    subsets_checked=checked,
-                    counterexample=tuple(iter_bits(S)),
-                )
-    return OrderCapResult(ok=True, k=k, mask=allowed, cap=cap, subsets_checked=checked)
+    """Certify that no k-connected subgraph under ``mask`` has order > cap.
+
+    ``largest_k_connected`` answers exactly, and its witness is the
+    counterexample.  ``subsets_checked`` counts the subsets that answer
+    rules out: every one of order cap + 1 .. n when the cap holds.
+    """
+    rep = largest_k_connected(host, mask, k)
+    n = host.vertex_count
+    ok = rep.upper <= cap
+    return OrderCapResult(
+        ok=ok,
+        k=k,
+        mask=rep.mask,
+        cap=cap,
+        subsets_checked=sum(comb(n, r) for r in range(max(cap, rep.upper) + 1, n + 1)),
+        counterexample=None if ok else rep.witness,
+    )
 
 
 def mader_extract(g: SimpleGraph) -> SimpleGraph:

@@ -1,5 +1,6 @@
 """Gallai colorings: recognition, partition extraction, a structured random
-sampler, and the two-colored highly-connected witness searches.
+sampler, and the two-colored highly-connected witness searches, which take
+``connectivity.largest_k_connected`` of each two-color class.
 
 A Gallai coloring is a rainbow-triangle-free coloring of a complete graph.
 Every such coloring admits a partition of the vertices into l >= 2 parts
@@ -21,10 +22,9 @@ from .core import (
     color_bits,
     components,
     iter_bits,
-    restrict,
 )
 from .core import _tri_offsets
-from .connectivity import CertificationError, _find_cut_below_k
+from .connectivity import CertificationError, largest_k_connected
 from .rainbow import find_rainbow_triangle
 
 
@@ -238,9 +238,10 @@ class TwoColorWitness:
         }
 
 
-def _two_color_witness(host: ColoredComplete, k: int, drop_one: bool, reason: str):
-    """The first two-color mask, in color order, whose class has no cut below
-    k on all vertices or, when drop_one holds, on all but one vertex."""
+def _two_color_witness(host: ColoredComplete, k: int, drop: int, reason: str):
+    """The first two-color mask, in color order, whose class holds a
+    k-connected subgraph on at least n - drop vertices, with the largest
+    such subgraph as witness."""
     _require_complete(host)
     used = sorted(host.used_colors())
     if len(used) != 3:
@@ -249,13 +250,10 @@ def _two_color_witness(host: ColoredComplete, k: int, drop_one: bool, reason: st
         raise ValueError("n must be at least 7")
     if not is_gallai(host):
         raise NotGallaiError("host contains a rainbow triangle")
-    full = (1 << host.n) - 1
-    spans = [full] + ([full & ~(1 << d) for d in range(host.n)] if drop_one else [])
     for mask in combinations(used, 2):
-        adj = restrict(host, mask).adj_bits
-        for S in spans:
-            if _find_cut_below_k(adj, S, k) is None:
-                return TwoColorWitness(True, k, frozenset(mask), tuple(iter_bits(S)))
+        rep = largest_k_connected(host, mask, k)
+        if rep.lower >= host.n - drop:
+            return TwoColorWitness(True, k, frozenset(mask), rep.witness)
     return TwoColorWitness(False, k, frozenset(), (), reason)
 
 
@@ -266,12 +264,12 @@ def verify_two_color_2connected(host: ColoredComplete) -> TwoColorWitness:
     failure is therefore a falsification report, not an exception.
     """
     return _two_color_witness(
-        host, 2, False, "no spanning 2-connected two-colored subgraph"
+        host, 2, 0, "no spanning 2-connected two-colored subgraph"
     )
 
 
 def verify_two_color_3connected(host: ColoredComplete) -> TwoColorWitness:
     """Search for a 3-connected subgraph of order >= n - 1 using <= 2 colors."""
     return _two_color_witness(
-        host, 3, True, "no 3-connected two-colored subgraph of order >= n-1"
+        host, 3, 1, "no 3-connected two-colored subgraph of order >= n-1"
     )

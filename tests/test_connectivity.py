@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
@@ -22,6 +23,7 @@ from rainbowfree.connectivity import (
 )
 from rainbowfree.constructions import gen_F1, gen_R1, gen_counterexample_4t
 from rainbowfree.core import (
+    ColoredBipartite,
     ColoredComplete,
     SimpleGraph,
     _random_complete,
@@ -32,6 +34,7 @@ from rainbowfree.core import (
 )
 from rainbowfree.oracles import (
     oracle_is_k_connected,
+    oracle_is_k_connected_bits,
     oracle_largest_k_connected,
     oracle_vertex_connectivity,
 )
@@ -245,6 +248,48 @@ def test_order_cap_detects_violations():
     res = verify_order_cap(host, {1}, 2, 4)
     assert not res.ok
     assert len(res.counterexample) > 4
+
+
+def test_order_cap_refuses_k_below_one():
+    host = ColoredComplete(5, 2, [1] * 10)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        verify_order_cap(host, {1}, 0, 3)
+
+
+def test_order_cap_agrees_with_subset_enumeration():
+    # the enumeration the exact search replaced, on the independent oracle
+    rng = random.Random(10)
+    for i in range(200):
+        n, m, k = rng.randint(4, 9), rng.randint(1, 3), rng.randint(1, 3)
+        if i % 4:
+            host = _random_complete(rng, n, m)
+        else:
+            s = rng.randint(1, n - 1)
+            host = ColoredBipartite(s, n - s, m, [rng.randint(1, m) for _ in range(s * (n - s))])
+        mask = {c for c in range(1, m + 1) if rng.random() < 0.6} or {m}
+        g = restrict(host, mask)
+        kconn = [S for S in range(1 << n) if oracle_is_k_connected_bits(g.adj_bits, S, k)]
+        for cap in range(n + 1):
+            res = verify_order_cap(host, mask, k, cap)
+            assert res.ok == all(S.bit_count() <= cap for S in kconn), (i, cap)
+            if res.ok:
+                above = sum(S.bit_count() > cap for S in range(1 << n))
+                assert res.subsets_checked == above and res.counterexample is None
+            else:
+                witness = sum(1 << v for v in res.counterexample)
+                assert len(res.counterexample) == oracle_largest_k_connected(g, k)
+                assert oracle_is_k_connected_bits(g.adj_bits, witness, k)
+
+
+def test_order_caps_scale():
+    # enumerating the subsets above the cap took about 20 s per host at t = 3
+    # and did not finish at t = 6
+    above_188 = sum(comb(200, r) for r in range(189, 201))
+    for t, n, checked in ((3, 60, 5_985_198), (6, 200, above_188)):
+        host = gen_counterexample_4t(t, n).host
+        for mask in combinations(sorted(host.used_colors()), 2):
+            res = verify_order_cap(host, mask, 4 * t, n - 2 * t)
+            assert res.ok and res.subsets_checked == checked, (t, mask)
 
 
 def test_mader_k9():

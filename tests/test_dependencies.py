@@ -1,6 +1,7 @@
 """The library runs on the standard library alone, as ``dependencies = []``
 in pyproject.toml says: every module imports only standard-library or
-relative modules."""
+relative modules.  Inside the library, only ``connectivity`` reaches its
+private vertex-cut kernel."""
 
 import ast
 import sys
@@ -26,3 +27,21 @@ def test_library_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert modules and not outside
+
+
+def test_only_connectivity_uses_the_cut_kernel():
+    # other modules call the public is_k_connected or largest_k_connected
+    kernel = {"_find_cut_below_k", "_split_flow"}
+    users = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "connectivity.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            users += [(path.name, name) for name in sorted(names & kernel)]
+    assert not users

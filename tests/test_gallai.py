@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import tracemalloc
 from itertools import product
@@ -204,6 +205,31 @@ def test_lemma_verifiers_on_samples():
         assert verify_two_color_2connected(host).ok
         w3 = verify_two_color_3connected(host)
         assert w3.ok and w3.order >= 8
+
+
+# sha256 of (ok, order, sorted mask, vertices) from both lemma verifiers on
+# 240 sampled hosts (n = 7..30) and four constructions; 25 of the hosts have
+# no 3-connected two-colored class on all n vertices, only on n - 1
+GOLDEN_TWO_COLOR = "22c291106a651268adbd2b98eefe670ee1a93f0044603a9e155625e7f481b1ec"
+
+
+def test_golden_two_color_witnesses():
+    hosts = [sample_gallai(7 + seed % 24, 3, seed) for seed in range(240)]
+    hosts += [
+        gen_intro_example(10, 3).host,
+        gen_intro_example(12, 5).host,
+        gen_counterexample_4t(1, 20).host,
+        gen_counterexample_4t(2, 40).host,
+    ]
+    rows = []
+    short = 0
+    for host in hosts:
+        for verify in (verify_two_color_2connected, verify_two_color_3connected):
+            w = verify(host)
+            rows.append([w.ok, w.order, sorted(w.mask), list(w.vertices)])
+        short += rows[-1][1] == host.n - 1
+    assert short == 25
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_TWO_COLOR
 
 
 def test_lemma_verifiers_reject_two_colors():
