@@ -22,7 +22,6 @@ from .patterns import (
     H_SET,
     Pattern,
     catalog_members,
-    in_set,
     is_isomorphic,
     is_subgraph,
     parse_pattern,

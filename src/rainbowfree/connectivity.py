@@ -23,7 +23,6 @@ from .core import (
     SimpleGraph,
     ceil_div,
     components,
-    flood,
     induced_subgraph,
     iter_bits,
     normalize_mask,
@@ -202,26 +201,22 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
 
 
 def vertex_connectivity(g: SimpleGraph) -> int:
-    """Exact kappa(g); kappa(K_r) = r - 1 by convention."""
-    n = g.n
-    if n == 0:
+    """Exact kappa(g); kappa(K_r) = r - 1 by convention.
+
+    A descent on the cut driver: kappa is at most the minimum degree, every
+    cut ``_find_cut_below_k`` returns separates g, and when it finds none
+    below ``best`` the graph is best-connected.  K_r, one vertex and
+    disconnected graphs need no case of their own.
+    """
+    if g.n == 0:
         raise ValueError("empty graph has no connectivity")
-    if n == 1:
-        return 0
-    full = (1 << n) - 1
-    if flood(g.adj_bits, full, 0) != full:
-        return 0
-    if g.edge_count == n * (n - 1) // 2:
-        return n - 1
-    v = min(range(n), key=g.degree)
-    best = g.degree(v)
-    for u in iter_bits(full & ~g.adj_bits[v] & ~(1 << v)):
-        f, _ = _split_flow(g.adj_bits, full, v, u, best)
-        best = min(best, f)
-    for x, y in combinations(iter_bits(g.adj_bits[v]), 2):
-        if not g.has_edge(x, y):
-            f, _ = _split_flow(g.adj_bits, full, x, y, best)
-            best = min(best, f)
+    full = (1 << g.n) - 1
+    best = min(map(g.degree, range(g.n)))
+    while best > 0:
+        cut = _find_cut_below_k(g.adj_bits, full, best)
+        if cut is None:
+            break
+        best = cut.bit_count()
     return best
 
 

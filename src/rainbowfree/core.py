@@ -15,7 +15,7 @@ threads.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations, islice
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, TextIO, Union
 
@@ -92,9 +92,6 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.adj_bits[u] >> v) & 1 == 1
 
-    def max_degree(self) -> int:
-        return max((b.bit_count() for b in self.adj_bits), default=0)
-
     def support(self) -> tuple[int, ...]:
         """Vertices incident to at least one edge."""
         return tuple(v for v in range(self.n) if self.adj_bits[v])
@@ -159,14 +156,10 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     return SimpleGraph._from_bits(bits)
 
 
-def _tri_index(n: int, u: int, v: int) -> int:
-    # row-major upper triangle, u < v
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
 def _tri_offsets(n: int) -> list[int]:
-    """Per vertex a, the offset with pair a < b at ``offset[a] + b``."""
-    return [_tri_index(n, a, a + 1) - a - 1 for a in range(n)]
+    """Per vertex a, the offset with pair a < b at ``offset[a] + b`` in the
+    row-major upper triangle of K_n."""
+    return [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
 
 
 class _ColoredHost:
@@ -280,15 +273,17 @@ class _ColoredHost:
 
 
 class ColoredComplete(_ColoredHost):
-    """An edge-coloring of K_n by colors 1..m, stored as a flat triangular array."""
+    """An edge-coloring of K_n by colors 1..m, stored as a flat triangular
+    array: pair a < b sits at ``_offsets[a] + b``."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_offsets")
 
     def __init__(self, n: int, m: int, colors: Iterable[int]):
         if not (2 <= n <= MAX_VERTICES):
             raise ValueError(f"n must be in 2..{MAX_VERTICES}, got {n}")
         self.n = n
         super().__init__(m, colors, n * (n - 1) // 2)
+        self._offsets = _tri_offsets(n)
 
     @classmethod
     def from_function(cls, n: int, m: int, fn) -> "ColoredComplete":
@@ -300,25 +295,31 @@ class ColoredComplete(_ColoredHost):
         return self.n
 
     def color(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("no loop edges")
         if u > v:
             u, v = v, u
-        return self._colors[_tri_index(self.n, u, v)]
+        if u < 0 or v >= self.n:
+            raise ValueError(f"vertex out of range 0..{self.n - 1}")
+        if u == v:
+            raise ValueError("no loop edges")
+        return self._colors[self._offsets[u] + v]
 
     def pair_color(self, u: int, v: int) -> int | None:
         """Color of the edge uv, or None when uv is not an edge (u == v)."""
+        if u > v:
+            u, v = v, u
+        if u < 0 or v >= self.n:
+            raise ValueError(f"vertex out of range 0..{self.n - 1}")
         if u == v:
             return None
-        return self.color(u, v)
+        return self._colors[self._offsets[u] + v]
 
     def _row(self, v: int) -> list:
         """The color of vw for every vertex w (0 for w = v), read by slices."""
-        n, colors = self.n, self._colors
-        # the index of (w, v) grows by n - w - 2 from one w to the next
-        lower = islice(accumulate(range(n - 2, 0, -1), initial=v - 1), v)
-        start = v * (2 * n - v - 1) // 2
-        return [*map(colors.__getitem__, lower), 0, *colors[start:start + n - v - 1]]
+        colors, off = self._colors, self._offsets
+        row = [colors[o + v] for o in off[:v]]
+        row.append(0)
+        row += colors[off[v] + v + 1:off[v] + self.n]
+        return row
 
     def edge_iter(self) -> Iterator[tuple[int, int, int]]:
         # combinations() walks the pairs in the row-major order of _colors
@@ -383,6 +384,8 @@ class ColoredBipartite(_ColoredHost):
         """Color of the edge between global vertices a, b; None if same side."""
         if a > b:
             a, b = b, a
+        if a < 0 or b >= self.s + self.t:
+            raise ValueError(f"vertex out of range 0..{self.s + self.t - 1}")
         if a < self.s <= b:
             return self._colors[a * self.t + (b - self.s)]
         return None

@@ -4,9 +4,7 @@ Deliberately simple and slow: these re-derive answers by exhaustive
 enumeration and share no search or graph code with the production
 implementations they cross-check (not even ``core.flood``: connectivity and
 bit listing are written out here), so one bug cannot hide on both sides.
-Everything here is only meant for micro-scale inputs, except the quotient
-oracle, which enumerates maps onto twin classes and so reaches the paper's
-blow-up constructions.
+Everything here is only meant for micro-scale inputs.
 """
 
 from __future__ import annotations
@@ -55,61 +53,6 @@ def oracle_rainbow_exists(host: Host, pattern) -> bool:
     return False
 
 
-def oracle_rainbow_exists_quotient(host: Host, pattern) -> bool:
-    """Decide a rainbow copy on the host's quotient by twin classes.
-
-    Two vertices share a class when every other vertex sees both in one
-    color, or neither; classes are found by comparing ``pair_color`` rows.
-    Each pattern vertex goes to a class, no class takes more pattern
-    vertices than it holds, and an edge's color is read from the quotient:
-    the one color between two classes, or the color inside a class.  An
-    injection picks distinct class members, so a rainbow class map exists
-    exactly when a rainbow copy does.  Pattern vertices are assigned in
-    index order, and a branch stops at its first missing or repeated color.
-    """
-    g = pattern.graph if hasattr(pattern, "graph") else pattern
-    nv = host.vertex_count
-    if g.n > nv:
-        raise ValueError("pattern larger than host")
-    if g.edge_count > len(host.used_colors()):
-        return False  # a rainbow copy needs one color per edge
-    color = host.pair_color
-    classes: list[list[int]] = []
-    for v in range(nv):
-        for members in classes:
-            u = members[0]
-            if all(color(u, w) == color(v, w) for w in range(nv) if w not in (u, v)):
-                members.append(v)
-                break
-        else:
-            classes.append([v])
-    # between classes any members will do; inside one, its first and last
-    # members, which coincide (pair_color None) for a single vertex
-    quotient = [[color(a[0], b[-1]) for b in classes] for a in classes]
-    room = [len(members) for members in classes]
-    earlier = [[u for u in range(v) if g.has_edge(u, v)] for v in range(g.n)]
-    place = [-1] * g.n
-
-    def extend(v: int, used: frozenset) -> bool:
-        if v == g.n:
-            return True
-        for a in range(len(classes)):
-            if not room[a]:
-                continue
-            new = [quotient[a][place[u]] for u in earlier[v]]
-            if None in new or len(set(new)) < len(new) or used.intersection(new):
-                continue
-            place[v] = a
-            room[a] -= 1
-            found = extend(v + 1, used.union(new))
-            room[a] += 1
-            if found:
-                return True
-        return False
-
-    return extend(0, frozenset())
-
-
 def oracle_vertex_connectivity(g: SimpleGraph) -> int:
     """Minimum size of a disconnecting vertex set, by ascending enumeration."""
     n = g.n
@@ -145,10 +88,6 @@ def oracle_is_k_connected_bits(adj_bits, subset: int, k: int) -> bool:
     return True
 
 
-def oracle_is_k_connected(g: SimpleGraph, k: int) -> bool:
-    return oracle_is_k_connected_bits(g.adj_bits, (1 << g.n) - 1, k)
-
-
 def oracle_largest_k_connected(g: SimpleGraph, k: int) -> int:
     """Optimum order by full subset enumeration."""
     best = 0
@@ -182,36 +121,6 @@ def oracle_longest_path_order(g: SimpleGraph) -> int:
     for v in range(g.n):
         extend(v, {v})
     return best
-
-
-def oracle_longest_cycle_length(g: SimpleGraph) -> int:
-    """Longest cycle length (0 when acyclic) by recursive extension."""
-    best = 0
-    adj = [set(_members(b)) for b in g.adj_bits]
-
-    def extend(anchor: int, last: int, visited: set[int]) -> None:
-        nonlocal best
-        if len(visited) >= 3 and anchor in adj[last]:
-            best = max(best, len(visited))
-        for w in adj[last]:
-            if w > anchor and w not in visited:
-                visited.add(w)
-                extend(anchor, w, visited)
-                visited.remove(w)
-
-    for v in range(g.n):
-        extend(v, v, {v})
-    return best
-
-
-def oracle_is_subgraph(small: SimpleGraph, big: SimpleGraph) -> bool:
-    """Subgraph containment by trying every vertex injection."""
-    if small.n > big.n:
-        return False
-    for image in permutations(range(big.n), small.n):
-        if all(big.has_edge(image[u], image[v]) for u, v in small.edges):
-            return True
-    return False
 
 
 def realizable_degree_sequences(n: int) -> set[tuple[int, ...]]:

@@ -95,10 +95,13 @@ class CycleWitness:
 
 
 def validate_path(host: Host, witness: PathWitness) -> None:
-    """Independent check: distinct vertices, consecutive pairs edges of the color."""
+    """Independent check: distinct host vertices, consecutive pairs edges of
+    the color."""
     verts = witness.vertices
     if len(set(verts)) != len(verts):
         raise ValueError("repeated vertex in path")
+    if not all(0 <= v < host.vertex_count for v in verts):
+        raise ValueError("path vertex out of range")
     for a, b in zip(verts, verts[1:]):
         c = host.pair_color(a, b)
         if c is None or (witness.color is not None and c != witness.color):
@@ -106,7 +109,11 @@ def validate_path(host: Host, witness: PathWitness) -> None:
 
 
 def validate_cycle(host: Host, witness: CycleWitness) -> None:
+    """Independent check: at least two distinct vertices, consecutive pairs
+    and the closing pair edges of the color (two vertices: one lone edge)."""
     verts = witness.vertices
+    if len(verts) < 2:
+        raise ValueError("a cycle witness needs at least 2 vertices")
     if len(set(verts)) != len(verts):
         raise ValueError("repeated vertex in cycle")
     if len(verts) >= 3:

@@ -92,9 +92,6 @@ class Pattern:
     def component_count(self) -> int:
         return len(self.graph.components())
 
-    def max_degree(self) -> int:
-        return self.graph.max_degree()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Pattern) and is_isomorphic(self, other)
 
@@ -407,8 +404,3 @@ def catalog_members(set_id: str) -> tuple[Pattern, ...]:
     if set_id == B_SET:
         return _closure(_MAXIMAL[B_SET], lambda g: True)
     raise ValueError(f"unknown catalog set {set_id!r}")
-
-
-def in_set(p: Pattern, set_id: str) -> bool:
-    """Decide membership by isomorphism against the precomputed closure."""
-    return any(is_isomorphic(p, member) for member in catalog_members(set_id))

@@ -33,7 +33,6 @@ from rainbowfree.core import (
     restrict,
 )
 from rainbowfree.oracles import (
-    oracle_is_k_connected,
     oracle_is_k_connected_bits,
     oracle_largest_k_connected,
     oracle_vertex_connectivity,
@@ -92,7 +91,7 @@ def test_is_k_connected_agrees_with_brute_force():
     for _ in range(300):
         g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.6, 0.9]))
         for k in (1, 2, 3, 4):
-            assert is_k_connected(g, k) == oracle_is_k_connected(g, k)
+            assert is_k_connected(g, k) == oracle_is_k_connected_bits(g.adj_bits, (1 << g.n) - 1, k)
 
 
 def test_largest_k_connected_r1_examples():

@@ -95,6 +95,38 @@ def test_bipartite_global_indexing():
     assert g.edges == {(0, 2), (1, 3)}
 
 
+def test_out_of_range_vertices_raise():
+    for host in (mono_k(5), ColoredBipartite(2, 3, 1, [1] * 6)):
+        for u, v in ((0, 5), (5, 0), (-1, 2), (2, -1), (-1, -1), (5, 5)):
+            with pytest.raises(ValueError):
+                host.pair_color(u, v)
+    for u, v in ((0, 5), (5, 0), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            mono_k(5).color(u, v)
+    for u, v in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            ColoredBipartite(2, 3, 1, [1] * 6).color(u, v)
+
+
+def test_colors_equal_edge_iter():
+    rng = random.Random(9)
+    for host in _random_hosts(rng, 40):
+        nv = host.vertex_count
+        want = {(u, v): c for u, v, c in host.edge_iter()}
+        for a in range(nv):
+            assert host.pair_color(a, a) is None
+            row = [want.get((min(a, b), max(a, b)), 0) for b in range(nv)]
+            assert host._row(a) == row
+            for b in range(nv):
+                if a != b:
+                    assert host.pair_color(a, b) == (row[b] or None)
+        for (u, v), c in want.items():
+            if isinstance(host, ColoredComplete):
+                assert host.color(u, v) == host.color(v, u) == c
+            else:
+                assert host.color(u, v - host.s) == c
+
+
 def test_read_fixed_example():
     host = read_coloring(io.StringIO("Kn 3 2\n1 2\n1\n"))
     assert isinstance(host, ColoredComplete)

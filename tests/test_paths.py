@@ -12,11 +12,12 @@ from rainbowfree.constructions import gen_F1, gen_F3, gen_R1
 from rainbowfree.core import (
     ColoredBipartite,
     ColoredComplete,
+    SimpleGraph,
     _random_complete,
     ceil_div,
     restrict,
 )
-from rainbowfree.oracles import oracle_longest_cycle_length, oracle_longest_path_order
+from rainbowfree.oracles import oracle_longest_path_order
 from rainbowfree.paths import (
     _longest_cycle,
     _longest_cycle_bits,
@@ -166,6 +167,46 @@ def test_path_and_cycle_above_64_vertices():
     )
     c = longest_mono_cycle(ring, 1)
     assert c.length == n and c.exact
+
+
+def oracle_longest_cycle_length(g: SimpleGraph) -> int:
+    """Longest cycle length (0 when acyclic) by recursive extension."""
+    best = 0
+    adj = [{w for w in range(g.n) if b >> w & 1} for b in g.adj_bits]
+
+    def extend(anchor: int, last: int, visited: set[int]) -> None:
+        nonlocal best
+        if len(visited) >= 3 and anchor in adj[last]:
+            best = max(best, len(visited))
+        for w in adj[last]:
+            if w > anchor and w not in visited:
+                visited.add(w)
+                extend(anchor, w, visited)
+                visited.remove(w)
+
+    for v in range(g.n):
+        extend(v, v, {v})
+    return best
+
+
+def test_validators_refuse_vertices_out_of_range():
+    host = ColoredComplete(5, 1, [1] * 10)
+    validate_path(host, paths.PathWitness(1, (0, 4), True))
+    validate_cycle(host, paths.CycleWitness(1, (0, 2, 4), True))
+    for verts in ((0, 5), (5, 0), (-1, 0), (3, -1), (5,), (-1,)):
+        with pytest.raises(ValueError):
+            validate_path(host, paths.PathWitness(1, verts, True))
+    for verts in ((0, 1, 5), (5, 0, 1), (-1, 0, 1), (0, 1, -1), (0, 5), (-1, 0)):
+        with pytest.raises(ValueError):
+            validate_cycle(host, paths.CycleWitness(1, verts, True))
+
+
+def test_validate_cycle_refuses_fewer_than_two_vertices():
+    host = ColoredComplete(5, 1, [1] * 10)
+    validate_cycle(host, paths.CycleWitness(1, (0, 1), True))
+    for verts in ((0,), ()):
+        with pytest.raises(ValueError):
+            validate_cycle(host, paths.CycleWitness(1, verts, True))
 
 
 def test_cycle_agrees_with_recursion():

@@ -7,8 +7,8 @@ import tracemalloc
 from math import perm
 
 from rainbowfree.claims import _HOSTS, build_registry
-from rainbowfree.core import ColoredBipartite, ColoredComplete, _random_complete
-from rainbowfree.oracles import oracle_rainbow_exists, oracle_rainbow_exists_quotient
+from rainbowfree.core import ColoredBipartite, ColoredComplete, Host, _random_complete
+from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree import patterns
 from rainbowfree.patterns import parse_pattern
 from rainbowfree.rainbow import enumerate_rainbow, find_rainbow
@@ -28,6 +28,61 @@ INJECTION_LIMIT = 20_000
 # the twin rule from the first node, and switched on at the default delay
 # (the longer searches here reach it)
 DELAYS = (1, patterns.TWIN_DELAY)
+
+
+def oracle_rainbow_exists_quotient(host: Host, pattern) -> bool:
+    """Decide a rainbow copy on the host's quotient by twin classes.
+
+    Two vertices share a class when every other vertex sees both in one
+    color, or neither; classes are found by comparing ``pair_color`` rows.
+    Each pattern vertex goes to a class, no class takes more pattern
+    vertices than it holds, and an edge's color is read from the quotient:
+    the one color between two classes, or the color inside a class.  An
+    injection picks distinct class members, so a rainbow class map exists
+    exactly when a rainbow copy does.  Pattern vertices are assigned in
+    index order, and a branch stops at its first missing or repeated color.
+    """
+    g = pattern.graph if hasattr(pattern, "graph") else pattern
+    nv = host.vertex_count
+    if g.n > nv:
+        raise ValueError("pattern larger than host")
+    if g.edge_count > len(host.used_colors()):
+        return False  # a rainbow copy needs one color per edge
+    color = host.pair_color
+    classes: list[list[int]] = []
+    for v in range(nv):
+        for members in classes:
+            u = members[0]
+            if all(color(u, w) == color(v, w) for w in range(nv) if w not in (u, v)):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    # between classes any members will do; inside one, its first and last
+    # members, which coincide (pair_color None) for a single vertex
+    quotient = [[color(a[0], b[-1]) for b in classes] for a in classes]
+    room = [len(members) for members in classes]
+    earlier = [[u for u in range(v) if g.has_edge(u, v)] for v in range(g.n)]
+    place = [-1] * g.n
+
+    def extend(v: int, used: frozenset) -> bool:
+        if v == g.n:
+            return True
+        for a in range(len(classes)):
+            if not room[a]:
+                continue
+            new = [quotient[a][place[u]] for u in earlier[v]]
+            if None in new or len(set(new)) < len(new) or used.intersection(new):
+                continue
+            place[v] = a
+            room[a] -= 1
+            found = extend(v + 1, used.union(new))
+            room[a] += 1
+            if found:
+                return True
+        return False
+
+    return extend(0, frozenset())
 
 
 def _blocks(rng, count):
