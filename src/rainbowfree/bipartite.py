@@ -45,17 +45,6 @@ def _require_bipartite(host) -> None:
         raise ValueError(f"needs a coloring of K_{{s,t}}, got {type(host).__name__}")
 
 
-def _require_star_free(host: ColoredBipartite):
-    """Raise RainbowStarPresent at the first vertex seeing three colors; the
-    witness adds the least neighbor of each of the first three colors met,
-    ascending, which is find_rainbow's first rainbow K_{1,3}."""
-    rows = [host.color_masks(c) for c in host.used_colors()]
-    for v in range(host.vertex_count):
-        firsts = sorted((row[v] & -row[v]).bit_length() - 1 for row in rows if row[v])
-        if len(firsts) >= 3:
-            raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *firsts[:3])}")
-
-
 def validate_type_b(host: ColoredBipartite, background: int, u_parts, v_parts) -> str | None:
     """Independent check of the case-B laws (original color ids); None = valid."""
     u_of = {}
@@ -94,54 +83,50 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     certified case-B block structure (>= 5 colors).  Any host with a rainbow
     K_{1,3} raises RainbowStarPresent, whatever its color count.
 
-    Recovery sweeps every candidate background color b: in a genuine case-B
-    coloring each vertex sees at most one non-background color, which names
-    its block, so the sweep is complete and the validator guards the result.
+    One scan of the color masks lists the colors each vertex sees, ordered
+    by their least neighbor.  A vertex seeing three colors is a rainbow
+    star, whose witness adds the least neighbor of each of the first three,
+    ascending: find_rainbow's first rainbow K_{1,3}.  In case B every vertex
+    has an edge to another block, so the background is the one color every
+    vertex sees (a block color is seen only inside its block), and each
+    vertex's block is its other color, or the first block color if it has
+    none.  The validator certifies the result.
     """
     _require_bipartite(host)
     if min(host.s, host.t) < 3:
         raise ValueError("both sides must have at least 3 vertices")
-    _require_star_free(host)
     used = host.used_colors()
+    rows = [(c, host.color_masks(c)) for c in used]
+    seen = []
+    for v in range(host.vertex_count):
+        firsts = sorted(((row[v] & -row[v]).bit_length() - 1, c) for c, row in rows if row[v])
+        if len(firsts) >= 3:
+            raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *(w for w, _ in firsts[:3]))}")
+        seen.append(tuple(c for _, c in firsts))
     if len(used) <= 4:
         return BipartiteStructure("A", used)
-    counts = host.color_counts()
-    candidates = sorted(used, key=lambda c: (-counts[c], c))
-    for b in candidates:
-        structure = _recover_blocks(host, b, used)
-        if structure is not None:
-            return structure
+    everywhere = [c for c in seen[0] if all(c in cs for cs in seen)]
+    if len(everywhere) == 1:
+        b = everywhere[0]
+        block_colors = sorted(used - {b})
+        block_of = [next((c for c in cs if c != b), block_colors[0]) for cs in seen]
+        u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
+        v_block = block_of[host.s:]
+        v_parts = {c: tuple(v for v in range(host.t) if v_block[v] == c) for c in block_colors}
+        if validate_type_b(host, b, u_parts, v_parts) is None:
+            renumbering = {b: 1}
+            for i, c in enumerate(block_colors):
+                renumbering[c] = i + 2
+            return BipartiteStructure(
+                "B",
+                used,
+                background=b,
+                renumbering=renumbering,
+                u_parts={renumbering[c]: p for c, p in u_parts.items()},
+                v_parts={renumbering[c]: p for c, p in v_parts.items()},
+            )
     raise CertificationError(
         "no background color certifies; contradicts the structure theorem"
-    )
-
-
-def _recover_blocks(host, b: int, used) -> BipartiteStructure | None:
-    block_colors = sorted(used - {b})
-    rows = [(c, host.color_masks(c)) for c in block_colors]
-    # each global vertex's one non-background color, else the default block
-    default = block_colors[0]
-    block_of = []
-    for x in range(host.vertex_count):
-        seen = [c for c, row in rows if row[x]]
-        if len(seen) > 1:
-            return None
-        block_of.append(seen[0] if seen else default)
-    u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
-    v_block = block_of[host.s:]
-    v_parts = {c: tuple(v for v in range(host.t) if v_block[v] == c) for c in block_colors}
-    if validate_type_b(host, b, u_parts, v_parts) is not None:
-        return None
-    renumbering = {b: 1}
-    for i, c in enumerate(block_colors):
-        renumbering[c] = i + 2
-    return BipartiteStructure(
-        "B",
-        used,
-        background=b,
-        renumbering=renumbering,
-        u_parts={renumbering[c]: p for c, p in u_parts.items()},
-        v_parts={renumbering[c]: p for c, p in v_parts.items()},
     )
 
 

@@ -156,10 +156,9 @@ def _cmd_bipartite(args) -> int:
     return 0 if witness.ok else 1
 
 
-def _cmd_paths(args) -> int:
+def _cmd_longest(args) -> int:
     host = load_coloring(args.file)
-    witness = longest_mono_path(host, args.color)
-    _emit(witness.to_json())
+    _emit(args.query(host, args.color).to_json())
     return 0
 
 
@@ -169,13 +168,6 @@ def _cmd_paths_quota(args) -> int:
     result = check_mono_path_quota(host, quotas)
     _emit(result.to_json())
     return 0 if result.ok else 1
-
-
-def _cmd_cycles(args) -> int:
-    host = load_coloring(args.file)
-    witness = longest_mono_cycle(host, args.color)
-    _emit(witness.to_json())
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -267,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="longest monochromatic path")
     p.add_argument("--color", type=int, required=True)
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_paths)
+    p.set_defaults(fn=_cmd_longest, query=longest_mono_path)
 
     p = sub.add_parser("prop61", help="per-color path quota check")
     p.add_argument("--a", required=True, help="comma-separated quotas, one per color")
@@ -277,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="longest monochromatic cycle")
     p.add_argument("--color", type=int, required=True)
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_cycles)
+    p.set_defaults(fn=_cmd_longest, query=longest_mono_cycle)
 
     p = sub.add_parser("verify", help="run the claim registry")
     p.add_argument("--filter", default="*")

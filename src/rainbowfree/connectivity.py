@@ -65,9 +65,6 @@ class OrderCapResult:
     rules out, and a largest k-connected set when the cap fails."""
 
     ok: bool
-    k: int
-    mask: frozenset[int]
-    cap: int
     subsets_checked: int
     counterexample: tuple[int, ...] | None = None
 
@@ -321,9 +318,6 @@ def verify_order_cap(host: Host, mask, k: int, cap: int) -> OrderCapResult:
     ok = rep.upper <= cap
     return OrderCapResult(
         ok=ok,
-        k=k,
-        mask=rep.mask,
-        cap=cap,
         subsets_checked=sum(comb(n, r) for r in range(max(cap, rep.upper) + 1, n + 1)),
         counterexample=None if ok else rep.witness,
     )

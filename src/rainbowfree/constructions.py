@@ -219,7 +219,11 @@ def eg_realizable(d) -> bool:
 
 
 def realize_degree_sequence(d) -> SimpleGraph:
-    """Largest-degree-first realization; vertex i ends with degree d[i]."""
+    """Largest-degree-first realization; vertex i ends with degree d[i].
+
+    Laying off a largest degree leaves a graphic sequence graphic (Havel
+    1955, Hakimi 1962), so each vertex taken finds its ``need`` partners.
+    """
     d = validate_degree_sequence(d)
     if not eg_realizable(d):
         raise ValueError("degree sequence is not realizable")
@@ -236,8 +240,6 @@ def realize_degree_sequence(d) -> SimpleGraph:
             (i for i in range(n) if i != v and remaining[i] > 0),
             key=lambda i: (-remaining[i], i),
         )[:need]
-        if len(partners) < need:
-            raise ValueError("degree sequence is not realizable")  # unreachable post-test
         for p in partners:
             remaining[p] -= 1
             edges.append((v, p))

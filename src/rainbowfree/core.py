@@ -7,9 +7,8 @@ host the two sides share one global vertex numbering: the left side U is
 bitmasks, and every graph helper here works on them.  A host builds its
 per-color adjacency masks lazily, in one pass on first use, and every
 color-class scan reads them; its twin classes are found from its rows on
-first use too.  All objects are immutable after construction (the masks
-and twin classes are assigned once, complete) and so safe to share between
-threads.
+first use too.  All objects are immutable after construction: the masks
+and twin classes are each assigned once, complete.
 """
 
 from __future__ import annotations
@@ -194,7 +193,7 @@ class _ColoredHost:
         """Adjacency bitmasks, one per global vertex, of the edges colored ``c``.
 
         All colors are built in one edge pass on first use and kept; the
-        finished dict is assigned once, so no thread sees a partial one.
+        finished dict is assigned once, complete.
         """
         masks = self._masks
         if masks is None:

@@ -160,7 +160,7 @@ def _level_tables(adj):
     return h, lo, hi, lo_bits, hi_bits
 
 
-def _next_level(adj, level: dict, allowed: int, tables=None) -> dict:
+def _next_level(adj, level: dict, allowed: int, tables) -> dict:
     """The level after ``level``, a map from each vertex set reached to the
     bitset of its endpoints: the paths through exactly that set end there.
 
@@ -276,11 +276,7 @@ def _longest_path_bits(adj, target: int | None):
     the state cap cut the search short of exhausting the space.  The path
     returned is the lexicographically least of the last level reached.
     """
-    q = len(adj)
-    if _complete(adj):
-        # complete class (or none): any vertex order is a Hamilton path
-        return list(range(q if target is None else min(q, target))), True
-    first = {1 << v: 1 << v for v in range(q)}
+    first = {1 << v: 1 << v for v in range(len(adj))}
     levels, exact = _levels(adj, first, -1, _level_tables(adj), target)
     return _least_path(adj, levels, [], len(levels)), exact
 
@@ -294,44 +290,45 @@ def _first_path(adj, starts: int, order: int, close: int) -> list[int] | None:
     (vertex set, endpoint) state extends to one does not depend on the order
     the set was covered in, so a state whose extensions all failed is dead
     and is never expanded again.  The dead states are kept as the levels
-    are, one endpoint bitset per vertex set.
+    are, one endpoint bitset per vertex set.  The search keeps its own
+    stack, so a path may be as long as the class.
     """
     dead: dict[int, int] = {}
     get = dead.get
-    path: list[int] = []
-
-    def grow(mask: int, last: int, left: int) -> bool:
-        nbrs = adj[last] & ~mask
-        if left == 1:
-            nbrs &= close
-            if nbrs:
-                path.append((nbrs & -nbrs).bit_length() - 1)
-            return bool(nbrs)
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            grown = mask | low
-            if get(grown, 0) & low:
-                continue
-            v = low.bit_length() - 1
-            path.append(v)
-            if grow(grown, v, left - 1):
-                return True
-            path.pop()
-            dead[grown] = get(grown, 0) | low
-        return False
-
     for v in iter_bits(starts):
-        path.append(v)
-        if grow(1 << v, v, order - 1):
-            return path
-        path.pop()
+        path = [v]
+        mask, nbrs, left = 1 << v, adj[v] & ~(1 << v), order - 1
+        below = []  # (vertex set, untried neighbours) of each state under the top
+        while True:
+            if left == 1:
+                nbrs &= close
+                if nbrs:
+                    path.append((nbrs & -nbrs).bit_length() - 1)
+                    return path
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                grown = mask | low
+                if not get(grown, 0) & low:
+                    below.append((mask, nbrs))
+                    v = low.bit_length() - 1
+                    path.append(v)
+                    mask, nbrs, left = grown, adj[v] & ~grown, left - 1
+                    break
+            else:
+                # every way on from this state failed
+                if not below:
+                    break
+                dead[mask] = get(mask, 0) | 1 << path.pop()
+                mask, nbrs = below.pop()
+                left += 1
     return None
 
 
 def _longest_path(adj, target: int | None):
     """``_longest_path_bits(adj, target)``, answered by ``_first_path``
-    where the cap cannot bind.
+    where the cap cannot bind and on a complete class, where the first path
+    is 0, 1, ... with no backtracking.
 
     No path is longer than the largest component, so a path of that order,
     or of ``target`` if smaller, is as long as the last level the level
@@ -340,7 +337,7 @@ def _longest_path(adj, target: int | None):
     the levels run.
     """
     q = len(adj)
-    if q > _PATH_UNCAPPED:
+    if q > _PATH_UNCAPPED and not _complete(adj):
         return _longest_path_bits(adj, target)
     comps = components(adj, (1 << q) - 1)
     order = max(map(int.bit_count, comps))
@@ -469,8 +466,6 @@ def _longest_cycle_bits(adj):
     from the first anchor that reaches it.
     """
     q = len(adj)
-    if q >= 3 and _complete(adj):
-        return list(range(q)), True  # complete class: Hamilton cycle
     best: list[int] = []
     exact = True
     tables = _level_tables(adj)
@@ -497,19 +492,22 @@ def _two_core(adj) -> int:
 
 def _longest_cycle(adj):
     """``_longest_cycle_bits(adj)``, answered by ``_first_path`` where the
-    cap cannot bind.
+    cap cannot bind and on a complete class, where the first cycle is 0, 1,
+    ... with no backtracking.
 
     Every cycle lies in the 2-core.  A Hamilton cycle of the core is a
     longest cycle, and the least one written from the core's least vertex is
     the level search's witness.  Only if the core has none do the levels
     run, on the core relabeled in order, which keeps their witness.
     """
-    if len(adj) > _CYCLE_UNCAPPED:
+    if len(adj) > _CYCLE_UNCAPPED and not _complete(adj):
         return _longest_cycle_bits(adj)
     verts = list(iter_bits(_two_core(adj)))
     if not verts:
         return [], True
-    core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
+    core = adj
+    if len(verts) < len(adj):
+        core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
     cycle = _first_path(core, 1, len(core), core[0])
     if cycle is None:
         cycle = _longest_cycle_bits(core)[0]

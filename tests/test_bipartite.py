@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from rainbowfree import bipartite
 from rainbowfree.bipartite import (
+    BipartiteStructure,
     RainbowStarPresent,
     classify_k13_free,
     gen_type_b,
@@ -11,7 +13,7 @@ from rainbowfree.bipartite import (
     verify_background_spanning_kconn,
 )
 from rainbowfree.cli import main
-from rainbowfree.connectivity import is_k_connected
+from rainbowfree.connectivity import CertificationError, is_k_connected
 from rainbowfree.constructions import gen_F1
 from rainbowfree.core import ColoredBipartite, dump_coloring, flood, restrict
 from rainbowfree.patterns import parse_pattern
@@ -53,7 +55,49 @@ def test_three_color_star_is_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "RainbowStarPresent"
 
 
+def _swept(host):
+    """The classification by a sweep over candidate backgrounds, most edges
+    first: blocks are read off each candidate and the first that validates
+    wins, None if none does.  The reference for the one-pass classifier on
+    hosts without a rainbow K_{1,3}."""
+    used = host.used_colors()
+    if len(used) <= 4:
+        return BipartiteStructure("A", used)
+    counts = host.color_counts()
+    for b in sorted(used, key=lambda c: (-counts[c], c)):
+        block_colors = sorted(used - {b})
+        seen = [[c for c in block_colors if host.color_masks(c)[x]] for x in range(host.vertex_count)]
+        if any(len(cs) > 1 for cs in seen):
+            continue
+        block_of = [cs[0] if cs else block_colors[0] for cs in seen]
+        u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
+        v_parts = {
+            c: tuple(v for v in range(host.t) if block_of[host.s + v] == c) for c in block_colors
+        }
+        if validate_type_b(host, b, u_parts, v_parts) is None:
+            renumbering = {b: 1, **{c: i + 2 for i, c in enumerate(block_colors)}}
+            return BipartiteStructure(
+                "B",
+                used,
+                b,
+                renumbering,
+                {renumbering[c]: p for c, p in u_parts.items()},
+                {renumbering[c]: p for c, p in v_parts.items()},
+            )
+    return None
+
+
+def _perturbed(rng, host):
+    """A copy of ``host`` with up to two edges recolored at random."""
+    colors = [host.color(u, v) for u in range(host.s) for v in range(host.t)]
+    for _ in range(rng.randint(0, 2)):
+        colors[rng.randrange(len(colors))] = rng.randint(1, host.m)
+    return ColoredBipartite(host.s, host.t, host.m, colors)
+
+
 def test_star_check_agrees_with_rainbow_search():
+    # the refusal is find_rainbow's first rainbow K_{1,3}, and every other
+    # answer is the candidate sweep's
     rng = random.Random(9)
     k13 = parse_pattern("K1_3")
     hosts = []
@@ -61,23 +105,63 @@ def test_star_check_agrees_with_rainbow_search():
         s, t, m = rng.randint(3, 7), rng.randint(3, 7), rng.randint(2, 5)
         hosts.append(ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)]))
     for seed in range(40):
-        # a planted case-B host, sometimes with a few edges recolored
-        host = gen_type_b(9, 8, rng.randint(5, 6), seed=seed).host
-        colors = [host.color(u, v) for u in range(host.s) for v in range(host.t)]
-        for _ in range(rng.randint(0, 2)):
-            colors[rng.randrange(len(colors))] = rng.randint(1, host.m)
-        hosts.append(ColoredBipartite(host.s, host.t, host.m, colors))
-    raised = 0
+        hosts.append(_perturbed(rng, gen_type_b(9, 8, rng.randint(5, 6), seed=seed).host))
+    # planted hosts from pure blocks to nearly all background
+    for prob in (0.0, 0.3, 0.9):
+        for seed in range(440):
+            m = rng.randint(5, 7)
+            s, t = rng.randint(m - 1, 10), rng.randint(m - 1, 10)
+            host = gen_type_b(s, t, m, seed=seed, background_prob=prob).host
+            hosts.append(_perturbed(rng, host))
+    raised = planted = 0
     for host in hosts:
         emb = find_rainbow(host, k13)
         try:
-            classify_k13_free(host)
+            structure = classify_k13_free(host)
         except RainbowStarPresent as exc:
             raised += 1
             assert emb is not None and str(exc) == f"rainbow K_{{1,3}} at {emb.mapping}"
         else:
-            assert emb is None
-    assert 0 < raised < len(hosts)
+            assert emb is None and structure == _swept(host)
+            planted += structure.case == "B"
+    assert len(hosts) >= 1500
+    assert 0 < raised < len(hosts) and planted > 0
+
+
+def test_case_b_is_certified_once(monkeypatch):
+    calls = []
+    validate = bipartite.validate_type_b
+
+    def counted(*args):
+        calls.append(args[1])
+        return validate(*args)
+
+    monkeypatch.setattr(bipartite, "validate_type_b", counted)
+    # block color 2 has more edges than the background in the last host
+    hosts = [gen_type_b(9, 8, 6, seed=seed).host for seed in range(10)]
+    hosts.append(gen_type_b(10, 10, 5, [7, 1, 1, 1], [7, 1, 1, 1], background_prob=0.0).host)
+    assert hosts[-1].color_counts()[2] > hosts[-1].color_counts()[1]
+    for host in hosts:
+        calls.clear()
+        structure = classify_k13_free(host)
+        assert structure.case == "B" and calls == [1] == [structure.background]
+    calls.clear()
+    assert classify_k13_free(gen_F1(12, 6, 2).host).case == "A" and calls == []
+
+
+def test_certificate_failure_is_refused(tmp_path, capsys, monkeypatch):
+    # a structure the validator rejects is an internal certificate failure
+    host = gen_type_b(9, 8, 6, seed=0).host
+    monkeypatch.setattr(bipartite, "validate_type_b", lambda *args: "refused")
+    with pytest.raises(CertificationError):
+        classify_k13_free(host)
+    path = str(tmp_path / "b.txt")
+    dump_coloring(host, path)
+    assert main(["bipartite", "classify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "CertificationError"
 
 
 def test_classify_rejects_tiny_sides():

@@ -148,6 +148,20 @@ def test_cycle_two_triangles_plus_cross():
     assert best.length >= ceil_div(6, 2)
 
 
+def test_one_color_complete_hosts_are_hamiltonian():
+    # a complete class goes to the depth-first route at any order, where the
+    # first path and cycle are 0, 1, ... with no backtracking
+    for n in (17, 23, 40):
+        host = ColoredComplete(n, 1, [1] * (n * (n - 1) // 2))
+        for w in (longest_mono_path(host, 1), longest_mono_cycle(host, 1)):
+            assert w.vertices == tuple(range(n)) and w.exact
+    # far beyond the interpreter's recursion limit
+    n = 1500
+    adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    assert _longest_path(adj, None) == _longest_cycle(adj) == (list(range(n)), True)
+    assert _longest_path(adj, 30) == (list(range(30)), True)
+
+
 def test_cycle_degenerate_edge():
     host = ColoredComplete(4, 2, [2, 1, 1, 1, 1, 1])
     w = longest_mono_cycle(host, 2)
@@ -388,7 +402,7 @@ def test_table_expansion_matches_a_plain_expansion():
         for allowed, level in starts:
             while level:
                 want = list(_plain_next_level(adj, level, allowed).items())
-                assert list(paths._next_level(adj, level, allowed).items()) == want
+                assert list(paths._next_level(adj, level, allowed, None).items()) == want
                 if tables is not None:
                     assert list(paths._next_level(adj, level, allowed, tables).items()) == want
                 # a prefix of a level is a level too; it keeps the test small
