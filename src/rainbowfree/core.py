@@ -142,8 +142,11 @@ def components(adj_bits, active: int) -> list[int]:
 
 
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
-    """Induced subgraph relabeled onto 0..k-1 following sorted vertex order."""
+    """Induced subgraph relabeled onto 0..k-1 following sorted vertex order;
+    ``g`` itself when that is every vertex, as the map is then the identity."""
     verts = sorted(set(vertices))
+    if verts == list(range(g.n)):
+        return g
     keep = sum(1 << v for v in verts)
     index = {v: i for i, v in enumerate(verts)}
     bits = []

@@ -2,29 +2,31 @@
 check.
 
 Exact searches run on the non-isolated vertices of one color class, one
-level per path order (Bellman; Held and Karp, 1962).  A level maps each
-vertex set that some path covers to the bitset of that set's path
-endpoints.  Both the path and the cycle search take the lookup tables of
-``_level_tables`` once, at their start (none above ``_TABLE_ORDER`` = 22
-vertices), grow their levels with the one cap loop ``_levels``, and
-rebuild the witness from them with ``_least_path``.  A set grows by every
-allowed vertex outside it next to one of its endpoints; with tables that
-is two lookups per set in place of two bit loops, with the same bits in
-the same ascending order, so each level keeps its keys, values and
-insertion order.  The levels count (vertex set, endpoint) pairs against
-``_STATE_CAP``; a search the cap stops is flagged inexact, at the same
-level with or without tables.  On supports of at most ``_PATH_UNCAPPED``
-vertices (paths) or ``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and
-there one lexicographic depth-first search, ``_first_path``, answers
-first: it stops at the first path whose order meets an upper bound, which
-is the level search's witness.  Only when it finds none do the levels run
-(on the 2-core, for a cycle).
+level per path order (Bellman; Held and Karp, 1962).  A level holds the
+(vertex set, endpoint) pairs of the paths of its order: some path through
+exactly that set ends there.  On classes of up to ``_LATTICE_ORDER`` = 20
+vertices a level is one int per endpoint over the subset lattice, bit S
+set when S is such a set, and ``_next_lattice`` grows it by whole-int
+ORs, ANDs and shifts; the witness is read back from one union int per
+endpoint by ``_lattice_path``.  Above that a level maps each vertex set to
+the bitset of its endpoints, ``_next_level`` grows it one set at a time,
+and ``_least_path`` reads the witness from the levels.  Both give the
+lexicographically least path of the last level read.  One cap loop,
+``_levels``, counts the pairs of either kind against ``_STATE_CAP``; a
+search the cap stops is flagged inexact, at the same level either way.
+On supports of at most ``_PATH_UNCAPPED`` vertices (paths) or
+``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and there one
+lexicographic depth-first search, ``_first_path``, answers first: it stops
+at the first path whose order meets an upper bound, which is the level
+search's witness.  Only when it finds none do the levels run (on the
+2-core, for a cycle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     Host,
@@ -50,10 +52,11 @@ _STATE_CAP = 400_000
 # 16) the cap cannot bind, so the searches are exact
 _PATH_UNCAPPED = max(q for q in range(1, 64) if q << (q - 1) <= _STATE_CAP)
 _CYCLE_UNCAPPED = max(q for q in range(2, 64) if ((q - 1) << (q - 2)) + 1 <= _STATE_CAP)
-# The largest class whose level search gets lookup tables (two of at most
-# 2^11 entries); above it the tables would outgrow the few levels the cap
-# lets such a search build
-_TABLE_ORDER = 22
+# The largest class whose level search runs on the subset lattice: a level
+# there is one int of up to 2^q bits per endpoint, 2.5 MB in all at q = 20,
+# and a search holds about four such (10.5 MB measured); at q = 21 each
+# would double
+_LATTICE_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -130,111 +133,103 @@ def _complete(adj) -> bool:
     return all(a == full ^ (1 << v) for v, a in enumerate(adj))
 
 
-def _level_tables(adj):
-    """(h, lo, hi, lo_bits, hi_bits): lookup tables over the low h =
-    ceil(q/2) vertices of a class and over the high q - h, or None when the
-    class has more than ``_TABLE_ORDER`` vertices.
-
-    ``lo[s]`` is the OR of ``adj`` over the vertices of an h-bit subset s,
-    and ``lo_bits[s]`` its bits as an ascending tuple of bit values;
-    ``hi[s]`` and ``hi_bits[s]`` are the same for the subset ``s << h`` of
-    the high vertices, with the bits already shifted.  Each table doubles
-    per vertex: the subsets holding vertex i follow those below it, and i
-    is their largest bit, so it goes last in each tuple.
-    """
-    q = len(adj)
-    if q > _TABLE_ORDER:
-        return None
-    h = (q + 1) // 2
-
-    def half(first, last):
-        ors, bits = [0], [()]
-        for v in range(first, last):
-            a, b = adj[v], (1 << v,)
-            ors += [x | a for x in ors]
-            bits += [t + b for t in bits]
-        return ors, bits
-
-    lo, lo_bits = half(0, h)
-    hi, hi_bits = half(h, q)
-    return h, lo, hi, lo_bits, hi_bits
-
-
-def _next_level(adj, level: dict, allowed: int, tables) -> dict:
+def _next_level(adj, allowed: int, level: dict) -> dict:
     """The level after ``level``, a map from each vertex set reached to the
     bitset of its endpoints: the paths through exactly that set end there.
 
     A vertex v in ``allowed`` outside ``mask`` extends some path of ``mask``
     when it is adjacent to one of its endpoints, and then v ends a path
     through ``mask | v``.  That pair is reached only from ``mask``, so every
-    (set, endpoint) pair is made once.  ``tables`` is what
-    ``_level_tables(adj)`` returned.  When it is None the neighbours of the
-    endpoints are ORed one endpoint at a time, and the new endpoints are
-    taken lowest bit first.  With tables the OR is two lookups, one per
-    half of the endpoint bitset, and the new endpoints are the low half's
-    tuple followed by the high half's: the same bits in the same ascending
-    order.  So both ways make the same level, with the same keys, values
-    and insertion order.
+    (set, endpoint) pair is made once.
 
     The witness is the lexicographically least path of the last level
     reached, which is the path a breadth-first search over (set, endpoint)
-    pairs reports first: listed in order of discovery, such a level is
-    sorted by the least path reaching each pair, by induction on the level.
-    The levels stop at the same order under the cap, because the pairs are
-    the cap's unit, and ``_least_path`` rebuilds that least path from them,
-    so the witness does not depend on the order of any level.
+    pairs reports first.  ``_least_path`` rebuilds it from the levels, so it
+    does not depend on the order of any level.
     """
     nxt: dict = {}
     get = nxt.get
-    if tables is None:
-        for mask, ends in level.items():
-            reach = 0
-            while ends:
-                low = ends & -ends
-                ends ^= low
-                reach |= adj[low.bit_length() - 1]
-            reach &= allowed & ~mask
-            while reach:
-                low = reach & -reach
-                reach ^= low
-                grown = mask | low
-                nxt[grown] = get(grown, 0) | low
-        return nxt
-    h, lo, hi, lo_bits, hi_bits = tables
-    half = (1 << h) - 1
     for mask, ends in level.items():
-        reach = (lo[ends & half] | hi[ends >> h]) & allowed & ~mask
-        for low in lo_bits[reach & half]:
-            grown = mask | low
-            nxt[grown] = get(grown, 0) | low
-        for low in hi_bits[reach >> h]:
+        reach = 0
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            reach |= adj[low.bit_length() - 1]
+        reach &= allowed & ~mask
+        while reach:
+            low = reach & -reach
+            reach ^= low
             grown = mask | low
             nxt[grown] = get(grown, 0) | low
     return nxt
 
 
+def _missing(k: int) -> list[int]:
+    """Per vertex j < k, the indicator of the sets of the k-vertex subset
+    lattice that miss j: bit S is set when S has no bit j.  Its bits run in
+    blocks of 2^j, set and clear in turn, so each doubling copies them."""
+    out = []
+    for j in range(k):
+        sets, width = (1 << (1 << j)) - 1, 2 << j
+        while width < 1 << k:
+            sets |= sets << width
+            width <<= 1
+        out.append(sets)
+    return out
+
+
+def _next_lattice(adj, lo: int, missing: list[int], level: dict) -> dict:
+    """``_next_level`` over the subset lattice of the vertices lo..q-1.
+
+    The level maps each endpoint v to an int whose bit S is set when some
+    path through exactly the vertex set S << lo (with the anchor, for a
+    cycle search) ends at v.  A vertex w extends the paths ending next to
+    it, the OR of its neighbours' ints, through the sets that miss w, and
+    adding w to such a set adds 2^(w - lo) to its index.  So the level
+    holds the same (set, endpoint) pairs as ``_next_level``'s.
+    """
+    ends = 0
+    for v in level:
+        ends |= 1 << v
+    nxt = {}
+    for w in range(lo, len(adj)):
+        nbrs = adj[w] & ends
+        reach = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            reach |= level[low.bit_length() - 1]
+        reach &= missing[w - lo]
+        if reach:
+            nxt[w] = reach << (1 << w - lo)
+    return nxt
+
+
 def _pairs(level: dict) -> int:
-    """The (set, endpoint) pairs of a level, the unit of the state cap."""
+    """The (set, endpoint) pairs of a level, the unit of the state cap: a
+    bit of a value, in either representation."""
     return sum(map(int.bit_count, level.values()))
 
 
-def _levels(adj, first: dict, allowed: int, tables, limit: int | None = None):
-    """(levels, exact): the levels grown from ``first`` by ``_next_level``
-    until one is empty, ``limit`` levels exist, or the (set, endpoint) pairs
-    pass ``_STATE_CAP``.  exact=False means the cap stopped them, and then
-    the last level is the one that passed it.
+def _levels(grow, level: dict, limit: int | None = None):
+    """Yield (level, capped) for ``level`` and each level ``grow`` makes from
+    the one before, until one is empty, ``limit`` levels are out, or the
+    (set, endpoint) pairs pass ``_STATE_CAP``.  capped=True marks the level
+    that passed the cap short of ``limit``, the last one: the cap stopped
+    the search there.
     """
-    levels = [first]
-    states = _pairs(first)
-    while limit is None or len(levels) < limit:
-        if states > _STATE_CAP:
-            return levels, False
-        nxt = _next_level(adj, levels[-1], allowed, tables)
-        if not nxt:
-            break
-        levels.append(nxt)
-        states += _pairs(nxt)
-    return levels, True
+    count, states = 1, _pairs(level)
+    while True:
+        done = limit is not None and count >= limit
+        capped = states > _STATE_CAP and not done
+        yield level, capped
+        if done or capped:
+            return
+        level = grow(level)
+        if not level:
+            return
+        count += 1
+        states += _pairs(level)
 
 
 def _least_path(adj, levels, path: list[int], order: int) -> list[int]:
@@ -268,6 +263,29 @@ def _least_path(adj, levels, path: list[int], order: int) -> list[int]:
     return path
 
 
+def _lattice_path(
+    adj, union: list[int], sets: int, path: list[int], order: int, lo: int
+) -> list[int]:
+    """``_least_path`` over lattice levels: extend ``path`` to the least path
+    of ``order`` vertices through a set of the lattice indicator ``sets``.
+
+    ``union[v]`` ORs the ints of v in every level.  The levels hold sets of
+    distinct sizes, and the remainders in ``sets`` all have one size, so
+    ``sets & union[v]`` are the remainders with a path ending at v in their
+    own level.  The next vertex is the least such v next to the last vertex
+    placed, and removing it from those remainders shifts them down by
+    2^(v - lo).
+    """
+    while len(path) < order:
+        for v in iter_bits(adj[path[-1]] if path else (1 << len(adj)) - 1):
+            hit = sets & union[v]
+            if hit:
+                break
+        path.append(v)
+        sets = hit >> (1 << v - lo)
+    return path
+
+
 def _longest_path_bits(adj, target: int | None):
     """(best path as vertex list, exact) for adjacency bitmasks over 0..q-1.
 
@@ -276,9 +294,24 @@ def _longest_path_bits(adj, target: int | None):
     the state cap cut the search short of exhausting the space.  The path
     returned is the lexicographically least of the last level reached.
     """
-    first = {1 << v: 1 << v for v in range(len(adj))}
-    levels, exact = _levels(adj, first, -1, _level_tables(adj), target)
-    return _least_path(adj, levels, [], len(levels)), exact
+    q = len(adj)
+    if q > _LATTICE_ORDER:
+        levels = []
+        grow = partial(_next_level, adj, -1)
+        for level, capped in _levels(grow, {1 << v: 1 << v for v in range(q)}, target):
+            levels.append(level)
+        return _least_path(adj, levels, [], len(levels)), not capped
+    union = [0] * q
+    order = 0
+    grow = partial(_next_lattice, adj, 0, _missing(q))
+    for level, capped in _levels(grow, {v: 1 << (1 << v) for v in range(q)}, target):
+        order += 1
+        for v, sets in level.items():
+            union[v] |= sets
+    top = 0
+    for sets in level.values():
+        top |= sets
+    return _lattice_path(adj, union, top, [], order, 0), not capped
 
 
 def _first_path(adj, starts: int, order: int, close: int) -> list[int] | None:
@@ -463,24 +496,49 @@ def _longest_cycle_bits(adj):
     to the anchor closes a cycle of its size.  Each anchor has its own state
     cap, and a level over the cap is not read.  The witness is the
     lexicographically least anchor-rooted path of the largest closing size,
-    from the first anchor that reaches it.
+    from the first anchor that reaches it.  On the lattice an anchor's sets
+    are indexed without it and the vertices below it, so all anchors share
+    one ``_missing`` build.
     """
     q = len(adj)
     best: list[int] = []
     exact = True
-    tables = _level_tables(adj)
+    missing = _missing(q - 1) if q <= _LATTICE_ORDER else None
     for anchor in range(q):
         if q - anchor < 3 or q - anchor <= len(best):
             break
-        allowed = ~((1 << (anchor + 1)) - 1)
-        levels, done = _levels(adj, {1 << anchor: 1 << anchor}, allowed, tables)
-        if not done:
-            exact = False
-            levels.pop()
-        for size in range(len(levels), max(2, len(best)), -1):
-            if any(ends & adj[anchor] for ends in levels[size - 1].values()):
-                best = _least_path(adj, levels, [anchor], size)
-                break
+        lo, around = anchor + 1, adj[anchor]
+        if missing is None:
+            levels = []
+            grow = partial(_next_level, adj, -1 << lo)
+            for level, capped in _levels(grow, {1 << anchor: 1 << anchor}):
+                if capped:
+                    exact = False
+                    break
+                levels.append(level)
+            for size in range(len(levels), max(2, len(best)), -1):
+                if any(ends & around for ends in levels[size - 1].values()):
+                    best = _least_path(adj, levels, [anchor], size)
+                    break
+        else:
+            union = [0] * q
+            closing = None
+            size = 0
+            grow = partial(_next_lattice, adj, lo, missing)
+            for level, capped in _levels(grow, {anchor: 1}):
+                if capped:
+                    exact = False
+                    break
+                size += 1
+                sets = 0  # the sets whose paths close a cycle
+                for v, vsets in level.items():
+                    union[v] |= vsets
+                    if around >> v & 1:
+                        sets |= vsets
+                if sets and size > max(2, len(best)):
+                    closing = size, sets
+            if closing:
+                best = _lattice_path(adj, union, closing[1], [anchor], closing[0], lo)
     return best, exact
 
 
@@ -505,9 +563,7 @@ def _longest_cycle(adj):
     verts = list(iter_bits(_two_core(adj)))
     if not verts:
         return [], True
-    core = adj
-    if len(verts) < len(adj):
-        core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
+    core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
     cycle = _first_path(core, 1, len(core), core[0])
     if cycle is None:
         cycle = _longest_cycle_bits(core)[0]

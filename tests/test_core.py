@@ -202,6 +202,9 @@ def test_induced_subgraph_relabels():
     h = induced_subgraph(g, [1, 2, 3])
     assert h.n == 3
     assert h.edges == {(0, 1), (1, 2)}
+    # every vertex is the identity map: the graph itself, not a copy
+    assert induced_subgraph(g, [4, 3, 2, 1, 0, 2]) is g
+    assert induced_subgraph(g, range(4)) != g
 
 
 def test_components():

@@ -15,6 +15,7 @@ from rainbowfree.core import (
     SimpleGraph,
     _random_complete,
     ceil_div,
+    iter_bits,
     restrict,
 )
 from rainbowfree.oracles import oracle_longest_path_order
@@ -372,6 +373,25 @@ def test_capped_search_memory():
     assert peak < 20 * 2**20
 
 
+def test_dense_capped_lattice_memory():
+    # on the lattice a level is one int of 2^20 bits per endpoint, whatever
+    # the density: a dense 20-vertex class stays under the same bound
+    adj = _random_adj(random.Random(6), 20, 0.8)
+    for search in (
+        lambda: _longest_path_bits(adj, None),
+        lambda: _longest_path_bits(adj, 12),
+        lambda: _longest_cycle_bits(adj),
+    ):
+        tracemalloc.start()
+        try:
+            path, exact = search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path and not exact
+        assert peak < 20 * 2**20
+
+
 def _plain_next_level(adj, level, allowed):
     """The next level by its definition: each set grows by every vertex of
     ``allowed`` outside it that is adjacent to one of its endpoints, and
@@ -389,47 +409,98 @@ def _plain_next_level(adj, level, allowed):
     return nxt
 
 
-def test_table_expansion_matches_a_plain_expansion():
-    # with and without lookup tables, a level grows into the same sets and
-    # endpoints in the same insertion order, from every start and from
+def _decode(level, lo, base):
+    """A lattice level as the map from each vertex set to its endpoints: the
+    index of a set is the set shifted down by ``lo``, less ``base``."""
+    out = {}
+    for v, sets in level.items():
+        for index in iter_bits(sets):
+            mask = index << lo | base
+            out[mask] = out.get(mask, 0) | 1 << v
+    return out
+
+
+def _encode(level, lo):
+    out = {}
+    for mask, ends in level.items():
+        for v in iter_bits(ends):
+            out[v] = out.get(v, 0) | 1 << (mask >> lo)
+    return out
+
+
+def test_lattice_levels_match_a_plain_expansion():
+    # each lattice level decodes to the plain expansion's sets and
+    # endpoints, with its pair count; the map levels above the lattice keep
+    # the plain expansion's insertion order too.  From every start and from
     # anchored cycle starts (only larger-indexed vertices allowed)
+    for k in range(6):
+        missing = paths._missing(k)
+        assert len(missing) == k
+        for j, sets in enumerate(missing):
+            assert sets == sum(1 << s for s in range(1 << k) if not s >> j & 1)
     rng = random.Random(44)
-    for q in (1, 2, 3, 7, 8, 11, 12, 21, 22, 23, 70):
+    for q in (1, 2, 3, 7, 8, 11, 12, 19, 20, 21, 22, 23, 70):
         adj = _random_adj(rng, q, rng.choice([0.2, 0.35, 0.5]))
-        tables = paths._level_tables(adj) if q <= 23 else None
-        starts = [(-1, {1 << v: 1 << v for v in range(q)})]
-        starts += [(~((1 << a + 1) - 1), {1 << a: 1 << a}) for a in sorted({0, q // 3, q - 1})]
-        for allowed, level in starts:
+        lattice = q <= paths._LATTICE_ORDER
+        starts = [(0, 0, {1 << v: 1 << v for v in range(q)})]
+        starts += [(a + 1, 1 << a, {1 << a: 1 << a}) for a in sorted({0, q // 3, q - 1})]
+        for lo, base, level in starts:
+            allowed = -1 << lo
+            missing = paths._missing(q - (lo > 0)) if lattice else None
             while level:
-                want = list(_plain_next_level(adj, level, allowed).items())
-                assert list(paths._next_level(adj, level, allowed, None).items()) == want
-                if tables is not None:
-                    assert list(paths._next_level(adj, level, allowed, tables).items()) == want
+                want = _plain_next_level(adj, level, allowed)
+                assert list(paths._next_level(adj, allowed, level).items()) == list(want.items())
+                if lattice:
+                    got = paths._next_lattice(adj, lo, missing, _encode(level, lo))
+                    assert _decode(got, lo, base) == want
+                    assert paths._pairs(got) == paths._pairs(want)
                 # a prefix of a level is a level too; it keeps the test small
-                level = dict(islice(want, 150))
+                level = dict(islice(want.items(), 150))
 
 
-def test_tables_are_built_once_per_level_search(monkeypatch):
+def test_the_cap_binds_only_past_its_bound(monkeypatch):
+    # a search that makes exactly _STATE_CAP (set, endpoint) pairs is exact;
+    # with one pair more the cap stops it at its last level, which a path
+    # search still reads, on the lattice and the map levels alike
+    rng = random.Random(50)
+    order = paths._LATTICE_ORDER
+    for q in (6, 9, 12):
+        adj = _random_adj(rng, q, 0.5)
+        level, total = {1 << v: 1 << v for v in range(q)}, 0
+        while level:
+            total += paths._pairs(level)
+            level = _plain_next_level(adj, level, -1)
+        for lattice in (order, 0):
+            monkeypatch.setattr(paths, "_LATTICE_ORDER", lattice)
+            monkeypatch.setattr(paths, "_STATE_CAP", total)
+            path, exact = _longest_path_bits(adj, None)
+            assert exact
+            monkeypatch.setattr(paths, "_STATE_CAP", total - 1)
+            assert _longest_path_bits(adj, None) == (path, False)
+
+
+def test_missing_sets_are_built_once_per_search(monkeypatch):
     built = []
-    anchors = set()
-    level_tables, next_level = paths._level_tables, paths._next_level
+    shared = set()
+    missing, next_lattice = paths._missing, paths._next_lattice
 
-    def count_builds(adj):
-        built.append(len(adj))
-        return level_tables(adj)
+    def count_builds(k):
+        built.append(k)
+        return missing(k)
 
-    def note_anchor(adj, level, allowed, tables):
-        if tables is not None:
-            anchors.add(allowed)
-        return next_level(adj, level, allowed, tables)
+    def note_anchor(adj, lo, sets, level):
+        shared.add((lo, id(sets)))
+        return next_lattice(adj, lo, sets, level)
 
-    monkeypatch.setattr(paths, "_level_tables", count_builds)
-    monkeypatch.setattr(paths, "_next_level", note_anchor)
-    # every cycle anchor of a 17-vertex class shares one build
+    monkeypatch.setattr(paths, "_missing", count_builds)
+    monkeypatch.setattr(paths, "_next_lattice", note_anchor)
+    # every cycle anchor of a 17-vertex class shares one build, indexed
+    # without the anchor
     host = _random_complete(random.Random(45), 17, 2)
     assert len(restrict(host, {1}).support()) == 17
     longest_mono_cycle(host, 1)
-    assert built == [17] and len(anchors) > 1
+    assert built == [16]
+    assert len({lo for lo, _ in shared}) > 1 and len({i for _, i in shared}) == 1
     # a class the depth-first route answers builds none; its level search one
     built.clear()
     host = _random_complete(random.Random(47), 15, 2)
@@ -439,10 +510,50 @@ def test_tables_are_built_once_per_level_search(monkeypatch):
     assert built == []
     _longest_path_bits(adj, None)
     assert built == [15]
-    # above _TABLE_ORDER there are no tables to build
+    # above _LATTICE_ORDER there is no lattice to build for
+    built.clear()
     rng = random.Random(48)
-    assert level_tables(_random_adj(rng, 22, 0.3)) is not None
-    assert level_tables(_random_adj(rng, 23, 0.3)) is None
+    _longest_path_bits(_random_adj(rng, 20, 0.3), 5)
+    _longest_cycle_bits(_random_adj(rng, 20, 0.3))
+    assert built == [20, 19]
+    _longest_path_bits(_random_adj(rng, 21, 0.3), 5)
+    _longest_cycle_bits(_random_adj(rng, 21, 0.3))
+    assert built == [20, 19]
+
+
+def test_lattice_matches_the_map_levels(monkeypatch):
+    # the kernel boundary: on the same adjacency, the lattice search and the
+    # map levels read by _least_path give the same (witness, exact), for
+    # whole, target-limited and cycle searches.  A cap of 2,000 pairs stops
+    # them on 9-20 vertices; under the real cap the map levels take about
+    # 0.5 s from 15 vertices on, and test_golden_capped_searches pins those
+    rng = random.Random(49)
+    cases = []
+    for _ in range(300):
+        q = rng.randint(1, 20)
+        adj = _random_adj(rng, q, rng.choice([0.1, 0.2, 0.35, 0.5, 0.65, 0.8]))
+        cases.append((adj, rng.randint(1, q)))
+
+    def searches(adj, target):
+        return [
+            _longest_path_bits(adj, None),
+            _longest_path_bits(adj, target),
+            _longest_cycle_bits(adj),
+        ]
+
+    order = paths._LATTICE_ORDER
+    for cap in (2_000, paths._STATE_CAP):
+        monkeypatch.setattr(paths, "_STATE_CAP", cap)
+        run = [(adj, target) for adj, target in cases if cap == 2_000 or len(adj) <= 14]
+        monkeypatch.setattr(paths, "_LATTICE_ORDER", order)
+        lattice = [searches(adj, target) for adj, target in run]
+        monkeypatch.setattr(paths, "_LATTICE_ORDER", 0)
+        capped = set()
+        for (adj, target), got in zip(run, lattice):
+            assert got == searches(adj, target), (cap, adj, target)
+            capped |= {(kind, len(adj)) for kind, (_, exact) in enumerate(got) if not exact}
+        if cap == 2_000:
+            assert {kind for kind, q in capped if q >= 18} == {0, 1, 2}
 
 
 def _random_class(rng, q):
