@@ -171,7 +171,9 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
     The caller guarantees active has at least k + 1 vertices.  Checking flows
     from k fixed vertices to each of their non-neighbors suffices: any cut
     with fewer than k vertices misses one of the k anchors, which then lies
-    in one component while some non-neighbor lies in another.
+    in one component while some non-neighbor lies in another.  A pair with
+    k common neighbors has k disjoint paths through them, so its flow is
+    skipped: it could not return a cut.
     """
     for v in iter_bits(active):
         deg = (adj_bits[v] & active).bit_count()
@@ -184,8 +186,11 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
         if len(anchors) == k:
             break
     for v in anchors:
+        around = adj_bits[v] & active
         non_nbrs = active & ~adj_bits[v] & ~(1 << v)
         for u in iter_bits(non_nbrs):
+            if (adj_bits[u] & around).bit_count() >= k:
+                continue
             f, cut = _split_flow(adj_bits, active, v, u, k)
             if f < k:
                 return cut

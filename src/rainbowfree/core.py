@@ -158,6 +158,15 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     return SimpleGraph._from_bits(bits)
 
 
+# The most colors a host may use for the pattern search to build its color
+# masks: they hold one n-bit int per color and vertex, against 8 bytes per
+# pair for the host's own colors.  At 16 colors they took 0.66-0.93x the host
+# on random K_n colorings and 1.06-1.64x on balanced K_{n/2,n/2} ones
+# (n = 300-1,000); at 64 colors 3.4x on K_300, and a one-factorization of
+# K_300 (299 colors) would need 17x.
+SEARCH_MASK_COLORS = 16
+
+
 def _tri_offsets(n: int) -> list[int]:
     """Per vertex a, the offset with pair a < b at ``offset[a] + b`` in the
     row-major upper triangle of K_n."""
@@ -198,6 +207,17 @@ class _ColoredHost:
         All colors are built in one edge pass on first use and kept; the
         finished dict is assigned once, complete.
         """
+        return self._all_masks().get(c) or (0,) * self.vertex_count
+
+    def search_masks(self) -> dict[int, tuple[int, ...]] | None:
+        """Every used color's ``color_masks``, or None, building none, when
+        the host uses more than SEARCH_MASK_COLORS colors (counted only when
+        it declares more)."""
+        if self.m > SEARCH_MASK_COLORS and len(self.used_colors()) > SEARCH_MASK_COLORS:
+            return None
+        return self._all_masks()
+
+    def _all_masks(self) -> dict[int, tuple[int, ...]]:
         masks = self._masks
         if masks is None:
             rows = {col: [0] * self.vertex_count for col in self.used_colors()}
@@ -207,7 +227,7 @@ class _ColoredHost:
                 row[v] |= 1 << u
             masks = {col: tuple(row) for col, row in rows.items()}
             self._masks = masks
-        return masks.get(c) or (0,) * self.vertex_count
+        return masks
 
     def twin_prev(self) -> tuple[int, ...] | None:
         """The twin classes, as the previous member of each vertex's class

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .core import ColoredComplete, _random_complete, restrict
@@ -22,7 +23,7 @@ from .oracles import (
     oracle_vertex_connectivity,
 )
 from .paths import longest_mono_path
-from .patterns import parse_pattern
+from .patterns import Pattern, parse_pattern
 from .rainbow import find_rainbow
 
 SAMPLE_BUDGET = 100_000
@@ -31,8 +32,12 @@ SAMPLE_BUDGET = 100_000
 # ten times one of K_9
 MAX_ORDER = 9
 
-_FULL_PATTERNS = ["P3", "K3", "P4", "2K2", "K1_3"]
-_SAMPLED_PATTERNS = ["P3", "K3", "2K2"]
+
+@lru_cache(maxsize=None)
+def _patterns(full: bool) -> tuple[Pattern, ...]:
+    """The patterns checked in full or sampled mode, parsed once per process."""
+    names = ("P3", "K3", "P4", "2K2", "K1_3") if full else ("P3", "K3", "2K2")
+    return tuple(map(parse_pattern, names))
 
 
 @dataclass
@@ -131,8 +136,7 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
     start = time.monotonic()
     full = space <= budget
     report = CrosscheckReport(n, m, "full" if full else "sampled", seed=seed)
-    names = _FULL_PATTERNS if full else _SAMPLED_PATTERNS
-    patterns = [p for p in map(parse_pattern, names) if p.order <= n]
+    patterns = [p for p in _patterns(full) if p.order <= n]
     memo: dict = {}
     if full:
         ks = [1, 2, 3]

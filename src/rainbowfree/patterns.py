@@ -190,6 +190,19 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # there, in place: open steps prune their remaining candidates too, and a
 # short search never pays for the classes.  Only existence search uses the
 # rule; enumeration and counting keep the full symmetry-reduced search.
+#
+# Bitset domains: when the caller passes a way to get the host's per-color
+# masks, the same node switches the candidate source, in both search modes.
+# From there on each new node builds its candidates as one bitmask, as in
+# Ullmann's bit-vector refinement: the vertices at or above the floor that
+# are adjacent to every anchor image, less each anchor image's masks of the
+# colors already used and, for each pair of anchors, the vertices that see
+# both in one color.  Its bits, walked in ascending order, are exactly the
+# candidates the scalar checks accept (a used vertex, which the mask keeps,
+# fails its set check), so the maps and their order do not change.  Steps
+# open at the switch finish on the scalar loop.  A host with more colors
+# than core.SEARCH_MASK_COLORS builds no masks and keeps the scalar loop.
+# Each map comes with its color set, which the search already holds.
 # ---------------------------------------------------------------------------
 
 
@@ -230,15 +243,22 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-# search nodes visited before the twin classes are asked for: 143 of 15,000
-# searches over sampled 3-colorings of K6 reach it, and a freeness proof on
-# a construction passes it at once
+# search nodes visited before the twin classes and color masks are asked
+# for: 143 of 15,000 searches over sampled 3-colorings of K6 reach it, and a
+# freeness proof on a construction passes it at once
 TWIN_DELAY = 16
 
 
-def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tuple[int, ...]]:
+def embeddings(
+    vertex_count: int, pair_color, plan, twins=None, color_masks=None
+) -> Iterator[tuple[tuple[int, ...], frozenset]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
-    colors, in lexicographic order of step images.
+    colors, with its set of colors, in lexicographic order of step images.
+
+    ``color_masks``, when given, returns the host's per-color adjacency
+    masks, as a host's ``search_masks`` does, or None to keep the scalar
+    loop.  The search asks for them at its TWIN_DELAY-th node and walks
+    each later node's candidate bitmask (see the engine comment above).
 
     ``twins``, when given, returns the host's ``twin_prev()`` as ``prev``.
     The search asks for it at its TWIN_DELAY-th node, and from then on skips
@@ -266,22 +286,29 @@ def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tupl
     used_vertices: set[int] = set()
     used_colors: set = set()
     prev = None
-    delay = TWIN_DELAY if twins is not None else 0
+    domain = None
+    delay = TWIN_DELAY if twins is not None or color_masks is not None else 0
 
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal delay, prev
+    def extend(i: int) -> Iterator[tuple[tuple[int, ...], frozenset]]:
+        nonlocal delay, prev, domain
         if i == len(plan):
-            yield tuple(image)
+            yield tuple(image), frozenset(used_colors)
             return
         if delay:
             delay -= 1
             if not delay:
-                prev = twins()
+                if twins is not None:
+                    prev = twins()
+                masks = None if color_masks is None else color_masks()
+                if masks is not None:
+                    domain = _candidate_masks(nv, plan, masks, image, used_colors)
         p, anchors, starts, mirror = plan[i]
         below = nv if starts else least[i - 1]
         # every image of a mirrored copy exceeds its predecessor's least image
         first = 0 if mirror is None else least[mirror] + 1
-        for cand in range(first, nv):
+        # a domain's candidates pass the color checks below, which still
+        # read the colors the map takes
+        for cand in range(first, nv) if domain is None else iter_bits(domain(i, first)):
             if cand in used_vertices:
                 continue
             if prev is not None and prev[cand] >= first and prev[cand] not in used_vertices:
@@ -305,6 +332,34 @@ def embeddings(vertex_count: int, pair_color, plan, twins=None) -> Iterator[tupl
             used_colors.difference_update(new_colors)
 
     yield from extend(0)
+
+
+def _candidate_masks(nv, plan, masks, image, used_colors):
+    """``domain(i, first)``: step i's candidate bitmask from ``first`` on,
+    read from the search's live ``image`` and ``used_colors``.  Adjacency
+    and anchor pairs are built once, here, at the switch."""
+    rows = tuple(masks.values())
+    adjacent = [0] * nv
+    for row in rows:
+        adjacent = [a | b for a, b in zip(adjacent, row)]
+    pairs = [tuple(combinations(anchors, 2)) for _, anchors, _, _ in plan]
+    everything = (1 << nv) - 1
+
+    def domain(i: int, first: int) -> int:
+        mask = everything >> first << first
+        taken = 0
+        for q in plan[i][1]:
+            x = image[q]
+            mask &= adjacent[x]
+            for c in used_colors:
+                taken |= masks[c][x]
+        for q, r in pairs[i]:
+            x, y = image[q], image[r]
+            for row in rows:
+                taken |= row[x] & row[y]
+        return mask & ~taken
+
+    return domain
 
 
 def _as_graph(g) -> SimpleGraph:

@@ -8,14 +8,21 @@ hosts (same-side pairs are non-edges).  Repeated base-graph components are
 placed in increasing order of least image, and every step of a mirrored
 copy starts above the least image of the copy before it.
 
+Both searches hand the engine the host's ``search_masks``.  At the
+engine's ``patterns.TWIN_DELAY``-th node, with no restart, every later node
+takes its candidates from one bitmask built from the host's per-color
+masks, so a step no longer reads the color of every host vertex.  A host
+with more than ``core.SEARCH_MASK_COLORS`` colors builds no masks and stays
+on the scalar loop.  Each map comes with its color set from the search,
+which ``Embedding.colors`` holds as it is.
+
 ``find_rainbow`` also hands the search the host's twin classes (vertices
-that every other vertex sees in one color), so a run of unused twins is
-tried once, not once per member; the paper's constructions are a few blocks
-plus a quotient coloring, so this cuts their freeness proofs by orders of
-magnitude.  The engine comment in ``patterns`` says when the rule switches
-on, and ``patterns.embeddings`` why the first witness stays the one the full
-search finds.  ``enumerate_rainbow`` keeps the full search, because it
-reports every branch.
+that every other vertex sees in one color), switched on at the same node,
+so a run of unused twins is tried once, not once per member; the paper's
+constructions are a few blocks plus a quotient coloring, so this cuts their
+freeness proofs by orders of magnitude.  ``patterns.embeddings`` says why
+the first witness stays the one the full search finds.  ``enumerate_rainbow``
+keeps the full search, because it reports every branch.
 """
 
 from __future__ import annotations
@@ -69,23 +76,22 @@ def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     The search is exhaustive up to twin swaps, so None certifies
     rainbow-freeness; a found map is the first one of the full search.
     """
-    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan, host.twin_prev):
-        emb = Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
-        validate_embedding(host, pattern, mapping)
-        return emb
-    return None
-
-
-def _mapped_colors(host, pattern, mapping) -> frozenset[int]:
-    return frozenset(
-        host.pair_color(mapping[u], mapping[v]) for u, v in pattern.graph.edges
+    found = embeddings(
+        host.vertex_count, host.pair_color, pattern.plan, host.twin_prev, host.search_masks
     )
+    for mapping, colors in found:
+        validate_embedding(host, pattern, mapping)
+        return Embedding(pattern, mapping, colors)
+    return None
 
 
 def enumerate_rainbow(host: Host, pattern: Pattern) -> Iterator[Embedding]:
     """All rainbow embeddings (one per search branch, symmetry-reduced)."""
-    for mapping in embeddings(host.vertex_count, host.pair_color, pattern.plan):
-        yield Embedding(pattern, mapping, _mapped_colors(host, pattern, mapping))
+    found = embeddings(
+        host.vertex_count, host.pair_color, pattern.plan, color_masks=host.search_masks
+    )
+    for mapping, colors in found:
+        yield Embedding(pattern, mapping, colors)
 
 
 def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:

@@ -30,6 +30,7 @@ from rainbowfree.core import (
     ceil_div,
     flood,
     induced_subgraph,
+    iter_bits,
     restrict,
 )
 from rainbowfree.oracles import (
@@ -372,6 +373,40 @@ def test_kappa_and_cuts_agree_with_networkx_medium():
                     low = (rest & -rest).bit_length() - 1
                     assert cut.bit_count() < k
                     assert flood(g.adj_bits, rest, low) != rest
+
+
+def cut_by_every_flow(adj_bits, active, k):
+    """The cut driver without its common-neighbor skip: a flow from each of
+    k anchors to each of its non-neighbors."""
+    for v in iter_bits(active):
+        if (adj_bits[v] & active).bit_count() < k:
+            return adj_bits[v] & active
+    for v in list(iter_bits(active))[:k]:
+        for u in iter_bits(active & ~adj_bits[v] & ~(1 << v)):
+            f, cut = _split_flow(adj_bits, active, v, u, k)
+            if f < k:
+                return cut
+    return None
+
+
+def test_skipped_flows_keep_the_first_cut():
+    rng = random.Random(22)
+    cuts = skips = 0
+    for _ in range(300):
+        n = rng.randint(6, 30)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+        active = sum(1 << v for v in range(n) if rng.random() < 0.9)
+        for k in range(1, min(8, active.bit_count())):
+            cut = _find_cut_below_k(g.adj_bits, active, k)
+            assert cut == cut_by_every_flow(g.adj_bits, active, k), (g, active, k)
+            cuts += cut is not None
+            v = (active & -active).bit_length() - 1
+            around = g.adj_bits[v] & active
+            skips += any(
+                (g.adj_bits[u] & around).bit_count() >= k
+                for u in iter_bits(active & ~around & ~(1 << v))
+            )
+    assert cuts > 200 and skips > 200
 
 
 def planted_cut_cases():

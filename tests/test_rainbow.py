@@ -87,6 +87,25 @@ def test_two_colored_host_has_no_rainbow_triangle():
         assert find_rainbow_triangle(host) is None
 
 
+def test_two_colored_k200_is_triangle_free_at_one_lookup_per_edge(monkeypatch):
+    # past the switch node each step's candidates come from the color masks,
+    # so the proof reads one color per second vertex it places (200 * 199 =
+    # 39,800) plus those of the scalar nodes before the switch; a search on
+    # the scalar loop throughout reads about 200 more per second vertex
+    host = _random_complete(random.Random(200), 200, 2)
+    calls = []
+    pair_color = ColoredComplete.pair_color
+
+    def counted(self, a, b):
+        calls.append(1)
+        return pair_color(self, a, b)
+
+    monkeypatch.setattr(ColoredComplete, "pair_color", counted)
+    assert host.twin_prev() is None
+    assert find_rainbow(host, parse_pattern("K3")) is None
+    assert len(calls) <= 44_000
+
+
 def test_counterexample_is_rainbow_triangle_free():
     assert find_rainbow_triangle(gen_counterexample_4t(1, 20).host) is None
 

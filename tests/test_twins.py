@@ -1,6 +1,6 @@
-"""Twin classes and the twin rule of the rainbow search, checked on seeded
-blow-ups against the injection oracle, the quotient oracle and the full
-(unpruned) search."""
+"""Twin classes, the twin rule and the bitset domains of the rainbow search,
+checked on seeded blow-ups against the injection oracle, the quotient
+oracle and the full (unpruned, scalar) search."""
 
 import random
 import tracemalloc
@@ -205,6 +205,15 @@ def test_twin_classes_cost_linear_memory_on_many_colors():
         assert (prev and prev.count(-1)) == classes
 
 
+def test_many_colors_keep_the_scalar_loop(monkeypatch):
+    # from the first node on the search may switch to bitset domains, but a
+    # host with more colors than SEARCH_MASK_COLORS builds no masks
+    monkeypatch.setattr(patterns, "TWIN_DELAY", 1)
+    host = one_factorization(300)
+    assert find_rainbow(host, parse_pattern("3K2uK1_3")) is not None
+    assert host._masks is None
+
+
 def _color_calls(host, pat, twins):
     """The first map of one existence search, and its pair_color calls in order."""
     calls = []
@@ -326,12 +335,34 @@ def test_twin_rule_respects_the_mirror_floor(monkeypatch):
             assert find_rainbow(host, pat).mapping == first, (host, name, delay)
 
 
+def test_enumeration_is_the_same_at_every_switch_node(monkeypatch):
+    # the bitset domains switch on at the delay's node; a delay above the
+    # search size keeps every node on the scalar loop
+    names = ("P3", "K3", "P4", "K1_3", "2K2", "2P3", "2P4", "3P3")
+    cases = [(host, names) for host in blow_ups(64, 24)]
+    cases += [(host, (name,)) for host, name, _ in FLOOR_CASES]
+    for host, names in cases:
+        for pat in map(parse_pattern, names):
+            if pat.order > host.vertex_count:
+                continue
+            runs = []
+            for delay in DELAYS + (10**9,):
+                monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
+                runs.append([(emb.mapping, emb.colors) for emb in enumerate_rainbow(host, pat)])
+            assert runs[0] == runs[1] == runs[2], (host._colors, pat.canonical_name)
+            for mapping, colors in runs[0]:
+                edges = pat.graph.edges
+                assert colors == {host.pair_color(mapping[u], mapping[v]) for u, v in edges}
+        assert host._masks is not None
+
+
 def test_every_delay_keeps_the_first_map_and_repeats_none(monkeypatch):
     host, pat = FLOOR_CASES[0][0], parse_pattern("P3")
     first = next(enumerate_rainbow(host, pat)).mapping
     for delay in range(1, 40):
         monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
-        maps = list(patterns.embeddings(host.vertex_count, host.pair_color, pat.plan, host.twin_prev))
+        found = patterns.embeddings(host.vertex_count, host.pair_color, pat.plan, host.twin_prev)
+        maps = [mapping for mapping, _ in found]
         assert maps[0] == first and len(maps) == len(set(maps)), delay
 
 
