@@ -69,7 +69,7 @@ def _check_order(n: int) -> None:
 class Pattern:
     """A small graph to search for, paired with its canonical grammar name."""
 
-    __slots__ = ("graph", "canonical_name", "plan")
+    __slots__ = ("graph", "canonical_name", "plan", "_floors")
 
     def __init__(self, graph: SimpleGraph):
         _check_order(graph.n)
@@ -80,6 +80,15 @@ class Pattern:
         self.graph = graph
         self.canonical_name = _canonical_name(graph)
         self.plan = search_plan(graph)
+        self._floors = None
+
+    @property
+    def floors(self) -> tuple[tuple[int, ...], ...]:
+        """The plan's automorphism floors (see ``plan_floors``), built on
+        first read: only existence search asks for them."""
+        if self._floors is None:
+            self._floors = plan_floors(self.graph, self.plan)
+        return self._floors
 
     @property
     def order(self) -> int:
@@ -173,7 +182,9 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # endpoints.  The plan is one step per pattern vertex: components are
 # placed one after another, most-constrained vertex first.  Candidates are
 # tried in increasing order, so the search visits solutions in
-# lexicographic order of their step images.
+# lexicographic order of their step images.  The backtracker is one loop
+# over a stack of candidate iterators, one per open step, so each map is
+# yielded once rather than passed up through a generator frame per step.
 #
 # Mirror floor: consecutive copies of one base graph are embedded with
 # strictly increasing least image vertex, which removes the copy-permutation
@@ -182,14 +193,25 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # starts its candidates above the least image of the copy before it: one
 # integer compare made before any color lookup.
 #
+# Automorphism floors: when the caller passes the pattern's floors, a step
+# also starts its candidates above the image of each earlier step whose
+# vertex the automorphisms fixing the steps before it, and mapping every
+# component to itself, move onto this step's vertex: K3 is placed u < v < w
+# and a K1_3's leaves in ascending order.  This is the stabilizer-chain
+# symmetry breaking that Puget showed sound for injective searches (IJCAI
+# 2005); these automorphisms keep each component's image set, so they keep
+# the mirror floor too.  Each pattern builds its floors once, on its first
+# existence search (``plan_floors``).
+#
 # Twin rule: when the caller passes a way to get the host's twin classes, a
 # candidate is skipped if the previous member of its class is unused and not
-# below the step's lowest candidate (see ``embeddings`` for why the first
-# solution survives).  The classes cost a pass over the host, so a search
-# asks for them only at its TWIN_DELAY-th node and switches the rule on
-# there, in place: open steps prune their remaining candidates too, and a
-# short search never pays for the classes.  Only existence search uses the
-# rule; enumeration and counting keep the full symmetry-reduced search.
+# below the step's lowest candidate.  The classes cost a pass over the host,
+# so a search asks for them only at its TWIN_DELAY-th node and switches the
+# rule on there, in place: open steps prune their remaining candidates too,
+# and a short search never pays for the classes.  ``embeddings`` proves that
+# neither rule loses the first solution.  Only existence search uses the
+# floors and the twin rule; enumeration and counting keep the search with
+# the mirror floor alone.
 #
 # Bitset domains: when the caller passes a way to get the host's per-color
 # masks, the same node switches the candidate source, in both search modes.
@@ -243,14 +265,61 @@ def search_plan(g: SimpleGraph) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
+def plan_floors(g: SimpleGraph, plan) -> tuple[tuple[int, ...], ...]:
+    """The automorphism floors of a plan of g: for each step j, the earlier
+    steps i such that an automorphism of g that fixes p_0 ... p_{i-1} and
+    maps every component to itself sends p_i to p_j (p_k is step k's
+    vertex).
+
+    Such an automorphism can be the identity off p_j's component, and the
+    plan places that component in one run of steps, so each pair is settled
+    by a small backtracking search over the rest of that run.
+    """
+    order = [step[0] for step in plan]
+    bounds = [j for j, step in enumerate(plan) if step[2]] + [len(plan)]
+    floors: list[tuple[int, ...]] = []
+    for start, end in zip(bounds, bounds[1:]):
+        run = order[start:end]
+        for k, p in enumerate(run):
+            floors.append(tuple(start + i for i in range(k) if _moves(g, run, i, p)))
+    return tuple(floors)
+
+
+def _moves(g: SimpleGraph, run: list[int], k: int, target: int) -> bool:
+    """Whether an automorphism of the component whose vertices ``run``
+    lists in plan order fixes run[:k] and sends run[k] to ``target``."""
+    adj = g.adj_bits
+    sigma = {v: v for v in run[:k]}
+
+    def extend(m: int, placed: int, images: int) -> bool:
+        if m == len(run):
+            return True
+        v = run[m]
+        # the images of v's placed neighbors: exactly w's placed neighbors
+        wanted = 0
+        for u in iter_bits(adj[v] & placed):
+            wanted |= 1 << sigma[u]
+        for w in (target,) if m == k else run:
+            if images >> w & 1 or (adj[w] & images) != wanted or g.degree(w) != g.degree(v):
+                continue
+            sigma[v] = w
+            if extend(m + 1, placed | 1 << v, images | 1 << w):
+                return True
+        return False
+
+    fixed = sum(1 << v for v in run[:k])
+    return extend(k, fixed, fixed)
+
+
 # search nodes visited before the twin classes and color masks are asked
-# for: 143 of 15,000 searches over sampled 3-colorings of K6 reach it, and a
-# freeness proof on a construction passes it at once
+# for: 81 of the 15,000 existence searches of micro_crosscheck(6, 3, s, 10)
+# over s < 500 reach it, and a freeness proof on a construction passes it
+# at once
 TWIN_DELAY = 16
 
 
 def embeddings(
-    vertex_count: int, pair_color, plan, twins=None, color_masks=None
+    vertex_count: int, pair_color, plan, twins=None, color_masks=None, floors=None
 ) -> Iterator[tuple[tuple[int, ...], frozenset]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
     colors, with its set of colors, in lexicographic order of step images.
@@ -260,40 +329,64 @@ def embeddings(
     loop.  The search asks for them at its TWIN_DELAY-th node and walks
     each later node's candidate bitmask (see the engine comment above).
 
+    ``floors`` and ``twins`` prune existence search.  Call S the first
+    solution of the search without either: the one under the mirror floor
+    alone.  Neither rule ever skips one of S's images, and both only skip
+    candidates, so the pruned search visits a subset of the same tree in
+    the same order and meets S first.  The first map yielded is S, and
+    none is yielded exactly when none exists.
+
+    ``floors``, when given, is the pattern's ``floors``, and a step's
+    candidates start one above the image of each of its floor steps.  Proof
+    that S passes: let i be a floor of step j, so an automorphism s of the
+    pattern fixes p_0 ... p_{i-1}, sends p_i to p_j and maps every
+    component onto itself.  The map T(v) = S(s(v)) is an injection with
+    S's image edges, so it is rainbow.  It gives each component S's image
+    set, so every least image and the mirror floor hold for it too.  T
+    agrees with S before step i and has T(p_i) = S(p_j), so S(p_j) < S(p_i)
+    would make T a solution before S.  Hence S(p_i) < S(p_j).
+
     ``twins``, when given, returns the host's ``twin_prev()`` as ``prev``.
     The search asks for it at its TWIN_DELAY-th node, and from then on skips
     a candidate c when its previous twin c' = prev[c] is unused and at or
-    above the step's lowest candidate.  The first map yielded is the same as
-    without ``twins``, and none is yielded exactly when none exists.  Proof:
-    let S be the first solution of the unpruned search, and suppose the rule
-    skips S's image c at step i for c'.  Neither c nor c' is an image of an
-    earlier step.  The swap (c c') is a color-preserving automorphism of the
-    host, so it maps S to another rainbow injection S'.  Re-sort each run of
-    identical components by least image.  Copies before step i's copy are
-    unchanged.  Step i's copy keeps its place: its images all stay at or
-    above the floor, and its least image only falls while the copy that
-    held c' only gains.  So the result agrees with S before step i, has
-    c' < c at step i, and is a valid solution before S: a contradiction.
-    The argument looks at one skip at a time, so the rule may switch on at
-    any node, even partway through a step's candidates.  The pruned search
-    visits a subset of the same tree in the same order, so it meets S first.
+    above the step's lowest candidate, which the floors may have raised.
+    Proof that S passes: suppose the rule skips S's image c at step i for
+    c'.  Neither c nor c' is an image of an earlier step.  The swap (c c')
+    is a color-preserving automorphism of the host, so it maps S to another
+    rainbow injection S'.  Re-sort each run of identical components by
+    least image.  Copies before step i's copy are unchanged.  Step i's copy
+    keeps its place: its images all stay at or above the mirror floor, as
+    c' is at or above the step's lowest candidate, and its least image only
+    falls while the copy that held c' only gains.  So the result agrees
+    with S before step i, has c' < c at step i, and passes the mirror
+    floor: a solution before S, a contradiction.  The argument looks at one
+    skip at a time, so the rule may switch on at any node, even partway
+    through a step's candidates.
     """
-    if len(plan) > vertex_count:
+    size = len(plan)
+    if size > vertex_count:
         raise ValueError("pattern larger than host")
+    if not size:
+        yield (), frozenset()
+        return
     nv = vertex_count
-    image = [-1] * len(plan)  # pattern vertex -> host vertex
-    least = [nv] * len(plan)  # step -> least image in its component so far
+    image = [-1] * size  # pattern vertex -> host vertex
+    least = [nv] * size  # step -> least image in its component so far
     used_vertices: set[int] = set()
     used_colors: set = set()
     prev = None
     domain = None
     delay = TWIN_DELAY if twins is not None or color_masks is not None else 0
-
-    def extend(i: int) -> Iterator[tuple[tuple[int, ...], frozenset]]:
-        nonlocal delay, prev, domain
-        if i == len(plan):
-            yield tuple(image), frozenset(used_colors)
-            return
+    # per step: the pattern vertices whose images floor it
+    above = [()] * size if floors is None else [tuple(plan[f][0] for f in fs) for fs in floors]
+    # per open step: its lowest candidate, its candidate iterator, and the
+    # colors its current image added
+    lowest = [0] * size
+    options: list = [None] * size
+    added: list = [None] * size
+    i = 0
+    while True:
+        # open step i: one search node
         if delay:
             delay -= 1
             if not delay:
@@ -302,36 +395,52 @@ def embeddings(
                 masks = None if color_masks is None else color_masks()
                 if masks is not None:
                     domain = _candidate_masks(nv, plan, masks, image, used_colors)
-        p, anchors, starts, mirror = plan[i]
-        below = nv if starts else least[i - 1]
         # every image of a mirrored copy exceeds its predecessor's least image
+        mirror = plan[i][3]
         first = 0 if mirror is None else least[mirror] + 1
+        for q in above[i]:
+            if image[q] >= first:
+                first = image[q] + 1
+        lowest[i] = first
         # a domain's candidates pass the color checks below, which still
         # read the colors the map takes
-        for cand in range(first, nv) if domain is None else iter_bits(domain(i, first)):
-            if cand in used_vertices:
-                continue
-            if prev is not None and prev[cand] >= first and prev[cand] not in used_vertices:
-                continue
-            new_colors = []
-            ok = True
-            for q in anchors:
-                c = pair_color(cand, image[q])
-                if c is None or c in used_colors or c in new_colors:
-                    ok = False
+        options[i] = iter(range(first, nv)) if domain is None else iter_bits(domain(i, first))
+        # place the next candidate of step i, backtracking while none is left
+        while True:
+            p, anchors, starts, _ = plan[i]
+            first = lowest[i]
+            for cand in options[i]:
+                if cand in used_vertices:
+                    continue
+                if prev is not None and prev[cand] >= first and prev[cand] not in used_vertices:
+                    continue
+                new_colors = []
+                for q in anchors:
+                    c = pair_color(cand, image[q])
+                    if c is None or c in used_colors or c in new_colors:
+                        break
+                    new_colors.append(c)
+                else:
                     break
-                new_colors.append(c)
-            if not ok:
+            else:
+                i -= 1
+                if i < 0:
+                    return
+                used_vertices.remove(image[plan[i][0]])
+                used_colors.difference_update(added[i])
                 continue
             image[p] = cand
+            below = nv if starts else least[i - 1]
             least[i] = cand if cand < below else below
             used_vertices.add(cand)
             used_colors.update(new_colors)
-            yield from extend(i + 1)
+            if i + 1 < size:
+                added[i] = new_colors
+                break
+            yield tuple(image), frozenset(used_colors)
             used_vertices.remove(cand)
             used_colors.difference_update(new_colors)
-
-    yield from extend(0)
+        i += 1
 
 
 def _candidate_masks(nv, plan, masks, image, used_colors):

@@ -16,13 +16,16 @@ with more than ``core.SEARCH_MASK_COLORS`` colors builds no masks and stays
 on the scalar loop.  Each map comes with its color set from the search,
 which ``Embedding.colors`` holds as it is.
 
-``find_rainbow`` also hands the search the host's twin classes (vertices
-that every other vertex sees in one color), switched on at the same node,
-so a run of unused twins is tried once, not once per member; the paper's
-constructions are a few blocks plus a quotient coloring, so this cuts their
-freeness proofs by orders of magnitude.  ``patterns.embeddings`` says why
-the first witness stays the one the full search finds.  ``enumerate_rainbow``
-keeps the full search, because it reports every branch.
+``find_rainbow`` also hands the search two symmetry rules.  The pattern's
+automorphism floors make it place each rainbow copy once, not once per
+automorphism of the pattern: K3 as u < v < w, a star's leaves in ascending
+order.  The host's twin classes (vertices that every other vertex sees in
+one color), switched on at the same node as the masks, make it try a run
+of unused twins once, not once per member; the paper's constructions are a
+few blocks plus a quotient coloring, so this cuts their freeness proofs by
+orders of magnitude.  ``patterns.embeddings`` proves that the first witness
+stays the one the search with the mirror floor alone finds.
+``enumerate_rainbow`` keeps that search, because it reports every branch.
 """
 
 from __future__ import annotations
@@ -73,11 +76,17 @@ def validate_embedding(host: Host, pattern: Pattern, mapping) -> None:
 def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     """One rainbow embedding of the pattern, or None when none exists.
 
-    The search is exhaustive up to twin swaps, so None certifies
-    rainbow-freeness; a found map is the first one of the full search.
+    The search is exhaustive up to twin swaps and pattern automorphisms, so
+    None certifies rainbow-freeness; a found map is the first one of the
+    search with the mirror floor alone, which ``enumerate_rainbow`` runs.
     """
     found = embeddings(
-        host.vertex_count, host.pair_color, pattern.plan, host.twin_prev, host.search_masks
+        host.vertex_count,
+        host.pair_color,
+        pattern.plan,
+        host.twin_prev,
+        host.search_masks,
+        pattern.floors,
     )
     for mapping, colors in found:
         validate_embedding(host, pattern, mapping)
@@ -86,7 +95,9 @@ def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
 
 
 def enumerate_rainbow(host: Host, pattern: Pattern) -> Iterator[Embedding]:
-    """All rainbow embeddings (one per search branch, symmetry-reduced)."""
+    """All rainbow embeddings, one per search branch: the full search with
+    the mirror floor as its only symmetry rule, so each rainbow copy appears
+    once per pattern automorphism that maps every component to itself."""
     found = embeddings(
         host.vertex_count, host.pair_color, pattern.plan, color_masks=host.search_masks
     )

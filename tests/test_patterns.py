@@ -1,9 +1,11 @@
 import random
+import time
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
+from rainbowfree.claims import build_registry
 from rainbowfree.core import SimpleGraph
 from rainbowfree.patterns import (
     A_SET,
@@ -15,6 +17,7 @@ from rainbowfree.patterns import (
     is_isomorphic,
     is_subgraph,
     parse_pattern,
+    plan_floors,
 )
 
 
@@ -264,3 +267,79 @@ def test_oversized_pattern_refused_before_building(name):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def registry_patterns():
+    """The patterns of the registry's -free- and -found- claims."""
+    names = {claim.id.split("-")[2] for claim in build_registry() if "-free-" in claim.id or "-found-" in claim.id}
+    # the one explicit pattern in the registry is the four-edge star
+    return [parse_pattern("V:5;E:0-1,0-2,0-3,0-4" if name == "K1_4" else name) for name in names]
+
+
+def component_automorphisms(g: SimpleGraph):
+    """Every automorphism of g that maps each component onto itself, by
+    trying every permutation of each component's vertices."""
+    choices = []
+    for comp in g.components():
+        vertices = sorted(comp)
+        edges = {(u, v) for u, v in g.edges if u in comp}
+        choices.append([
+            dict(zip(vertices, images))
+            for images in permutations(vertices)
+            if all(g.has_edge(images[vertices.index(u)], images[vertices.index(v)]) for u, v in edges)
+        ])
+    for parts in product(*choices):
+        sigma = {}
+        for part in parts:
+            sigma.update(part)
+        yield sigma
+
+
+def test_floors_are_the_stabilizer_chain_orbits():
+    # step j's floors are exactly the steps i whose vertex p_i an
+    # automorphism fixing p_0 ... p_{i-1} moves onto p_j: each floor has a
+    # certificate, and each certificate gives a floor
+    patterns = {p.canonical_name: p for set_id in (A_SET, B_SET) for p in catalog_members(set_id)}
+    patterns.update((p.canonical_name, p) for p in registry_patterns())
+    assert len(patterns) == 33
+    pairs = 0
+    for pat in patterns.values():
+        g = pat.graph
+        order = [step[0] for step in pat.plan]
+        group = list(component_automorphisms(g))
+        assert all(all(g.has_edge(s[u], s[v]) for u, v in g.edges) for s in group)
+        orbits = []
+        for j, p in enumerate(order):
+            orbits.append(tuple(
+                i for i in range(j)
+                if any(
+                    s[order[i]] == p and all(s[q] == q for q in order[:i])
+                    for s in group
+                )
+            ))
+        assert pat.floors == tuple(orbits), pat
+        pairs += sum(map(len, orbits))
+    assert pairs > 60
+
+
+def test_floors_known_patterns():
+    assert parse_pattern("K3").floors == ((), (0,), (0, 1))
+    # the center first, then the leaves in ascending order
+    assert parse_pattern("K1_3").floors == ((), (), (1,), (1, 2))
+    # each K2 is placed in ascending order; the mirror floor orders the copies
+    assert parse_pattern("4K2").floors == ((), (0,), (), (2,), (), (4,), (), (6,))
+    # once the first vertex of P4plus is placed, only its two leaves swap
+    assert parse_pattern("P4plus").floors == ((), (), (), (), (3,))
+
+
+def test_floors_are_quick_on_the_most_symmetric_patterns():
+    # a search that listed automorphisms would take 11! steps on the star
+    for name in ("V:12;E:" + ",".join(f"0-{v}" for v in range(1, 12)), "3K2uK1_3"):
+        pat = parse_pattern(name)
+        timings = []
+        for _ in range(5):
+            start = time.perf_counter()
+            plan_floors(pat.graph, pat.plan)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.005, (name, timings)
+

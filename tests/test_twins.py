@@ -10,7 +10,7 @@ from rainbowfree.claims import _HOSTS, build_registry
 from rainbowfree.core import ColoredBipartite, ColoredComplete, Host, _random_complete
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree import patterns
-from rainbowfree.patterns import parse_pattern
+from rainbowfree.patterns import A_SET, B_SET, catalog_members, parse_pattern
 from rainbowfree.rainbow import enumerate_rainbow, find_rainbow
 
 # repeated components are where the mirror floor meets the twin rule
@@ -214,7 +214,7 @@ def test_many_colors_keep_the_scalar_loop(monkeypatch):
     assert host._masks is None
 
 
-def _color_calls(host, pat, twins):
+def _color_calls(host, pat, twins, floors=None):
     """The first map of one existence search, and its pair_color calls in order."""
     calls = []
 
@@ -222,8 +222,8 @@ def _color_calls(host, pat, twins):
         calls.append((a, b))
         return host.pair_color(a, b)
 
-    first = next(patterns.embeddings(host.vertex_count, color, pat.plan, twins), None)
-    return first, calls
+    found = patterns.embeddings(host.vertex_count, color, pat.plan, twins, floors=floors)
+    return next(found, None), calls
 
 
 def _is_subsequence(short, long):
@@ -379,3 +379,67 @@ def test_quotient_oracle_decides_every_registry_rainbow_claim():
     assert sum(1 for cid in decided if "-free-" in cid) == 15
     assert len(decided) == 23
     assert all(decided.values()), decided
+
+
+def _catalog():
+    members = {p.canonical_name: p for set_id in (A_SET, B_SET) for p in catalog_members(set_id)}
+    return list(members.values())
+
+
+def _small_hosts(seed, count):
+    """Seeded colorings of K_n (n = 3-7) and K_{s,t} (s, t = 2-4), 2-5 colors."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m = rng.randint(2, 5)
+        if i % 2 == 0:
+            yield _random_complete(rng, rng.randint(3, 7), m)
+        else:
+            s, t = rng.randint(2, 4), rng.randint(2, 4)
+            yield ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)])
+
+
+def test_floors_keep_the_first_map(monkeypatch):
+    # find_rainbow, with floors, twins and masks, returns the first map of
+    # the search with the mirror floor alone
+    catalog = _catalog()
+    hosts = [(host, (patterns.TWIN_DELAY,)) for host in _small_hosts(66, 2000)]
+    hosts += [(host, DELAYS) for host in blow_ups(67, 40)]
+    compared = found = floored = 0
+    for host, delays in hosts:
+        nv = host.vertex_count
+        colors = len(host.used_colors())
+        for pat in catalog:
+            if pat.order > nv:
+                continue
+            # a rainbow copy needs one color per edge, so a host with fewer
+            # colors has no first map, and the slow full proof is skipped
+            plain = None
+            if pat.size <= colors:
+                plain = next(patterns.embeddings(nv, host.pair_color, pat.plan), None)
+            for delay in delays:
+                monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
+                emb = find_rainbow(host, pat)
+                assert (emb and emb.mapping) == (plain and plain[0]), (host, pat, delay)
+            compared += 1
+            found += plain is not None
+            floored += any(pat.floors)
+    assert compared > 20_000 and 0.2 < found / compared < 0.8
+    assert floored > compared // 2
+
+
+def test_floors_prune_without_replaying_the_search(monkeypatch):
+    # like the twin rule, the floors only skip candidates: the floored
+    # search makes a subsequence of the floorless search's lookups
+    monkeypatch.setattr(patterns, "TWIN_DELAY", 1)
+    cases = [(_HOSTS["R1"][1]().host, parse_pattern("P5uP3"))]
+    cases += [(host, pat) for host in blow_ups(68, 20) for pat in PATTERNS]
+    pruned = 0
+    for host, pat in cases:
+        if pat.order > host.vertex_count:
+            continue
+        first, full = _color_calls(host, pat, None)
+        for twins in (None, host.twin_prev):
+            floored = _color_calls(host, pat, twins, pat.floors)
+            assert floored[0] == first and _is_subsequence(floored[1], full), (host, pat)
+            pruned += len(floored[1]) < len(full)
+    assert pruned > 200
