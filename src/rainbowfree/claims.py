@@ -126,21 +126,28 @@ def _found(label, pattern):
 # ---------------------------------------------------------------------------
 
 
+# enumerate_rainbow yields each copy once; these two witnesses count rainbow
+# maps, the copies times the pattern's automorphisms
 def _r1_triangle_colors(seed):
     host = _host("R1")
-    triangles = list(enumerate_rainbow(host, parse_pattern("K3")))
+    k3 = parse_pattern("K3")
+    triangles = list(enumerate_rainbow(host, k3))
     bad = [e.to_json() for e in triangles if e.colors != frozenset({1, 2, 3})]
     return (len(triangles) > 0 and not bad), {
-        "rainbow_triangles": len(triangles),
+        "rainbow_triangles": len(triangles) * k3.automorphisms,
         "off_palette": bad,
     }
 
 
 def _f3_star_colors(seed):
     host = _host("F3")
-    stars = list(enumerate_rainbow(host, parse_pattern("K1_3")))
+    star = parse_pattern("K1_3")
+    stars = list(enumerate_rainbow(host, star))
     bad = [e.to_json() for e in stars if not {1, 2} <= e.colors]
-    return (len(stars) > 0 and not bad), {"rainbow_stars": len(stars), "missing_12": bad}
+    return (len(stars) > 0 and not bad), {
+        "rainbow_stars": len(stars) * star.automorphisms,
+        "missing_12": bad,
+    }
 
 
 def _largest_mono(label, expect):

@@ -286,13 +286,16 @@ def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
 
 
 def _best_over_masks(host: Host, masks, k: int):
-    """(mask, report) with the largest witness; ties go to the first mask.
-    ``masks`` is never empty, since every host colors at least one edge."""
+    """(mask, report) with the largest witness; ties go to the first mask,
+    so the loop stops at the first witness that spans the host.  ``masks``
+    is never empty, since every host colors at least one edge."""
     best: tuple[tuple[int, ...], ConnectivityReport] | None = None
     for mask in masks:
         rep = largest_k_connected(host, mask, k)
         if best is None or rep.lower > best[1].lower:
             best = (mask, rep)
+            if rep.lower == host.vertex_count:
+                break
     return best
 
 

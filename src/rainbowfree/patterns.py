@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Iterator
 
 from .core import SimpleGraph, induced_subgraph, iter_bits
@@ -85,10 +86,25 @@ class Pattern:
     @property
     def floors(self) -> tuple[tuple[int, ...], ...]:
         """The plan's automorphism floors (see ``plan_floors``), built on
-        first read: only existence search asks for them."""
+        first read: only rainbow search asks for them."""
         if self._floors is None:
             self._floors = plan_floors(self.graph, self.plan)
         return self._floors
+
+    @property
+    def automorphisms(self) -> int:
+        """The number of automorphisms that map every component onto itself.
+
+        By orbit-stabilizer it is the product over plan steps i of the orbit
+        of p_i under those fixing p_0 ... p_{i-1}: p_i itself and the later
+        steps whose floors list i.  A search with the floors finds each copy
+        once, and one with the mirror floor alone this many times.
+        """
+        orbit = [1] * len(self.plan)
+        for steps in self.floors:
+            for i in steps:
+                orbit[i] += 1
+        return prod(orbit)
 
     @property
     def order(self) -> int:
@@ -200,8 +216,11 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # and a K1_3's leaves in ascending order.  This is the stabilizer-chain
 # symmetry breaking that Puget showed sound for injective searches (IJCAI
 # 2005); these automorphisms keep each component's image set, so they keep
-# the mirror floor too.  Each pattern builds its floors once, on its first
-# existence search (``plan_floors``).
+# the mirror floor too.  For injective maps the floors keep exactly one map
+# per orbit of those automorphisms, the least in step order, so a search
+# with them meets each copy once (Pattern.automorphisms counts the rest).
+# Each pattern builds its floors once, on its first rainbow search
+# (``plan_floors``).
 #
 # Twin rule: when the caller passes a way to get the host's twin classes, a
 # candidate is skipped if the previous member of its class is unused and not
@@ -209,9 +228,9 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # so a search asks for them only at its TWIN_DELAY-th node and switches the
 # rule on there, in place: open steps prune their remaining candidates too,
 # and a short search never pays for the classes.  ``embeddings`` proves that
-# neither rule loses the first solution.  Only existence search uses the
-# floors and the twin rule; enumeration and counting keep the search with
-# the mirror floor alone.
+# neither rule loses the first solution.  Rainbow existence search uses
+# both rules and rainbow enumeration the floors alone, since the twin rule
+# skips copies that are not the first; subgraph tests use neither.
 #
 # Bitset domains: when the caller passes a way to get the host's per-color
 # masks, the same node switches the candidate source, in both search modes.
@@ -329,9 +348,9 @@ def embeddings(
     loop.  The search asks for them at its TWIN_DELAY-th node and walks
     each later node's candidate bitmask (see the engine comment above).
 
-    ``floors`` and ``twins`` prune existence search.  Call S the first
-    solution of the search without either: the one under the mirror floor
-    alone.  Neither rule ever skips one of S's images, and both only skip
+    ``floors`` and ``twins`` prune the search.  Call S the first solution
+    of the search without either: the one under the mirror floor alone.
+    Neither rule ever skips one of S's images, and both only skip
     candidates, so the pruned search visits a subset of the same tree in
     the same order and meets S first.  The first map yielded is S, and
     none is yielded exactly when none exists.
@@ -345,6 +364,17 @@ def embeddings(
     set, so every least image and the mirror floor hold for it too.  T
     agrees with S before step i and has T(p_i) = S(p_j), so S(p_j) < S(p_i)
     would make T a solution before S.  Hence S(p_i) < S(p_j).
+
+    With the floors and no twins the search yields exactly one map per
+    orbit of these automorphisms, the least in step order, so it meets
+    every copy once and the search without them meets it
+    ``Pattern.automorphisms`` times.  The automorphisms keep the mirror
+    floor, as above, and act freely on injections.  A map f that is not
+    the least of its orbit breaks a floor: the least is f(s(.)) for some
+    s, which first differs from f at a step i, so s fixes p_0 ... p_{i-1}
+    and sends p_i to some p_j with j > i (i is a floor of j) and
+    f(p_j) < f(p_i).  The least map keeps every floor, by the argument for
+    S with its orbit in place of all solutions.
 
     ``twins``, when given, returns the host's ``twin_prev()`` as ``prev``.
     The search asks for it at its TWIN_DELAY-th node, and from then on skips

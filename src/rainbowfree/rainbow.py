@@ -16,16 +16,19 @@ with more than ``core.SEARCH_MASK_COLORS`` colors builds no masks and stays
 on the scalar loop.  Each map comes with its color set from the search,
 which ``Embedding.colors`` holds as it is.
 
-``find_rainbow`` also hands the search two symmetry rules.  The pattern's
-automorphism floors make it place each rainbow copy once, not once per
-automorphism of the pattern: K3 as u < v < w, a star's leaves in ascending
-order.  The host's twin classes (vertices that every other vertex sees in
-one color), switched on at the same node as the masks, make it try a run
-of unused twins once, not once per member; the paper's constructions are a
-few blocks plus a quotient coloring, so this cuts their freeness proofs by
-orders of magnitude.  ``patterns.embeddings`` proves that the first witness
-stays the one the search with the mirror floor alone finds.
-``enumerate_rainbow`` keeps that search, because it reports every branch.
+Both searches hand the engine the pattern's automorphism floors, which
+make it place each rainbow copy once, not once per automorphism of the
+pattern: K3 as u < v < w, a star's leaves in ascending order.
+``find_rainbow`` also hands it the host's twin classes (vertices that every
+other vertex sees in one color), switched on at the same node as the
+masks, so it tries a run of unused twins once, not once per member; the
+paper's constructions are a few blocks plus a quotient coloring, so this
+cuts their freeness proofs by orders of magnitude.  ``enumerate_rainbow``
+leaves the twin rule out, because it skips copies that are not the first.
+``patterns.embeddings`` proves that the first witness stays the one the
+search with the mirror floor alone finds, and that the floors keep one map
+per copy.  A host with fewer colors than the pattern has edges has no
+rainbow copy, and ``find_rainbow`` answers it without a search.
 """
 
 from __future__ import annotations
@@ -76,10 +79,16 @@ def validate_embedding(host: Host, pattern: Pattern, mapping) -> None:
 def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     """One rainbow embedding of the pattern, or None when none exists.
 
-    The search is exhaustive up to twin swaps and pattern automorphisms, so
-    None certifies rainbow-freeness; a found map is the first one of the
-    search with the mirror floor alone, which ``enumerate_rainbow`` runs.
+    A copy needs one color per pattern edge, so a host that declares or
+    uses fewer colors is rainbow-free with no search.  Otherwise the search
+    is exhaustive up to twin swaps and pattern automorphisms, so None
+    certifies rainbow-freeness; a found map is the first one of the search
+    with the mirror floor alone, which is also ``enumerate_rainbow``'s.
     """
+    if pattern.order > host.vertex_count:
+        raise ValueError("pattern larger than host")
+    if pattern.size > host.m or pattern.size > len(host.used_colors()):
+        return None
     found = embeddings(
         host.vertex_count,
         host.pair_color,
@@ -95,11 +104,18 @@ def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
 
 
 def enumerate_rainbow(host: Host, pattern: Pattern) -> Iterator[Embedding]:
-    """All rainbow embeddings, one per search branch: the full search with
-    the mirror floor as its only symmetry rule, so each rainbow copy appears
-    once per pattern automorphism that maps every component to itself."""
+    """Rainbow embeddings, one per rainbow copy, in lexicographic order of
+    step images.  Each stands for ``pattern.automorphisms`` rainbow maps,
+    its compositions with the automorphisms that map every component onto
+    itself, which a search with the mirror floor alone yields.  (Repeated
+    components that are not base graphs get no mirror floor, so such a copy
+    appears once per order of those components.)"""
     found = embeddings(
-        host.vertex_count, host.pair_color, pattern.plan, color_masks=host.search_masks
+        host.vertex_count,
+        host.pair_color,
+        pattern.plan,
+        color_masks=host.search_masks,
+        floors=pattern.floors,
     )
     for mapping, colors in found:
         yield Embedding(pattern, mapping, colors)

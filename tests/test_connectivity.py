@@ -6,6 +6,7 @@ from math import comb
 import networkx as nx
 import pytest
 
+from rainbowfree import connectivity
 from rainbowfree.claims import _random_graph
 from rainbowfree.connectivity import (
     CertificationError,
@@ -241,6 +242,48 @@ def test_best_two_colored_counterexample_bounded():
     # and the cap is tight for the decisive masks: order 18 is reachable
     rep = largest_k_connected(host, {1, 3}, 4)
     assert rep.lower <= 18
+
+
+def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
+    # ties go to the first mask, so stopping at the first witness that spans
+    # the host returns the (mask, report) of running every mask
+    def every_mask(host, masks, k):
+        best = None
+        for mask in masks:
+            rep = largest_k_connected(host, mask, k)
+            if best is None or rep.lower > best[1].lower:
+                best = (mask, rep)
+        return best
+
+    calls = []
+
+    def counted(host, mask, k):
+        calls.append(mask)
+        return largest_k_connected(host, mask, k)
+
+    monkeypatch.setattr(connectivity, "largest_k_connected", counted)
+    rng = random.Random(72)
+    searches = stopped = 0
+    for i in range(120):
+        n, m, k = rng.randint(4, 40), rng.randint(1, 12), rng.randint(1, 4)
+        if i % 2:
+            s = rng.randint(1, n - 1)
+            colors = [rng.randint(1, m) for _ in range(s * (n - s))]
+            host = ColoredBipartite(s, n - s, m, colors)
+        else:
+            host = _random_complete(rng, n, m)
+        used = sorted(host.used_colors())
+        singles = [(c,) for c in used]
+        for masks, best in (
+            (singles, best_monochromatic),
+            (sorted(singles + list(combinations(used, 2))), best_two_colored),
+        ):
+            calls.clear()
+            mask, rep = every_mask(host, masks, k)
+            assert best(host, k) == (mask[0] if best is best_monochromatic else frozenset(mask), rep)
+            searches += 1
+            stopped += len(calls) < len(masks)
+    assert stopped > searches // 4 and searches - stopped > searches // 4
 
 
 def test_order_cap_detects_violations():

@@ -322,6 +322,23 @@ def test_floors_are_the_stabilizer_chain_orbits():
     assert pairs > 60
 
 
+# two identical components that are not base graphs: two paws (a triangle
+# with a pendant edge), which the mirror floor does not order
+TWO_PAWS = "V:8;E:0-1,1-2,2-0,2-3,4-5,5-6,6-4,6-7"
+
+
+def test_automorphisms_count_the_component_group():
+    # orbit-stabilizer: the product of the floors' orbit sizes is the order
+    # of the group of automorphisms that map every component onto itself
+    pats = [p for set_id in (A_SET, B_SET) for p in catalog_members(set_id)]
+    pats.append(parse_pattern(TWO_PAWS))
+    for pat in pats:
+        assert pat.automorphisms == sum(1 for _ in component_automorphisms(pat.graph)), pat
+    counts = {name: parse_pattern(name).automorphisms for name in ("K3", "K1_3", "4K2", "P4plus")}
+    assert counts == {"K3": 6, "K1_3": 6, "4K2": 16, "P4plus": 2}
+    assert parse_pattern(TWO_PAWS).automorphisms == 4
+
+
 def test_floors_known_patterns():
     assert parse_pattern("K3").floors == ((), (0,), (0, 1))
     # the center first, then the leaves in ascending order

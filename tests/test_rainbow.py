@@ -5,6 +5,8 @@ from itertools import permutations
 
 import pytest
 
+from test_twins import mirror_only
+
 from rainbowfree.claims import run_claims
 from rainbowfree.constructions import (
     gen_F1,
@@ -17,6 +19,7 @@ from rainbowfree.constructions import (
 from rainbowfree.core import ColoredBipartite, ColoredComplete, _random_complete
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree.patterns import is_subgraph, parse_pattern
+from rainbowfree import rainbow
 from rainbowfree.rainbow import (
     enumerate_rainbow,
     find_rainbow,
@@ -30,8 +33,8 @@ def mono_k(n, m=1):
 
 
 def rainbow_copies(host, pat):
-    """The image edge sets of the full search's rainbow embeddings: the
-    rainbow copies of pat, counted up to its automorphisms."""
+    """The image edge sets of the rainbow embeddings: the rainbow copies of
+    pat, counted up to its automorphisms."""
     return {
         frozenset(frozenset((emb.mapping[u], emb.mapping[v])) for u, v in pat.graph.edges)
         for emb in enumerate_rainbow(host, pat)
@@ -56,6 +59,21 @@ def test_monochromatic_host_has_no_rainbow_p3():
 
 def test_pattern_larger_than_host_errors():
     with pytest.raises(ValueError):
+        find_rainbow(mono_k(4), parse_pattern("P6"))
+
+
+def test_too_few_colors_answer_without_a_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(rainbow, "embeddings", no_search)
+    # declares 3 colors, fewer than the 4 edges of 2P3
+    assert find_rainbow(_random_complete(random.Random(1), 8, 3), parse_pattern("2P3")) is None
+    # declares 9 colors and uses 2
+    assert find_rainbow(ColoredComplete(6, 9, [1, 2] * 7 + [1]), parse_pattern("K3")) is None
+    assert find_rainbow(ColoredBipartite(3, 3, 5, [4] * 9), parse_pattern("P3")) is None
+    # a refusal still comes first
+    with pytest.raises(ValueError, match="larger"):
         find_rainbow(mono_k(4), parse_pattern("P6"))
 
 
@@ -218,6 +236,8 @@ def test_count_matches_injection_oracle():
                         frozenset(frozenset((mapping[u], mapping[v])) for u, v in pat.graph.edges)
                     )
             assert rainbow_copies(host, pat) == images, (host._colors, pat.canonical_name)
+            # the floors and the mirror floor leave one map per copy
+            assert sum(1 for _ in enumerate_rainbow(host, pat)) == len(images)
 
 
 def test_enumerate_yields_valid_embeddings():
@@ -270,14 +290,17 @@ GOLDEN_ENUMERATIONS = [
 def test_golden_witnesses():
     reports = run_claims("*-found-*")
     assert {r.claim_id: r.witness["map"] for r in reports} == GOLDEN_FOUND_MAPS
-    k3 = parse_pattern("K3")
-    assert sum(1 for _ in enumerate_rainbow(gen_R1(9, 4).host, k3)) == 162
-    star = parse_pattern("K1_3")
-    assert sum(1 for _ in enumerate_rainbow(gen_F3(12, 12, 6).host, star)) == 7776
+    r1, k3 = gen_R1(9, 4).host, parse_pattern("K3")
+    assert sum(1 for _ in mirror_only(r1, k3)) == 162
+    assert sum(1 for _ in enumerate_rainbow(r1, k3)) == 27 and 27 * k3.automorphisms == 162
+    f3, star = gen_F3(12, 12, 6).host, parse_pattern("K1_3")
+    assert sum(1 for _ in mirror_only(f3, star)) == 7776
+    assert sum(1 for _ in enumerate_rainbow(f3, star)) == 1296
+    assert 1296 * star.automorphisms == 7776
     # enumeration order on patterns with repeated components, where the
     # mirror rule applies: sha256 of the ordered mappings, with their counts
-    hosts = {"R1(9,4)": gen_R1(9, 4).host, "F2(13,6,5)": gen_F2(13, 6, 5).host}
+    hosts = {"R1(9,4)": r1, "F2(13,6,5)": gen_F2(13, 6, 5).host}
     for label, name, count, digest in GOLDEN_ENUMERATIONS:
-        maps = [list(e.mapping) for e in enumerate_rainbow(hosts[label], parse_pattern(name))]
+        maps = [list(mapping) for mapping in mirror_only(hosts[label], parse_pattern(name))]
         assert len(maps) == count, name
         assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == digest, name

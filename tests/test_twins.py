@@ -6,7 +6,10 @@ import random
 import tracemalloc
 from math import perm
 
+from test_patterns import TWO_PAWS, component_automorphisms
+
 from rainbowfree.claims import _HOSTS, build_registry
+from rainbowfree.constructions import gen_F2, gen_F3, gen_R1
 from rainbowfree.core import ColoredBipartite, ColoredComplete, Host, _random_complete
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree import patterns
@@ -214,6 +217,15 @@ def test_many_colors_keep_the_scalar_loop(monkeypatch):
     assert host._masks is None
 
 
+def mirror_only(host, pat, colors=False):
+    """The maps of the search with the mirror floor as its only symmetry
+    rule, with their color sets when ``colors``."""
+    found = patterns.embeddings(
+        host.vertex_count, host.pair_color, pat.plan, color_masks=host.search_masks
+    )
+    return found if colors else (mapping for mapping, _ in found)
+
+
 def _color_calls(host, pat, twins, floors=None):
     """The first map of one existence search, and its pair_color calls in order."""
     calls = []
@@ -294,9 +306,12 @@ def test_blow_ups_agree_with_oracles_and_full_search(monkeypatch):
             if fast or quotient:
                 # when neither finds a copy, the full search proves freeness
                 # slowly and the oracles above already agree on the answer
-                full = next(enumerate_rainbow(host, pat), None)
-                if (emb and emb.mapping) != (full and full.mapping):
+                full = next(mirror_only(host, pat), None)
+                if (emb and emb.mapping) != full:
                     mismatches.append(("witness", host._colors, pat.canonical_name))
+                listed = next(enumerate_rainbow(host, pat), None)
+                if (listed and listed.mapping) != full:
+                    mismatches.append(("enumeration", host._colors, pat.canonical_name))
             if perm(nv, pat.order) <= INJECTION_LIMIT:
                 injection_checks += 1
                 if fast != oracle_rainbow_exists(host, pat):
@@ -329,7 +344,7 @@ def test_twin_rule_respects_the_mirror_floor(monkeypatch):
     for host, name, first in FLOOR_CASES:
         pat = parse_pattern(name)
         assert host.twin_prev() is not None
-        assert next(enumerate_rainbow(host, pat)).mapping == first
+        assert next(mirror_only(host, pat)) == first
         for delay in DELAYS:
             monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
             assert find_rainbow(host, pat).mapping == first, (host, name, delay)
@@ -345,11 +360,15 @@ def test_enumeration_is_the_same_at_every_switch_node(monkeypatch):
         for pat in map(parse_pattern, names):
             if pat.order > host.vertex_count:
                 continue
-            runs = []
+            runs, floored = [], []
             for delay in DELAYS + (10**9,):
                 monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
-                runs.append([(emb.mapping, emb.colors) for emb in enumerate_rainbow(host, pat)])
+                runs.append(list(mirror_only(host, pat, colors=True)))
+                floored.append([(emb.mapping, emb.colors) for emb in enumerate_rainbow(host, pat)])
             assert runs[0] == runs[1] == runs[2], (host._colors, pat.canonical_name)
+            assert floored[0] == floored[1] == floored[2], (host._colors, pat.canonical_name)
+            assert _is_subsequence(floored[0], runs[0])
+            assert len(runs[0]) == len(floored[0]) * pat.automorphisms
             for mapping, colors in runs[0]:
                 edges = pat.graph.edges
                 assert colors == {host.pair_color(mapping[u], mapping[v]) for u, v in edges}
@@ -358,12 +377,45 @@ def test_enumeration_is_the_same_at_every_switch_node(monkeypatch):
 
 def test_every_delay_keeps_the_first_map_and_repeats_none(monkeypatch):
     host, pat = FLOOR_CASES[0][0], parse_pattern("P3")
-    first = next(enumerate_rainbow(host, pat)).mapping
+    first = next(mirror_only(host, pat))
     for delay in range(1, 40):
         monkeypatch.setattr(patterns, "TWIN_DELAY", delay)
         found = patterns.embeddings(host.vertex_count, host.pair_color, pat.plan, host.twin_prev)
         maps = [mapping for mapping, _ in found]
         assert maps[0] == first and len(maps) == len(set(maps)), delay
+
+
+def test_each_copy_expands_to_its_mirror_only_maps():
+    # composing each enumerated map with every automorphism that maps each
+    # component onto itself gives every map of the mirror-only search once
+    cases = [
+        (gen_R1(9, 4).host, ("K3", "3K2", "2P3")),
+        (gen_F2(13, 6, 5).host, ("2K2uK1_3",)),
+        (gen_F3(12, 12, 6).host, ("K1_3",)),
+        # enough colors for the eight edges of the two paws
+        (_random_complete(random.Random(70), 9, 12), (TWO_PAWS,)),
+    ]
+    names = tuple(p.canonical_name for p in PATTERNS)
+    cases += [(host, names) for host in blow_ups(69, 10)]
+    groups = {}
+    expanded_maps = 0
+    for host, names in cases:
+        for name in names:
+            pat = parse_pattern(name)
+            if pat.order > host.vertex_count:
+                continue
+            if name not in groups:
+                groups[name] = list(component_automorphisms(pat.graph))
+            group = groups[name]
+            maps = list(mirror_only(host, pat))
+            expanded = [
+                tuple(emb.mapping[s[v]] for v in range(pat.order))
+                for emb in enumerate_rainbow(host, pat)
+                for s in group
+            ]
+            assert len(expanded) == len(maps) and set(expanded) == set(maps), (host, name)
+            expanded_maps += len(maps)
+    assert expanded_maps > 100_000
 
 
 def test_quotient_oracle_decides_every_registry_rainbow_claim():
