@@ -70,7 +70,7 @@ def _check_order(n: int) -> None:
 class Pattern:
     """A small graph to search for, paired with its canonical grammar name."""
 
-    __slots__ = ("graph", "canonical_name", "plan", "_floors")
+    __slots__ = ("graph", "canonical_name", "plan", "size", "_floors")
 
     def __init__(self, graph: SimpleGraph):
         _check_order(graph.n)
@@ -81,6 +81,7 @@ class Pattern:
         self.graph = graph
         self.canonical_name = _canonical_name(graph)
         self.plan = search_plan(graph)
+        self.size = graph.edge_count  # read on every rainbow search
         self._floors = None
 
     @property
@@ -109,10 +110,6 @@ class Pattern:
     @property
     def order(self) -> int:
         return self.graph.n
-
-    @property
-    def size(self) -> int:
-        return self.graph.edge_count
 
     def component_count(self) -> int:
         return len(self.graph.components())
