@@ -175,10 +175,11 @@ def _tri_offsets(n: int) -> list[int]:
 
 class _ColoredHost:
     """The color range ``m``, the flat tuple of ``want`` edge colors, its
-    per-color masks and twin classes; subclasses check their sizes and
-    define ``_key``, which equality and hashing read (never the caches)."""
+    used colors, per-color masks and twin classes; subclasses check their
+    sizes and define ``_key``, which equality and hashing read (never the
+    caches)."""
 
-    __slots__ = ("m", "_colors", "_masks", "_twins")
+    __slots__ = ("m", "_colors", "_used", "_masks", "_twins")
 
     def __init__(self, m: int, colors: Iterable[int], want: int):
         if m < 1:
@@ -191,12 +192,17 @@ class _ColoredHost:
                 raise ValueError(f"color {c} out of range 1..{m}")
         self.m = m
         self._colors = colors
+        self._used = None
         self._masks = None
         self._twins = None
 
     def used_colors(self) -> frozenset[int]:
-        """The exact set of colors appearing on at least one edge."""
-        return frozenset(self._colors)
+        """The exact set of colors appearing on at least one edge, built on
+        first use and kept."""
+        used = self._used
+        if used is None:
+            used = self._used = frozenset(self._colors)
+        return used
 
     def color_counts(self) -> dict[int, int]:
         return dict(Counter(self._colors))

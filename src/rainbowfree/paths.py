@@ -14,12 +14,18 @@ and ``_least_path`` reads the witness from the levels.  Both give the
 lexicographically least path of the last level read.  One cap loop,
 ``_levels``, counts the pairs of either kind against ``_STATE_CAP``; a
 search the cap stops is flagged inexact, at the same level either way.
-On supports of at most ``_PATH_UNCAPPED`` vertices (paths) or
-``_CYCLE_UNCAPPED`` (cycles) the cap cannot bind, and there one
-lexicographic depth-first search, ``_first_path``, answers first: it stops
-at the first path whose order meets an upper bound, which is the level
-search's witness.  Only when it finds none do the levels run (on the
-2-core, for a cycle).
+Where the cap cannot bind, one lexicographic depth-first search,
+``_first_path``, answers first: it stops at the first path whose order
+meets an upper bound, which is the level search's witness.  The route is
+chosen per component, since neither a path nor an anchor's levels leave
+one: a path search takes it when the components' c * 2^(c-1) pairs sum to
+at most the cap (each then has at most ``_PATH_UNCAPPED`` vertices), a
+cycle search when every component of the 2-core has at most
+``_CYCLE_UNCAPPED``, and either does on a complete class.  On classes the
+lattice takes, the search gives up after ``_PUSH_BUDGET`` pushes, about
+one lattice search, so a search that gives up costs at most about twice
+the level search.  Only when it finds none or gives up do the levels run
+(on the 2-core, for a cycle).
 """
 
 from __future__ import annotations
@@ -57,6 +63,15 @@ _CYCLE_UNCAPPED = max(q for q in range(2, 64) if ((q - 1) << (q - 2)) + 1 <= _ST
 # and a search holds about four such (10.5 MB measured); at q = 21 each
 # would double
 _LATTICE_ORDER = 20
+# A depth-first search whose fallback is a lattice search over the k-bit
+# sets (k = q for a path, q - 1 for a cycle's anchor) gives up after
+# _PUSH_BUDGET[k] pushes.  Measured (2 vCPUs, CPython 3.11.7): a push costs
+# 1.2-2 us, failed tries and backtracking included, and a lattice search
+# 0.07-0.13 us * 2^k, so the budget is worth about one lattice search, and a
+# search that gives up costs at most about twice the level search.  Above
+# the lattice the map levels cost about as much per state as the search,
+# which runs unbudgeted
+_PUSH_BUDGET = [32 + (1 << k >> 4) for k in range(_LATTICE_ORDER + 1)]
 
 
 @dataclass(frozen=True)
@@ -314,27 +329,33 @@ def _longest_path_bits(adj, target: int | None):
     return _lattice_path(adj, union, top, [], order, 0), not capped
 
 
-def _first_path(adj, starts: int, order: int, close: int) -> list[int] | None:
+def _first_path(adj, starts: int, order: int, close: int | None, budget: int) -> list[int] | None:
     """The lexicographically least path of ``order`` >= 2 vertices that
-    starts in ``starts`` and ends in ``close``, or None if there is none.
+    starts in ``starts`` and ends in ``close``, or None if there is none or
+    the search gave up at its ``budget``-th push (0: no budget).  With
+    ``close`` None a path ends next to its start, closing a cycle, and the
+    starts must lie in distinct components.
 
     A depth-first search tries starts and then neighbours in ascending
     order, so the first such path it completes is the least one.  Whether a
     (vertex set, endpoint) state extends to one does not depend on the order
     the set was covered in, so a state whose extensions all failed is dead
-    and is never expanded again.  The dead states are kept as the levels
-    are, one endpoint bitset per vertex set.  The search keeps its own
-    stack, so a path may be as long as the class.
+    and is never expanded again: each state is pushed at most once.  The
+    dead states are kept as the levels are, one endpoint bitset per vertex
+    set.  The search keeps its own stack, so a path may be as long as the
+    class.
     """
     dead: dict[int, int] = {}
     get = dead.get
+    pushes = 0
     for v in iter_bits(starts):
+        ends = adj[v] if close is None else close
         path = [v]
         mask, nbrs, left = 1 << v, adj[v] & ~(1 << v), order - 1
         below = []  # (vertex set, untried neighbours) of each state under the top
         while True:
             if left == 1:
-                nbrs &= close
+                nbrs &= ends
                 if nbrs:
                     path.append((nbrs & -nbrs).bit_length() - 1)
                     return path
@@ -343,6 +364,9 @@ def _first_path(adj, starts: int, order: int, close: int) -> list[int] | None:
                 nbrs ^= low
                 grown = mask | low
                 if not get(grown, 0) & low:
+                    pushes += 1
+                    if pushes == budget:
+                        return None
                     below.append((mask, nbrs))
                     v = low.bit_length() - 1
                     path.append(v)
@@ -359,29 +383,40 @@ def _first_path(adj, starts: int, order: int, close: int) -> list[int] | None:
 
 
 def _longest_path(adj, target: int | None):
-    """``_longest_path_bits(adj, target)``, answered by ``_first_path``
-    where the cap cannot bind and on a complete class, where the first path
-    is 0, 1, ... with no backtracking.
+    """``_longest_path_bits(adj, target)``, answered first by
+    ``_first_path`` where the cap cannot bind and on a complete class,
+    where the first path is 0, 1, ... with no backtracking.
 
-    No path is longer than the largest component, so a path of that order,
-    or of ``target`` if smaller, is as long as the last level the level
-    search would build, and the least such path is that search's witness.
-    It lies in a component at least that large.  Only if there is none do
-    the levels run.
+    The component rule: no path leaves its component, and a component of c
+    vertices holds at most c * 2^(c-1) (set, endpoint) pairs, so the cap
+    cannot bind when these sum to at most ``_STATE_CAP`` over the
+    components, which needs each to have at most ``_PATH_UNCAPPED``
+    vertices.  No path is longer than the largest component, so a path of
+    that order, or of ``target`` if smaller, is as long as the last level
+    the level search would build, and the least such path is that search's
+    witness.  It lies in a component at least that large.  On classes of
+    at most ``_LATTICE_ORDER`` vertices the search gives up after
+    ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it costs at
+    most about twice the level search.  Only if it finds none or gives up
+    do the levels run.
     """
     q = len(adj)
-    if q > _PATH_UNCAPPED and not _complete(adj):
-        return _longest_path_bits(adj, target)
     comps = components(adj, (1 << q) - 1)
-    order = max(map(int.bit_count, comps))
+    sizes = list(map(int.bit_count, comps))
+    order = max(sizes)
+    if (
+        order > _PATH_UNCAPPED or sum(c << (c - 1) for c in sizes) > _STATE_CAP
+    ) and not _complete(adj):
+        return _longest_path_bits(adj, target)
     if target is not None:
         order = min(order, target)
     if order >= 2:
         starts = 0
-        for comp in comps:
-            if comp.bit_count() >= order:
+        for comp, size in zip(comps, sizes):
+            if size >= order:
                 starts |= comp
-        path = _first_path(adj, starts, order, -1)
+        budget = _PUSH_BUDGET[q] if q <= _LATTICE_ORDER else 0
+        path = _first_path(adj, starts, order, -1, budget)
         if path is not None:
             return path, True
     return _longest_path_bits(adj, target)
@@ -549,25 +584,46 @@ def _two_core(adj) -> int:
 
 
 def _longest_cycle(adj):
-    """``_longest_cycle_bits(adj)``, answered by ``_first_path`` where the
-    cap cannot bind and on a complete class, where the first cycle is 0, 1,
-    ... with no backtracking.
+    """``_longest_cycle_bits(adj)``, or of the 2-core where the cap cannot
+    bind there, answered first by ``_first_path`` there and on a complete
+    class, where the first cycle is 0, 1, ... with no backtracking.
 
-    Every cycle lies in the 2-core.  A Hamilton cycle of the core is a
-    longest cycle, and the least one written from the core's least vertex is
-    the level search's witness.  Only if the core has none do the levels
-    run, on the core relabeled in order, which keeps their witness.
+    The component rule: every cycle lies in one component of the 2-core,
+    the vertices of the graph's cycles and of the paths between them, and
+    so do an anchor's levels on the core, so the cap cannot bind there when
+    every core component has at most ``_CYCLE_UNCAPPED`` vertices.  (On
+    ``adj`` it can still bind through trees that hang off the core, and
+    then the core's answer is the longer and exact one.)  No cycle is
+    longer than the largest core component, and a Hamilton cycle of one is
+    a longest cycle, met first by the level search at its least anchor,
+    the component's least vertex.  So the search tries the largest core
+    components in order of least vertex, and the first Hamilton cycle it
+    finds, the least one written from there, is the level search's
+    witness.  On cores of at most ``_LATTICE_ORDER`` vertices it gives up
+    after ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
+    anchor's sets, so it costs at most about twice the level search.  Only
+    if it finds none or gives up do the levels run, on the core relabeled
+    in order, which keeps their witness.
     """
-    if len(adj) > _CYCLE_UNCAPPED and not _complete(adj):
-        return _longest_cycle_bits(adj)
-    verts = list(iter_bits(_two_core(adj)))
-    if not verts:
+    kept = _two_core(adj)
+    if not kept:
         return [], True
+    comps = components(adj, kept)
+    order = max(map(int.bit_count, comps))
+    if order > _CYCLE_UNCAPPED and not _complete(adj):
+        return _longest_cycle_bits(adj)
+    starts = 0
+    for comp in comps:
+        if comp.bit_count() == order:
+            starts |= comp & -comp
+    q = kept.bit_count()
+    budget = _PUSH_BUDGET[q - 1] if q <= _LATTICE_ORDER else 0
+    cycle = _first_path([a & kept for a in adj], starts, order, None, budget)
+    if cycle is not None:
+        return cycle, True
+    verts = list(iter_bits(kept))
     core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
-    cycle = _first_path(core, 1, len(core), core[0])
-    if cycle is None:
-        cycle = _longest_cycle_bits(core)[0]
-    return [verts[i] for i in cycle], True
+    return [verts[i] for i in _longest_cycle_bits(core)[0]], True
 
 
 def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:

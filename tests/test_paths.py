@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
 
 import pytest
@@ -655,3 +656,112 @@ def test_kano_li_floor_refuses_bipartite_hosts():
     host = ColoredBipartite(2, 4, 1, [1] * 8)
     with pytest.raises(ValueError, match="K_n"):
         kano_li_floor(host)
+
+
+def _side_by_side(rng, q, largest):
+    """Adjacency bitmasks of ``_random_class`` parts of at most ``largest``
+    vertices side by side, q in all, relabeled at random: a disconnected
+    class whose components have at most ``largest`` vertices.  Half the
+    parts after the first are as large as it, so that several components
+    tie for the largest."""
+    adj, start = [0] * q, 0
+    perm = list(range(q))
+    rng.shuffle(perm)
+    first = rng.randint(8, largest)
+    while start < q:
+        size = first if not start or rng.random() < 0.5 else rng.randint(1, largest)
+        size = min(q - start, size)
+        for v, nbrs in enumerate(_random_class(rng, size)):
+            for w in iter_bits(nbrs):
+                adj[perm[start + v]] |= 1 << perm[start + w]
+        start += size
+    return adj
+
+
+def test_depth_first_route_on_small_components():
+    # the cap cannot bind on a class of 16-26 vertices whose components are
+    # small enough, and there the depth-first answer (budgeted up to 20
+    # vertices, unbudgeted above) is the level search's (witness, exact)
+    rng = random.Random(51)
+    for i in range(100):
+        q = rng.randint(16, 26)
+        largest = paths._PATH_UNCAPPED if i % 2 else paths._CYCLE_UNCAPPED
+        adj = _side_by_side(rng, q, largest)
+        if largest == paths._PATH_UNCAPPED:
+            for target in (None, 2, q // 2):
+                assert _longest_path(adj, target) == _longest_path_bits(adj, target), (adj, target)
+        assert _longest_cycle(adj) == _longest_cycle_bits(adj), adj
+
+
+def _edges_adj(q, edges):
+    adj = [0] * q
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
+    # F3(12,12,6) color 1 and two disjoint 12-cycles have 24 vertices in
+    # 12-vertex components, and a bowtie beside a 5-cycle ties two 5-vertex
+    # core components, the first without a Hamilton cycle: the depth-first
+    # route answers all of them, the level search patched to raise
+    host = gen_F3(12, 12, 6).host
+    _, f3 = paths._color_class(host, 1)
+    ring = [(v, (v + 1) % 12) for v in range(12)]
+    two_rings = _edges_adj(24, ring + [(u + 12, v + 12) for u, v in ring])
+    bowtie = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]
+    pentagon = [(v, (v + 1) % 5) for v in range(5)]
+    ties = [
+        _edges_adj(10, first + [(u + 5, v + 5) for u, v in second])
+        for first, second in [(bowtie, pentagon), (pentagon, bowtie)]
+    ]
+    want = [(_longest_path_bits(adj, None), _longest_cycle_bits(adj)) for adj in [f3, two_rings]]
+    want_ties = [_longest_cycle_bits(adj) for adj in ties]
+    assert [cycle for cycle, _ in want_ties] == [[5, 6, 7, 8, 9], [0, 1, 2, 3, 4]]
+    witnesses = longest_mono_path(host, 1), longest_mono_cycle(host, 1)
+
+    def refuse(*args):
+        raise AssertionError("the level search ran")
+
+    monkeypatch.setattr(paths, "_longest_path_bits", refuse)
+    monkeypatch.setattr(paths, "_longest_cycle_bits", refuse)
+    for adj, (path, cycle) in zip([f3, two_rings], want):
+        assert (_longest_path(adj, None), _longest_cycle(adj)) == (path, cycle)
+    assert [_longest_cycle(adj) for adj in ties] == want_ties
+    assert (longest_mono_path(host, 1), longest_mono_cycle(host, 1)) == witnesses
+    # a 16-clique with a pendant vertex at each of its vertices: the cap
+    # cannot bind on its 2-core, the clique, whose Hamilton cycle is found
+    # without the levels; on the whole class the levels reach the cap
+    clique = _edges_adj(32, [*combinations(range(16), 2), *((v, v + 16) for v in range(16))])
+    assert _longest_cycle(clique) == (list(range(16)), True)
+    monkeypatch.undo()
+    cycle, exact = _longest_cycle_bits(clique)
+    assert len(cycle) == 15 and not exact
+    # a connected 16-vertex class can reach the cap, so it goes to the levels
+    monkeypatch.setattr(paths, "_first_path", refuse)
+    line = _edges_adj(16, [(v, v + 1) for v in range(15)])
+    assert _longest_path(line, None) == (list(range(16)), True)
+    # on R1(18,6) colors 1 and 2 the search gives up at its push budget and
+    # the lattice answers; without the budget it would find that witness
+    monkeypatch.undo()
+    first_path, budget = paths._first_path, paths._PUSH_BUDGET
+    tries = []
+    monkeypatch.setattr(
+        paths, "_first_path", lambda adj, *rest: tries.append(first_path(adj, *rest)) or tries[-1]
+    )
+    r1 = gen_R1(18, 6).host
+    for color in (1, 2):
+        _, adj = paths._color_class(r1, color)
+        assert len(adj) <= paths._LATTICE_ORDER
+        for route, levels in (
+            (partial(_longest_path, adj, None), partial(_longest_path_bits, adj, None)),
+            (partial(_longest_cycle, adj), partial(_longest_cycle_bits, adj)),
+        ):
+            tries.clear()
+            got = route()
+            assert tries == [None] and got == levels()
+            monkeypatch.setattr(paths, "_PUSH_BUDGET", [0] * len(budget))
+            tries.clear()
+            assert route() == got and tries == [got[0]]
+            monkeypatch.setattr(paths, "_PUSH_BUDGET", budget)
