@@ -1,9 +1,10 @@
 """Naive brute-force oracles.
 
-Deliberately simple and slow: these re-derive answers by exhaustive
-enumeration and share no search or graph code with the production
-implementations they cross-check (not even ``core.flood``: connectivity and
-bit listing are written out here), so one bug cannot hide on both sides.
+These are exhaustive, with only shortcuts that carry a one-line proof: they
+re-derive answers by enumeration and share no search or graph code with the
+production implementations they cross-check (not even ``core.flood``:
+components and bit listing are written out here), so one bug cannot hide on
+both sides.  Each shortcut's proof is in its function's docstring.
 Everything here is only meant for micro-scale inputs.
 """
 
@@ -19,10 +20,11 @@ def _members(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _connected(adj_bits, rest: int) -> bool:
-    """Whether the non-empty vertex set ``rest`` induces a connected graph:
-    take reached vertices off a frontier one at a time, adding their
-    unreached neighbors in ``rest``, until the frontier is empty."""
+def _component(adj_bits, rest: int) -> int:
+    """The vertices that the lowest vertex of the non-empty set ``rest``
+    reaches inside ``rest``: take reached vertices off a frontier one at a
+    time, adding their unreached neighbors in ``rest``, until the frontier is
+    empty.  ``rest`` induces a connected graph when this is all of it."""
     reach = frontier = rest & -rest
     while frontier:
         low = frontier & -frontier
@@ -30,7 +32,7 @@ def _connected(adj_bits, rest: int) -> bool:
         new = adj_bits[low.bit_length() - 1] & rest & ~reach
         reach |= new
         frontier |= new
-    return reach == rest
+    return reach
 
 
 def oracle_rainbow_exists(host: Host, pattern) -> bool:
@@ -68,7 +70,7 @@ def oracle_vertex_connectivity(g: SimpleGraph) -> int:
             rest = full
             for v in cut:
                 rest &= ~(1 << v)
-            if not _connected(g.adj_bits, rest):
+            if _component(g.adj_bits, rest) != rest:
                 return size
     return n - 1
 
@@ -83,43 +85,56 @@ def oracle_is_k_connected_bits(adj_bits, subset: int, k: int) -> bool:
         rest = subset
         for v in cut:
             rest &= ~(1 << v)
-        if not _connected(adj_bits, rest):
+        if _component(adj_bits, rest) != rest:
             return False
     return True
 
 
 def oracle_largest_k_connected(g: SimpleGraph, k: int) -> int:
-    """Optimum order by full subset enumeration."""
-    best = 0
+    """Optimum order by full subset enumeration, largest subsets first.
+
+    A subset with a vertex v of fewer than k neighbors inside it is skipped
+    before its cuts are tried (kappa <= delta, Whitney 1932): v's neighbors,
+    with other vertices added up to k - 1, leave v cut off from at least one
+    other vertex."""
+    adj = g.adj_bits
     for size in range(g.n, k, -1):
         for verts in combinations(range(g.n), size):
             subset = 0
             for v in verts:
                 subset |= 1 << v
-            if oracle_is_k_connected_bits(g.adj_bits, subset, k):
-                best = size
-                break
-        if best:
-            break
-    return best
+            if any((adj[v] & subset).bit_count() < k for v in verts):
+                continue
+            if oracle_is_k_connected_bits(adj, subset, k):
+                return size
+    return 0
 
 
 def oracle_longest_path_order(g: SimpleGraph) -> int:
-    """Longest path order by plain recursive extension (no memoization)."""
-    best = 1 if g.n else 0
-    adj = [set(_members(b)) for b in g.adj_bits]
+    """Longest path order by extending every path, one explicit stack of
+    (last vertex, visited bitmask, order) per start vertex.
 
-    def extend(last: int, visited: set[int]) -> None:
-        nonlocal best
-        best = max(best, len(visited))
-        for w in adj[last]:
-            if w not in visited:
-                visited.add(w)
-                extend(w, visited)
-                visited.remove(w)
-
+    It stops once a path has as many vertices as the largest component: no
+    path leaves its component, so none is longer."""
+    left = (1 << g.n) - 1
+    bound = 0
+    while left:
+        comp = _component(g.adj_bits, left)
+        bound = max(bound, comp.bit_count())
+        left &= ~comp
+    nbrs = [_members(b) for b in g.adj_bits]
+    best = 0
     for v in range(g.n):
-        extend(v, {v})
+        stack = [(v, 1 << v, 1)]
+        while stack:
+            last, seen, order = stack.pop()
+            if order > best:
+                best = order
+                if best == bound:
+                    return best
+            for w in nbrs[last]:
+                if not seen >> w & 1:
+                    stack.append((w, seen | 1 << w, order + 1))
     return best
 
 

@@ -23,9 +23,10 @@ at most the cap (each then has at most ``_PATH_UNCAPPED`` vertices), a
 cycle search when every component of the 2-core has at most
 ``_CYCLE_UNCAPPED``, and either does on a complete class.  On classes the
 lattice takes, the search gives up after ``_PUSH_BUDGET`` pushes, about
-one lattice search, so a search that gives up costs at most about twice
-the level search.  Only when it finds none or gives up do the levels run
-(on the 2-core, for a cycle).
+one lattice search on a half-dense class, so a search that gives up cost
+at most 2.75 times the level search in measurement (on a sparse class,
+where the lattice is cheaper).  Only when it finds none or gives up do the
+levels run (on the 2-core, for a cycle).
 """
 
 from __future__ import annotations
@@ -67,8 +68,11 @@ _LATTICE_ORDER = 20
 # sets (k = q for a path, q - 1 for a cycle's anchor) gives up after
 # _PUSH_BUDGET[k] pushes.  Measured (2 vCPUs, CPython 3.11.7): a push costs
 # 1.2-2 us, failed tries and backtracking included, and a lattice search
-# 0.07-0.13 us * 2^k, so the budget is worth about one lattice search, and a
-# search that gives up costs at most about twice the level search.  Above
+# 0.07-0.13 us * 2^k on half-dense classes, so the budget is worth about one
+# lattice search there.  Sparse classes have cheaper lattices (about
+# 0.02 us * 2^k at q = 16): over random classes of 10-20 vertices a search
+# that gave up cost at most 2.75 times the level search (3.46 against
+# 1.26 ms, a sparse 16-vertex path class) and 1.83 times for cycles.  Above
 # the lattice the map levels cost about as much per state as the search,
 # which runs unbudgeted
 _PUSH_BUDGET = [32 + (1 << k >> 4) for k in range(_LATTICE_ORDER + 1)]
@@ -396,9 +400,9 @@ def _longest_path(adj, target: int | None):
     the level search would build, and the least such path is that search's
     witness.  It lies in a component at least that large.  On classes of
     at most ``_LATTICE_ORDER`` vertices the search gives up after
-    ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it costs at
-    most about twice the level search.  Only if it finds none or gives up
-    do the levels run.
+    ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it cost at
+    most 2.75 times the level search in measurement.  Only if it finds none
+    or gives up do the levels run.
     """
     q = len(adj)
     comps = components(adj, (1 << q) - 1)
@@ -601,9 +605,9 @@ def _longest_cycle(adj):
     finds, the least one written from there, is the level search's
     witness.  On cores of at most ``_LATTICE_ORDER`` vertices it gives up
     after ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
-    anchor's sets, so it costs at most about twice the level search.  Only
-    if it finds none or gives up do the levels run, on the core relabeled
-    in order, which keeps their witness.
+    anchor's sets, so it cost at most 1.83 times the level search in
+    measurement.  Only if it finds none or gives up do the levels run, on
+    the core relabeled in order, which keeps their witness.
     """
     kept = _two_core(adj)
     if not kept:

@@ -110,6 +110,15 @@ def test_crosscheck_sampled_mode():
     assert r.ok and r.mode == "sampled" and r.colorings == 400
 
 
+def test_crosscheck_reaches_the_largest_orders():
+    # the oracles stop at a proven bound, so sampled K_9 and K_8 colorings
+    # finish in well under a second
+    r = micro_crosscheck(9, 2, seed=1, budget=200)
+    assert r.ok and r.mode == "sampled" and r.colorings == 200
+    r = micro_crosscheck(8, 3, seed=1, budget=200)
+    assert r.ok and r.mode == "sampled" and r.colorings == 200
+
+
 def test_crosscheck_refuses_orders_its_oracles_cannot_finish():
     # the oracles' cost grows factorially in n; the refusal comes before the
     # size of the coloring space is computed

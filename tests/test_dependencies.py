@@ -1,7 +1,8 @@
 """The library runs on the standard library alone, as ``dependencies = []``
 in pyproject.toml says: every module imports only standard-library or
 relative modules.  Inside the library, only ``connectivity`` reaches its
-private vertex-cut kernel."""
+private vertex-cut kernel, and the oracles import nothing from the package
+but the graph and host types they read."""
 
 import ast
 import sys
@@ -45,3 +46,16 @@ def test_only_connectivity_uses_the_cut_kernel():
                 continue
             users += [(path.name, name) for name in sorted(names & kernel)]
     assert not users
+
+
+def test_oracles_import_only_the_graph_types():
+    # no oracle can reach flood, components, iter_bits, _peel_to_kcore or a
+    # search, so a bug there cannot hide on both sides of a cross-check
+    path = PACKAGE / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rainbowfree")):
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.name, None) for a in node.names if a.name.startswith("rainbowfree")}
+    assert imported == {("core", "Host"), ("core", "SimpleGraph")}

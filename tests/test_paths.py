@@ -62,8 +62,9 @@ def test_longest_path_agrees_with_recursion():
     rng = random.Random(22)
     for _ in range(150):
         m = rng.randint(1, 3)
-        # the recursion oracle is exponential on dense classes; keep the
-        # single-color (complete) hosts small
+        # the path oracle is exponential on dense classes with no path as
+        # long as their largest component; keep the single-color (complete)
+        # hosts small
         n = rng.randint(4, 7) if m == 1 else rng.randint(4, 10)
         host = _random_complete(rng, n, m)
         for c in sorted(host.used_colors()):
