@@ -83,9 +83,12 @@ def _peel_to_kcore(adj_bits, active: int, k: int) -> int:
     changed = True
     while changed:
         changed = False
-        for v in iter_bits(active):
-            if (adj_bits[v] & active).bit_count() < k:
-                active &= ~(1 << v)
+        rest = active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj_bits[low.bit_length() - 1] & active).bit_count() < k:
+                active ^= low
                 changed = True
     return active
 
@@ -108,11 +111,15 @@ def _split_flow(adj_bits, active: int, s: int, t: int, limit: int):
     used = 0
     flow = 0
     # the length-two paths through common neighbors need no search
-    for x in iter_bits(adj_bits[s] & adj_bits[t] & active):
+    rest = adj_bits[s] & adj_bits[t] & active
+    while rest:
         if flow == limit:
             return flow, None
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
         prv[x], nxt[x] = s, t
-        used |= 1 << x
+        used |= low
         flow += 1
     tbit = 1 << t
     while flow < limit:
@@ -123,8 +130,11 @@ def _split_flow(adj_bits, active: int, s: int, t: int, limit: int):
             layers.append(front)
             # unbounded edge arcs, and the reversed unit arc of used vertices
             reach = front & used
-            for v in iter_bits(front):
-                reach |= adj_bits[v]
+            rest = front
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= adj_bits[low.bit_length() - 1]
             reach &= active & ~reached_in
             reached_in |= reach
             if reach & tbit:
@@ -132,8 +142,11 @@ def _split_flow(adj_bits, active: int, s: int, t: int, limit: int):
             # unused vertices cross their unit arc; a used one can only
             # cancel the flow arc that enters it
             front = reach & ~used
-            for u in iter_bits(reach & used):
-                front |= 1 << prv[u]
+            rest = reach & used
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                front |= 1 << prv[low.bit_length() - 1]
             front &= ~reached_out
             reached_out |= front
         else:  # t_in unreachable: the flow is maximum
@@ -175,20 +188,25 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
     k common neighbors has k disjoint paths through them, so its flow is
     skipped: it could not return a cut.
     """
-    for v in iter_bits(active):
-        deg = (adj_bits[v] & active).bit_count()
-        if deg < k:
-            # its neighborhood separates v from the rest (non-empty by size)
-            return adj_bits[v] & active
-    anchors = []
-    for v in iter_bits(active):
-        anchors.append(v)
-        if len(anchors) == k:
-            break
-    for v in anchors:
+    rest = active
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        around = adj_bits[low.bit_length() - 1] & active
+        if around.bit_count() < k:
+            # its neighborhood separates it from the rest (non-empty by size)
+            return around
+    rest = active
+    for _ in range(k):  # the k least vertices are the anchors
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
         around = adj_bits[v] & active
-        non_nbrs = active & ~adj_bits[v] & ~(1 << v)
-        for u in iter_bits(non_nbrs):
+        non_nbrs = active & ~around & ~low
+        while non_nbrs:
+            ubit = non_nbrs & -non_nbrs
+            non_nbrs ^= ubit
+            u = ubit.bit_length() - 1
             if (adj_bits[u] & around).bit_count() >= k:
                 continue
             f, cut = _split_flow(adj_bits, active, v, u, k)
@@ -287,10 +305,16 @@ def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
 
 def _best_over_masks(host: Host, masks, k: int):
     """(mask, report) with the largest witness; ties go to the first mask,
-    so the loop stops at the first witness that spans the host.  ``masks``
+    so the loop stops at the first witness that spans the host, and skips a
+    mask whose k-core is no larger than the best witness so far, since every
+    k-connected set of more than k vertices lies in the k-core.  ``masks``
     is never empty, since every host colors at least one edge."""
     best: tuple[tuple[int, ...], ConnectivityReport] | None = None
     for mask in masks:
+        if best is not None:
+            g = restrict(host, mask)
+            if _peel_to_kcore(g.adj_bits, (1 << g.n) - 1, k).bit_count() <= best[1].lower:
+                continue
         rep = largest_k_connected(host, mask, k)
         if best is None or rep.lower > best[1].lower:
             best = (mask, rep)

@@ -14,8 +14,8 @@ and twin classes are each assigned once, complete.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from operator import mul
+from itertools import combinations, product
+from operator import mul, or_
 from typing import Iterable, Iterator, TextIO, Union
 
 MAX_VERTICES = 10_000
@@ -187,9 +187,9 @@ class _ColoredHost:
         colors = tuple(colors)
         if len(colors) != want:
             raise ValueError(f"expected {want} edge colors, got {len(colors)}")
-        for c in colors:
-            if not (1 <= c <= m):
-                raise ValueError(f"color {c} out of range 1..{m}")
+        if min(colors) < 1 or max(colors) > m:  # want >= 1 on every host
+            bad = next(c for c in colors if not (1 <= c <= m))
+            raise ValueError(f"color {bad} out of range 1..{m}")
         self.m = m
         self._colors = colors
         self._used = None
@@ -226,11 +226,13 @@ class _ColoredHost:
     def _all_masks(self) -> dict[int, tuple[int, ...]]:
         masks = self._masks
         if masks is None:
-            rows = {col: [0] * self.vertex_count for col in self.used_colors()}
-            for u, v, col in self.edge_iter():
+            nv = self.vertex_count
+            bit = [1 << v for v in range(nv)]
+            rows = {col: [0] * nv for col in self.used_colors()}
+            for (u, v), col in zip(self._pairs(), self._colors):
                 row = rows[col]
-                row[u] |= 1 << v
-                row[v] |= 1 << u
+                row[u] |= bit[v]
+                row[v] |= bit[u]
             masks = {col: tuple(row) for col, row in rows.items()}
             self._masks = masks
         return masks
@@ -349,10 +351,9 @@ class ColoredComplete(_ColoredHost):
         row += colors[off[v] + v + 1:off[v] + self.n]
         return row
 
-    def edge_iter(self) -> Iterator[tuple[int, int, int]]:
+    def _pairs(self) -> Iterator[tuple[int, int]]:
         # combinations() walks the pairs in the row-major order of _colors
-        for (u, v), c in zip(combinations(range(self.n), 2), self._colors):
-            yield u, v, c
+        return combinations(range(self.n), 2)
 
     def _key(self) -> tuple:
         return (self.n, self.m, self._colors)
@@ -426,12 +427,9 @@ class ColoredBipartite(_ColoredHost):
             return [0] * s + list(colors[a * t:(a + 1) * t])
         return list(colors[a - s::t]) + [0] * t
 
-    def edge_iter(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (global u, global v, color) for every edge."""
-        for u in range(self.s):
-            base = u * self.t
-            for v in range(self.t):
-                yield u, self.s + v, self._colors[base + v]
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """The global (u, v) of every edge, in the order of ``_colors``."""
+        return product(range(self.s), range(self.s, self.s + self.t))
 
     def _key(self) -> tuple:
         return (self.s, self.t, self.m, self._colors)
@@ -454,12 +452,17 @@ def normalize_mask(host: Host, mask: Iterable[int]) -> frozenset[int]:
     return out
 
 
-def color_bits(host: Host, colors) -> list[int]:
+def color_bits(host: Host, colors) -> tuple[int, ...]:
     """Adjacency bitmasks, over the host's global vertices, of the edges
-    whose color is in ``colors`` (which may be empty)."""
-    bits = [0] * host.vertex_count
-    for c in colors:
-        bits = [a | b for a, b in zip(bits, host.color_masks(c))]
+    whose color is in ``colors`` (which may be empty), ORed from the host's
+    cached color masks; colors the host does not use add nothing."""
+    masks = host._all_masks()
+    found = [masks[c] for c in colors if c in masks]
+    if not found:
+        return (0,) * host.vertex_count
+    bits = found[0]
+    for more in found[1:]:
+        bits = tuple(map(or_, bits, more))
     return bits
 
 

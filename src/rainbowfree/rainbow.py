@@ -39,6 +39,9 @@ from typing import Iterator
 from .core import Host, ColoredComplete
 from .patterns import Pattern, embeddings, parse_pattern
 
+_K3 = parse_pattern("K3")
+
+
 @dataclass(frozen=True)
 class Embedding:
     """An injective map witnessing a rainbow copy of a pattern in a host."""
@@ -122,19 +125,60 @@ def enumerate_rainbow(host: Host, pattern: Pattern) -> Iterator[Embedding]:
 
 
 def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
-    """Optimized triple scan for a rainbow K3 in a complete host."""
+    """The lexicographically first rainbow triangle (i < j < k) of a
+    complete host, or None when there is none (the host is Gallai).
+
+    With M the host's ``search_masks`` and c the color of ij, the k that
+    make ijk rainbow are those outside ``M_c[i] | M_c[j] | OR_d (M_d[i] &
+    M_d[j])``, since k must see i and j in two distinct colors other than
+    c; the lowest of them above j is the least such k.  For each i in
+    order, the j > i are walked one color class M_c[i] at a time, and the
+    least j that has such a k gives the first triangle at i.  A host with
+    more than ``SEARCH_MASK_COLORS`` colors builds no masks and is scanned
+    triple by triple, reading the colors of i and of j to the vertices
+    above as one slice each.  A host that uses fewer than three colors has
+    no rainbow triangle and is answered with no scan.
+    """
     n = host.n
-    color = host.color
+    if len(host.used_colors()) < 3:
+        return None
+    masks = host.search_masks()
+    if masks is None:
+        colors, offsets = host._colors, host._offsets
+        for i in range(n - 2):
+            row = host._row(i)
+            for j in range(i + 1, n - 1):
+                c = row[j]
+                # pair j < k sits at offsets[j] + k, and offsets[j] >= 0 for j > 0
+                other = colors[offsets[j]:offsets[j] + n]
+                for k in range(j + 1, n):
+                    a = row[k]
+                    if a != c:
+                        b = other[k]
+                        if b != c and b != a:
+                            return Embedding(_K3, (i, j, k), frozenset((c, a, b)))
+        return None
+    full = (1 << n) - 1
+    by_color = list(masks.values())
     for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            cij = color(i, j)
-            for k in range(j + 1, n):
-                cik = color(i, k)
-                if cik == cij:
-                    continue
-                cjk = color(j, k)
-                if cjk != cij and cjk != cik:
-                    return Embedding(
-                        parse_pattern("K3"), (i, j, k), frozenset((cij, cik, cjk))
-                    )
+        seen = [(by_vertex[i], by_vertex) for by_vertex in by_color]
+        first = None
+        for mine, by_vertex in seen:
+            js = mine >> i  # the j > i that i sees in this color, ascending
+            while js:
+                low = js & -js
+                js ^= low
+                j = i + low.bit_length() - 1
+                bad = mine | by_vertex[j]
+                for at_i, other in seen:
+                    bad |= at_i & other[j]
+                free = (full ^ bad) >> (j + 1)
+                if free:
+                    if first is None or j < first[0]:
+                        first = (j, j + (free & -free).bit_length())
+                    break
+        if first is not None:
+            j, k = first
+            colors = frozenset((host.color(i, j), host.color(i, k), host.color(j, k)))
+            return Embedding(_K3, (i, j, k), colors)
     return None

@@ -246,7 +246,8 @@ def test_best_two_colored_counterexample_bounded():
 
 def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
     # ties go to the first mask, so stopping at the first witness that spans
-    # the host returns the (mask, report) of running every mask
+    # the host, and skipping a mask whose k-core is no larger than the best
+    # witness so far, returns the (mask, report) of running every mask
     def every_mask(host, masks, k):
         best = None
         for mask in masks:
@@ -255,15 +256,20 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
                 best = (mask, rep)
         return best
 
-    calls = []
+    searched, looked = [], set()
 
     def counted(host, mask, k):
-        calls.append(mask)
+        searched.append(mask)
         return largest_k_connected(host, mask, k)
 
+    def seen(host, mask):  # every mask the loop reaches is restricted
+        looked.add(frozenset(mask))
+        return restrict(host, mask)
+
     monkeypatch.setattr(connectivity, "largest_k_connected", counted)
+    monkeypatch.setattr(connectivity, "restrict", seen)
     rng = random.Random(72)
-    searches = stopped = 0
+    searches = stopped = skipped = 0
     for i in range(120):
         n, m, k = rng.randint(4, 40), rng.randint(1, 12), rng.randint(1, 4)
         if i % 2:
@@ -278,12 +284,15 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
             (singles, best_monochromatic),
             (sorted(singles + list(combinations(used, 2))), best_two_colored),
         ):
-            calls.clear()
             mask, rep = every_mask(host, masks, k)
+            searched.clear()
+            looked.clear()
             assert best(host, k) == (mask[0] if best is best_monochromatic else frozenset(mask), rep)
             searches += 1
-            stopped += len(calls) < len(masks)
+            stopped += frozenset(masks[-1]) not in looked
+            skipped += len(searched) < len(looked)
     assert stopped > searches // 4 and searches - stopped > searches // 4
+    assert skipped > searches // 4, skipped
 
 
 def test_order_cap_detects_violations():

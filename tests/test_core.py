@@ -14,6 +14,7 @@ from rainbowfree.core import (
     ColoringFormatError,
     SimpleGraph,
     _random_complete,
+    color_bits,
     components,
     induced_subgraph,
     read_coloring,
@@ -108,11 +109,35 @@ def test_out_of_range_vertices_raise():
             ColoredBipartite(2, 3, 1, [1] * 6).color(u, v)
 
 
-def test_colors_equal_edge_iter():
+def test_out_of_range_colors_raise_naming_the_first():
+    for m in (1, 3):
+        for bad in (0, m + 1):
+            colors = [1, bad, m + 1, 0, 1, 1]
+            with pytest.raises(ValueError, match=rf"^color {bad} out of range 1\.\.{m}$"):
+                ColoredComplete(4, m, colors)
+            with pytest.raises(ValueError, match=rf"^color {bad} out of range 1\.\.{m}$"):
+                ColoredBipartite(2, 3, m, colors)
+
+
+def test_color_bits_skip_unused_colors():
+    rng = random.Random(8)
+    for host in _random_hosts(rng, 40):
+        unused = set(range(1, host.m + 2)) - host.used_colors()
+        assert unused  # the host declares at most m colors
+        nv = host.vertex_count
+        for colors in (set(), unused, unused | host.used_colors(), {*unused, rng.randint(1, host.m)}):
+            want = [0] * nv
+            for c in colors:
+                want = [a | b for a, b in zip(want, host.color_masks(c))]
+            assert color_bits(host, colors) == tuple(want)
+
+
+def test_colors_equal_the_pair_order():
     rng = random.Random(9)
     for host in _random_hosts(rng, 40):
         nv = host.vertex_count
-        want = {(u, v): c for u, v, c in host.edge_iter()}
+        want = dict(zip(host._pairs(), host._colors))
+        assert len(want) == len(host._colors)
         for a in range(nv):
             assert host.pair_color(a, a) is None
             row = [want.get((min(a, b), max(a, b)), 0) for b in range(nv)]

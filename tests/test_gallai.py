@@ -1,8 +1,9 @@
 import hashlib
 import json
 import random
+import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -144,6 +145,31 @@ def test_sampler_gallai_and_color_exact():
         host = sample_gallai(n, m, seed)
         assert is_gallai(host), seed
         assert len(host.used_colors()) == min(m, n - 1), seed
+
+
+def twinless_gallai(rng, n, parts):
+    """A Gallai coloring of K_n without twins: a random 2-coloring of
+    K_parts in colors 1 and 2 between contiguous parts, and a random
+    coloring in colors 3 and 4 inside each part."""
+    part = [v * parts // n for v in range(n)]
+    top = {pair: rng.randint(1, 2) for pair in combinations(range(parts), 2)}
+    colors = [
+        top[part[u], part[v]] if part[u] != part[v] else rng.randint(3, 4)
+        for u, v in combinations(range(n), 2)
+    ]
+    return ColoredComplete(n, 4, colors)
+
+
+def test_recognition_scales_past_a_thousand_vertices():
+    # the triangle scan makes O(n^2 m) steps on n-bit masks: 0.4-0.7 s at
+    # n = 1,000 on a 2-vCPU host, where the triple loop took 30 s;
+    # sample_gallai has 3 twin classes there, the second host none
+    twinless = twinless_gallai(random.Random(31), 1000, 10)
+    assert twinless.twin_prev() is None
+    for host in (sample_gallai(1000, 4, 1), twinless):
+        start = time.perf_counter()
+        assert is_gallai(host)
+        assert time.perf_counter() - start < 5
 
 
 def test_sampler_deterministic():

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +16,13 @@ from rainbowfree.constructions import (
     gen_R2,
     gen_counterexample_4t,
 )
-from rainbowfree.core import ColoredBipartite, ColoredComplete, _random_complete
+from rainbowfree.core import (
+    SEARCH_MASK_COLORS,
+    ColoredBipartite,
+    ColoredComplete,
+    _random_complete,
+)
+from rainbowfree.gallai import is_gallai, sample_gallai
 from rainbowfree.oracles import oracle_rainbow_exists
 from rainbowfree.patterns import is_subgraph, parse_pattern
 from rainbowfree import rainbow
@@ -96,6 +102,39 @@ def test_triangle_scan_matches_generic_search():
         assert (fast is None) == (slow is None)
         if fast is not None:
             validate_embedding(host, tri, fast.mapping)
+
+
+def first_rainbow_triangle(host):
+    """The naive reference: the first triple i < j < k, in lexicographic
+    order, whose three edges have three colors, with those colors."""
+    for i, j, k in combinations(range(host.n), 3):
+        colors = {host.color(i, j), host.color(i, k), host.color(j, k)}
+        if len(colors) == 3:
+            return (i, j, k), colors
+    return None
+
+
+def test_triangle_scan_returns_the_first_triangle():
+    rng = random.Random(30)
+    hosts = [
+        _random_complete(rng, rng.randint(3, 12), rng.randint(2, 5)) for _ in range(400)
+    ]
+    hosts += [sample_gallai(rng.randint(2, 16), rng.randint(1, 5), s) for s in range(100)]
+    hosts += [_random_complete(rng, rng.randint(3, 12), 2) for _ in range(50)]
+    for host in hosts:
+        found = find_rainbow_triangle(host)
+        assert (found and (found.mapping, found.colors)) == first_rainbow_triangle(host)
+        # the masks stay cached for the host's later color-class scans
+        assert (host._masks is None) == (len(host.used_colors()) < 3)
+    # more colors than SEARCH_MASK_COLORS: the scan reads rows, builds no masks
+    many = [_random_complete(rng, rng.randint(10, 12), 40) for _ in range(40)]
+    many += [sample_gallai(rng.randint(18, 30), 20, s) for s in range(20)]
+    for host in many:
+        assert len(host.used_colors()) > SEARCH_MASK_COLORS
+        found = find_rainbow_triangle(host)
+        assert (found and (found.mapping, found.colors)) == first_rainbow_triangle(host)
+        assert is_gallai(host) == (found is None)
+        assert host._masks is None
 
 
 def test_two_colored_host_has_no_rainbow_triangle():
