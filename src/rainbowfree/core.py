@@ -141,21 +141,29 @@ def components(adj_bits, active: int) -> list[int]:
     return out
 
 
+def _induced_bits(adj_bits, verts) -> tuple[int, ...]:
+    """Adjacency bitmasks of the subgraph induced on the ascending vertices
+    ``verts``, relabeled onto 0..len(verts)-1 in that order."""
+    bit = {1 << v: 1 << i for i, v in enumerate(verts)}
+    keep = sum(bit)
+    out = []
+    for v in verts:
+        nbrs, row = adj_bits[v] & keep, 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= bit[low]
+        out.append(row)
+    return tuple(out)
+
+
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     """Induced subgraph relabeled onto 0..k-1 following sorted vertex order;
     ``g`` itself when that is every vertex, as the map is then the identity."""
     verts = sorted(set(vertices))
     if verts == list(range(g.n)):
         return g
-    keep = sum(1 << v for v in verts)
-    index = {v: i for i, v in enumerate(verts)}
-    bits = []
-    for v in verts:
-        b = 0
-        for w in iter_bits(g.adj_bits[v] & keep):
-            b |= 1 << index[w]
-        bits.append(b)
-    return SimpleGraph._from_bits(bits)
+    return SimpleGraph._from_bits(_induced_bits(g.adj_bits, verts))
 
 
 # The most colors a host may use for the pattern search to build its color

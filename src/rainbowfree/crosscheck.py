@@ -29,9 +29,11 @@ from .rainbow import find_rainbow
 SAMPLE_BUDGET = 100_000
 # The largest n checked.  The oracles' worst case grows factorially in n: a
 # color class with no spanning path, K_(n-2) with two pendants at one vertex,
-# makes the path oracle extend every path, which took 9-12 ms per host at
-# n = 9, 70-100 ms at n = 10 and 0.7-0.9 s at n = 11 (2 vCPUs, CPython 3.11)
-MAX_ORDER = 9
+# makes the path oracle extend every path, which took 8 ms per host at n = 9,
+# 64 ms at n = 10 and 0.60 s at n = 11 (2 vCPUs, CPython 3.11.7).  Random
+# hosts cost far less: 200 sampled K_10 hosts took 0.25-0.94 s in all
+# (m = 3 down to 1), and 200 K_11 hosts 0.33-1.12 s
+MAX_ORDER = 10
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +84,16 @@ def _memo(memo: dict, oracle, g, *args):
 
 
 def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) -> None:
-    note = report.mismatches.append
-    colors = tuple(host._colors)
+    def note(head, *answers):
+        # the coloring goes after the head, copied only for a mismatch
+        report.mismatches.append((*head, tuple(host._colors), *answers))
+
     for pat in patterns:
         fast = find_rainbow(host, pat) is not None  # it validates its witness
         slow = oracle_rainbow_exists(host, pat)
         report.comparisons += 1
         if fast != slow:
-            note(("rainbow", pat.canonical_name, colors, fast, slow))
+            note(("rainbow", pat.canonical_name), fast, slow)
     used = sorted(host.used_colors())
     per_color = {c: restrict(host, {c}) for c in used}
     for c in used:
@@ -98,12 +102,12 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) ->
         slow = _memo(memo, oracle_vertex_connectivity, g)
         report.comparisons += 1
         if fast != slow:
-            note(("kappa", c, colors, fast, slow))
+            note(("kappa", c), fast, slow)
         wit = longest_mono_path(host, c)
         slow_len = _memo(memo, oracle_longest_path_order, g)
         report.comparisons += 1
         if not wit.exact or wit.order != slow_len:
-            note(("path", c, colors, wit.order, slow_len))
+            note(("path", c), wit.order, slow_len)
     for mask in lkc_masks:
         mask = frozenset(mask) & set(used)
         if not mask:
@@ -113,7 +117,7 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) ->
             slow = _memo(memo, oracle_largest_k_connected, restrict(host, mask), k)
             report.comparisons += 1
             if not rep.exact or rep.lower != slow or rep.upper != slow:
-                note(("lkc", sorted(mask), k, colors, rep.lower, slow))
+                note(("lkc", sorted(mask), k), rep.lower, slow)
 
 
 def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE_BUDGET) -> CrosscheckReport:

@@ -1,32 +1,34 @@
 """Longest monochromatic paths and cycles, and the per-color path-quota
 check.
 
-Exact searches run on the non-isolated vertices of one color class, one
-level per path order (Bellman; Held and Karp, 1962).  A level holds the
-(vertex set, endpoint) pairs of the paths of its order: some path through
-exactly that set ends there.  On classes of up to ``_LATTICE_ORDER`` = 20
-vertices a level is one int per endpoint over the subset lattice, bit S
-set when S is such a set, and ``_next_lattice`` grows it by whole-int
-ORs, ANDs and shifts; the witness is read back from one union int per
-endpoint by ``_lattice_path``.  Above that a level maps each vertex set to
-the bitset of its endpoints, ``_next_level`` grows it one set at a time,
-and ``_least_path`` reads the witness from the levels.  Both give the
-lexicographically least path of the last level read.  One cap loop,
-``_levels``, counts the pairs of either kind against ``_STATE_CAP``; a
-search the cap stops is flagged inexact, at the same level either way.
-Where the cap cannot bind, one lexicographic depth-first search,
-``_first_path``, answers first: it stops at the first path whose order
-meets an upper bound, which is the level search's witness.  The route is
-chosen per component, since neither a path nor an anchor's levels leave
-one: a path search takes it when the components' c * 2^(c-1) pairs sum to
-at most the cap (each then has at most ``_PATH_UNCAPPED`` vertices), a
-cycle search when every component of the 2-core has at most
-``_CYCLE_UNCAPPED``, and either does on a complete class.  On classes the
-lattice takes, the search gives up after ``_PUSH_BUDGET`` pushes, about
-one lattice search on a half-dense class, so a search that gives up cost
-at most 2.75 times the level search in measurement (on a sparse class,
-where the lattice is cheaper).  Only when it finds none or gives up do the
-levels run (on the 2-core, for a cycle).
+Exact searches run on the non-isolated vertices of one color class, over
+(vertex set, endpoint) states: some path through exactly that set ends
+there (Bellman; Held and Karp, 1962).  Where the state cap cannot bind, one
+lexicographic depth-first search, ``_first_path``, answers.  It expands
+each state once, keeps the longest path it meets and stops at an upper
+bound on the order, so its answer is exact and is the level search's
+witness.  The route is chosen per component, since neither a path nor an
+anchor's states leave one: a path search takes it when the components'
+c * 2^(c-1) states sum to at most ``_STATE_CAP`` (each then has at most
+``_PATH_UNCAPPED`` vertices), a cycle search when every component of the
+2-core has at most ``_CYCLE_UNCAPPED``, and either does on a complete
+class.  On classes the lattice takes, the search gives up after
+``_PUSH_BUDGET`` pushes, about one lattice search on a half-dense class,
+so a search that gave up cost at most 3.3 times the level search in
+measurement (on a sparse class, where the lattice is cheaper).
+
+Elsewhere, and after a search that gave up, a level search runs (on the
+2-core, for a cycle), one level per path order.  On classes of up to
+``_LATTICE_ORDER`` = 20 vertices a level is one int per endpoint over the
+subset lattice, bit S set when S is such a set, and ``_next_lattice``
+grows it by whole-int ORs, ANDs and shifts; the witness is read back from
+one union int per endpoint by ``_lattice_path``.  Above that a level maps
+each vertex set to the bitset of its endpoints, ``_next_level`` grows it
+one set at a time, and ``_least_path`` reads the witness from the levels.
+Both give the lexicographically least path of the last level read.  One
+cap loop, ``_levels``, counts the states of either kind against
+``_STATE_CAP``; a search the cap stops is flagged inexact, at the same
+level either way.
 """
 
 from __future__ import annotations
@@ -35,16 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .core import (
-    Host,
-    SimpleGraph,
-    _require_complete,
-    ceil_div,
-    components,
-    induced_subgraph,
-    iter_bits,
-    restrict,
-)
+from .core import Host, _induced_bits, _require_complete, ceil_div, components, iter_bits
 from .connectivity import CertificationError, _peel_to_kcore
 
 # Supports of at most EXACT_LIMIT vertices always get exact answers, for
@@ -67,14 +60,14 @@ _LATTICE_ORDER = 20
 # A depth-first search whose fallback is a lattice search over the k-bit
 # sets (k = q for a path, q - 1 for a cycle's anchor) gives up after
 # _PUSH_BUDGET[k] pushes.  Measured (2 vCPUs, CPython 3.11.7): a push costs
-# 1.2-2 us, failed tries and backtracking included, and a lattice search
-# 0.07-0.13 us * 2^k on half-dense classes, so the budget is worth about one
-# lattice search there.  Sparse classes have cheaper lattices (about
-# 0.02 us * 2^k at q = 16): over random classes of 10-20 vertices a search
-# that gave up cost at most 2.75 times the level search (3.46 against
-# 1.26 ms, a sparse 16-vertex path class) and 1.83 times for cycles.  Above
-# the lattice the map levels cost about as much per state as the search,
-# which runs unbudgeted
+# 0.8-2 us, failed tries, dead ends and backtracking included, and a lattice
+# search 0.07-0.13 us * 2^k on half-dense classes, so the budget is worth
+# about one lattice search there.  Sparse classes have cheaper lattices
+# (about 0.02 us * 2^k at q = 16): over 400 random G(q, p) classes of 10-20
+# vertices, p = 0.1-0.5, a search that gave up cost at most 3.3 times the
+# level search (1.46 against 0.44 ms, a sparse 14-vertex path class) and
+# 2.5 times for cycles.  Above the lattice the map levels cost about as
+# much per state as the search, which runs unbudgeted
 _PUSH_BUDGET = [32 + (1 << k >> 4) for k in range(_LATTICE_ORDER + 1)]
 
 
@@ -333,76 +326,127 @@ def _longest_path_bits(adj, target: int | None):
     return _lattice_path(adj, union, top, [], order, 0), not capped
 
 
-def _first_path(adj, starts: int, order: int, close: int | None, budget: int) -> list[int] | None:
-    """The lexicographically least path of ``order`` >= 2 vertices that
-    starts in ``starts`` and ends in ``close``, or None if there is none or
-    the search gave up at its ``budget``-th push (0: no budget).  With
-    ``close`` None a path ends next to its start, closing a cycle, and the
-    starts must lie in distinct components.
+def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] | None:
+    """The level search's witness over the components ``comps`` (bitsets),
+    where no path or cycle has more than ``bound`` vertices, or None if the
+    search gave up at its ``budget``-th push (0: no budget).  For a path it
+    is the lexicographically least longest path.  For a cycle it is the
+    least longest path of at least 3 vertices that starts at a vertex, its
+    anchor, runs through larger vertices of the anchor's component, and
+    ends next to the anchor.
 
-    A depth-first search tries starts and then neighbours in ascending
-    order, so the first such path it completes is the least one.  Whether a
-    (vertex set, endpoint) state extends to one does not depend on the order
-    the set was covered in, so a state whose extensions all failed is dead
-    and is never expanded again: each state is pushed at most once.  The
-    dead states are kept as the levels are, one endpoint bitset per vertex
-    set.  The search keeps its own stack, so a path may be as long as the
-    class.
+    A depth-first search from each start tries neighbours in ascending
+    order, so the paths from one start come in lexicographic order, and it
+    keeps the first longest one it meets.  It stops at a path of ``bound``
+    vertices.  Whether a (vertex set, endpoint) state extends to a longer
+    path does not depend on the order its set was covered in, and a prefix
+    that reaches the state later is larger, so a state already searched is
+    never expanded again.  A state cannot recur while the search is under
+    it, as the sets grow down the stack, so it is marked when the search
+    leaves it; the marks are kept as the levels are, one endpoint bitset
+    per vertex set.  A vertex with no way on is a dead end: its one path is
+    read without a push.  At the last level a cycle search tries only the
+    vertices that close it.  The search keeps its own stack, so a path may
+    be as long as the class.
+
+    The starts that can reach ``bound`` go first, in ascending order: every
+    vertex of a component that large, for a path, and its least vertex, for
+    a cycle.  So a search that meets the bound makes the pushes of a search
+    over those starts alone.  The other starts follow in ascending order,
+    so the best path is replaced by a longer one or by one as long from a
+    smaller start, and a start is skipped when it cannot be either.
     """
-    dead: dict[int, int] = {}
-    get = dead.get
+    first = rest = 0
+    for comp in comps:
+        if comp.bit_count() < bound:
+            rest |= comp
+        elif cycle:
+            low = comp & -comp
+            first |= low
+            rest |= comp ^ low
+        else:
+            first |= comp
+    best: list[int] = []
+    marked: dict[int, int] = {}
+    get = marked.get
     pushes = 0
-    for v in iter_bits(starts):
-        ends = adj[v] if close is None else close
-        path = [v]
-        mask, nbrs, left = 1 << v, adj[v] & ~(1 << v), order - 1
-        below = []  # (vertex set, untried neighbours) of each state under the top
-        while True:
-            if left == 1:
-                nbrs &= ends
-                if nbrs:
-                    path.append((nbrs & -nbrs).bit_length() - 1)
-                    return path
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                grown = mask | low
-                if not get(grown, 0) & low:
+    for group in (first, rest):
+        while group:
+            start = group & -group
+            group ^= start
+            v = start.bit_length() - 1
+            for walk in comps:
+                if walk & start:
+                    break
+            if cycle:
+                walk &= -start
+            need = max(3 if cycle else 1, len(best) + (not best or best[0] < v))
+            if walk.bit_count() < need:
+                continue
+            path = [v]
+            if need == 1:  # a path search's first start: a lone vertex is a path
+                best, need = [v], 2
+                if bound == 1:
+                    return best
+            around = adj[v] if cycle else -1
+            mask, nbrs, left = start, adj[v] & walk, bound - 1
+            below = []  # (vertex set, untried neighbours) of each state under the top
+            while True:
+                if left == 1:
+                    nbrs &= around
+                    if nbrs:
+                        path.append((nbrs & -nbrs).bit_length() - 1)
+                        return path
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    grown = mask | low
+                    if get(grown, 0) & low:
+                        continue
+                    w = low.bit_length() - 1
+                    ahead = adj[w] & walk & ~grown
+                    if not ahead:
+                        # a dead end: its one path stops at w, read without a push
+                        if len(path) >= need - 1 and around & low:
+                            best = path + [w]
+                            need = len(best) + 1
+                        continue
                     pushes += 1
                     if pushes == budget:
                         return None
                     below.append((mask, nbrs))
-                    v = low.bit_length() - 1
-                    path.append(v)
-                    mask, nbrs, left = grown, adj[v] & ~grown, left - 1
+                    path.append(w)
+                    if len(path) >= need and around & low:
+                        best, need = path[:], len(path) + 1
+                    mask, nbrs, left = grown, ahead, left - 1
                     break
-            else:
-                # every way on from this state failed
-                if not below:
-                    break
-                dead[mask] = get(mask, 0) | 1 << path.pop()
-                mask, nbrs = below.pop()
-                left += 1
-    return None
+                else:
+                    # every way on from this state was searched
+                    if not below:
+                        break
+                    marked[mask] = get(mask, 0) | 1 << path.pop()
+                    mask, nbrs = below.pop()
+                    left += 1
+    return best
 
 
 def _longest_path(adj, target: int | None):
-    """``_longest_path_bits(adj, target)``, answered first by
-    ``_first_path`` where the cap cannot bind and on a complete class,
-    where the first path is 0, 1, ... with no backtracking.
+    """``_longest_path_bits(adj, target)``, answered by ``_first_path``
+    where the cap cannot bind and on a complete class, where the first path
+    is 0, 1, ... with no backtracking.
 
     The component rule: no path leaves its component, and a component of c
     vertices holds at most c * 2^(c-1) (set, endpoint) pairs, so the cap
     cannot bind when these sum to at most ``_STATE_CAP`` over the
     components, which needs each to have at most ``_PATH_UNCAPPED``
-    vertices.  No path is longer than the largest component, so a path of
-    that order, or of ``target`` if smaller, is as long as the last level
-    the level search would build, and the least such path is that search's
-    witness.  It lies in a component at least that large.  On classes of
-    at most ``_LATTICE_ORDER`` vertices the search gives up after
-    ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it cost at
-    most 2.75 times the level search in measurement.  Only if it finds none
-    or gives up do the levels run.
+    vertices.  Then the level search is exact, and so is the depth-first
+    search, which visits the same states once each: its longest path is the
+    level search's witness.  No path is longer than the largest component,
+    or than ``target``, so it stops at a path of that order, as the levels
+    do.  On classes of at most ``_LATTICE_ORDER`` vertices it gives up
+    after ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it cost
+    at most 3.3 times the level search in measurement; only then do the
+    levels run.
     """
     q = len(adj)
     comps = components(adj, (1 << q) - 1)
@@ -414,28 +458,25 @@ def _longest_path(adj, target: int | None):
         return _longest_path_bits(adj, target)
     if target is not None:
         order = min(order, target)
-    if order >= 2:
-        starts = 0
-        for comp, size in zip(comps, sizes):
-            if size >= order:
-                starts |= comp
-        budget = _PUSH_BUDGET[q] if q <= _LATTICE_ORDER else 0
-        path = _first_path(adj, starts, order, -1, budget)
-        if path is not None:
-            return path, True
-    return _longest_path_bits(adj, target)
+    budget = _PUSH_BUDGET[q] if q <= _LATTICE_ORDER else 0
+    path = _first_path(adj, comps, order, False, budget)
+    if path is None:
+        return _longest_path_bits(adj, target)
+    return path, True
 
 
 def _color_class(host: Host, color: int):
     """(support, adjacency bitmasks of the class relabeled onto
-    0..len(support)-1)."""
+    0..len(support)-1), read from the host's color masks."""
     if not (1 <= color <= host.m):
         raise ValueError(f"color {color} outside declared range 1..{host.m}")
-    g = restrict(host, {color})
-    support = g.support()
+    masks = host.color_masks(color)
+    support = tuple(v for v, nbrs in enumerate(masks) if nbrs)
     if not support:
         raise ValueError(f"color {color} is unused")
-    return support, induced_subgraph(g, support).adj_bits
+    if len(support) == len(masks):
+        return support, masks
+    return support, _induced_bits(masks, support)
 
 
 def longest_mono_path(host: Host, color: int) -> PathWitness:
@@ -589,25 +630,24 @@ def _two_core(adj) -> int:
 
 def _longest_cycle(adj):
     """``_longest_cycle_bits(adj)``, or of the 2-core where the cap cannot
-    bind there, answered first by ``_first_path`` there and on a complete
-    class, where the first cycle is 0, 1, ... with no backtracking.
+    bind there, answered by ``_first_path`` there and on a complete class,
+    where the first cycle is 0, 1, ... with no backtracking.
 
     The component rule: every cycle lies in one component of the 2-core,
     the vertices of the graph's cycles and of the paths between them, and
     so do an anchor's levels on the core, so the cap cannot bind there when
     every core component has at most ``_CYCLE_UNCAPPED`` vertices.  (On
     ``adj`` it can still bind through trees that hang off the core, and
-    then the core's answer is the longer and exact one.)  No cycle is
-    longer than the largest core component, and a Hamilton cycle of one is
-    a longest cycle, met first by the level search at its least anchor,
-    the component's least vertex.  So the search tries the largest core
-    components in order of least vertex, and the first Hamilton cycle it
-    finds, the least one written from there, is the level search's
-    witness.  On cores of at most ``_LATTICE_ORDER`` vertices it gives up
-    after ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
-    anchor's sets, so it cost at most 1.83 times the level search in
-    measurement.  Only if it finds none or gives up do the levels run, on
-    the core relabeled in order, which keeps their witness.
+    then the core's answer is the longer and exact one.)  Then the
+    depth-first search over each anchor's states is exact, and its longest
+    cycle, the least anchor-rooted one from the least anchor that reaches
+    its length, is the level search's witness.  No cycle is longer than the
+    largest core component, so it stops at a Hamilton cycle of one.  On
+    cores of at most ``_LATTICE_ORDER`` vertices it gives up after
+    ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
+    anchor's sets, so it cost at most 2.5 times the level search in
+    measurement; only then do the levels run, on the core relabeled in
+    order, which keeps their witness.
     """
     kept = _two_core(adj)
     if not kept:
@@ -616,18 +656,13 @@ def _longest_cycle(adj):
     order = max(map(int.bit_count, comps))
     if order > _CYCLE_UNCAPPED and not _complete(adj):
         return _longest_cycle_bits(adj)
-    starts = 0
-    for comp in comps:
-        if comp.bit_count() == order:
-            starts |= comp & -comp
     q = kept.bit_count()
     budget = _PUSH_BUDGET[q - 1] if q <= _LATTICE_ORDER else 0
-    cycle = _first_path([a & kept for a in adj], starts, order, None, budget)
+    cycle = _first_path(adj, comps, order, True, budget)
     if cycle is not None:
         return cycle, True
     verts = list(iter_bits(kept))
-    core = induced_subgraph(SimpleGraph._from_bits(adj), verts).adj_bits
-    return [verts[i] for i in _longest_cycle_bits(core)[0]], True
+    return [verts[i] for i in _longest_cycle_bits(_induced_bits(adj, verts))[0]], True
 
 
 def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
+from rainbowfree import crosscheck
 from rainbowfree.crosscheck import micro_crosscheck
 
 # A claim's seed derives from its index, so the order is part of the output.
@@ -119,9 +120,27 @@ def test_crosscheck_reaches_the_largest_orders():
     assert r.ok and r.mode == "sampled" and r.colorings == 200
 
 
+def test_crosscheck_samples_k10_colorings():
+    # n = 10 is the largest order the oracles finish on every host
+    for m in (2, 3):
+        r = micro_crosscheck(10, m, seed=2, budget=60)
+        assert r.ok and r.mode == "sampled" and r.colorings == 60, r.mismatches[:3]
+
+
+def test_crosscheck_reports_the_coloring_of_a_mismatch(monkeypatch):
+    # a wrong oracle answer is reported as its kind and key, the host's
+    # colors, then the fast and slow answers
+    monkeypatch.setattr(crosscheck, "oracle_longest_path_order", lambda g: 0)
+    r = micro_crosscheck(3, 1)
+    assert r.mismatches == [("path", 1, (1, 1, 1), 3, 0)]
+    monkeypatch.setattr(crosscheck, "oracle_largest_k_connected", lambda g, k: -1)
+    r = micro_crosscheck(3, 1)
+    assert r.mismatches[1:] == [("lkc", [1], k, (1, 1, 1), 3 if k < 3 else 0, -1) for k in (1, 2, 3)]
+
+
 def test_crosscheck_refuses_orders_its_oracles_cannot_finish():
     # the oracles' cost grows factorially in n; the refusal comes before the
     # size of the coloring space is computed
-    for n in (10, 10**5):
-        with pytest.raises(ValueError, match="max_n must be at most 9"):
+    for n in (11, 10**5):
+        with pytest.raises(ValueError, match="max_n must be at most 10"):
             micro_crosscheck(n, 1)

@@ -267,11 +267,11 @@ def test_wrong_host_kind_is_bad_input(tmp_path, capsys):
 
 
 def test_crosscheck_refuses_orders_its_oracles_cannot_finish(capsys):
-    assert main(["crosscheck", "--max-n", "10", "--max-m", "1"]) == 2
+    assert main(["crosscheck", "--max-n", "11", "--max-m", "1"]) == 2
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     assert captured.out == ""
-    assert json.loads(line) == {"error": "ValueError", "message": "max_n must be at most 9"}
+    assert json.loads(line) == {"error": "ValueError", "message": "max_n must be at most 10"}
 
 
 def test_crosscheck_refuses_empty_sample(capsys):

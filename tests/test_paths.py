@@ -16,6 +16,8 @@ from rainbowfree.core import (
     SimpleGraph,
     _random_complete,
     ceil_div,
+    components,
+    induced_subgraph,
     iter_bits,
     restrict,
 )
@@ -766,3 +768,134 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
             tries.clear()
             assert route() == got and tries == [got[0]]
             monkeypatch.setattr(paths, "_PUSH_BUDGET", budget)
+
+
+def _searched_path(adj, target):
+    """The depth-first search's path as ``_longest_path`` asks for it."""
+    comps = components(adj, (1 << len(adj)) - 1)
+    bound = max(map(int.bit_count, comps))
+    if target is not None:
+        bound = min(bound, target)
+    return paths._first_path(adj, comps, bound, False, 0)
+
+
+def _searched_cycle(adj):
+    """The depth-first search's cycle as ``_longest_cycle`` asks for it."""
+    core = paths._two_core(adj)
+    if not core:
+        return []
+    comps = components(adj, core)
+    return paths._first_path(adj, comps, max(map(int.bit_count, comps)), True, 0)
+
+
+def test_depth_first_search_is_the_level_search(monkeypatch):
+    # with no push budget the depth-first search always answers, and where
+    # the level search is exact the two have the same witness: on every
+    # labeled graph of at most 5 vertices, for whole and target-limited path
+    # searches and cycle searches, and on seeded random classes of 6-20
+    # vertices, where the routes must agree with the levels too
+    monkeypatch.setattr(paths, "_PUSH_BUDGET", [0] * len(paths._PUSH_BUDGET))
+    graphs = []
+    for q in range(1, 6):
+        pairs = list(combinations(range(q), 2))
+        for edges in range(1 << len(pairs)):
+            graphs.append(_edges_adj(q, [pairs[i] for i in iter_bits(edges)]))
+    rng = random.Random(52)
+    for _ in range(150):
+        # above 16 vertices only sparse classes, whose lattice is cheap
+        q = rng.randint(6, 20)
+        if q <= 16 and rng.random() < 0.7:
+            graphs.append(_random_class(rng, q))
+        else:
+            graphs.append(_random_adj(rng, q, rng.choice([0.1, 0.15])))
+    for adj in graphs:
+        for target in (None, 1, 2, 3):
+            want = _longest_path_bits(adj, target)
+            if want[1]:
+                assert _searched_path(adj, target) == want[0], (adj, target)
+            assert _longest_path(adj, target) == want, (adj, target)
+        want = _longest_cycle_bits(adj)
+        if want[1]:
+            assert _searched_cycle(adj) == want[0], adj
+        assert _longest_cycle(adj) == want, adj
+
+
+def test_classes_without_a_spanning_path_skip_the_levels(monkeypatch):
+    # the search keeps its longest path, so on K6-scale classes with no
+    # Hamilton path (K1_3, a spider) or no Hamilton cycle in the 2-core (a
+    # bowtie with a tail at its centre) the answer comes without the levels
+    spider = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)]
+    bowtie = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5)]
+    classes = [_edges_adj(4, [(0, 1), (0, 2), (0, 3)]), _edges_adj(6, spider), _edges_adj(6, bowtie)]
+    want = [(_longest_path_bits(adj, None), _longest_cycle_bits(adj)) for adj in classes]
+    assert [len(path) for (path, _), _ in want] == [3, 5, 5]
+    assert [cycle for _, (cycle, _) in want] == [[], [], [0, 1, 2]]
+
+    def refuse(*args):
+        raise AssertionError("the level search ran")
+
+    monkeypatch.setattr(paths, "_longest_path_bits", refuse)
+    monkeypatch.setattr(paths, "_longest_cycle_bits", refuse)
+    for adj, (path, cycle) in zip(classes, want):
+        assert (_longest_path(adj, None), _longest_cycle(adj)) == (path, cycle)
+
+
+def test_color_class_reads_the_color_masks():
+    # the class read from the host's masks is the induced subgraph of the
+    # restricted host on its support, on K_n and K_{s,t} hosts alike, and
+    # the same colors are refused with the same messages
+    rng = random.Random(53)
+    hosts = [_random_complete(rng, rng.randint(2, 12), rng.randint(1, 4)) for _ in range(60)]
+    for _ in range(60):
+        s, t, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+        hosts.append(ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)]))
+    for host in hosts:
+        for c in range(1, host.m + 1):
+            g = restrict(host, {c})
+            support = g.support()
+            if not support:
+                with pytest.raises(ValueError, match=f"color {c} is unused"):
+                    paths._color_class(host, c)
+                continue
+            got = paths._color_class(host, c)
+            assert got == (support, induced_subgraph(g, support).adj_bits)
+        for c in (0, host.m + 1):
+            with pytest.raises(ValueError, match=rf"color {c} outside declared range 1\.\.{host.m}$"):
+                paths._color_class(host, c)
+    assert any(len(host.used_colors()) < host.m for host in hosts)
+
+
+def _pushes_to_answer(adj, comps, bound, cycle):
+    """The fewest pushes with which ``_first_path`` answers: the least budget
+    it does not stop at, less one."""
+    budget = 1
+    while paths._first_path(adj, comps, bound, cycle, budget) is None:
+        budget += 1
+    return budget - 1
+
+
+def test_a_search_that_meets_its_bound_pushes_only_where_it_can():
+    # the starts that can reach the bound go first, so a K4 on the least
+    # vertices costs no push when a 6-cycle beside it meets the bound, for a
+    # path and a cycle search alike: with only its own start the 6-cycle
+    # takes four pushes too
+    k4_and_ring = _edges_adj(10, [*combinations(range(4), 2), *((4 + v, 4 + (v + 1) % 6) for v in range(6))])
+    comps = components(k4_and_ring, (1 << 10) - 1)
+    for cycle in (False, True):
+        assert _pushes_to_answer(k4_and_ring, comps, 6, cycle) == 4
+        assert _pushes_to_answer(k4_and_ring, comps[1:], 6, cycle) == 4
+    assert paths._first_path(k4_and_ring, comps, 6, True, 0) == [4, 5, 6, 7, 8, 9]
+    # of two 6-vertex core components, a triangle and a square at a cut
+    # vertex, then a 6-cycle, a cycle search tries only their least vertices
+    # before the hit: eleven pushes from 0, four from 6
+    blocks = [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (4, 5), (1, 5)]
+    ties = _edges_adj(12, blocks + [(6 + v, 6 + (v + 1) % 6) for v in range(6)])
+    comps = components(ties, (1 << 12) - 1)
+    assert _pushes_to_answer(ties, comps, 6, True) == 15
+    assert paths._first_path(ties, comps, 6, True, 0) == [6, 7, 8, 9, 10, 11]
+    # a cycle search pushes no vertex of the last level that cannot close
+    # the cycle: from 0, 1, 2, 3, 4 the last vertex 5 is not next to 0, and
+    # the cycle 0, 1, 2, 3, 5, 4 takes five pushes, not six
+    pentagon_and_ear = _edges_adj(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (3, 5), (4, 5)])
+    assert _pushes_to_answer(pentagon_and_ear, [(1 << 6) - 1], 6, True) == 5
+    assert paths._first_path(pentagon_and_ear, [(1 << 6) - 1], 6, True, 0) == [0, 1, 2, 3, 5, 4]
