@@ -3,32 +3,35 @@ check.
 
 Exact searches run on the non-isolated vertices of one color class, over
 (vertex set, endpoint) states: some path through exactly that set ends
-there (Bellman; Held and Karp, 1962).  Where the state cap cannot bind, one
-lexicographic depth-first search, ``_first_path``, answers.  It expands
-each state once, keeps the longest path it meets and stops at an upper
-bound on the order, so its answer is exact and is the level search's
-witness.  The route is chosen per component, since neither a path nor an
-anchor's states leave one: a path search takes it when the components'
+there (Bellman; Held and Karp, 1962).  One lexicographic depth-first
+search, ``_first_path``, expands each state once, keeps the longest path it
+meets and stops at an upper bound on the order, so a search that finishes
+is exact and its answer is the level search's witness.  The route is
+chosen per component, since neither a path nor an anchor's states leave
+one: the cap cannot bind on a path search when the components'
 c * 2^(c-1) states sum to at most ``_STATE_CAP`` (each then has at most
-``_PATH_UNCAPPED`` vertices), a cycle search when every component of the
-2-core has at most ``_CYCLE_UNCAPPED``, and either does on a complete
-class.  On classes the lattice takes, the search gives up after
-``_PUSH_BUDGET`` pushes, about one lattice search on a half-dense class,
-so a search that gave up cost at most 3.3 times the level search in
-measurement (on a sparse class, where the lattice is cheaper).
+``_PATH_UNCAPPED`` vertices), on a cycle search when every component of
+the 2-core has at most ``_CYCLE_UNCAPPED``, nor on a complete class.
 
-Elsewhere, and after a search that gave up, a level search runs (on the
-2-core, for a cycle), one level per path order.  On classes of up to
-``_LATTICE_ORDER`` = 20 vertices a level is one int per endpoint over the
-subset lattice, bit S set when S is such a set, and ``_next_lattice``
-grows it by whole-int ORs, ANDs and shifts; the witness is read back from
-one union int per endpoint by ``_lattice_path``.  Above that a level maps
-each vertex set to the bitset of its endpoints, ``_next_level`` grows it
-one set at a time, and ``_least_path`` reads the witness from the levels.
-Both give the lexicographically least path of the last level read.  One
-cap loop, ``_levels``, counts the states of either kind against
-``_STATE_CAP``; a search the cap stops is flagged inexact, at the same
-level either way.
+On classes of up to ``_LATTICE_ORDER`` = 20 vertices a level search backs
+it up, one level per path order.  A level is one int per endpoint over the
+subset lattice, bit S set when S is such a set; ``_next_lattice`` grows it
+by whole-int ORs, ANDs and shifts, ``_levels`` counts its (set, endpoint)
+pairs against ``_STATE_CAP``, and ``_lattice_path`` reads back the
+lexicographically least path of the last level.  There the search runs
+only where the cap cannot bind, and gives up after ``_PUSH_BUDGET``
+pushes, about one lattice search on a half-dense class, so a search that
+gave up cost at most 3.3 times the level search in measurement (on a
+sparse class, where the lattice is cheaper); elsewhere, and after a search
+that gave up, the levels answer.  A cycle's levels run on the 2-core, or
+on the whole class where a core component has more than
+``_CYCLE_UNCAPPED`` vertices, and the 20 vertices count there.
+
+Above the lattice the search answers alone, allowed ``_STATE_CAP`` pushes
+where the cap can bind.  Each push enters a distinct state that the levels
+count too, so wherever their states stay under the cap (for a cycle, all
+anchors' together) the search finishes, with their witness.  A search that
+runs out returns the longest path or cycle it met, flagged inexact.
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ _STATE_CAP = 400_000
 # 16) the cap cannot bind, so the searches are exact
 _PATH_UNCAPPED = max(q for q in range(1, 64) if q << (q - 1) <= _STATE_CAP)
 _CYCLE_UNCAPPED = max(q for q in range(2, 64) if ((q - 1) << (q - 2)) + 1 <= _STATE_CAP)
-# The largest class whose level search runs on the subset lattice: a level
-# there is one int of up to 2^q bits per endpoint, 2.5 MB in all at q = 20,
-# and a search holds about four such (10.5 MB measured); at q = 21 each
-# would double
+# The largest class with a level search: a level there is one int of up to
+# 2^q bits per endpoint, 2.5 MB in all at q = 20, and a search holds about
+# four such (10.5 MB measured); at q = 21 each would double.  Above it only
+# the depth-first search runs
 _LATTICE_ORDER = 20
 # A depth-first search whose fallback is a lattice search over the k-bit
 # sets (k = q for a path, q - 1 for a cycle's anchor) gives up after
@@ -66,8 +69,7 @@ _LATTICE_ORDER = 20
 # (about 0.02 us * 2^k at q = 16): over 400 random G(q, p) classes of 10-20
 # vertices, p = 0.1-0.5, a search that gave up cost at most 3.3 times the
 # level search (1.46 against 0.44 ms, a sparse 14-vertex path class) and
-# 2.5 times for cycles.  Above the lattice the map levels cost about as
-# much per state as the search, which runs unbudgeted
+# 2.5 times for cycles
 _PUSH_BUDGET = [32 + (1 << k >> 4) for k in range(_LATTICE_ORDER + 1)]
 
 
@@ -145,37 +147,6 @@ def _complete(adj) -> bool:
     return all(a == full ^ (1 << v) for v, a in enumerate(adj))
 
 
-def _next_level(adj, allowed: int, level: dict) -> dict:
-    """The level after ``level``, a map from each vertex set reached to the
-    bitset of its endpoints: the paths through exactly that set end there.
-
-    A vertex v in ``allowed`` outside ``mask`` extends some path of ``mask``
-    when it is adjacent to one of its endpoints, and then v ends a path
-    through ``mask | v``.  That pair is reached only from ``mask``, so every
-    (set, endpoint) pair is made once.
-
-    The witness is the lexicographically least path of the last level
-    reached, which is the path a breadth-first search over (set, endpoint)
-    pairs reports first.  ``_least_path`` rebuilds it from the levels, so it
-    does not depend on the order of any level.
-    """
-    nxt: dict = {}
-    get = nxt.get
-    for mask, ends in level.items():
-        reach = 0
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            reach |= adj[low.bit_length() - 1]
-        reach &= allowed & ~mask
-        while reach:
-            low = reach & -reach
-            reach ^= low
-            grown = mask | low
-            nxt[grown] = get(grown, 0) | low
-    return nxt
-
-
 def _missing(k: int) -> list[int]:
     """Per vertex j < k, the indicator of the sets of the k-vertex subset
     lattice that miss j: bit S is set when S has no bit j.  Its bits run in
@@ -191,14 +162,15 @@ def _missing(k: int) -> list[int]:
 
 
 def _next_lattice(adj, lo: int, missing: list[int], level: dict) -> dict:
-    """``_next_level`` over the subset lattice of the vertices lo..q-1.
+    """The level after ``level`` over the subset lattice of the vertices
+    lo..q-1: the paths one vertex longer.
 
-    The level maps each endpoint v to an int whose bit S is set when some
+    A level maps each endpoint v to an int whose bit S is set when some
     path through exactly the vertex set S << lo (with the anchor, for a
     cycle search) ends at v.  A vertex w extends the paths ending next to
     it, the OR of its neighbours' ints, through the sets that miss w, and
-    adding w to such a set adds 2^(w - lo) to its index.  So the level
-    holds the same (set, endpoint) pairs as ``_next_level``'s.
+    adding w to such a set adds 2^(w - lo) to its index.  So each
+    (set, endpoint) pair of the next level is made once.
     """
     ends = 0
     for v in level:
@@ -218,8 +190,8 @@ def _next_lattice(adj, lo: int, missing: list[int], level: dict) -> dict:
 
 
 def _pairs(level: dict) -> int:
-    """The (set, endpoint) pairs of a level, the unit of the state cap: a
-    bit of a value, in either representation."""
+    """The (set, endpoint) pairs of a lattice level, the unit of the state
+    cap: a bit of a value."""
     return sum(map(int.bit_count, level.values()))
 
 
@@ -244,49 +216,24 @@ def _levels(grow, level: dict, limit: int | None = None):
         states += _pairs(level)
 
 
-def _least_path(adj, levels, path: list[int], order: int) -> list[int]:
-    """Extend ``path`` to the lexicographically least path of ``order``
-    vertices through a set of ``levels[order - 1]``.
-
-    ``levels[i]`` maps the sets of i + 1 vertices to their path endpoints;
-    every set contains the vertices ``path`` holds at the call (none for a
-    path search, the anchor for a cycle search).  ``sets`` holds the
-    remainders: top-level sets less the vertices placed since.  A path
-    through a remainder, read backwards from one of its endpoints, completes
-    the prefix (for a cycle it ends next to the anchor, where its
-    anchor-rooted path started).  So the next vertex is the least remainder
-    endpoint next to the last vertex placed, and the remainders that end
-    there drop it.  What is left of such a remainder has an endpoint next to
-    the vertex just placed, so every step has a choice.
-    """
-    i = order - 1
-    sets = list(levels[i])
-    while len(path) < order:
-        level = levels[i]
-        ends = 0
-        for mask in sets:
-            ends |= level[mask]
-        if path:
-            ends &= adj[path[-1]]
-        low = ends & -ends
-        path.append(low.bit_length() - 1)
-        sets = [mask ^ low for mask in sets if level[mask] & low]
-        i -= 1
-    return path
-
-
 def _lattice_path(
     adj, union: list[int], sets: int, path: list[int], order: int, lo: int
 ) -> list[int]:
-    """``_least_path`` over lattice levels: extend ``path`` to the least path
-    of ``order`` vertices through a set of the lattice indicator ``sets``.
+    """Extend ``path`` to the lexicographically least path of ``order``
+    vertices through a set of the lattice indicator ``sets``.
 
-    ``union[v]`` ORs the ints of v in every level.  The levels hold sets of
-    distinct sizes, and the remainders in ``sets`` all have one size, so
-    ``sets & union[v]`` are the remainders with a path ending at v in their
-    own level.  The next vertex is the least such v next to the last vertex
-    placed, and removing it from those remainders shifts them down by
-    2^(v - lo).
+    Every set holds the vertices ``path`` holds at the call (none for a path
+    search, the anchor for a cycle search, which the lattice leaves out).
+    ``sets`` holds the remainders: those sets less the vertices placed
+    since.  A path through a remainder, read backwards from one of its
+    endpoints, completes the prefix (for a cycle it ends next to the
+    anchor, where its anchor-rooted path started).  ``union[v]`` ORs the
+    ints of v in every level; the levels hold sets of distinct sizes, and
+    the remainders all have one size, so ``sets & union[v]`` are the
+    remainders with a path ending at v in their own level.  The next vertex
+    is the least such v next to the last vertex placed, and removing it
+    from those remainders shifts them down by 2^(v - lo).  What is left of
+    such a remainder has an endpoint next to v, so every step has a choice.
     """
     while len(path) < order:
         for v in iter_bits(adj[path[-1]] if path else (1 << len(adj)) - 1):
@@ -301,18 +248,13 @@ def _lattice_path(
 def _longest_path_bits(adj, target: int | None):
     """(best path as vertex list, exact) for adjacency bitmasks over 0..q-1.
 
-    Builds the levels of paths of 1, 2, ... vertices from every start and
-    stops early once a path of order ``target`` appears.  exact=False means
-    the state cap cut the search short of exhausting the space.  The path
-    returned is the lexicographically least of the last level reached.
+    Builds the lattice levels of paths of 1, 2, ... vertices from every
+    start and stops early once a path of order ``target`` appears.
+    exact=False means the state cap cut the search short of exhausting the
+    space.  The path returned is the lexicographically least of the last
+    level reached.
     """
     q = len(adj)
-    if q > _LATTICE_ORDER:
-        levels = []
-        grow = partial(_next_level, adj, -1)
-        for level, capped in _levels(grow, {1 << v: 1 << v for v in range(q)}, target):
-            levels.append(level)
-        return _least_path(adj, levels, [], len(levels)), not capped
     union = [0] * q
     order = 0
     grow = partial(_next_lattice, adj, 0, _missing(q))
@@ -326,14 +268,15 @@ def _longest_path_bits(adj, target: int | None):
     return _lattice_path(adj, union, top, [], order, 0), not capped
 
 
-def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] | None:
-    """The level search's witness over the components ``comps`` (bitsets),
-    where no path or cycle has more than ``bound`` vertices, or None if the
-    search gave up at its ``budget``-th push (0: no budget).  For a path it
-    is the lexicographically least longest path.  For a cycle it is the
-    least longest path of at least 3 vertices that starts at a vertex, its
-    anchor, runs through larger vertices of the anchor's component, and
-    ends next to the anchor.
+def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[int], bool]:
+    """(path, finished) over the components ``comps`` (bitsets), where no
+    path or cycle has more than ``bound`` vertices.  A finished search
+    returns the level search's witness: for a path the lexicographically
+    least longest path, for a cycle the least longest path of at least 3
+    vertices that starts at a vertex, its anchor, runs through larger
+    vertices of the anchor's component, and ends next to the anchor (or
+    none).  A search that gives up at its ``budget``-th push (0: no budget)
+    returns the best such path it met, unfinished.
 
     A depth-first search from each start tries neighbours in ascending
     order, so the paths from one start come in lexicographic order, and it
@@ -343,8 +286,8 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] |
     that reaches the state later is larger, so a state already searched is
     never expanded again.  A state cannot recur while the search is under
     it, as the sets grow down the stack, so it is marked when the search
-    leaves it; the marks are kept as the levels are, one endpoint bitset
-    per vertex set.  A vertex with no way on is a dead end: its one path is
+    leaves it; the marks map each vertex set to a bitset of its marked
+    endpoints.  A vertex with no way on is a dead end: its one path is
     read without a push.  At the last level a cycle search tries only the
     vertices that close it.  The search keeps its own stack, so a path may
     be as long as the class.
@@ -387,7 +330,7 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] |
             if need == 1:  # a path search's first start: a lone vertex is a path
                 best, need = [v], 2
                 if bound == 1:
-                    return best
+                    return best, True
             around = adj[v] if cycle else -1
             mask, nbrs, left = start, adj[v] & walk, bound - 1
             below = []  # (vertex set, untried neighbours) of each state under the top
@@ -396,7 +339,7 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] |
                     nbrs &= around
                     if nbrs:
                         path.append((nbrs & -nbrs).bit_length() - 1)
-                        return path
+                        return path, True
                 while nbrs:
                     low = nbrs & -nbrs
                     nbrs ^= low
@@ -413,7 +356,7 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] |
                         continue
                     pushes += 1
                     if pushes == budget:
-                        return None
+                        return best, False
                     below.append((mask, nbrs))
                     path.append(w)
                     if len(path) >= need and around & low:
@@ -427,42 +370,45 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> list[int] |
                     marked[mask] = get(mask, 0) | 1 << path.pop()
                     mask, nbrs = below.pop()
                     left += 1
-    return best
+    return best, True
 
 
 def _longest_path(adj, target: int | None):
-    """``_longest_path_bits(adj, target)``, answered by ``_first_path``
-    where the cap cannot bind and on a complete class, where the first path
-    is 0, 1, ... with no backtracking.
+    """(path, exact): the lexicographically least longest path, or with
+    ``target`` the least path of that order where there is one, by
+    ``_first_path`` or the lattice levels.
 
-    The component rule: no path leaves its component, and a component of c
+    No path is longer than the largest component, or than ``target``, so
+    the search stops at a path of that order, as the levels do.  The
+    component rule: no path leaves its component, and a component of c
     vertices holds at most c * 2^(c-1) (set, endpoint) pairs, so the cap
     cannot bind when these sum to at most ``_STATE_CAP`` over the
     components, which needs each to have at most ``_PATH_UNCAPPED``
-    vertices.  Then the level search is exact, and so is the depth-first
-    search, which visits the same states once each: its longest path is the
-    level search's witness.  No path is longer than the largest component,
-    or than ``target``, so it stops at a path of that order, as the levels
-    do.  On classes of at most ``_LATTICE_ORDER`` vertices it gives up
-    after ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it cost
-    at most 3.3 times the level search in measurement; only then do the
-    levels run.
+    vertices; nor on a complete class, where the first path is 0, 1, ...
+    with no backtracking.  On classes of at most ``_LATTICE_ORDER`` vertices
+    the search runs only there, and gives up after ``_PUSH_BUDGET[q]``
+    pushes, about one lattice search, so it cost at most 3.3 times the
+    level search in measurement; then, and where the cap can bind, the
+    levels answer.  Above the lattice the search answers, allowed
+    ``_STATE_CAP`` pushes: each enters a distinct (set, endpoint) pair that
+    the levels count before their last level, so it finishes wherever they
+    would be exact, and one that runs out returns its longest path,
+    inexact.
     """
     q = len(adj)
     comps = components(adj, (1 << q) - 1)
     sizes = list(map(int.bit_count, comps))
-    order = max(sizes)
+    order = max(sizes) if target is None else min(max(sizes), target)
+    if q > _LATTICE_ORDER:
+        return _first_path(adj, comps, order, False, _STATE_CAP + 1)
     if (
-        order > _PATH_UNCAPPED or sum(c << (c - 1) for c in sizes) > _STATE_CAP
+        max(sizes) > _PATH_UNCAPPED or sum(c << (c - 1) for c in sizes) > _STATE_CAP
     ) and not _complete(adj):
         return _longest_path_bits(adj, target)
-    if target is not None:
-        order = min(order, target)
-    budget = _PUSH_BUDGET[q] if q <= _LATTICE_ORDER else 0
-    path = _first_path(adj, comps, order, False, budget)
-    if path is None:
-        return _longest_path_bits(adj, target)
-    return path, True
+    path, finished = _first_path(adj, comps, order, False, _PUSH_BUDGET[q])
+    if finished:
+        return path, True
+    return _longest_path_bits(adj, target)
 
 
 def _color_class(host: Host, color: int):
@@ -576,49 +522,36 @@ def _longest_cycle_bits(adj):
     to the anchor closes a cycle of its size.  Each anchor has its own state
     cap, and a level over the cap is not read.  The witness is the
     lexicographically least anchor-rooted path of the largest closing size,
-    from the first anchor that reaches it.  On the lattice an anchor's sets
-    are indexed without it and the vertices below it, so all anchors share
-    one ``_missing`` build.
+    from the first anchor that reaches it.  An anchor's lattice sets are
+    indexed without it and the vertices below it, so all anchors share one
+    ``_missing`` build.
     """
     q = len(adj)
     best: list[int] = []
     exact = True
-    missing = _missing(q - 1) if q <= _LATTICE_ORDER else None
+    missing = _missing(q - 1)
     for anchor in range(q):
         if q - anchor < 3 or q - anchor <= len(best):
             break
         lo, around = anchor + 1, adj[anchor]
-        if missing is None:
-            levels = []
-            grow = partial(_next_level, adj, -1 << lo)
-            for level, capped in _levels(grow, {1 << anchor: 1 << anchor}):
-                if capped:
-                    exact = False
-                    break
-                levels.append(level)
-            for size in range(len(levels), max(2, len(best)), -1):
-                if any(ends & around for ends in levels[size - 1].values()):
-                    best = _least_path(adj, levels, [anchor], size)
-                    break
-        else:
-            union = [0] * q
-            closing = None
-            size = 0
-            grow = partial(_next_lattice, adj, lo, missing)
-            for level, capped in _levels(grow, {anchor: 1}):
-                if capped:
-                    exact = False
-                    break
-                size += 1
-                sets = 0  # the sets whose paths close a cycle
-                for v, vsets in level.items():
-                    union[v] |= vsets
-                    if around >> v & 1:
-                        sets |= vsets
-                if sets and size > max(2, len(best)):
-                    closing = size, sets
-            if closing:
-                best = _lattice_path(adj, union, closing[1], [anchor], closing[0], lo)
+        union = [0] * q
+        closing = None
+        size = 0
+        grow = partial(_next_lattice, adj, lo, missing)
+        for level, capped in _levels(grow, {anchor: 1}):
+            if capped:
+                exact = False
+                break
+            size += 1
+            sets = 0  # the sets whose paths close a cycle
+            for v, vsets in level.items():
+                union[v] |= vsets
+                if around >> v & 1:
+                    sets |= vsets
+            if sets and size > max(2, len(best)):
+                closing = size, sets
+        if closing:
+            best = _lattice_path(adj, union, closing[1], [anchor], closing[0], lo)
     return best, exact
 
 
@@ -629,25 +562,26 @@ def _two_core(adj) -> int:
 
 
 def _longest_cycle(adj):
-    """``_longest_cycle_bits(adj)``, or of the 2-core where the cap cannot
-    bind there, answered by ``_first_path`` there and on a complete class,
-    where the first cycle is 0, 1, ... with no backtracking.
+    """(longest cycle, exact): the least anchor-rooted cycle of the largest
+    length, from the least anchor that reaches it, by ``_first_path`` over
+    the 2-core or the lattice levels.
 
-    The component rule: every cycle lies in one component of the 2-core,
-    the vertices of the graph's cycles and of the paths between them, and
-    so do an anchor's levels on the core, so the cap cannot bind there when
-    every core component has at most ``_CYCLE_UNCAPPED`` vertices.  (On
-    ``adj`` it can still bind through trees that hang off the core, and
-    then the core's answer is the longer and exact one.)  Then the
-    depth-first search over each anchor's states is exact, and its longest
-    cycle, the least anchor-rooted one from the least anchor that reaches
-    its length, is the level search's witness.  No cycle is longer than the
-    largest core component, so it stops at a Hamilton cycle of one.  On
-    cores of at most ``_LATTICE_ORDER`` vertices it gives up after
+    Every cycle lies in one component of the 2-core, the vertices of the
+    graph's cycles and of the paths between them, so the search runs there
+    and stops at a Hamilton cycle of the largest core component.  The
+    component rule: an anchor's levels on the core stay in its component,
+    so the cap cannot bind there when every core component has at most
+    ``_CYCLE_UNCAPPED`` vertices, nor on a complete class, where the first
+    cycle is 0, 1, ... with no backtracking.  Then the search runs; on cores
+    of at most ``_LATTICE_ORDER`` vertices it gives up after
     ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
     anchor's sets, so it cost at most 2.5 times the level search in
-    measurement; only then do the levels run, on the core relabeled in
-    order, which keeps their witness.
+    measurement, and the levels run on the core relabeled in order, which
+    keeps their witness.  Elsewhere the levels run on the whole class,
+    trees that hang off the core included, if it has at most
+    ``_LATTICE_ORDER`` vertices; above that the search runs, allowed
+    ``_STATE_CAP`` pushes, and one that runs out returns its longest cycle,
+    inexact.
     """
     kept = _two_core(adj)
     if not kept:
@@ -655,11 +589,13 @@ def _longest_cycle(adj):
     comps = components(adj, kept)
     order = max(map(int.bit_count, comps))
     if order > _CYCLE_UNCAPPED and not _complete(adj):
-        return _longest_cycle_bits(adj)
+        if len(adj) <= _LATTICE_ORDER:
+            return _longest_cycle_bits(adj)
+        return _first_path(adj, comps, order, True, _STATE_CAP + 1)
     q = kept.bit_count()
     budget = _PUSH_BUDGET[q - 1] if q <= _LATTICE_ORDER else 0
-    cycle = _first_path(adj, comps, order, True, budget)
-    if cycle is not None:
+    cycle, finished = _first_path(adj, comps, order, True, budget)
+    if finished:
         return cycle, True
     verts = list(iter_bits(kept))
     return [verts[i] for i in _longest_cycle_bits(_induced_bits(adj, verts))[0]], True

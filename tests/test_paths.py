@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -413,6 +414,70 @@ def _plain_next_level(adj, level, allowed):
     return nxt
 
 
+def _plain_levels(adj, level, allowed, limit=None):
+    """(levels, capped): ``level`` and the plain expansions after it, until
+    one is empty, ``limit`` levels are out, or the (set, endpoint) pairs
+    pass ``paths._STATE_CAP`` short of ``limit``, which capped=True marks;
+    the level that passed the cap is the last one kept."""
+    levels, states = [level], paths._pairs(level)
+    while limit is None or len(levels) < limit:
+        if states > paths._STATE_CAP:
+            return levels, True
+        level = _plain_next_level(adj, level, allowed)
+        if not level:
+            break
+        levels.append(level)
+        states += paths._pairs(level)
+    return levels, False
+
+
+def _plain_least_path(adj, levels, path, order):
+    """Extend ``path`` to the lexicographically least path of ``order``
+    vertices through a set of ``levels[order - 1]``, each set holding
+    ``path``: step by step, the least endpoint next to the last vertex
+    placed among the sets' remainders, which then drop it."""
+    i = order - 1
+    sets = list(levels[i])
+    while len(path) < order:
+        ends = 0
+        for mask in sets:
+            ends |= levels[i][mask]
+        if path:
+            ends &= adj[path[-1]]
+        low = ends & -ends
+        path.append(low.bit_length() - 1)
+        sets = [mask ^ low for mask in sets if levels[i][mask] & low]
+        i -= 1
+    return path
+
+
+def _reference_path(adj, target):
+    """The level search's (witness, exact) for a path of order ``target``
+    (None: a longest path), on vertex-set maps under the state cap."""
+    levels, capped = _plain_levels(adj, {1 << v: 1 << v for v in range(len(adj))}, -1, target)
+    return _plain_least_path(adj, levels, [], len(levels)), not capped
+
+
+def _reference_cycle(adj):
+    """The level search's (witness, exact) for a longest cycle: per anchor,
+    the levels through larger vertices, each anchor under its own cap, and
+    the least path of the largest size that closes next to the anchor."""
+    q = len(adj)
+    best, exact = [], True
+    for anchor in range(q):
+        if q - anchor < 3 or q - anchor <= len(best):
+            break
+        levels, capped = _plain_levels(adj, {1 << anchor: 1 << anchor}, -1 << anchor + 1)
+        if capped:
+            exact = False
+            levels.pop()  # a level over the cap is not read
+        for size in range(len(levels), max(2, len(best)), -1):
+            if any(ends & adj[anchor] for ends in levels[size - 1].values()):
+                best = _plain_least_path(adj, levels, [anchor], size)
+                break
+    return best, exact
+
+
 def _decode(level, lo, base):
     """A lattice level as the map from each vertex set to its endpoints: the
     index of a set is the set shifted down by ``lo``, less ``base``."""
@@ -434,30 +499,26 @@ def _encode(level, lo):
 
 def test_lattice_levels_match_a_plain_expansion():
     # each lattice level decodes to the plain expansion's sets and
-    # endpoints, with its pair count; the map levels above the lattice keep
-    # the plain expansion's insertion order too.  From every start and from
-    # anchored cycle starts (only larger-indexed vertices allowed)
+    # endpoints, with its pair count.  From every start and from anchored
+    # cycle starts (only larger-indexed vertices allowed)
     for k in range(6):
         missing = paths._missing(k)
         assert len(missing) == k
         for j, sets in enumerate(missing):
             assert sets == sum(1 << s for s in range(1 << k) if not s >> j & 1)
     rng = random.Random(44)
-    for q in (1, 2, 3, 7, 8, 11, 12, 19, 20, 21, 22, 23, 70):
+    for q in (1, 2, 3, 7, 8, 11, 12, 19, 20):
         adj = _random_adj(rng, q, rng.choice([0.2, 0.35, 0.5]))
-        lattice = q <= paths._LATTICE_ORDER
         starts = [(0, 0, {1 << v: 1 << v for v in range(q)})]
         starts += [(a + 1, 1 << a, {1 << a: 1 << a}) for a in sorted({0, q // 3, q - 1})]
         for lo, base, level in starts:
             allowed = -1 << lo
-            missing = paths._missing(q - (lo > 0)) if lattice else None
+            missing = paths._missing(q - (lo > 0))
             while level:
                 want = _plain_next_level(adj, level, allowed)
-                assert list(paths._next_level(adj, allowed, level).items()) == list(want.items())
-                if lattice:
-                    got = paths._next_lattice(adj, lo, missing, _encode(level, lo))
-                    assert _decode(got, lo, base) == want
-                    assert paths._pairs(got) == paths._pairs(want)
+                got = paths._next_lattice(adj, lo, missing, _encode(level, lo))
+                assert _decode(got, lo, base) == want
+                assert paths._pairs(got) == paths._pairs(want)
                 # a prefix of a level is a level too; it keeps the test small
                 level = dict(islice(want.items(), 150))
 
@@ -465,22 +526,19 @@ def test_lattice_levels_match_a_plain_expansion():
 def test_the_cap_binds_only_past_its_bound(monkeypatch):
     # a search that makes exactly _STATE_CAP (set, endpoint) pairs is exact;
     # with one pair more the cap stops it at its last level, which a path
-    # search still reads, on the lattice and the map levels alike
+    # search still reads
     rng = random.Random(50)
-    order = paths._LATTICE_ORDER
     for q in (6, 9, 12):
         adj = _random_adj(rng, q, 0.5)
         level, total = {1 << v: 1 << v for v in range(q)}, 0
         while level:
             total += paths._pairs(level)
             level = _plain_next_level(adj, level, -1)
-        for lattice in (order, 0):
-            monkeypatch.setattr(paths, "_LATTICE_ORDER", lattice)
-            monkeypatch.setattr(paths, "_STATE_CAP", total)
-            path, exact = _longest_path_bits(adj, None)
-            assert exact
-            monkeypatch.setattr(paths, "_STATE_CAP", total - 1)
-            assert _longest_path_bits(adj, None) == (path, False)
+        monkeypatch.setattr(paths, "_STATE_CAP", total)
+        path, exact = _longest_path_bits(adj, None)
+        assert exact
+        monkeypatch.setattr(paths, "_STATE_CAP", total - 1)
+        assert _longest_path_bits(adj, None) == (path, False)
 
 
 def test_missing_sets_are_built_once_per_search(monkeypatch):
@@ -514,23 +572,25 @@ def test_missing_sets_are_built_once_per_search(monkeypatch):
     assert built == []
     _longest_path_bits(adj, None)
     assert built == [15]
-    # above _LATTICE_ORDER there is no lattice to build for
+    # above _LATTICE_ORDER the depth-first search answers alone and builds
+    # none
     built.clear()
     rng = random.Random(48)
     _longest_path_bits(_random_adj(rng, 20, 0.3), 5)
     _longest_cycle_bits(_random_adj(rng, 20, 0.3))
     assert built == [20, 19]
-    _longest_path_bits(_random_adj(rng, 21, 0.3), 5)
-    _longest_cycle_bits(_random_adj(rng, 21, 0.3))
+    _longest_path(_random_adj(rng, 21, 0.3), 5)
+    _longest_cycle(_random_adj(rng, 21, 0.3))
     assert built == [20, 19]
 
 
 def test_lattice_matches_the_map_levels(monkeypatch):
-    # the kernel boundary: on the same adjacency, the lattice search and the
-    # map levels read by _least_path give the same (witness, exact), for
-    # whole, target-limited and cycle searches.  A cap of 2,000 pairs stops
-    # them on 9-20 vertices; under the real cap the map levels take about
-    # 0.5 s from 15 vertices on, and test_golden_capped_searches pins those
+    # the kernel boundary: on the same adjacency, the lattice search and
+    # vertex-set map levels read by a least-path reader give the same
+    # (witness, exact), for whole, target-limited and cycle searches.  A cap
+    # of 2,000 pairs stops them on 9-20 vertices; under the real cap the map
+    # levels take about 0.5 s from 15 vertices on, and
+    # test_golden_capped_searches pins those
     rng = random.Random(49)
     cases = []
     for _ in range(300):
@@ -538,23 +598,14 @@ def test_lattice_matches_the_map_levels(monkeypatch):
         adj = _random_adj(rng, q, rng.choice([0.1, 0.2, 0.35, 0.5, 0.65, 0.8]))
         cases.append((adj, rng.randint(1, q)))
 
-    def searches(adj, target):
-        return [
-            _longest_path_bits(adj, None),
-            _longest_path_bits(adj, target),
-            _longest_cycle_bits(adj),
-        ]
-
-    order = paths._LATTICE_ORDER
     for cap in (2_000, paths._STATE_CAP):
         monkeypatch.setattr(paths, "_STATE_CAP", cap)
         run = [(adj, target) for adj, target in cases if cap == 2_000 or len(adj) <= 14]
-        monkeypatch.setattr(paths, "_LATTICE_ORDER", order)
-        lattice = [searches(adj, target) for adj, target in run]
-        monkeypatch.setattr(paths, "_LATTICE_ORDER", 0)
         capped = set()
-        for (adj, target), got in zip(run, lattice):
-            assert got == searches(adj, target), (cap, adj, target)
+        for adj, target in run:
+            got = [_longest_path_bits(adj, None), _longest_path_bits(adj, target), _longest_cycle_bits(adj)]
+            want = [_reference_path(adj, None), _reference_path(adj, target), _reference_cycle(adj)]
+            assert got == want, (cap, adj, target)
             capped |= {(kind, len(adj)) for kind, (_, exact) in enumerate(got) if not exact}
         if cap == 2_000:
             assert {kind for kind, q in capped if q >= 18} == {0, 1, 2}
@@ -661,6 +712,46 @@ def test_kano_li_floor_refuses_bipartite_hosts():
         kano_li_floor(host)
 
 
+def test_search_above_the_lattice_keeps_the_exact_answers(monkeypatch):
+    # above the lattice the depth-first search answers alone, allowed
+    # _STATE_CAP pushes, each into a state the levels count too: with the
+    # cap at 2,000 pairs, wherever the level search is exact on a seeded
+    # class of 21-40 vertices, the whole, target-limited and cycle searches
+    # return its witness, exact
+    monkeypatch.setattr(paths, "_STATE_CAP", 2_000)
+    rng = random.Random(54)
+    compared = [0, 0, 0]
+    for _ in range(60):
+        q = rng.randint(21, 40)
+        adj = _random_adj(rng, q, rng.choice([0.05, 0.08, 0.1, 0.15, 0.2, 0.3]))
+        target = rng.randint(2, q)
+        for kind, (want, route) in enumerate([
+            (_reference_path(adj, None), partial(_longest_path, adj, None)),
+            (_reference_path(adj, target), partial(_longest_path, adj, target)),
+            (_reference_cycle(adj), partial(_longest_cycle, adj)),
+        ]):
+            if want[1]:
+                assert route() == want, (kind, adj, target)
+                compared[kind] += 1
+    assert min(compared) >= 10 and max(compared) < 60
+
+
+def test_r1_classes_above_the_lattice():
+    # each color class of gen_R1(100, 4) has a 66- or 67-vertex component.
+    # Color 3's path search meets its component's order, a certified stop;
+    # color 1's cycle search runs out of pushes and returns the longest
+    # cycle it met, validated and inexact, in seconds (the level search
+    # returned 8 vertices after 16 s)
+    host = gen_R1(100, 4).host
+    w = longest_mono_path(host, 3)
+    assert w.order == 67 and w.exact
+    start = time.perf_counter()
+    c = longest_mono_cycle(host, 1)
+    assert time.perf_counter() - start < 15
+    validate_cycle(host, c)
+    assert c.length >= 39 and not c.exact
+
+
 def _side_by_side(rng, q, largest):
     """Adjacency bitmasks of ``_random_class`` parts of at most ``largest``
     vertices side by side, q in all, relabeled at random: a disconnected
@@ -684,7 +775,8 @@ def _side_by_side(rng, q, largest):
 def test_depth_first_route_on_small_components():
     # the cap cannot bind on a class of 16-26 vertices whose components are
     # small enough, and there the depth-first answer (budgeted up to 20
-    # vertices, unbudgeted above) is the level search's (witness, exact)
+    # vertices, with no lattice to fall back on above) is the level
+    # search's (witness, exact)
     rng = random.Random(51)
     for i in range(100):
         q = rng.randint(16, 26)
@@ -692,8 +784,8 @@ def test_depth_first_route_on_small_components():
         adj = _side_by_side(rng, q, largest)
         if largest == paths._PATH_UNCAPPED:
             for target in (None, 2, q // 2):
-                assert _longest_path(adj, target) == _longest_path_bits(adj, target), (adj, target)
-        assert _longest_cycle(adj) == _longest_cycle_bits(adj), adj
+                assert _longest_path(adj, target) == _reference_path(adj, target), (adj, target)
+        assert _longest_cycle(adj) == _reference_cycle(adj), adj
 
 
 def _edges_adj(q, edges):
@@ -719,7 +811,7 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
         _edges_adj(10, first + [(u + 5, v + 5) for u, v in second])
         for first, second in [(bowtie, pentagon), (pentagon, bowtie)]
     ]
-    want = [(_longest_path_bits(adj, None), _longest_cycle_bits(adj)) for adj in [f3, two_rings]]
+    want = [(_reference_path(adj, None), _reference_cycle(adj)) for adj in [f3, two_rings]]
     want_ties = [_longest_cycle_bits(adj) for adj in ties]
     assert [cycle for cycle, _ in want_ties] == [[5, 6, 7, 8, 9], [0, 1, 2, 3, 4]]
     witnesses = longest_mono_path(host, 1), longest_mono_cycle(host, 1)
@@ -735,12 +827,10 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
     assert (longest_mono_path(host, 1), longest_mono_cycle(host, 1)) == witnesses
     # a 16-clique with a pendant vertex at each of its vertices: the cap
     # cannot bind on its 2-core, the clique, whose Hamilton cycle is found
-    # without the levels; on the whole class the levels reach the cap
+    # without the levels
     clique = _edges_adj(32, [*combinations(range(16), 2), *((v, v + 16) for v in range(16))])
     assert _longest_cycle(clique) == (list(range(16)), True)
     monkeypatch.undo()
-    cycle, exact = _longest_cycle_bits(clique)
-    assert len(cycle) == 15 and not exact
     # a connected 16-vertex class can reach the cap, so it goes to the levels
     monkeypatch.setattr(paths, "_first_path", refuse)
     line = _edges_adj(16, [(v, v + 1) for v in range(15)])
@@ -763,10 +853,10 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
         ):
             tries.clear()
             got = route()
-            assert tries == [None] and got == levels()
+            assert [finished for _, finished in tries] == [False] and got == levels()
             monkeypatch.setattr(paths, "_PUSH_BUDGET", [0] * len(budget))
             tries.clear()
-            assert route() == got and tries == [got[0]]
+            assert route() == got and tries == [(got[0], True)]
             monkeypatch.setattr(paths, "_PUSH_BUDGET", budget)
 
 
@@ -776,7 +866,7 @@ def _searched_path(adj, target):
     bound = max(map(int.bit_count, comps))
     if target is not None:
         bound = min(bound, target)
-    return paths._first_path(adj, comps, bound, False, 0)
+    return paths._first_path(adj, comps, bound, False, 0)[0]
 
 
 def _searched_cycle(adj):
@@ -785,7 +875,7 @@ def _searched_cycle(adj):
     if not core:
         return []
     comps = components(adj, core)
-    return paths._first_path(adj, comps, max(map(int.bit_count, comps)), True, 0)
+    return paths._first_path(adj, comps, max(map(int.bit_count, comps)), True, 0)[0]
 
 
 def test_depth_first_search_is_the_level_search(monkeypatch):
@@ -869,7 +959,7 @@ def _pushes_to_answer(adj, comps, bound, cycle):
     """The fewest pushes with which ``_first_path`` answers: the least budget
     it does not stop at, less one."""
     budget = 1
-    while paths._first_path(adj, comps, bound, cycle, budget) is None:
+    while not paths._first_path(adj, comps, bound, cycle, budget)[1]:
         budget += 1
     return budget - 1
 
@@ -884,7 +974,7 @@ def test_a_search_that_meets_its_bound_pushes_only_where_it_can():
     for cycle in (False, True):
         assert _pushes_to_answer(k4_and_ring, comps, 6, cycle) == 4
         assert _pushes_to_answer(k4_and_ring, comps[1:], 6, cycle) == 4
-    assert paths._first_path(k4_and_ring, comps, 6, True, 0) == [4, 5, 6, 7, 8, 9]
+    assert paths._first_path(k4_and_ring, comps, 6, True, 0) == ([4, 5, 6, 7, 8, 9], True)
     # of two 6-vertex core components, a triangle and a square at a cut
     # vertex, then a 6-cycle, a cycle search tries only their least vertices
     # before the hit: eleven pushes from 0, four from 6
@@ -892,10 +982,10 @@ def test_a_search_that_meets_its_bound_pushes_only_where_it_can():
     ties = _edges_adj(12, blocks + [(6 + v, 6 + (v + 1) % 6) for v in range(6)])
     comps = components(ties, (1 << 12) - 1)
     assert _pushes_to_answer(ties, comps, 6, True) == 15
-    assert paths._first_path(ties, comps, 6, True, 0) == [6, 7, 8, 9, 10, 11]
+    assert paths._first_path(ties, comps, 6, True, 0) == ([6, 7, 8, 9, 10, 11], True)
     # a cycle search pushes no vertex of the last level that cannot close
     # the cycle: from 0, 1, 2, 3, 4 the last vertex 5 is not next to 0, and
     # the cycle 0, 1, 2, 3, 5, 4 takes five pushes, not six
     pentagon_and_ear = _edges_adj(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (3, 5), (4, 5)])
     assert _pushes_to_answer(pentagon_and_ear, [(1 << 6) - 1], 6, True) == 5
-    assert paths._first_path(pentagon_and_ear, [(1 << 6) - 1], 6, True, 0) == [0, 1, 2, 3, 5, 4]
+    assert paths._first_path(pentagon_and_ear, [(1 << 6) - 1], 6, True, 0) == ([0, 1, 2, 3, 5, 4], True)
