@@ -109,12 +109,14 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) ->
         if not wit.exact or wit.order != slow_len:
             note(("path", c), wit.order, slow_len)
     for mask in lkc_masks:
-        mask = frozenset(mask) & set(used)
+        mask = frozenset(mask).intersection(per_color)
         if not mask:
             continue
+        # a single color's graph is the one built above
+        g = per_color[min(mask)] if len(mask) == 1 else restrict(host, mask)
         for k in ks:
             rep = largest_k_connected(host, mask, k)
-            slow = _memo(memo, oracle_largest_k_connected, restrict(host, mask), k)
+            slow = _memo(memo, oracle_largest_k_connected, g, k)
             report.comparisons += 1
             if not rep.exact or rep.lower != slow or rep.upper != slow:
                 note(("lkc", sorted(mask), k), rep.lower, slow)

@@ -56,7 +56,13 @@ def oracle_rainbow_exists(host: Host, pattern) -> bool:
 
 
 def oracle_vertex_connectivity(g: SimpleGraph) -> int:
-    """Minimum size of a disconnecting vertex set, by ascending enumeration."""
+    """Minimum size of a disconnecting vertex set, by ascending enumeration.
+
+    On a graph that is not complete only the cut sizes below the minimum
+    degree delta are tried, and delta is the answer when none of them
+    separates (kappa <= delta, Whitney 1932): a vertex v of degree delta
+    has a non-neighbor, since delta = n - 1 would make the graph complete,
+    and removing v's neighbors cuts v off from it."""
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
@@ -64,15 +70,16 @@ def oracle_vertex_connectivity(g: SimpleGraph) -> int:
         return 0
     if g.edge_count == n * (n - 1) // 2:
         return n - 1
+    delta = min(b.bit_count() for b in g.adj_bits)
     full = (1 << n) - 1
-    for size in range(0, n - 1):
+    for size in range(delta):
         for cut in combinations(range(n), size):
             rest = full
             for v in cut:
                 rest &= ~(1 << v)
             if _component(g.adj_bits, rest) != rest:
                 return size
-    return n - 1
+    return delta
 
 
 def oracle_is_k_connected_bits(adj_bits, subset: int, k: int) -> bool:
@@ -96,10 +103,13 @@ def oracle_largest_k_connected(g: SimpleGraph, k: int) -> int:
     A subset with a vertex v of fewer than k neighbors inside it is skipped
     before its cuts are tried (kappa <= delta, Whitney 1932): v's neighbors,
     with other vertices added up to k - 1, leave v cut off from at least one
-    other vertex."""
+    other vertex.  So only subsets of the vertices of degree at least k are
+    enumerated: a vertex of smaller degree has fewer than k neighbors in
+    every subset, and the skip would reject every subset that holds it."""
     adj = g.adj_bits
-    for size in range(g.n, k, -1):
-        for verts in combinations(range(g.n), size):
+    eligible = [v for v in range(g.n) if adj[v].bit_count() >= k]
+    for size in range(len(eligible), k, -1):
+        for verts in combinations(eligible, size):
             subset = 0
             for v in verts:
                 subset |= 1 << v

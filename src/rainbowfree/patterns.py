@@ -404,8 +404,7 @@ def embeddings(
     prev = None
     domain = None
     delay = TWIN_DELAY if twins is not None or color_masks is not None else 0
-    # per step: the pattern vertices whose images floor it
-    above = [()] * size if floors is None else [tuple(plan[f][0] for f in fs) for fs in floors]
+    above = [()] * size if floors is None else _floor_vertices(plan, floors)
     # per open step: its lowest candidate, its candidate iterator, and the
     # colors its current image added
     lowest = [0] * size
@@ -468,6 +467,13 @@ def embeddings(
             used_vertices.remove(cand)
             used_colors.difference_update(new_colors)
         i += 1
+
+
+@lru_cache(maxsize=64)
+def _floor_vertices(plan, floors) -> tuple[tuple[int, ...], ...]:
+    """Per step of ``plan``, the pattern vertices whose images floor it: the
+    vertices its ``floors`` steps place."""
+    return tuple(tuple(plan[f][0] for f in fs) for fs in floors)
 
 
 def _candidate_masks(nv, plan, masks, image, used_colors):

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
+from rainbowfree import claims, crosscheck
 from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
-from rainbowfree import crosscheck
 from rainbowfree.crosscheck import micro_crosscheck
 
 # A claim's seed derives from its index, so the order is part of the output.
@@ -89,6 +89,27 @@ def test_sampled_counts_applied_samples_and_keeps_five_failures():
     assert _sampled("tried", 4, lambda rng, seed, i: [])(0) == (True, {"tried": 4, "failures": []})
 
 
+def test_sampled_gallai_claims_share_no_host(monkeypatch):
+    # the two claims' derived seeds are consecutive, so seeding host i with
+    # seed + i would check the same hosts twice
+    seeds = {}
+    sample_gallai = claims.sample_gallai
+
+    def recorded(n, m, seed):
+        seeds.setdefault(current, []).append(seed)
+        return sample_gallai(n, m, seed)
+
+    monkeypatch.setattr(claims, "DEFAULT_SAMPLES", 40)
+    monkeypatch.setattr(claims, "sample_gallai", recorded)
+    registry = build_registry()
+    for current in ("gallai-2conn-sampled", "gallai-3conn-sampled"):
+        (report,) = run_claims(current, registry=registry)
+        assert report.status == "pass" and report.witness["samples"] == 40
+    two, three = (seeds[c] for c in ("gallai-2conn-sampled", "gallai-3conn-sampled"))
+    assert len(set(two)) == len(set(three)) == 40
+    assert not set(two) & set(three)
+
+
 def test_construction_claims_pass():
     reports = run_claims("*")
     assert [r.claim_id for r in reports] == REGISTRY_IDS
@@ -109,6 +130,35 @@ def test_crosscheck_small_full_spaces():
 def test_crosscheck_sampled_mode():
     r = micro_crosscheck(6, 3, seed=11, budget=400)
     assert r.ok and r.mode == "sampled" and r.colorings == 400
+
+
+# micro_crosscheck reports without millis, recorded before the oracles'
+# degree bounds: the bounds change no count
+CROSSCHECK_REPORTS = [
+    ((6, 3, 0, 10), "sampled", 10, 110),
+    ((6, 3, 1, 10), "sampled", 10, 110),
+    ((6, 3, 2, 10), "sampled", 10, 106),
+    ((6, 3, 3, 10), "sampled", 10, 110),
+    ((4, 2, 5, 100_000), "full", 64, 1142),
+    ((3, 3, 5, 100_000), "full", 27, 417),
+    ((4, 3, 5, 100_000), "full", 729, 15804),
+]
+
+
+def test_crosscheck_reports_are_unchanged():
+    for (n, m, seed, budget), mode, colorings, comparisons in CROSSCHECK_REPORTS:
+        report = micro_crosscheck(n, m, seed, budget=budget).to_json()
+        del report["millis"]
+        assert report == {
+            "max_n": n,
+            "max_m": m,
+            "mode": mode,
+            "colorings": colorings,
+            "comparisons": comparisons,
+            "mismatches": [],
+            "ok": True,
+            "seed": seed,
+        }
 
 
 def test_crosscheck_reaches_the_largest_orders():

@@ -1,8 +1,9 @@
-"""The stack-based path oracle and the degree-filtered subset enumeration
-against the plain references they replaced: the recursive path extension
-and the unfiltered enumeration, kept here as test-only copies.  Both must
-give the same answer on every labeled graph of at most 5 vertices and on
-seeded random graphs of 6-9 vertices."""
+"""The stack-based path oracle, the degree-bounded subset enumeration and
+the degree-bounded vertex connectivity oracle against the plain references
+they replaced: the recursive path extension, the unfiltered enumeration and
+the ascending cut enumeration up to n - 2, kept here as test-only copies.
+All three must give the same answer on every labeled graph of at most 5
+vertices and on seeded random graphs of 6-9 vertices."""
 
 import random
 from itertools import combinations
@@ -12,6 +13,7 @@ from rainbowfree.oracles import (
     oracle_is_k_connected_bits,
     oracle_largest_k_connected,
     oracle_longest_path_order,
+    oracle_vertex_connectivity,
 )
 
 KS = (1, 2, 3)
@@ -52,8 +54,33 @@ def unfiltered_largest_k_connected(g: SimpleGraph, k: int) -> int:
     return best
 
 
+def plain_vertex_connectivity(g: SimpleGraph) -> int:
+    """Minimum size of a disconnecting vertex set, every cut size below
+    n - 1 tried in ascending order."""
+    n = g.n
+    if n == 1:
+        return 0
+    if g.edge_count == n * (n - 1) // 2:
+        return n - 1
+    for size in range(0, n - 1):
+        for cut in combinations(range(n), size):
+            rest = [v for v in range(n) if v not in cut]
+            reach, frontier = {rest[0]}, [rest[0]]
+            while frontier:
+                u = frontier.pop()
+                for w in rest:
+                    if w not in reach and g.adj_bits[u] >> w & 1:
+                        reach.add(w)
+                        frontier.append(w)
+            if len(reach) < len(rest):
+                return size
+    return n - 1
+
+
 def _agree(g: SimpleGraph) -> None:
     assert oracle_longest_path_order(g) == recursive_longest_path_order(g), g.adj_bits
+    if g.n:
+        assert oracle_vertex_connectivity(g) == plain_vertex_connectivity(g), g.adj_bits
     for k in KS:
         want = unfiltered_largest_k_connected(g, k)
         assert oracle_largest_k_connected(g, k) == want, (g.adj_bits, k)
