@@ -23,9 +23,9 @@ only where the cap cannot bind, and gives up after ``_PUSH_BUDGET``
 pushes, about one lattice search on a half-dense class, so a search that
 gave up cost at most 3.3 times the level search in measurement (on a
 sparse class, where the lattice is cheaper); elsewhere, and after a search
-that gave up, the levels answer.  A cycle's levels run on the 2-core, or
-on the whole class where a core component has more than
-``_CYCLE_UNCAPPED`` vertices, and the 20 vertices count there.
+that gave up, the levels answer.  A cycle's levels run on the 2-core;
+where a core component has more than ``_CYCLE_UNCAPPED`` vertices, the 20
+vertices count on the whole class.
 
 Above the lattice the search answers alone, allowed ``_STATE_CAP`` pushes
 where the cap can bind.  Each push enters a distinct state that the levels
@@ -577,28 +577,29 @@ def _longest_cycle(adj):
     ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
     anchor's sets, so it cost at most 2.5 times the level search in
     measurement, and the levels run on the core relabeled in order, which
-    keeps their witness.  Elsewhere the levels run on the whole class,
-    trees that hang off the core included, if it has at most
-    ``_LATTICE_ORDER`` vertices; above that the search runs, allowed
-    ``_STATE_CAP`` pushes, and one that runs out returns its longest cycle,
-    inexact.
+    keeps their witness.  Elsewhere the levels run on the core too if the
+    whole class has at most ``_LATTICE_ORDER`` vertices: an anchor's core
+    states are among its states on the class, so an exact answer keeps its
+    witness and a capped one can only get longer or exact.  Above that the
+    search runs, allowed ``_STATE_CAP`` pushes, and one that runs out
+    returns its longest cycle, inexact.
     """
     kept = _two_core(adj)
     if not kept:
         return [], True
     comps = components(adj, kept)
     order = max(map(int.bit_count, comps))
-    if order > _CYCLE_UNCAPPED and not _complete(adj):
-        if len(adj) <= _LATTICE_ORDER:
-            return _longest_cycle_bits(adj)
+    if order <= _CYCLE_UNCAPPED or _complete(adj):
+        q = kept.bit_count()
+        budget = _PUSH_BUDGET[q - 1] if q <= _LATTICE_ORDER else 0
+        cycle, finished = _first_path(adj, comps, order, True, budget)
+        if finished:
+            return cycle, True
+    elif len(adj) > _LATTICE_ORDER:
         return _first_path(adj, comps, order, True, _STATE_CAP + 1)
-    q = kept.bit_count()
-    budget = _PUSH_BUDGET[q - 1] if q <= _LATTICE_ORDER else 0
-    cycle, finished = _first_path(adj, comps, order, True, budget)
-    if finished:
-        return cycle, True
     verts = list(iter_bits(kept))
-    return [verts[i] for i in _longest_cycle_bits(_induced_bits(adj, verts))[0]], True
+    cycle, exact = _longest_cycle_bits(_induced_bits(adj, verts))
+    return [verts[i] for i in cycle], exact
 
 
 def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:

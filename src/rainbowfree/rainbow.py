@@ -29,6 +29,10 @@ leaves the twin rule out, because it skips copies that are not the first.
 search with the mirror floor alone finds, and that the floors keep one map
 per copy.  A host with fewer colors than the pattern has edges has no
 rainbow copy, and ``find_rainbow`` answers it without a search.
+
+``find_rainbow_triangle``, which decides Gallai colorings, scans the
+per-color masks pair by pair where the host has them, and hands the other
+hosts to ``find_rainbow`` with K3.  Nothing here reads the host's storage.
 """
 
 from __future__ import annotations
@@ -134,30 +138,18 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
     c; the lowest of them above j is the least such k.  For each i in
     order, the j > i are walked one color class M_c[i] at a time, and the
     least j that has such a k gives the first triangle at i.  A host with
-    more than ``SEARCH_MASK_COLORS`` colors builds no masks and is scanned
-    triple by triple, reading the colors of i and of j to the vertices
-    above as one slice each.  A host that uses fewer than three colors has
-    no rainbow triangle and is answered with no scan.
+    more than ``SEARCH_MASK_COLORS`` colors builds no masks, and
+    ``find_rainbow`` answers it with the same triangle: K3's floors place
+    it as i < j < k, and the first map of the search with the mirror floor
+    alone is the lexicographically first one.  A host that uses fewer than
+    three colors has no rainbow triangle and is answered with no scan.
     """
     n = host.n
     if len(host.used_colors()) < 3:
         return None
     masks = host.search_masks()
     if masks is None:
-        colors, offsets = host._colors, host._offsets
-        for i in range(n - 2):
-            row = host._row(i)
-            for j in range(i + 1, n - 1):
-                c = row[j]
-                # pair j < k sits at offsets[j] + k, and offsets[j] >= 0 for j > 0
-                other = colors[offsets[j]:offsets[j] + n]
-                for k in range(j + 1, n):
-                    a = row[k]
-                    if a != c:
-                        b = other[k]
-                        if b != c and b != a:
-                            return Embedding(_K3, (i, j, k), frozenset((c, a, b)))
-        return None
+        return find_rainbow(host, _K3)
     full = (1 << n) - 1
     by_color = list(masks.values())
     for i in range(n - 2):

@@ -1,8 +1,9 @@
 """The library runs on the standard library alone, as ``dependencies = []``
 in pyproject.toml says: every module imports only standard-library or
 relative modules.  Inside the library, only ``connectivity`` reaches its
-private vertex-cut kernel, and the oracles import nothing from the package
-but the graph and host types they read."""
+private vertex-cut kernel, two named modules outside ``core`` read the
+hosts' private storage, and the oracles import nothing from the package but
+the graph and host types they read."""
 
 import ast
 import sys
@@ -46,6 +47,26 @@ def test_only_connectivity_uses_the_cut_kernel():
                 continue
             users += [(path.name, name) for name in sorted(names & kernel)]
     assert not users
+
+
+def test_host_storage_readers_are_pinned():
+    # a change to how hosts store colors, masks or pair offsets has to mend
+    # these readers and no others: crosscheck copies the colors into a
+    # mismatch report, and sample_gallai fills a flat color list
+    storage = {"_colors", "_offsets", "_row", "_pairs", "_all_masks", "_tri_offsets"}
+    readers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            readers |= {(path.name, name) for name in names & storage}
+    assert readers == {("crosscheck.py", "_colors"), ("gallai.py", "_tri_offsets")}
 
 
 def test_oracles_import_only_the_graph_types():

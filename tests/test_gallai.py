@@ -172,6 +172,20 @@ def test_recognition_scales_past_a_thousand_vertices():
         assert time.perf_counter() - start < 5
 
 
+def test_recognition_and_partition_scale_on_many_colors():
+    # 20 colors is more than SEARCH_MASK_COLORS, so no masks are built and
+    # the pattern engine's twin rule carries the search: 1.1-1.3 s for
+    # is_gallai and 0.9-1.1 s for the partition at n = 2,000 on a 2-vCPU
+    # host, where the triple loop took 15 s at n = 1,000
+    host = sample_gallai(2000, 20, 1)
+    start = time.perf_counter()
+    assert is_gallai(host)
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    gallai_partition(host)  # validated before it returns
+    assert time.perf_counter() - start < 5
+
+
 def test_sampler_deterministic():
     a = sample_gallai(9, 3, 123)
     b = sample_gallai(9, 3, 123)

@@ -343,6 +343,35 @@ def _random_adj(rng, q, p):
     return adj
 
 
+def test_cycle_levels_run_on_the_core_alone(monkeypatch):
+    # 20-vertex classes: a random graph on 17-19 vertices with pendant
+    # vertices hung on it, labels shuffled.  Where a core component can reach
+    # the cap the levels answer over the 2-core alone.  An anchor's core
+    # states are among its states on the whole class, so an exact whole-class
+    # answer comes back unchanged and a capped one never comes back shorter
+    rng = random.Random(53)
+    levels = paths._longest_cycle_bits
+    seen, routed = [], 0
+    monkeypatch.setattr(paths, "_longest_cycle_bits", lambda adj: seen.append(len(adj)) or levels(adj))
+    for _ in range(12):
+        q = rng.randint(17, 19)
+        core = _random_adj(rng, q, rng.choice([0.2, 0.3, 0.5]))
+        edges = [(u, v) for u, v in combinations(range(q), 2) if core[u] >> v & 1]
+        edges += [(rng.randrange(w), w) for w in range(q, 20)]
+        perm = list(range(20))
+        rng.shuffle(perm)
+        adj = _edges_adj(20, [(perm[u], perm[v]) for u, v in edges])
+        seen.clear()
+        (cycle, exact), (whole, whole_exact) = _longest_cycle(adj), levels(adj)
+        assert seen in ([], [paths._two_core(adj).bit_count()])
+        routed += bool(seen)
+        if whole_exact:
+            assert (cycle, exact) == (whole, True)
+        else:
+            assert len(cycle) >= len(whole)
+    assert routed
+
+
 def test_golden_capped_searches():
     # where the state cap stops a search decides both the witness and its
     # exact flag; classes of 18-22 vertices put the cap on either side of it,

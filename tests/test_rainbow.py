@@ -126,9 +126,18 @@ def test_triangle_scan_returns_the_first_triangle():
         assert (found and (found.mapping, found.colors)) == first_rainbow_triangle(host)
         # the masks stay cached for the host's later color-class scans
         assert (host._masks is None) == (len(host.used_colors()) < 3)
-    # more colors than SEARCH_MASK_COLORS: the scan reads rows, builds no masks
+    # more colors than SEARCH_MASK_COLORS: the pattern engine answers on its
+    # scalar loop and builds no masks
     many = [_random_complete(rng, rng.randint(10, 12), 40) for _ in range(40)]
     many += [sample_gallai(rng.randint(18, 30), 20, s) for s in range(20)]
+    # sampled Gallai hosts with one pair recolored in a color of its own:
+    # most gain rainbow triangles, some stay Gallai
+    for s in range(30):
+        n, m = rng.randint(20, 60), rng.randint(17, 40)
+        gallai = sample_gallai(n, m, s)
+        colors = [gallai.color(a, b) for a, b in combinations(range(n), 2)]
+        colors[rng.randrange(len(colors))] = m + 1
+        many.append(ColoredComplete(n, m + 1, colors))
     for host in many:
         assert len(host.used_colors()) > SEARCH_MASK_COLORS
         found = find_rainbow_triangle(host)
