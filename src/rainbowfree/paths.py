@@ -16,16 +16,17 @@ the 2-core has at most ``_CYCLE_UNCAPPED``, nor on a complete class.
 On classes of up to ``_LATTICE_ORDER`` = 20 vertices a level search backs
 it up, one level per path order.  A level is one int per endpoint over the
 subset lattice, bit S set when S is such a set; ``_next_lattice`` grows it
-by whole-int ORs, ANDs and shifts, ``_levels`` counts its (set, endpoint)
-pairs against ``_STATE_CAP``, and ``_lattice_path`` reads back the
-lexicographically least path of the last level.  There the search runs
-only where the cap cannot bind, and gives up after ``_PUSH_BUDGET``
-pushes, about one lattice search on a half-dense class, so a search that
-gave up cost at most 3.3 times the level search in measurement (on a
-sparse class, where the lattice is cheaper); elsewhere, and after a search
-that gave up, the levels answer.  A cycle's levels run on the 2-core;
-where a core component has more than ``_CYCLE_UNCAPPED`` vertices, the 20
-vertices count on the whole class.
+by whole-int ORs, ANDs and shifts, ``_levels`` keeps a binomial bound on
+the (set, endpoint) pairs and counts them against ``_STATE_CAP`` only once
+the bound passes it, and ``_lattice_path`` reads back the lexicographically
+least path of the last level.  There the search runs only where the cap
+cannot bind, and gives up after ``_PUSH_BUDGET`` pushes, about one lattice
+search on a half-dense class, so a search that gave up cost at most 3.3
+times the level search in measurement (on a sparse class, where the
+lattice is cheaper); elsewhere, and after a search that gave up, the
+levels answer.  A cycle's levels run on the 2-core; where a core component
+has more than ``_CYCLE_UNCAPPED`` vertices, the 20 vertices count on the
+whole class.
 
 Above the lattice the search answers alone, allowed ``_STATE_CAP`` pushes
 where the cap can bind.  Each push enters a distinct state that the levels
@@ -39,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from .core import Host, _induced_bits, _require_complete, ceil_div, components, iter_bits
 from .connectivity import CertificationError, _peel_to_kcore
@@ -48,7 +50,8 @@ from .connectivity import CertificationError, _peel_to_kcore
 # the state count makes that certain
 EXACT_LIMIT = 14
 # The cap counts (vertex set, endpoint) pairs, each endpoint bit of a level
-# entry once
+# entry once, over the levels of a search (of an anchor, for a cycle); the
+# levels read the count only where a bound on it passes the cap
 _STATE_CAP = 400_000
 # A path search on q vertices makes at most q * 2^(q-1) pairs, and a cycle
 # search at most (q-1) * 2^(q-2) + 1 per anchor.  Up to these orders (15 and
@@ -189,31 +192,51 @@ def _next_lattice(adj, lo: int, missing: list[int], level: dict) -> dict:
     return nxt
 
 
-def _pairs(level: dict) -> int:
-    """The (set, endpoint) pairs of a lattice level, the unit of the state
-    cap: a bit of a value."""
-    return sum(map(int.bit_count, level.values()))
+def _pairs(ints) -> int:
+    """The set bits of ``ints``: over a level's ints, or their union over
+    the levels, its (set, endpoint) pairs, the unit of the state cap."""
+    return sum(map(int.bit_count, ints))
 
 
-def _levels(grow, level: dict, limit: int | None = None):
+def _levels(
+    grow, level: dict, union: list[int], width: int, size: int, limit: int | None = None
+):
     """Yield (level, capped) for ``level`` and each level ``grow`` makes from
-    the one before, until one is empty, ``limit`` levels are out, or the
-    (set, endpoint) pairs pass ``_STATE_CAP``.  capped=True marks the level
-    that passed the cap short of ``limit``, the last one: the cap stopped
-    the search there.
+    the one before, until one is empty or fills the lattice, its sets hold
+    ``limit`` vertices, or the (set, endpoint) pairs pass ``_STATE_CAP``.
+    capped=True marks the level that passed the cap short of ``limit``, the
+    last one: the cap stopped the search there.  ``union[v]`` ORs the ints
+    of v in every level yielded, the capped one included.
+
+    The sets of ``level`` hold ``size`` of the ``width`` lattice vertices,
+    and each later level's one more; after a level of ``width``-vertex sets
+    the next is empty, so it is not grown.  The pairs are counted only where
+    they could pass the cap.  The first level has ``len(level)``, one set
+    per endpoint, and a later one at most ``len(level) * comb(width - 1,
+    size - 1)``, the sets of its size through each endpoint.  While this
+    running bound is at most the cap, so is the count.  Once it passes, the
+    count is read exactly from ``union``: the levels hold sets of distinct
+    sizes, so its bits are their pairs, and the bound goes on from that
+    count.  So at every level the count is either read or known to be at
+    most the cap, and the level that is capped is the first whose count
+    passes the cap, as when every level is counted.
     """
-    count, states = 1, _pairs(level)
+    states = len(level)
     while True:
-        done = limit is not None and count >= limit
+        for v, sets in level.items():
+            union[v] |= sets
+        done = limit is not None and size >= limit
+        if states > _STATE_CAP and not done:
+            states = _pairs(union)
         capped = states > _STATE_CAP and not done
         yield level, capped
-        if done or capped:
+        if done or capped or size == width:
             return
         level = grow(level)
         if not level:
             return
-        count += 1
-        states += _pairs(level)
+        size += 1
+        states += len(level) * comb(width - 1, size - 1)
 
 
 def _lattice_path(
@@ -258,10 +281,8 @@ def _longest_path_bits(adj, target: int | None):
     union = [0] * q
     order = 0
     grow = partial(_next_lattice, adj, 0, _missing(q))
-    for level, capped in _levels(grow, {v: 1 << (1 << v) for v in range(q)}, target):
+    for level, capped in _levels(grow, {v: 1 << (1 << v) for v in range(q)}, union, q, 1, target):
         order += 1
-        for v, sets in level.items():
-            union[v] |= sets
     top = 0
     for sets in level.values():
         top |= sets
@@ -385,15 +406,17 @@ def _longest_path(adj, target: int | None):
     cannot bind when these sum to at most ``_STATE_CAP`` over the
     components, which needs each to have at most ``_PATH_UNCAPPED``
     vertices; nor on a complete class, where the first path is 0, 1, ...
-    with no backtracking.  On classes of at most ``_LATTICE_ORDER`` vertices
-    the search runs only there, and gives up after ``_PUSH_BUDGET[q]``
-    pushes, about one lattice search, so it cost at most 3.3 times the
-    level search in measurement; then, and where the cap can bind, the
-    levels answer.  Above the lattice the search answers, allowed
-    ``_STATE_CAP`` pushes: each enters a distinct (set, endpoint) pair that
-    the levels count before their last level, so it finishes wherever they
-    would be exact, and one that runs out returns its longest path,
-    inexact.
+    with no backtracking.  A class of at most ``_PATH_UNCAPPED`` vertices
+    passes the rule unread: c * 2^(c-1) is superadditive, so the sum is at
+    most q * 2^(q-1), which is at most the cap.  On classes of at most
+    ``_LATTICE_ORDER`` vertices the search runs only there, and gives up
+    after ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it cost
+    at most 3.3 times the level search in measurement; then, and where the
+    cap can bind, the levels answer.  Above the lattice the search answers,
+    allowed ``_STATE_CAP`` pushes: each enters a distinct (set, endpoint)
+    pair that the levels count before their last level, so it finishes
+    wherever they would be exact, and one that runs out returns its longest
+    path, inexact.
     """
     q = len(adj)
     comps = components(adj, (1 << q) - 1)
@@ -402,8 +425,10 @@ def _longest_path(adj, target: int | None):
     if q > _LATTICE_ORDER:
         return _first_path(adj, comps, order, False, _STATE_CAP + 1)
     if (
-        max(sizes) > _PATH_UNCAPPED or sum(c << (c - 1) for c in sizes) > _STATE_CAP
-    ) and not _complete(adj):
+        q > _PATH_UNCAPPED
+        and (max(sizes) > _PATH_UNCAPPED or sum(c << (c - 1) for c in sizes) > _STATE_CAP)
+        and not _complete(adj)
+    ):
         return _longest_path_bits(adj, target)
     path, finished = _first_path(adj, comps, order, False, _PUSH_BUDGET[q])
     if finished:
@@ -524,7 +549,9 @@ def _longest_cycle_bits(adj):
     lexicographically least anchor-rooted path of the largest closing size,
     from the first anchor that reaches it.  An anchor's lattice sets are
     indexed without it and the vertices below it, so all anchors share one
-    ``_missing`` build.
+    ``_missing`` build.  The union of an anchor's levels holds the capped
+    level too; its sets are larger than any remainder the witness is read
+    from, so the readback never meets them.
     """
     q = len(adj)
     best: list[int] = []
@@ -538,14 +565,13 @@ def _longest_cycle_bits(adj):
         closing = None
         size = 0
         grow = partial(_next_lattice, adj, lo, missing)
-        for level, capped in _levels(grow, {anchor: 1}):
+        for level, capped in _levels(grow, {anchor: 1}, union, q - lo, 0):
             if capped:
                 exact = False
                 break
             size += 1
             sets = 0  # the sets whose paths close a cycle
             for v, vsets in level.items():
-                union[v] |= vsets
                 if around >> v & 1:
                     sets |= vsets
             if sets and size > max(2, len(best)):

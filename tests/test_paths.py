@@ -448,7 +448,7 @@ def _plain_levels(adj, level, allowed, limit=None):
     one is empty, ``limit`` levels are out, or the (set, endpoint) pairs
     pass ``paths._STATE_CAP`` short of ``limit``, which capped=True marks;
     the level that passed the cap is the last one kept."""
-    levels, states = [level], paths._pairs(level)
+    levels, states = [level], paths._pairs(level.values())
     while limit is None or len(levels) < limit:
         if states > paths._STATE_CAP:
             return levels, True
@@ -456,7 +456,7 @@ def _plain_levels(adj, level, allowed, limit=None):
         if not level:
             break
         levels.append(level)
-        states += paths._pairs(level)
+        states += paths._pairs(level.values())
     return levels, False
 
 
@@ -547,7 +547,7 @@ def test_lattice_levels_match_a_plain_expansion():
                 want = _plain_next_level(adj, level, allowed)
                 got = paths._next_lattice(adj, lo, missing, _encode(level, lo))
                 assert _decode(got, lo, base) == want
-                assert paths._pairs(got) == paths._pairs(want)
+                assert paths._pairs(got.values()) == paths._pairs(want.values())
                 # a prefix of a level is a level too; it keeps the test small
                 level = dict(islice(want.items(), 150))
 
@@ -561,13 +561,68 @@ def test_the_cap_binds_only_past_its_bound(monkeypatch):
         adj = _random_adj(rng, q, 0.5)
         level, total = {1 << v: 1 << v for v in range(q)}, 0
         while level:
-            total += paths._pairs(level)
+            total += paths._pairs(level.values())
             level = _plain_next_level(adj, level, -1)
         monkeypatch.setattr(paths, "_STATE_CAP", total)
         path, exact = _longest_path_bits(adj, None)
         assert exact
         monkeypatch.setattr(paths, "_STATE_CAP", total - 1)
         assert _longest_path_bits(adj, None) == (path, False)
+
+
+def _level_boundaries(adj, level, allowed):
+    """The cumulative (set, endpoint) pairs of the plain expansion from
+    ``level``, one count per level."""
+    counts, total = [], 0
+    while level:
+        total += paths._pairs(level.values())
+        counts.append(total)
+        level = _plain_next_level(adj, level, allowed)
+    return counts
+
+
+def test_the_cap_binds_at_every_level_boundary(monkeypatch):
+    # the levels count their pairs only once a binomial bound on them passes
+    # the cap.  At every level boundary of the plain expansion, and one pair
+    # short of it, the lattice searches still stop where a count of every
+    # level would: whole paths, target-limited paths, and cycles at each
+    # anchor's boundaries
+    rng = random.Random(55)
+    pairs = paths._pairs
+    recounts = []
+    monkeypatch.setattr(paths, "_pairs", lambda ints: recounts.append(1) or pairs(ints))
+    partway = False
+    for q, p in [(6, 0.5), (9, 0.5), (12, 0.35), (16, 0.2), (20, 0.1)]:
+        adj = _random_adj(rng, q, p)
+        target = q // 2
+        whole = _level_boundaries(adj, {1 << v: 1 << v for v in range(q)}, -1)
+        anchors = {c for a in range(q - 2) for c in _level_boundaries(adj, {1 << a: 1 << a}, -1 << a + 1)}
+        for counts, search, reference in (
+            (whole, partial(_longest_path_bits, adj, None), partial(_reference_path, adj, None)),
+            (whole[:target], partial(_longest_path_bits, adj, target), partial(_reference_path, adj, target)),
+            (sorted(anchors), partial(_longest_cycle_bits, adj), partial(_reference_cycle, adj)),
+        ):
+            for cap in (c - d for c in counts for d in (0, 1)):
+                monkeypatch.setattr(paths, "_STATE_CAP", cap)
+                recounts.clear()
+                got = search()
+                # the bound passed the cap after some levels went uncounted
+                partway |= counts is whole and 0 < len(recounts) < len(got[0])
+                assert got == reference(), (q, cap)
+    assert partway
+
+
+def test_the_levels_recount_on_few_levels(monkeypatch):
+    # at the real cap the binomial bound keeps the count off most levels: a
+    # 17-vertex class whose whole-path lattice runs all 17 levels reads its
+    # pairs on fewer than a third of them
+    adj = _random_adj(random.Random(0), 17, 0.3)
+    pairs = paths._pairs
+    recounts = []
+    monkeypatch.setattr(paths, "_pairs", lambda ints: recounts.append(1) or pairs(ints))
+    path, exact = _longest_path_bits(adj, None)
+    assert (len(path), exact) == (17, True)
+    assert 3 * len(recounts) < len(path)
 
 
 def test_missing_sets_are_built_once_per_search(monkeypatch):
