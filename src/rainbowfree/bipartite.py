@@ -10,7 +10,7 @@ structure, validates it independently, and stores the renumbering map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import MAX_VERTICES, ColoredBipartite, restrict
 from .connectivity import CertificationError, is_k_connected
@@ -21,8 +21,7 @@ class RainbowStarPresent(ValueError):
     """The host is not rainbow-K_{1,3}-free."""
 
 
-@dataclass(frozen=True)
-class BipartiteStructure:
+class BipartiteStructure(NamedTuple):
     case: str  # "A" or "B"
     colors_used: frozenset[int]
     background: int | None = None  # original color id (case B)
@@ -205,8 +204,7 @@ def gen_type_b(
     )
 
 
-@dataclass(frozen=True)
-class SpanningWitness:
+class SpanningWitness(NamedTuple):
     ok: bool
     k: int
     color: int

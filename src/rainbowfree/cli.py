@@ -49,6 +49,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, default=str))
 
 
+def _ints(flag: str, value: str) -> list[int]:
+    """A comma-separated list of integers; a bad item names the flag."""
+    try:
+        return [int(x) for x in value.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {flag} value {value!r}; use comma-separated integers") from None
+
+
 # construction -> (generator, its arguments in order)
 _GENERATORS = {
     "R1": (gen_R1, ("n", "m")),
@@ -90,7 +98,10 @@ def _parse_colors_arg(value: str):
     if value in ("mono", "pairs"):
         return value
     if value.startswith("mask="):
-        return frozenset(int(x) for x in value[len("mask=") :].split(","))
+        try:
+            return frozenset(int(x) for x in value[len("mask=") :].split(","))
+        except ValueError:
+            pass  # refused below, with the whole value
     raise ValueError(f"bad --colors value {value!r}; use mono, pairs, or mask=1,3")
 
 
@@ -142,8 +153,8 @@ def _cmd_bipartite(args) -> int:
         _emit(classify_k13_free(host).to_json())
         return 0
     if args.bipartite_cmd == "gen-b":
-        u_sizes = [int(x) for x in args.parts_u.split(",")] if args.parts_u else None
-        v_sizes = [int(x) for x in args.parts_v.split(",")] if args.parts_v else None
+        u_sizes = _ints("--parts-u", args.parts_u) if args.parts_u else None
+        v_sizes = _ints("--parts-v", args.parts_v) if args.parts_v else None
         gen = gen_type_b(args.s, args.t, args.m, u_sizes, v_sizes, args.seed)
         dump_coloring(gen.host, args.output)
         if args.describe:
@@ -164,7 +175,7 @@ def _cmd_longest(args) -> int:
 
 def _cmd_paths_quota(args) -> int:
     host = load_coloring(args.file)
-    quotas = [int(x) for x in args.a.split(",")]
+    quotas = _ints("--a", args.a)
     result = check_mono_path_quota(host, quotas)
     _emit(result.to_json())
     return 0 if result.ok else 1

@@ -13,10 +13,9 @@ depend on which augmenting paths were taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .core import (
     Host,
@@ -36,8 +35,7 @@ class CertificationError(RuntimeError):
     statements are theorems on every valid input."""
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Witness and certified bounds for the largest k-connected subgraph."""
 
     k: int
@@ -58,8 +56,7 @@ class ConnectivityReport:
         }
 
 
-@dataclass(frozen=True)
-class OrderCapResult:
+class OrderCapResult(NamedTuple):
     """Outcome of refuting k-connected subgraphs above a cap: the number of
     vertex subsets of order above max(cap, optimum), which the exact answer
     rules out, and a largest k-connected set when the cap fails."""
@@ -389,16 +386,18 @@ def mader_extract(g: SimpleGraph) -> SimpleGraph:
         cut = _find_cut_below_k(bits, S, k)
         if cut is None:
             return induced_subgraph(g, iter_bits(S))
-        sides = []
+        best = None  # (edges, size, side) of the densest, then largest, then least side
         for c in components(bits, S & ~cut):
             side = c | cut
             size = side.bit_count()
             edges = sum((bits[v] & side).bit_count() for v in iter_bits(side)) // 2
             if size >= 2 * k - 1 and n * edges >= e * (size - k + 1):
-                sides.append((Fraction(edges, size), size, -side))
-        if not sides:
+                # edges/size against the best density, cross-multiplied
+                if best is None or (edges * best[1], size, -side) > (best[0] * size, best[1], -best[2]):
+                    best = (edges, size, side)
+        if best is None:
             raise CertificationError(f"no side keeps Mader's bound (n={n}, e={e})")
-        S = -max(sides)[2]
+        S = best[2]
 
 
 def gyarfas_floor(host: Host):

@@ -16,14 +16,13 @@ before allocating anything per vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import MAX_VERTICES, ColoredBipartite, ColoredComplete, Host, SimpleGraph
 
 
-@dataclass(frozen=True)
-class Generated:
+class Generated(NamedTuple):
     """A generated host together with its construction metadata."""
 
     host: Host

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -43,16 +42,15 @@ def _patterns(full: bool) -> tuple[Pattern, ...]:
     return tuple(map(parse_pattern, names))
 
 
-@dataclass
 class CrosscheckReport:
-    max_n: int
-    max_m: int
-    mode: str  # "full" or "sampled"
-    colorings: int = 0
-    comparisons: int = 0
-    mismatches: list = field(default_factory=list)
-    millis: int = 0
-    seed: int = 0
+    """Counts and mismatches of one cross-check run, filled in as it goes."""
+
+    def __init__(self, max_n: int, max_m: int, mode: str, seed: int = 0):
+        self.max_n, self.max_m = max_n, max_m
+        self.mode = mode  # "full" or "sampled"
+        self.colorings = self.comparisons = self.millis = 0
+        self.mismatches: list = []
+        self.seed = seed
 
     @property
     def ok(self) -> bool:

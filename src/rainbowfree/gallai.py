@@ -12,8 +12,8 @@ an independent validator before returning.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import (
     MAX_VERTICES,
@@ -32,8 +32,7 @@ class NotGallaiError(ValueError):
     """The host contains a rainbow triangle."""
 
 
-@dataclass(frozen=True)
-class GallaiPartition:
+class GallaiPartition(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
     cross_colors: tuple[tuple[int, int, int], ...]  # (part i, part j, color)
 
@@ -215,8 +214,7 @@ def sample_gallai(n: int, m: int, seed: int) -> ColoredComplete:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoColorWitness:
+class TwoColorWitness(NamedTuple):
     ok: bool
     k: int
     mask: frozenset[int]

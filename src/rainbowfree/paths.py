@@ -37,10 +37,9 @@ runs out returns the longest path or cycle it met, flagged inexact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import comb
+from typing import NamedTuple
 
 from .core import Host, _induced_bits, _require_complete, ceil_div, components, iter_bits
 from .connectivity import CertificationError, _peel_to_kcore
@@ -76,8 +75,7 @@ _LATTICE_ORDER = 20
 _PUSH_BUDGET = [32 + (1 << k >> 4) for k in range(_LATTICE_ORDER + 1)]
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     color: int | None  # None for witnesses in an uncolored graph
     vertices: tuple[int, ...]
     exact: bool
@@ -95,8 +93,7 @@ class PathWitness:
         }
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     color: int
     vertices: tuple[int, ...]
     exact: bool
@@ -472,8 +469,7 @@ def _mono_path_of_order(host: Host, color: int, order: int):
     return None, exact
 
 
-@dataclass(frozen=True)
-class QuotaWitness:
+class QuotaWitness(NamedTuple):
     ok: bool
     color: int | None
     witness: PathWitness | None
@@ -534,6 +530,8 @@ def color_degree_averages(host: Host) -> list[Fraction]:
 
     On a complete host these sum to exactly n - 1.
     """
+    from fractions import Fraction  # here: it loads decimal, which no other code needs
+
     counts = host.color_counts()
     n = host.vertex_count
     return [Fraction(2 * counts.get(c, 0), n) for c in range(1, host.m + 1)]

@@ -37,8 +37,7 @@ hosts to ``find_rainbow`` with K3.  Nothing here reads the host's storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Host, ColoredComplete
 from .patterns import Pattern, embeddings, parse_pattern
@@ -46,8 +45,7 @@ from .patterns import Pattern, embeddings, parse_pattern
 _K3 = parse_pattern("K3")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """An injective map witnessing a rainbow copy of a pattern in a host."""
 
     pattern: Pattern

@@ -211,6 +211,30 @@ def test_gen_missing_parameter_is_bad_input(capsys):
     assert "needs --m" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("kconn", "--k", "1", "--colors", "mask="), "--colors", "mask="),
+        (("kconn", "--k", "1", "--colors", "mask=1,x"), "--colors", "mask=1,x"),
+        (("paths", "prop61", "--a", "3,,3"), "--a", "3,,3"),
+    ],
+)
+def test_bad_integer_list_names_the_flag(tmp_path, capsys, argv, flag, value):
+    path = str(tmp_path / "r1.txt")
+    assert run(capsys, "gen", "R1", "--n", "9", "--m", "4", "-o", path)[0] == 0
+    assert main([*argv, path]) == 2
+    captured = capsys.readouterr()
+    message = json.loads(captured.err)["message"]
+    assert captured.out == "" and f"bad {flag} value {value!r}" in message
+
+
+def test_bad_part_sizes_name_the_flag(tmp_path, capsys):
+    out = str(tmp_path / "b.txt")
+    argv = ["bipartite", "gen-b", "--s", "6", "--t", "6", "--m", "4", "-o", out]
+    assert main([*argv, "--parts-u", "2,x"]) == 2
+    assert "bad --parts-u value '2,x'" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.txt")
     run(capsys, "gallai", "sample", "--n", "6", "--m", "3", "-o", path)

@@ -3,9 +3,12 @@ in pyproject.toml says: every module imports only standard-library or
 relative modules.  Inside the library, only ``connectivity`` reaches its
 private vertex-cut kernel, two named modules outside ``core`` read the
 hosts' private storage, and the oracles import nothing from the package but
-the graph and host types they read."""
+the graph and host types they read.  Importing the package loads none of
+the slow standard-library modules a cold start would pay for."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,3 +83,20 @@ def test_oracles_import_only_the_graph_types():
         elif isinstance(node, ast.Import):
             imported |= {(a.name, None) for a in node.names if a.name.startswith("rainbowfree")}
     assert imported == {("core", "Host"), ("core", "SimpleGraph")}
+
+
+def test_import_loads_no_heavy_standard_modules():
+    # each of these cost milliseconds of every cold start: dataclasses pulls
+    # in inspect, fractions pulls in decimal, and traceback is only needed
+    # when a claim raises
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "traceback"}
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+    def loaded(statement):
+        code = f"{statement}; import sys; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import rainbowfree") - loaded("pass")
+    assert not sorted(added & heavy)
