@@ -228,7 +228,7 @@ def vertex_connectivity(g: SimpleGraph) -> int:
     if g.n == 0:
         raise ValueError("empty graph has no connectivity")
     full = (1 << g.n) - 1
-    best = min(map(g.degree, range(g.n)))
+    best = min(map(int.bit_count, g.adj_bits))
     while best > 0:
         cut = _find_cut_below_k(g.adj_bits, full, best)
         if cut is None:

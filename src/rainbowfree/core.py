@@ -79,7 +79,7 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(b.bit_count() for b in self.adj_bits) // 2
+        return sum(map(int.bit_count, self.adj_bits)) // 2
 
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
@@ -371,9 +371,20 @@ class ColoredComplete(_ColoredHost):
 
 
 def _random_complete(rng, n: int, m: int) -> ColoredComplete:
-    """A coloring of K_n drawn from ``rng``: one ``randint(1, m)`` per pair, in
-    the order of the flat array."""
-    return ColoredComplete(n, m, [rng.randint(1, m) for _ in range(n * (n - 1) // 2)])
+    """A coloring of K_n drawn from the ``random.Random`` ``rng``, one color
+    per pair in the order of the flat array, as ``randint(1, m)`` draws it:
+    ``getrandbits(m.bit_length())``, drawn again while it is at least m, plus
+    1.  The colors and the state left in ``rng`` are the same."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    draw, k = rng.getrandbits, m.bit_length()
+    colors = []
+    for _ in range(n * (n - 1) // 2):
+        r = draw(k)
+        while r >= m:
+            r = draw(k)
+        colors.append(r + 1)
+    return ColoredComplete(n, m, colors)
 
 
 def _require_complete(host) -> None:

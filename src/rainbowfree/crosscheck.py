@@ -28,10 +28,10 @@ from .rainbow import find_rainbow
 SAMPLE_BUDGET = 100_000
 # The largest n checked.  The oracles' worst case grows factorially in n: a
 # color class with no spanning path, K_(n-2) with two pendants at one vertex,
-# makes the path oracle extend every path, which took 8 ms per host at n = 9,
-# 64 ms at n = 10 and 0.60 s at n = 11 (2 vCPUs, CPython 3.11.7).  Random
-# hosts cost far less: 200 sampled K_10 hosts took 0.25-0.94 s in all
-# (m = 3 down to 1), and 200 K_11 hosts 0.33-1.12 s
+# makes the path oracle extend every path, which took 4.5-6.9 ms per host at
+# n = 9, 36-59 ms at n = 10 and 0.36-0.49 s at n = 11 (2 vCPUs, CPython
+# 3.11.7).  Random hosts cost far less: 200 sampled K_10 hosts took
+# 0.21-0.28 s in all (m = 3 and 2)
 MAX_ORDER = 10
 
 

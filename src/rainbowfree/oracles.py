@@ -2,10 +2,11 @@
 
 These are exhaustive, with only shortcuts that carry a one-line proof: they
 re-derive answers by enumeration and share no search or graph code with the
-production implementations they cross-check (not even ``core.flood``:
-components and bit listing are written out here), so one bug cannot hide on
-both sides.  Each shortcut's proof is in its function's docstring.
-Everything here is only meant for micro-scale inputs.
+production implementations they cross-check (not even ``core.flood`` or a
+graph's derived ``edges``: they read only the stored adjacency bits, and
+components, edge lists and bit listing are written out here), so one bug
+cannot hide on both sides.  Each shortcut's proof is in its function's
+docstring.  Everything here is only meant for micro-scale inputs.
 """
 
 from __future__ import annotations
@@ -41,16 +42,17 @@ def oracle_rainbow_exists(host: Host, pattern) -> bool:
     nv = host.vertex_count
     if g.n > nv:
         raise ValueError("pattern larger than host")
+    adj = g.adj_bits
+    edges = [(u, v) for u, v in combinations(range(g.n), 2) if adj[u] >> v & 1]
+    pair_color = host.pair_color
     for image in permutations(range(nv), g.n):
         colors = set()
-        ok = True
-        for u, v in g.edges:
-            c = host.pair_color(image[u], image[v])
+        for u, v in edges:
+            c = pair_color(image[u], image[v])
             if c is None or c in colors:
-                ok = False
                 break
             colors.add(c)
-        if ok:
+        else:
             return True
     return False
 
@@ -66,11 +68,9 @@ def oracle_vertex_connectivity(g: SimpleGraph) -> int:
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    if n == 1:
-        return 0
-    if g.edge_count == n * (n - 1) // 2:
-        return n - 1
-    delta = min(b.bit_count() for b in g.adj_bits)
+    delta = min(map(int.bit_count, g.adj_bits))
+    if delta == n - 1:  # complete, one vertex included
+        return delta
     full = (1 << n) - 1
     for size in range(delta):
         for cut in combinations(range(n), size):
@@ -113,10 +113,12 @@ def oracle_largest_k_connected(g: SimpleGraph, k: int) -> int:
             subset = 0
             for v in verts:
                 subset |= 1 << v
-            if any((adj[v] & subset).bit_count() < k for v in verts):
-                continue
-            if oracle_is_k_connected_bits(adj, subset, k):
-                return size
+            for v in verts:
+                if (adj[v] & subset).bit_count() < k:
+                    break
+            else:
+                if oracle_is_k_connected_bits(adj, subset, k):
+                    return size
     return 0
 
 
@@ -132,7 +134,7 @@ def oracle_longest_path_order(g: SimpleGraph) -> int:
         comp = _component(g.adj_bits, left)
         bound = max(bound, comp.bit_count())
         left &= ~comp
-    nbrs = [_members(b) for b in g.adj_bits]
+    adj = g.adj_bits
     best = 0
     for v in range(g.n):
         stack = [(v, 1 << v, 1)]
@@ -142,9 +144,11 @@ def oracle_longest_path_order(g: SimpleGraph) -> int:
                 best = order
                 if best == bound:
                     return best
-            for w in nbrs[last]:
-                if not seen >> w & 1:
-                    stack.append((w, seen | 1 << w, order + 1))
+            rest = adj[last] & ~seen
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                stack.append((low.bit_length() - 1, seen | low, order + 1))
     return best
 
 

@@ -38,6 +38,7 @@ runs out returns the longest path or cycle it met, flagged inexact.
 from __future__ import annotations
 
 from functools import partial
+from itertools import compress
 from math import comb
 from typing import NamedTuple
 
@@ -117,7 +118,7 @@ def validate_path(host: Host, witness: PathWitness) -> None:
     verts = witness.vertices
     if len(set(verts)) != len(verts):
         raise ValueError("repeated vertex in path")
-    if not all(0 <= v < host.vertex_count for v in verts):
+    if verts and (min(verts) < 0 or max(verts) >= host.vertex_count):
         raise ValueError("path vertex out of range")
     for a, b in zip(verts, verts[1:]):
         c = host.pair_color(a, b)
@@ -439,7 +440,7 @@ def _color_class(host: Host, color: int):
     if not (1 <= color <= host.m):
         raise ValueError(f"color {color} outside declared range 1..{host.m}")
     masks = host.color_masks(color)
-    support = tuple(v for v, nbrs in enumerate(masks) if nbrs)
+    support = tuple(compress(range(len(masks)), masks))
     if not support:
         raise ValueError(f"color {color} is unused")
     if len(support) == len(masks):
@@ -453,7 +454,7 @@ def longest_mono_path(host: Host, color: int) -> PathWitness:
     vertices."""
     support, adj = _color_class(host, color)
     path, exact = _longest_path(adj, None)
-    witness = PathWitness(color, tuple(support[i] for i in path), exact)
+    witness = PathWitness(color, tuple(map(support.__getitem__, path)), exact)
     validate_path(host, witness)
     return witness
 
@@ -463,7 +464,7 @@ def _mono_path_of_order(host: Host, color: int, order: int):
     support, adj = _color_class(host, color)
     path, exact = _longest_path(adj, order)
     if len(path) >= order:
-        witness = PathWitness(color, tuple(support[i] for i in path[:order]), True)
+        witness = PathWitness(color, tuple(map(support.__getitem__, path[:order])), True)
         validate_path(host, witness)
         return witness, True
     return None, exact

@@ -69,7 +69,7 @@ def validate_embedding(host: Host, pattern: Pattern, mapping) -> None:
     if len(set(mapping)) != g.n:
         raise ValueError("mapping is not injective")
     nv = host.vertex_count
-    if any(not (0 <= x < nv) for x in mapping):
+    if mapping and (min(mapping) < 0 or max(mapping) >= nv):
         raise ValueError("mapping target outside host")
     seen: set[int] = set()
     for u, v in g.edges:

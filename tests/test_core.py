@@ -152,6 +152,19 @@ def test_colors_equal_the_pair_order():
                 assert host.color(u, v - host.s) == c
 
 
+def test_random_complete_draws_as_randint_does():
+    # the draw is randint(1, m) written out: the same colors pair by pair, and
+    # the generator left in the same state, for m at and between powers of two
+    for m in (1, 2, 3, 4, 5, 7, 8):
+        for n in (2, 6, 12):
+            for seed in range(50):
+                drawn, ref = random.Random(seed), random.Random(seed)
+                host = _random_complete(drawn, n, m)
+                want = [ref.randint(1, m) for _ in range(n * (n - 1) // 2)]
+                assert list(host._colors) == want, (m, n, seed)
+                assert drawn.getstate() == ref.getstate(), (m, n, seed)
+
+
 def test_read_fixed_example():
     host = read_coloring(io.StringIO("Kn 3 2\n1 2\n1\n"))
     assert isinstance(host, ColoredComplete)

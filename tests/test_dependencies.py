@@ -3,8 +3,9 @@ in pyproject.toml says: every module imports only standard-library or
 relative modules.  Inside the library, only ``connectivity`` reaches its
 private vertex-cut kernel, two named modules outside ``core`` read the
 hosts' private storage, and the oracles import nothing from the package but
-the graph and host types they read.  Importing the package loads none of
-the slow standard-library modules a cold start would pay for."""
+the graph and host types, of which they read only the stored adjacency and
+the color lookup.  Importing the package loads none of the slow
+standard-library modules a cold start would pay for."""
 
 import ast
 import os
@@ -83,6 +84,19 @@ def test_oracles_import_only_the_graph_types():
         elif isinstance(node, ast.Import):
             imported |= {(a.name, None) for a in node.names if a.name.startswith("rainbowfree")}
     assert imported == {("core", "Host"), ("core", "SimpleGraph")}
+
+
+def test_oracles_read_only_the_stored_graph_and_host_lookups():
+    # derived graph attributes (edges, edge_count, degree, components) come
+    # from core, whose helpers the fast side runs too, so an oracle reads only
+    # a graph's n and adj_bits, a host's vertex_count and pair_color, a
+    # pattern's graph, and methods of builtin ints, lists and sets
+    allowed = {"n", "adj_bits", "vertex_count", "pair_color", "graph"}
+    allowed |= {"bit_count", "bit_length", "append", "add", "pop"}
+    path = PACKAGE / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read <= allowed, sorted(read - allowed)
 
 
 def test_import_loads_no_heavy_standard_modules():

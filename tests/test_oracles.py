@@ -3,12 +3,13 @@ the degree-bounded vertex connectivity oracle against the plain references
 they replaced: the recursive path extension, the unfiltered enumeration and
 the ascending cut enumeration up to n - 2, kept here as test-only copies.
 All three must give the same answer on every labeled graph of at most 5
-vertices and on seeded random graphs of 6-9 vertices."""
+vertices, on the color classes of sampled 3-colorings of K6 and on seeded
+random graphs of 6-9 vertices."""
 
 import random
 from itertools import combinations
 
-from rainbowfree.core import SimpleGraph
+from rainbowfree.core import SimpleGraph, _random_complete, restrict
 from rainbowfree.oracles import (
     oracle_is_k_connected_bits,
     oracle_largest_k_connected,
@@ -94,6 +95,16 @@ def test_every_labeled_graph_up_to_five_vertices():
             _agree(SimpleGraph(n, [p for i, p in enumerate(pairs) if chosen >> i & 1]))
             graphs += 1
     assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+def test_color_classes_of_sampled_k6_colorings():
+    # the six-vertex graphs, isolated vertices included, that a sampled
+    # crosscheck of 3-colored K6 hosts hands the oracles
+    rng = random.Random(37)
+    for _ in range(300):
+        host = _random_complete(rng, 6, 3)
+        for c in sorted(host.used_colors()):
+            _agree(restrict(host, {c}))
 
 
 def test_seeded_random_graphs_of_six_to_nine_vertices():
