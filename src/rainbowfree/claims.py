@@ -79,7 +79,7 @@ class RunReport(NamedTuple):
         }
 
 
-# label -> (title, generator) of the constructions the rainbow claims run on
+# label -> (title, generator) of the constructions the claims run on
 _HOSTS = {
     "R1": ("R1(9,4)", lambda: gen_R1(9, 4)),
     "R1m6": ("R1(18,6)", lambda: gen_R1(18, 6)),
@@ -88,14 +88,22 @@ _HOSTS = {
     "F1": ("F1(12,6,4)", lambda: gen_F1(12, 6, 4)),
     "F2": ("F2(13,6,5)", lambda: gen_F2(13, 6, 5)),
     "F3": ("F3(12,12,6)", lambda: gen_F3(12, 12, 6)),
+    "intro": ("intro(10,3)", lambda: gen_intro_example(10, 3)),
+    "intro12": ("intro(12,5)", lambda: gen_intro_example(12, 5)),
+    "counter4t-t1": ("counter4t(1,20)", lambda: gen_counterexample_4t(1, 20)),
+    "counter4t-t2": ("counter4t(2,40)", lambda: gen_counterexample_4t(2, 40)),
 }
 
 
 @lru_cache(maxsize=len(_HOSTS))
-def _host(label):
+def _generated(label):
     """The construction named ``label``, built once per process: hosts are
     immutable, and the caches they fill are deterministic."""
-    return _HOSTS[label][1]().host
+    return _HOSTS[label][1]()
+
+
+def _host(label):
+    return _generated(label).host
 
 
 def _rainbow_claim(cid, provenance, label, pattern_name, expect_free):
@@ -167,8 +175,7 @@ def _f1_floor(seed):
 
 
 def _intro_two_colored(seed):
-    gen = gen_intro_example(10, 3)
-    mask, rep = best_two_colored(gen.host, k=3)
+    mask, rep = best_two_colored(_host("intro"), k=3)
     want = 10 - (3 - 1) // 2
     return rep.lower == want, {"mask": sorted(mask), "order": rep.lower, "expected": want}
 
@@ -178,7 +185,7 @@ def _counterexample_claim(t, n):
     cap = n - 2 * t
 
     def run(seed):
-        host = gen_counterexample_4t(t, n).host
+        host = _host(f"counter4t-t{t}")
         try:
             gallai_partition(host)  # validated before it returns
         except NotGallaiError:
@@ -204,7 +211,7 @@ def _counterexample_claim(t, n):
 
 def _counterexample_degrees(t, n):
     def run(seed):
-        gen = gen_counterexample_4t(t, n)
+        gen = _generated(f"counter4t-t{t}")
         host = gen.host
         v2 = gen.parts["V2"]
         base = v2[0]
@@ -272,13 +279,9 @@ def _lemma_sample_claim(k):
     def run(seed):
         _, witness = sampled(seed)
         failures = witness["failures"]
-        gens = (
-            gen_intro_example(10, 3),
-            gen_intro_example(12, 5),
-            gen_counterexample_4t(1, 20),
-            gen_counterexample_4t(2, 40),
-        )
-        failures += [f"construction-{j}" for j, gen in enumerate(gens) if not holds(gen.host)]
+        for j, label in enumerate(("intro", "intro12", "counter4t-t1", "counter4t-t2")):
+            if not holds(_host(label)):
+                failures.append(f"construction-{j}")
         del failures[5:]
         return not failures, witness
 
@@ -361,8 +364,8 @@ def _mader_case(rng, seed, i):
 
 def _floors_everywhere(seed):
     rng = random.Random(seed)
-    hosts = [_host(label) for label in ("R1", "R2", "R1m5", "F1", "F2", "F3")]
-    hosts += [gen_intro_example(10, 3).host, gen_counterexample_4t(1, 20).host]
+    labels = ("R1", "R2", "R1m5", "F1", "F2", "F3", "intro", "counter4t-t1")
+    hosts = [_host(label) for label in labels]
     hosts += [_random_complete(rng, rng.randint(4, 12), rng.randint(2, 4)) for _ in range(200)]
     checked = 0
     for host in hosts:

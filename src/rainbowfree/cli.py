@@ -32,7 +32,7 @@ from .constructions import (
     gen_intro_example,
 )
 from .core import dump_coloring, load_coloring
-from .crosscheck import micro_crosscheck
+from .crosscheck import SAMPLE_BUDGET, micro_crosscheck
 from .gallai import (
     gallai_partition,
     is_gallai,
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="micro-scale oracle cross-check")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=SAMPLE_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_crosscheck)
     return parser

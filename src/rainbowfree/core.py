@@ -14,7 +14,7 @@ and twin classes are each assigned once, complete.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 from operator import mul, or_
 from typing import Iterable, Iterator, TextIO, Union
 
@@ -495,96 +495,81 @@ def restrict(host: Host, mask: Iterable[int]) -> SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
-# File format
+# File format: a header "<kind> <sizes> <m>", then the host's flat color
+# array in rows.  '#' begins a comment line; blank lines are ignored.
 #
 #   complete:   "Kn <n> <m>" then n-1 rows; row i (1-based) lists
 #               c(i-1, j) for j = i..n-1.
 #   bipartite:  "Kst <s> <t> <m>" then s rows of t colors (row u, column v).
-#
-# '#' begins a comment line; blank lines are ignored.
 # ---------------------------------------------------------------------------
 
-
-def _data_rows(stream: TextIO) -> list[list[str]]:
-    rows = []
-    for line in stream:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split())
-    return rows
+# kind -> host class, its size attributes in header order, and the count and
+# widths of its data rows from those sizes
+_KINDS = {
+    "Kn": (ColoredComplete, ("n",), lambda n: (n - 1, range(n - 1, 0, -1))),
+    "Kst": (ColoredBipartite, ("s", "t"), lambda s, t: (s, repeat(t, s))),
+}
 
 
-def _parse_color(token: str, m: int) -> int:
-    try:
-        c = int(token)
-    except ValueError:
-        raise ColoringFormatError(f"bad color token {token!r}") from None
-    if not (1 <= c <= m):
-        raise ColoringFormatError(f"color {c} out of range 1..{m}")
-    return c
+def _row_colors(rows: list[str], widths: Iterable[int]) -> Iterator[list[int]]:
+    """Each data row's integers, once the row's width is checked."""
+    for i, (row, want) in enumerate(zip(rows, widths), start=1):
+        tokens = row.split()
+        if len(tokens) != want:
+            raise ColoringFormatError(f"row {i}: expected {want} entries, got {len(tokens)}")
+        try:
+            colors = list(map(int, tokens))
+        except ValueError:
+            for token in tokens:
+                try:
+                    int(token)
+                except ValueError:
+                    raise ColoringFormatError(f"bad color token {token!r}") from None
+        yield colors
 
 
 def read_coloring(stream: TextIO) -> Host:
-    """Parse a coloring file into a ColoredComplete or ColoredBipartite."""
-    rows = _data_rows(stream)
-    if not rows:
+    """Parse a coloring file into a ColoredComplete or ColoredBipartite.
+
+    Checked in this order, each failure a ColoringFormatError: the header,
+    the number of data rows, each row's width and integers as the host
+    takes the row, then, in the host's constructor, its sizes, m >= 1 and
+    the colors' range 1..m."""
+    lines = [line for line in map(str.strip, stream) if line and line[0] != "#"]
+    if not lines:
         raise ColoringFormatError("empty input")
-    header = rows[0]
-    body = rows[1:]
+    header, body = lines[0].split(), lines[1:]
+    if header[0] not in _KINDS:
+        raise ColoringFormatError(f"unknown header kind {header[0]!r}")
+    cls, names, layout = _KINDS[header[0]]
+    if len(header) != len(names) + 2:
+        raise ColoringFormatError(f"malformed header: {' '.join(header)}")
     try:
-        if header[0] == "Kn":
-            if len(header) != 3:
-                raise ColoringFormatError(f"malformed header: {' '.join(header)}")
-            n, m = int(header[1]), int(header[2])
-            if len(body) != max(n - 1, 0):
-                raise ColoringFormatError(
-                    f"expected {n - 1} data rows, got {len(body)}"
-                )
-            colors = []
-            for i, row in enumerate(body, start=1):
-                want = n - i
-                if len(row) != want:
-                    raise ColoringFormatError(
-                        f"row {i}: expected {want} entries, got {len(row)}"
-                    )
-                colors.extend(_parse_color(tok, m) for tok in row)
-            return ColoredComplete(n, m, colors)
-        if header[0] == "Kst":
-            if len(header) != 4:
-                raise ColoringFormatError(f"malformed header: {' '.join(header)}")
-            s, t, m = int(header[1]), int(header[2]), int(header[3])
-            if len(body) != s:
-                raise ColoringFormatError(f"expected {s} data rows, got {len(body)}")
-            colors = []
-            for u, row in enumerate(body):
-                if len(row) != t:
-                    raise ColoringFormatError(
-                        f"row {u + 1}: expected {t} entries, got {len(row)}"
-                    )
-                colors.extend(_parse_color(tok, m) for tok in row)
-            return ColoredBipartite(s, t, m, colors)
+        *sizes, m = map(int, header[1:])
+        count, widths = layout(*sizes)
+        if len(body) != count:
+            raise ColoringFormatError(f"expected {count} data rows, got {len(body)}")
+        return cls(*sizes, m, chain.from_iterable(_row_colors(body, widths)))
     except ValueError as exc:
         if isinstance(exc, ColoringFormatError):
             raise
         raise ColoringFormatError(str(exc)) from None
-    raise ColoringFormatError(f"unknown header kind {header[0]!r}")
 
 
 def write_coloring(host: Host, stream: TextIO) -> None:
-    """Serialize a host in the canonical file format (read/write round-trips)."""
-    if isinstance(host, ColoredComplete):
-        stream.write(f"Kn {host.n} {host.m}\n")
-        for u in range(host.n - 1):
-            stream.write(
-                " ".join(str(host.color(u, v)) for v in range(u + 1, host.n)) + "\n"
-            )
-    elif isinstance(host, ColoredBipartite):
-        stream.write(f"Kst {host.s} {host.t} {host.m}\n")
-        for u in range(host.s):
-            stream.write(" ".join(str(host.color(u, v)) for v in range(host.t)) + "\n")
+    """Serialize a host in the canonical file format (read/write round-trips):
+    its header, then its flat color array cut at the rows' widths."""
+    for kind, (cls, names, layout) in _KINDS.items():
+        if isinstance(host, cls):
+            break
     else:
         raise TypeError(f"not a colored host: {host!r}")
+    sizes = [getattr(host, name) for name in names]
+    stream.write(" ".join(map(str, (kind, *sizes, host.m))) + "\n")
+    colors, start = host._colors, 0
+    for width in layout(*sizes)[1]:
+        stream.write(" ".join(map(str, colors[start:start + width])) + "\n")
+        start += width
 
 
 def load_coloring(path) -> Host:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product, starmap
 
 from .core import ColoredComplete, _random_complete, restrict
 from .connectivity import largest_k_connected, vertex_connectivity
@@ -83,8 +83,9 @@ def _memo(memo: dict, oracle, g, *args):
 
 def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) -> None:
     def note(head, *answers):
-        # the coloring goes after the head, copied only for a mismatch
-        report.mismatches.append((*head, tuple(host._colors), *answers))
+        # the coloring goes after the head, read only for a mismatch
+        colors = starmap(host.pair_color, combinations(range(host.n), 2))
+        report.mismatches.append((*head, tuple(colors), *answers))
 
     for pat in patterns:
         fast = find_rainbow(host, pat) is not None  # it validates its witness

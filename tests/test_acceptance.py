@@ -5,7 +5,7 @@ All expected values are pinned exactly (tolerance 0 after the stated
 rounding); sampled criteria demand zero failures at full sample counts.
 Criteria 1-4, 6 and 7 run their claims from the registry (``claims.py``),
 and so does criterion 5 for the two-level sequences (t = 1..5).  Criterion 8
-runs the registry's path-quota sample case under its own seed.  Criteria 5
+runs the registry's path-quota claim under its own seed.  Criteria 5
 (its enumeration up to n = 7), 9 and 11 keep their own bodies because they
 are stricter than the registry's copies (more sizes, samples or hosts);
 criterion 10 is the oracle cross-check.
@@ -15,7 +15,7 @@ import random
 import time
 from itertools import combinations, combinations_with_replacement
 
-from rainbowfree.claims import _quota_case, _sampled, build_registry, run_claims
+from rainbowfree.claims import build_registry, run_claims
 from rainbowfree.connectivity import gyarfas_floor, is_k_connected, mader_extract
 from rainbowfree.constructions import (
     eg_realizable,
@@ -119,8 +119,10 @@ def test_criterion_07_background_spanning():
 
 def test_criterion_08_path_quotas():
     with budget("8 path quotas and degree identity", 300):
-        holds, witness = _sampled("samples", 1000, _quota_case)(808)
+        (claim,) = [c for c in build_registry() if c.id == "path-quota-random"]
+        holds, witness = claim.run(808)
         assert holds, witness
+        assert witness["samples"] == 1000  # the registry's count, as before
 
 
 def test_criterion_09_dense_subgraph_extraction():

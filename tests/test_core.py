@@ -1,8 +1,10 @@
 import io
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -186,21 +188,52 @@ def test_read_ignores_comments_and_blank_lines():
     assert host.color(1, 2) == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # empty
-        "Kx 3 2\n1 2\n1\n",  # unknown kind
-        "Kn 3\n1 2\n1\n",  # short header
-        "Kn 3 2\n1 2\n",  # missing row
-        "Kn 3 2\n1 2 2\n1\n",  # extra entry
-        "Kn 3 2\n1 3\n1\n",  # color out of range
-        "Kn 3 2\n1 x\n1\n",  # non-numeric
-    ],
-)
+# a malformed file and the message it is refused with
+MALFORMED = {
+    "": "empty input",
+    "Kx 3 2\n1 2\n1\n": "unknown header kind 'Kx'",
+    "Kn 3\n1 2\n1\n": "malformed header: Kn 3",
+    "Kn 3 2\n1 2\n": "expected 2 data rows, got 1",
+    "Kn 3 2\n1 2 2\n1\n": "row 1: expected 2 entries, got 3",
+    "Kn 3 2\n1 3\n1\n": "color 3 out of range 1..2",
+    "Kn 3 2\n1 x\n1\n": "bad color token 'x'",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_read_rejects_malformed(text):
-    with pytest.raises(ColoringFormatError):
+    with pytest.raises(ColoringFormatError, match=f"^{re.escape(MALFORMED[text])}$"):
         read_coloring(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", ["Kn 100000000 2\n1\n", "Kst 100000 100000 2\n1 2\n"])
+def test_oversized_header_refused_before_allocation(text):
+    # the rows a header promises are counted, never listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ColoringFormatError, match="data rows"):
+            read_coloring(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10
+
+
+def test_reader_memory_stays_near_the_color_array():
+    # K_1500's 1.1 M colors take about 9 MB as one flat tuple; keeping every
+    # token of the file until the host was built peaked at 77 MB
+    host = _random_complete(random.Random(0), 1500, 30)
+    buf = io.StringIO()
+    write_coloring(host, buf)
+    buf.seek(0)
+    tracemalloc.start()
+    try:
+        read = read_coloring(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == host
+    assert peak < 40 << 20
 
 
 def test_roundtrip_is_identity():

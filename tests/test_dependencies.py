@@ -55,8 +55,12 @@ def test_only_connectivity_uses_the_cut_kernel():
 
 def test_host_storage_readers_are_pinned():
     # a change to how hosts store colors, masks or pair offsets has to mend
-    # these readers and no others: crosscheck copies the colors into a
-    # mismatch report, and sample_gallai fills a flat color list
+    # this reader and no other.  sample_gallai fills the flat color list
+    # through the pair offsets: filling per-vertex rows and passing their
+    # concatenation to the constructor gave the same colors, but 4,000 K9
+    # samples took a median 0.169 s against 0.156 s (best of 5, five runs
+    # each, 2 vCPUs, CPython 3.11), and verify-structure draws 2,000 samples
+    # per pass
     storage = {"_colors", "_offsets", "_row", "_pairs", "_all_masks", "_tri_offsets"}
     readers = set()
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -70,7 +74,7 @@ def test_host_storage_readers_are_pinned():
             else:
                 continue
             readers |= {(path.name, name) for name in names & storage}
-    assert readers == {("crosscheck.py", "_colors"), ("gallai.py", "_tri_offsets")}
+    assert readers == {("gallai.py", "_tri_offsets")}
 
 
 def test_oracles_import_only_the_graph_types():
