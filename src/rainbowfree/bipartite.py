@@ -212,13 +212,7 @@ class SpanningWitness(NamedTuple):
     reason: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "k": self.k,
-            "color": self.color,
-            "order": self.order,
-            "reason": self.reason,
-        }
+        return self._asdict()
 
 
 def verify_background_spanning_kconn(host: ColoredBipartite, k: int) -> SpanningWitness:

@@ -70,13 +70,7 @@ class RunReport(NamedTuple):
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "witness": self.witness,
-            "millis": self.millis,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 # label -> (title, generator) of the constructions the claims run on

@@ -46,14 +46,7 @@ class ConnectivityReport(NamedTuple):
     exact: bool
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "mask": sorted(self.mask),
-            "witness": list(self.witness),
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-        }
+        return {**self._asdict(), "mask": sorted(self.mask), "witness": list(self.witness)}
 
 
 class OrderCapResult(NamedTuple):
@@ -288,8 +281,8 @@ def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
     if k < 1:
         raise ValueError("k must be at least 1")
     allowed = normalize_mask(host, mask)
-    g = restrict(host, allowed)
-    witness = tuple(iter_bits(_max_k_connected(g.adj_bits, (1 << g.n) - 1, k)))
+    adj_bits = host.color_masks(*allowed)
+    witness = tuple(iter_bits(_max_k_connected(adj_bits, (1 << len(adj_bits)) - 1, k)))
     return ConnectivityReport(
         k=k,
         mask=allowed,

@@ -215,13 +215,22 @@ class _ColoredHost:
     def color_counts(self) -> dict[int, int]:
         return dict(Counter(self._colors))
 
-    def color_masks(self, c: int) -> tuple[int, ...]:
-        """Adjacency bitmasks, one per global vertex, of the edges colored ``c``.
+    def color_masks(self, *colors: int) -> tuple[int, ...]:
+        """Adjacency bitmasks, one per global vertex, of the edges whose
+        color is in ``colors`` (which may be none); colors the host does not
+        use add nothing, and one used color's masks are returned as kept.
 
         All colors are built in one edge pass on first use and kept; the
         finished dict is assigned once, complete.
         """
-        return self._all_masks().get(c) or (0,) * self.vertex_count
+        masks = self._all_masks()
+        found = [masks[c] for c in colors if c in masks]
+        if not found:
+            return (0,) * self.vertex_count
+        bits = found[0]
+        for more in found[1:]:
+            bits = tuple(map(or_, bits, more))
+        return bits
 
     def search_masks(self) -> dict[int, tuple[int, ...]] | None:
         """Every used color's ``color_masks``, or None, building none, when
@@ -471,27 +480,13 @@ def normalize_mask(host: Host, mask: Iterable[int]) -> frozenset[int]:
     return out
 
 
-def color_bits(host: Host, colors) -> tuple[int, ...]:
-    """Adjacency bitmasks, over the host's global vertices, of the edges
-    whose color is in ``colors`` (which may be empty), ORed from the host's
-    cached color masks; colors the host does not use add nothing."""
-    masks = host._all_masks()
-    found = [masks[c] for c in colors if c in masks]
-    if not found:
-        return (0,) * host.vertex_count
-    bits = found[0]
-    for more in found[1:]:
-        bits = tuple(map(or_, bits, more))
-    return bits
-
-
 def restrict(host: Host, mask: Iterable[int]) -> SimpleGraph:
     """The spanning subgraph keeping exactly the edges whose color is in ``mask``.
 
     The result lives on all of the host's (global) vertices; vertices whose
     incident colors all fall outside the mask become isolated.
     """
-    return SimpleGraph._from_bits(color_bits(host, normalize_mask(host, mask)))
+    return SimpleGraph._from_bits(host.color_masks(*normalize_mask(host, mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 import time
 from functools import lru_cache
 from itertools import combinations, product, starmap
+from typing import NamedTuple
 
 from .core import ColoredComplete, _random_complete, restrict
 from .connectivity import largest_k_connected, vertex_connectivity
@@ -42,15 +43,17 @@ def _patterns(full: bool) -> tuple[Pattern, ...]:
     return tuple(map(parse_pattern, names))
 
 
-class CrosscheckReport:
-    """Counts and mismatches of one cross-check run, filled in as it goes."""
+class CrosscheckReport(NamedTuple):
+    """Counts and mismatches of one cross-check run."""
 
-    def __init__(self, max_n: int, max_m: int, mode: str, seed: int = 0):
-        self.max_n, self.max_m = max_n, max_m
-        self.mode = mode  # "full" or "sampled"
-        self.colorings = self.comparisons = self.millis = 0
-        self.mismatches: list = []
-        self.seed = seed
+    max_n: int
+    max_m: int
+    mode: str  # "full" or "sampled"
+    colorings: int
+    comparisons: int
+    mismatches: list
+    millis: int
+    seed: int
 
     @property
     def ok(self) -> bool:
@@ -81,16 +84,18 @@ def _memo(memo: dict, oracle, g, *args):
     return answer
 
 
-def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) -> None:
+def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, memo) -> tuple[int, list]:
+    """(comparisons made, mismatches found) on one host."""
+    mismatches: list = []
+
     def note(head, *answers):
         # the coloring goes after the head, read only for a mismatch
         colors = starmap(host.pair_color, combinations(range(host.n), 2))
-        report.mismatches.append((*head, tuple(colors), *answers))
+        mismatches.append((*head, tuple(colors), *answers))
 
     for pat in patterns:
         fast = find_rainbow(host, pat) is not None  # it validates its witness
         slow = oracle_rainbow_exists(host, pat)
-        report.comparisons += 1
         if fast != slow:
             note(("rainbow", pat.canonical_name), fast, slow)
     used = sorted(host.used_colors())
@@ -99,26 +104,26 @@ def _check_host(host: ColoredComplete, patterns, ks, lkc_masks, report, memo) ->
         g = per_color[c]
         fast = vertex_connectivity(g)
         slow = _memo(memo, oracle_vertex_connectivity, g)
-        report.comparisons += 1
         if fast != slow:
             note(("kappa", c), fast, slow)
         wit = longest_mono_path(host, c)
         slow_len = _memo(memo, oracle_longest_path_order, g)
-        report.comparisons += 1
         if not wit.exact or wit.order != slow_len:
             note(("path", c), wit.order, slow_len)
+    comparisons = len(patterns) + 2 * len(used)
     for mask in lkc_masks:
         mask = frozenset(mask).intersection(per_color)
         if not mask:
             continue
         # a single color's graph is the one built above
         g = per_color[min(mask)] if len(mask) == 1 else restrict(host, mask)
+        comparisons += len(ks)
         for k in ks:
             rep = largest_k_connected(host, mask, k)
             slow = _memo(memo, oracle_largest_k_connected, g, k)
-            report.comparisons += 1
             if not rep.exact or rep.lower != slow or rep.upper != slow:
                 note(("lkc", sorted(mask), k), rep.lower, slow)
+    return comparisons, mismatches
 
 
 def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE_BUDGET) -> CrosscheckReport:
@@ -138,28 +143,27 @@ def micro_crosscheck(max_n: int, max_m: int, seed: int = 0, budget: int = SAMPLE
         raise ValueError("budget must be at least 1")
     n, m = max_n, max_m
     pairs = n * (n - 1) // 2
-    space = m**pairs
     start = time.monotonic()
-    full = space <= budget
-    report = CrosscheckReport(n, m, "full" if full else "sampled", seed=seed)
+    full = m**pairs <= budget
     patterns = [p for p in _patterns(full) if p.order <= n]
-    memo: dict = {}
     if full:
         ks = [1, 2, 3]
-        for colors in product(range(1, m + 1), repeat=pairs):
-            host = ColoredComplete(n, m, colors)
-            masks = [{c} for c in sorted(host.used_colors())]
-            if m >= 2:
-                masks.append({1, 2})
-            _check_host(host, patterns, ks, masks, report, memo)
-            report.colorings += 1
+        two = [{1, 2}] if m >= 2 else []
+        hosts = (ColoredComplete(n, m, colors) for colors in product(range(1, m + 1), repeat=pairs))
+        checks = ((host, [{c} for c in sorted(host.used_colors())] + two) for host in hosts)
     else:
+        ks = [1, 2]
         rng = random.Random(seed)
-        for i in range(budget):
-            host = _random_complete(rng, n, m)
-            # rotate the heavier largest-k-connected check across colors
-            mask = {(i % m) + 1}
-            _check_host(host, patterns, [1, 2], [mask], report, memo)
-            report.colorings += 1
-    report.millis = int((time.monotonic() - start) * 1000)
-    return report
+        # rotate the heavier largest-k-connected check across colors
+        checks = ((_random_complete(rng, n, m), [{(i % m) + 1}]) for i in range(budget))
+    colorings = comparisons = 0
+    mismatches: list = []
+    memo: dict = {}
+    for host, masks in checks:
+        count, found = _check_host(host, patterns, ks, masks, memo)
+        colorings += 1
+        comparisons += count
+        mismatches += found
+    millis = int((time.monotonic() - start) * 1000)
+    mode = "full" if full else "sampled"
+    return CrosscheckReport(n, m, mode, colorings, comparisons, mismatches, millis, seed)

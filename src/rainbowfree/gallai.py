@@ -19,7 +19,6 @@ from .core import (
     MAX_VERTICES,
     ColoredComplete,
     _require_complete,
-    color_bits,
     components,
     iter_bits,
 )
@@ -123,7 +122,7 @@ def gallai_partition(host: ColoredComplete) -> GallaiPartition:
         raise CertificationError("single-color split failed validation")
     full = (1 << host.n) - 1
     for i, j in combinations(used, 2):
-        parts = components(color_bits(host, set(used) - {i, j}), full)
+        parts = components(host.color_masks(*(set(used) - {i, j})), full)
         if len(parts) < 2:
             continue
         parts = _merge_until_monochromatic(host, parts)

@@ -77,7 +77,7 @@ _PUSH_BUDGET = [32 + (1 << k >> 4) for k in range(_LATTICE_ORDER + 1)]
 
 
 class PathWitness(NamedTuple):
-    color: int | None  # None for witnesses in an uncolored graph
+    color: int
     vertices: tuple[int, ...]
     exact: bool
 
@@ -122,7 +122,7 @@ def validate_path(host: Host, witness: PathWitness) -> None:
         raise ValueError("path vertex out of range")
     for a, b in zip(verts, verts[1:]):
         c = host.pair_color(a, b)
-        if c is None or (witness.color is not None and c != witness.color):
+        if c != witness.color:
             raise ValueError(f"pair ({a},{b}) is not an edge of color {witness.color}")
 
 
@@ -477,12 +477,7 @@ class QuotaWitness(NamedTuple):
     reason: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "color": self.color,
-            "witness": self.witness.to_json() if self.witness else None,
-            "reason": self.reason,
-        }
+        return {**self._asdict(), "witness": self.witness.to_json() if self.witness else None}
 
 
 def check_mono_path_quota(host: Host, quotas) -> QuotaWitness:

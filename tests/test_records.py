@@ -1,7 +1,11 @@
 """The result records: each prints as ``Type(field=value, ...)``, serializes
-through its own ``to_json`` (``describe`` for ``Generated``), refuses field
-assignment, and hashes equal when equal.  They are NamedTuples, so all of
-this comes from the tuple."""
+through its own ``to_json`` (``describe`` for ``Generated``) to a payload
+that ``json.dumps`` writes with no ``default=``, its keys in the stated
+order, refuses field assignment, and hashes equal when equal; a record with
+a dict or list field refuses ``hash()``.  They are NamedTuples, so all of
+this but the JSON comes from the tuple."""
+
+import json
 
 import pytest
 
@@ -10,6 +14,7 @@ from rainbowfree.claims import Claim, RunReport
 from rainbowfree.connectivity import ConnectivityReport, OrderCapResult
 from rainbowfree.constructions import Generated
 from rainbowfree.core import ColoredComplete
+from rainbowfree.crosscheck import CrosscheckReport
 from rainbowfree.gallai import GallaiPartition, TwoColorWitness
 from rainbowfree.paths import CycleWitness, PathWitness, QuotaWitness
 from rainbowfree.patterns import parse_pattern
@@ -117,6 +122,23 @@ RECORDS = [
         {"claim_id": "toy", "status": "pass", "witness": "ok", "millis": 3, "seed": 7},
         True,
     ),
+    (
+        lambda: CrosscheckReport(3, 1, "full", 1, 6, [("path", 1, (1, 1, 1), 3, 0)], 2, 5),
+        "CrosscheckReport(max_n=3, max_m=1, mode='full', colorings=1, comparisons=6, "
+        "mismatches=[('path', 1, (1, 1, 1), 3, 0)], millis=2, seed=5)",
+        {
+            "max_n": 3,
+            "max_m": 1,
+            "mode": "full",
+            "colorings": 1,
+            "comparisons": 6,
+            "mismatches": [("path", 1, (1, 1, 1), 3, 0)],
+            "ok": False,
+            "millis": 2,
+            "seed": 5,
+        },
+        False,  # a list of mismatches
+    ),
 ]
 
 
@@ -129,6 +151,7 @@ def test_record_repr_json_immutability_and_hash(build, text, payload, hashable):
     if payload is not None:
         to_json = record.describe if isinstance(record, Generated) else record.to_json
         assert to_json() == payload
+        assert json.dumps(to_json()) == json.dumps(payload)  # no default=, same key order
     for name in type(record)._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
