@@ -6,12 +6,7 @@ Exact searches run on the non-isolated vertices of one color class, over
 there (Bellman; Held and Karp, 1962).  One lexicographic depth-first
 search, ``_first_path``, expands each state once, keeps the longest path it
 meets and stops at an upper bound on the order, so a search that finishes
-is exact and its answer is the level search's witness.  The route is
-chosen per component, since neither a path nor an anchor's states leave
-one: the cap cannot bind on a path search when the components'
-c * 2^(c-1) states sum to at most ``_STATE_CAP`` (each then has at most
-``_PATH_UNCAPPED`` vertices), on a cycle search when every component of
-the 2-core has at most ``_CYCLE_UNCAPPED``, nor on a complete class.
+is exact and its answer is the level search's witness.
 
 On classes of up to ``_LATTICE_ORDER`` = 20 vertices a level search backs
 it up, one level per path order.  A level is one int per endpoint over the
@@ -19,20 +14,15 @@ subset lattice, bit S set when S is such a set; ``_next_lattice`` grows it
 by whole-int ORs, ANDs and shifts, ``_levels`` keeps a binomial bound on
 the (set, endpoint) pairs and counts them against ``_STATE_CAP`` only once
 the bound passes it, and ``_lattice_path`` reads back the lexicographically
-least path of the last level.  There the search runs only where the cap
-cannot bind, and gives up after ``_PUSH_BUDGET`` pushes, about one lattice
-search on a half-dense class, so a search that gave up cost at most 3.3
-times the level search in measurement (on a sparse class, where the
-lattice is cheaper); elsewhere, and after a search that gave up, the
-levels answer.  A cycle's levels run on the 2-core; where a core component
-has more than ``_CYCLE_UNCAPPED`` vertices, the 20 vertices count on the
-whole class.
+least path of the last level.
 
-Above the lattice the search answers alone, allowed ``_STATE_CAP`` pushes
-where the cap can bind.  Each push enters a distinct state that the levels
-count too, so wherever their states stay under the cap (for a cycle, all
-anchors' together) the search finishes, with their witness.  A search that
-runs out returns the longest path or cycle it met, flagged inexact.
+``_route`` chooses between the two, for paths and cycles alike.  Where the
+cap cannot bind on the search, it runs: on up to 20 vertices under a push
+budget worth about one lattice search, after which the levels answer, and
+above that unbounded.  Elsewhere the levels answer on classes of up to 20
+vertices, and above that the search answers alone, allowed as many pushes
+as the cap allows states; one that runs out returns the longest path or
+cycle it met, flagged inexact.
 """
 
 from __future__ import annotations
@@ -45,10 +35,6 @@ from typing import NamedTuple
 from .core import Host, _induced_bits, _require_complete, ceil_div, components, iter_bits
 from .connectivity import CertificationError, _peel_to_kcore
 
-# Supports of at most EXACT_LIMIT vertices always get exact answers, for
-# paths and cycles alike; the two bounds below are the largest orders where
-# the state count makes that certain
-EXACT_LIMIT = 14
 # The cap counts (vertex set, endpoint) pairs, each endpoint bit of a level
 # entry once, over the levels of a search (of an anchor, for a cycle); the
 # levels read the count only where a bound on it passes the cap
@@ -112,35 +98,34 @@ class CycleWitness(NamedTuple):
         }
 
 
+def _validate_walk(host: Host, witness, kind: str) -> None:
+    """Distinct host vertices, consecutive pairs edges of the color, and
+    for a cycle of 3 or more vertices its closing pair too."""
+    verts = witness.vertices
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"repeated vertex in {kind}")
+    if verts and (min(verts) < 0 or max(verts) >= host.vertex_count):
+        raise ValueError(f"{kind} vertex out of range")
+    if kind == "cycle" and len(verts) >= 3:
+        verts = (*verts, verts[0])
+    color, pair_color = witness.color, host.pair_color
+    for a, b in zip(verts, verts[1:]):
+        if pair_color(a, b) != color:
+            raise ValueError(f"pair ({a},{b}) is not an edge of color {color}")
+
+
 def validate_path(host: Host, witness: PathWitness) -> None:
     """Independent check: distinct host vertices, consecutive pairs edges of
     the color."""
-    verts = witness.vertices
-    if len(set(verts)) != len(verts):
-        raise ValueError("repeated vertex in path")
-    if verts and (min(verts) < 0 or max(verts) >= host.vertex_count):
-        raise ValueError("path vertex out of range")
-    for a, b in zip(verts, verts[1:]):
-        c = host.pair_color(a, b)
-        if c != witness.color:
-            raise ValueError(f"pair ({a},{b}) is not an edge of color {witness.color}")
+    _validate_walk(host, witness, "path")
 
 
 def validate_cycle(host: Host, witness: CycleWitness) -> None:
     """Independent check: at least two distinct vertices, consecutive pairs
     and the closing pair edges of the color (two vertices: one lone edge)."""
-    verts = witness.vertices
-    if len(verts) < 2:
+    if len(witness.vertices) < 2:
         raise ValueError("a cycle witness needs at least 2 vertices")
-    if len(set(verts)) != len(verts):
-        raise ValueError("repeated vertex in cycle")
-    if len(verts) >= 3:
-        ring = list(verts) + [verts[0]]
-    else:
-        ring = list(verts)  # degenerate: a single edge
-    for a, b in zip(ring, ring[1:]):
-        if host.pair_color(a, b) != witness.color:
-            raise ValueError(f"pair ({a},{b}) is not an edge of color {witness.color}")
+    _validate_walk(host, witness, "cycle")
 
 
 def _complete(adj) -> bool:
@@ -392,46 +377,59 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
     return best, True
 
 
+def _route(adj, kept: int, target: int | None, cycle: bool):
+    """(path, exact) by ``_first_path`` over the components of ``kept``,
+    the vertices a search can use, or None where the lattice levels answer.
+    No answer is longer than the largest component, or than ``target``, so
+    the search stops at one of that order, as the levels do.
+
+    A search is free when the cap cannot bind on it: a path search when
+    its components' c * 2^(c-1) (set, endpoint) pairs sum to at most
+    ``_STATE_CAP``, which needs each to have at most ``_PATH_UNCAPPED``
+    vertices and holds unread on at most that many (c * 2^(c-1) is
+    superadditive); a cycle search when every component has at most
+    ``_CYCLE_UNCAPPED``, as an anchor's states stay in its component; and
+    either on a complete class, where the first path is 0, 1, ... with no
+    backtracking.
+
+    A free search runs.  On q vertices in ``kept`` with q at most
+    ``_LATTICE_ORDER`` it gives up after ``_PUSH_BUDGET[q - cycle]``
+    pushes, about one lattice search, and the levels, exact there, answer;
+    above that it is unbounded.  Where the search is not free the levels
+    answer on classes of at most ``_LATTICE_ORDER`` vertices (a cycle's on
+    the 2-core: an anchor's core states are among its states on the class,
+    so an exact answer keeps its witness).  Above that the search answers,
+    allowed ``_STATE_CAP`` pushes: each enters a distinct (set, endpoint)
+    pair that the levels count too (for a cycle, all anchors' together), so
+    it finishes wherever they would be exact, and one that runs out returns
+    its longest path or cycle, inexact.
+    """
+    comps = components(adj, kept)
+    q = kept.bit_count()
+    largest = max(map(int.bit_count, comps))
+    order = largest if target is None else min(largest, target)
+    if cycle:
+        free = largest <= _CYCLE_UNCAPPED
+    else:
+        free = q <= _PATH_UNCAPPED or (
+            largest <= _PATH_UNCAPPED
+            and sum(c << c - 1 for c in map(int.bit_count, comps)) <= _STATE_CAP
+        )
+    if free or _complete(adj):
+        budget = _PUSH_BUDGET[q - cycle] if q <= _LATTICE_ORDER else 0
+        path, finished = _first_path(adj, comps, order, cycle, budget)
+        if finished:
+            return path, True
+    elif len(adj) > _LATTICE_ORDER:
+        return _first_path(adj, comps, order, cycle, _STATE_CAP + 1)
+    return None
+
+
 def _longest_path(adj, target: int | None):
     """(path, exact): the lexicographically least longest path, or with
-    ``target`` the least path of that order where there is one, by
-    ``_first_path`` or the lattice levels.
-
-    No path is longer than the largest component, or than ``target``, so
-    the search stops at a path of that order, as the levels do.  The
-    component rule: no path leaves its component, and a component of c
-    vertices holds at most c * 2^(c-1) (set, endpoint) pairs, so the cap
-    cannot bind when these sum to at most ``_STATE_CAP`` over the
-    components, which needs each to have at most ``_PATH_UNCAPPED``
-    vertices; nor on a complete class, where the first path is 0, 1, ...
-    with no backtracking.  A class of at most ``_PATH_UNCAPPED`` vertices
-    passes the rule unread: c * 2^(c-1) is superadditive, so the sum is at
-    most q * 2^(q-1), which is at most the cap.  On classes of at most
-    ``_LATTICE_ORDER`` vertices the search runs only there, and gives up
-    after ``_PUSH_BUDGET[q]`` pushes, about one lattice search, so it cost
-    at most 3.3 times the level search in measurement; then, and where the
-    cap can bind, the levels answer.  Above the lattice the search answers,
-    allowed ``_STATE_CAP`` pushes: each enters a distinct (set, endpoint)
-    pair that the levels count before their last level, so it finishes
-    wherever they would be exact, and one that runs out returns its longest
-    path, inexact.
-    """
-    q = len(adj)
-    comps = components(adj, (1 << q) - 1)
-    sizes = list(map(int.bit_count, comps))
-    order = max(sizes) if target is None else min(max(sizes), target)
-    if q > _LATTICE_ORDER:
-        return _first_path(adj, comps, order, False, _STATE_CAP + 1)
-    if (
-        q > _PATH_UNCAPPED
-        and (max(sizes) > _PATH_UNCAPPED or sum(c << (c - 1) for c in sizes) > _STATE_CAP)
-        and not _complete(adj)
-    ):
-        return _longest_path_bits(adj, target)
-    path, finished = _first_path(adj, comps, order, False, _PUSH_BUDGET[q])
-    if finished:
-        return path, True
-    return _longest_path_bits(adj, target)
+    ``target`` the least path of that order where there is one."""
+    whole = (1 << len(adj)) - 1
+    return _route(adj, whole, target, False) or _longest_path_bits(adj, target)
 
 
 def _color_class(host: Host, color: int):
@@ -464,7 +462,7 @@ def _mono_path_of_order(host: Host, color: int, order: int):
     support, adj = _color_class(host, color)
     path, exact = _longest_path(adj, order)
     if len(path) >= order:
-        witness = PathWitness(color, tuple(map(support.__getitem__, path[:order])), True)
+        witness = PathWitness(color, tuple(map(support.__getitem__, path)), True)
         validate_path(host, witness)
         return witness, True
     return None, exact
@@ -583,40 +581,15 @@ def _two_core(adj) -> int:
 
 def _longest_cycle(adj):
     """(longest cycle, exact): the least anchor-rooted cycle of the largest
-    length, from the least anchor that reaches it, by ``_first_path`` over
-    the 2-core or the lattice levels.
-
-    Every cycle lies in one component of the 2-core, the vertices of the
-    graph's cycles and of the paths between them, so the search runs there
-    and stops at a Hamilton cycle of the largest core component.  The
-    component rule: an anchor's levels on the core stay in its component,
-    so the cap cannot bind there when every core component has at most
-    ``_CYCLE_UNCAPPED`` vertices, nor on a complete class, where the first
-    cycle is 0, 1, ... with no backtracking.  Then the search runs; on cores
-    of at most ``_LATTICE_ORDER`` vertices it gives up after
-    ``_PUSH_BUDGET[q - 1]`` pushes, about one lattice search over an
-    anchor's sets, so it cost at most 2.5 times the level search in
-    measurement, and the levels run on the core relabeled in order, which
-    keeps their witness.  Elsewhere the levels run on the core too if the
-    whole class has at most ``_LATTICE_ORDER`` vertices: an anchor's core
-    states are among its states on the class, so an exact answer keeps its
-    witness and a capped one can only get longer or exact.  Above that the
-    search runs, allowed ``_STATE_CAP`` pushes, and one that runs out
-    returns its longest cycle, inexact.
-    """
+    length, from the least anchor that reaches it.  Every cycle lies in one
+    component of the 2-core, so the search runs there, and the levels run
+    on the core relabeled in order, which keeps their witness."""
     kept = _two_core(adj)
     if not kept:
         return [], True
-    comps = components(adj, kept)
-    order = max(map(int.bit_count, comps))
-    if order <= _CYCLE_UNCAPPED or _complete(adj):
-        q = kept.bit_count()
-        budget = _PUSH_BUDGET[q - 1] if q <= _LATTICE_ORDER else 0
-        cycle, finished = _first_path(adj, comps, order, True, budget)
-        if finished:
-            return cycle, True
-    elif len(adj) > _LATTICE_ORDER:
-        return _first_path(adj, comps, order, True, _STATE_CAP + 1)
+    answer = _route(adj, kept, None, True)
+    if answer:
+        return answer
     verts = list(iter_bits(kept))
     cycle, exact = _longest_cycle_bits(_induced_bits(adj, verts))
     return [verts[i] for i in cycle], exact

@@ -214,11 +214,30 @@ def test_validators_refuse_vertices_out_of_range():
     validate_path(host, paths.PathWitness(1, (0, 4), True))
     validate_cycle(host, paths.CycleWitness(1, (0, 2, 4), True))
     for verts in ((0, 5), (5, 0), (-1, 0), (3, -1), (5,), (-1,)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^path vertex out of range$"):
             validate_path(host, paths.PathWitness(1, verts, True))
     for verts in ((0, 1, 5), (5, 0, 1), (-1, 0, 1), (0, 1, -1), (0, 5), (-1, 0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cycle vertex out of range$"):
             validate_cycle(host, paths.CycleWitness(1, verts, True))
+
+
+def test_validators_refuse_repeats_and_pairs_of_another_color():
+    # K5 with the pair (0,3) in color 2: a cycle closes its ring, a path and
+    # a two-vertex cycle do not
+    host = ColoredComplete.from_function(5, 2, lambda u, v: 2 if {u, v} == {0, 3} else 1)
+    validate_path(host, paths.PathWitness(1, (0, 1, 2, 3), True))
+    validate_cycle(host, paths.CycleWitness(1, (0, 1, 2, 4), True))
+    validate_cycle(host, paths.CycleWitness(2, (0, 3), True))
+    for kind, check, record in (
+        ("path", validate_path, paths.PathWitness),
+        ("cycle", validate_cycle, paths.CycleWitness),
+    ):
+        with pytest.raises(ValueError, match=f"^repeated vertex in {kind}$"):
+            check(host, record(1, (0, 1, 0), True))
+        with pytest.raises(ValueError, match=r"^pair \(3,0\) is not an edge of color 1$"):
+            check(host, record(1, (1, 3, 0), True))
+    with pytest.raises(ValueError, match=r"^pair \(3,0\) is not an edge of color 1$"):
+        validate_cycle(host, paths.CycleWitness(1, (0, 1, 2, 3), True))
 
 
 def test_validate_cycle_refuses_fewer_than_two_vertices():
@@ -754,7 +773,6 @@ def test_depth_first_route_stops_where_the_cap_can_bind(monkeypatch):
     assert 15 * 2**14 <= cap < 16 * 2**15
     assert 15 * 2**14 + 1 <= cap < 16 * 2**15 + 1
     assert (paths._PATH_UNCAPPED, paths._CYCLE_UNCAPPED) == (15, 16)
-    assert paths.EXACT_LIMIT <= paths._PATH_UNCAPPED
     searched = []
     first_path = paths._first_path
     monkeypatch.setattr(
@@ -818,6 +836,48 @@ def test_search_above_the_lattice_keeps_the_exact_answers(monkeypatch):
                 assert route() == want, (kind, adj, target)
                 compared[kind] += 1
     assert min(compared) >= 10 and max(compared) < 60
+
+
+def _cliques_at_a_vertex(base, sizes):
+    """(edges, next vertex) of cliques of ``sizes`` vertices sharing the
+    vertex ``base``, their other vertices numbered on from it."""
+    edges, nxt = [], base + 1
+    for size in sizes:
+        edges += combinations([base, *range(nxt, nxt + size - 1)], 2)
+        nxt += size - 1
+    return edges, nxt
+
+
+def test_above_the_lattice_only_a_search_the_cap_can_bind_has_a_budget(monkeypatch):
+    # with the cap at 1,000 pairs (the uncapped orders stay 15 and 16),
+    # searches above the lattice where the cap cannot bind finish, however
+    # many pushes they take: three copies of two K7 at a cut vertex (13-vertex
+    # core components, no Hamilton cycle) take more than the cap, and five
+    # 6-vertex spiders (960 pairs) cannot.  Other searches are allowed
+    # _STATE_CAP pushes and return what they met, inexact, as on three K8 at
+    # a vertex (22 vertices, no Hamilton path or cycle)
+    monkeypatch.setattr(paths, "_STATE_CAP", 1_000)
+    blocks, spiders = [], []
+    for base in (0, 13, 26):
+        blocks += _cliques_at_a_vertex(base, [7, 7])[0]
+    for c in range(0, 30, 6):
+        spiders += [(c, c + 1), (c + 1, c + 2), (c, c + 3), (c + 3, c + 4), (c, c + 5)]
+    heavy = _edges_adj(22, _cliques_at_a_vertex(0, [8, 8, 8])[0])
+    cases = [
+        (_edges_adj(39, blocks), True, True),
+        (_edges_adj(30, spiders), False, True),
+        (heavy, True, False),
+        (heavy, False, False),
+    ]
+    for adj, cycle, free in cases:
+        kept = paths._two_core(adj) if cycle else (1 << len(adj)) - 1
+        comps = components(adj, kept)
+        order = max(map(int.bit_count, comps))
+        unbounded = paths._first_path(adj, comps, order, cycle, 0)
+        budgeted = paths._first_path(adj, comps, order, cycle, 1_001)
+        got = _longest_cycle(adj) if cycle else _longest_path(adj, None)
+        assert unbounded[1] and got == (unbounded if free else budgeted), (cycle, free)
+        assert budgeted[1] == (free and not cycle), (cycle, free)
 
 
 def test_r1_classes_above_the_lattice():

@@ -1,8 +1,9 @@
 """Code has a caller: every single-underscore function, class or
 module-level name defined in ``src/rainbowfree`` is referenced somewhere in
 the package outside its own definition, and so is every public function,
-class and method, not counting re-exports in ``__init__``.  A helper whose
-last caller went away would otherwise stay behind unnoticed."""
+class, method and module-level constant, not counting re-exports in
+``__init__``.  A helper whose last caller went away would otherwise stay
+behind unnoticed."""
 
 import ast
 from collections import defaultdict
@@ -15,13 +16,8 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__") and name != "_"
 
 
-def _definitions(tree):
-    """(name, first line, last line) of each private function or class, at
-    any depth, and of each private module-level assignment."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if _private(node.name):
-                yield node.name, node.lineno, node.end_lineno
+def _assignments(tree):
+    """(name, first line, last line) of each module-level assignment."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -30,8 +26,20 @@ def _definitions(tree):
         else:
             continue
         for target in targets:
-            if isinstance(target, ast.Name) and _private(target.id):
+            if isinstance(target, ast.Name):
                 yield target.id, node.lineno, node.end_lineno
+
+
+def _definitions(tree):
+    """(name, first line, last line) of each private function or class, at
+    any depth, and of each private module-level assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _private(node.name):
+                yield node.name, node.lineno, node.end_lineno
+    for name, first, last in _assignments(tree):
+        if _private(name):
+            yield name, first, last
 
 
 def _references(tree):
@@ -49,11 +57,15 @@ def _references(tree):
 
 def _public_definitions(tree):
     """(name, first line, last line) of each public function, class or
-    method, at any depth; dunders are neither."""
+    method, at any depth, and of each public module-level constant; dunders
+    are neither."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 yield node.name, node.lineno, node.end_lineno
+    for name, first, last in _assignments(tree):
+        if not name.startswith("_"):
+            yield name, first, last
 
 
 def _uncalled(definitions, skip=()):
