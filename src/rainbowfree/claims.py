@@ -347,54 +347,96 @@ def _random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def _mader_case(rng, seed, i):
-    n = rng.randint(8, 30)
-    g = _random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-    if g.edge_count == 0:
-        return None
-    sub = mader_extract(g)  # raises CertificationError on failure
-    return [] if is_k_connected(sub, ceil_div(g.edge_count, 2 * g.n)) else [i]
+def mader_random(least_n: int, count: int) -> Claim:
+    """``mader-random`` on ``count`` random graphs of least_n..30 vertices;
+    an edgeless graph is skipped and not counted."""
+
+    def case(rng, seed, i):
+        n = rng.randint(least_n, 30)
+        g = _random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        if g.edge_count == 0:
+            return None
+        sub = mader_extract(g)  # raises CertificationError on failure
+        return [] if is_k_connected(sub, ceil_div(g.edge_count, 2 * g.n)) else [i]
+
+    return Claim(
+        "mader-random",
+        f"{count} random graphs on {least_n}-30 vertices: extracted subgraph is "
+        "ceil(avg_degree/4)-connected",
+        _sampled("extractions", count, case),
+    )
 
 
-def _floors_everywhere(seed):
-    rng = random.Random(seed)
-    labels = ("R1", "R2", "R1m5", "F1", "F2", "F3", "intro", "counter4t-t1")
-    hosts = [_host(label) for label in labels]
-    hosts += [_random_complete(rng, rng.randint(4, 12), rng.randint(2, 4)) for _ in range(200)]
-    checked = 0
-    for host in hosts:
-        if len(host.used_colors()) >= 2:
-            gyarfas_floor(host)  # raises on violation
-            checked += 1
-    return True, {"hosts_checked": checked}
+def component_floors(labels: tuple[str, ...], random_hosts: int, gallai_hosts: int) -> Claim:
+    """``component-floors-everywhere`` on the constructions ``labels``, random
+    colorings of K_4..K_12 and Gallai 3-colorings of K_5..K_10."""
+
+    def run(seed):
+        rng = random.Random(seed)
+        hosts = [_host(label) for label in labels]
+        hosts += [
+            _random_complete(rng, rng.randint(4, 12), rng.randint(2, 4))
+            for _ in range(random_hosts)
+        ]
+        # Gallai host i is sampled with seed i; only its order comes from rng
+        hosts += [sample_gallai(rng.randint(5, 10), 3, i) for i in range(gallai_hosts)]
+        checked = 0
+        for host in hosts:
+            if len(host.used_colors()) >= 2:
+                gyarfas_floor(host)  # raises on violation
+                checked += 1
+        return True, {"hosts_checked": checked}
+
+    return Claim(
+        "component-floors-everywhere",
+        f"largest monochromatic component meets its floor on {len(labels)} "
+        f"constructions, {random_hosts} random hosts and {gallai_hosts} Gallai hosts",
+        run,
+    )
 
 
-def _degseq_small(seed):
-    failures = []
-    for n in range(2, 7):
-        truth = realizable_degree_sequences(n)
-        for raw in combinations_with_replacement(range(n - 1, -1, -1), n):
-            seq = tuple(sorted(raw, reverse=True))
-            if eg_realizable(seq) != (seq in truth):
-                failures.append(seq)
-            elif seq in truth:
-                g = realize_degree_sequence(seq)
-                if g.degree_sequence() != seq:
+def degseq_vs_enumeration(max_n: int) -> Claim:
+    """``degseq-vs-enumeration`` on every sequence of n = 1..max_n vertices."""
+
+    def run(seed):
+        failures = []
+        for n in range(1, max_n + 1):
+            truth = realizable_degree_sequences(n)
+            for raw in combinations_with_replacement(range(n - 1, -1, -1), n):
+                seq = tuple(sorted(raw, reverse=True))
+                if eg_realizable(seq) != (seq in truth):
                     failures.append(seq)
-    return not failures, {"max_n": 6, "failures": failures[:5]}
+                elif seq in truth:
+                    g = realize_degree_sequence(seq)
+                    if g.degree_sequence() != seq:
+                        failures.append(seq)
+        return not failures, {"max_n": max_n, "failures": failures[:5]}
+
+    return Claim(
+        "degseq-vs-enumeration",
+        f"realizability test agrees with exhaustive graph enumeration to n={max_n}",
+        run,
+    )
 
 
-def _degseq_corollary(seed):
-    failures = []
-    for t in range(1, 6):
-        seq = corollary_sequence(t)
-        if not eg_realizable(seq):
-            failures.append(t)
-            continue
-        g = realize_degree_sequence(seq)
-        if g.degree_sequence() != tuple(sorted(seq, reverse=True)):
-            failures.append(t)
-    return not failures, {"t_range": [1, 5], "failures": failures}
+def _degseq_two_level(last_t):
+    def run(seed):
+        failures = []
+        for t in range(1, last_t + 1):
+            seq = corollary_sequence(t)
+            if not eg_realizable(seq):
+                failures.append(t)
+                continue
+            g = realize_degree_sequence(seq)
+            if g.degree_sequence() != tuple(sorted(seq, reverse=True)):
+                failures.append(t)
+        return not failures, {"t_range": [1, last_t], "failures": failures}
+
+    return Claim(
+        "degseq-two-level",
+        f"the (2t x 2t, 2t x 2t-1) sequences realize for t=1..{last_t}",
+        run,
+    )
 
 
 def _r1_no_asms(seed):
@@ -509,27 +551,10 @@ def build_registry() -> list[Claim]:
             "300 random colorings: longest monochromatic cycle meets ceil(n/m)",
             _sampled("samples", 300, _cycle_floor_case),
         ),
-        Claim(
-            "mader-random",
-            "500 random graphs: extracted subgraph is ceil(avg_degree/4)-connected",
-            _sampled("extractions", 500, _mader_case),
-        ),
-        Claim(
-            "component-floors-everywhere",
-            "largest monochromatic component meets its floor on constructions "
-            "and random hosts",
-            _floors_everywhere,
-        ),
-        Claim(
-            "degseq-vs-enumeration",
-            "realizability test agrees with exhaustive graph enumeration to n=6",
-            _degseq_small,
-        ),
-        Claim(
-            "degseq-two-level",
-            "the (2t x 2t, 2t x 2t-1) sequences realize for t=1..5",
-            _degseq_corollary,
-        ),
+        mader_random(8, 500),
+        component_floors(("R1", "R2", "R1m5", "F1", "F2", "F3", "intro", "counter4t-t1"), 200, 0),
+        degseq_vs_enumeration(6),
+        _degseq_two_level(5),
     ]
 
 

@@ -5,7 +5,9 @@ private vertex-cut kernel, two named modules outside ``core`` read the
 hosts' private storage, and the oracles import nothing from the package but
 the graph and host types, of which they read only the stored adjacency and
 the color lookup.  Importing the package loads none of the slow
-standard-library modules a cold start would pay for."""
+standard-library modules a cold start would pay for.  The acceptance suite
+imports from the package only the claim registry and the cross-check, and
+no private name, so each of its criteria runs a registry statement."""
 
 import ast
 import os
@@ -88,6 +90,22 @@ def test_oracles_import_only_the_graph_types():
         elif isinstance(node, ast.Import):
             imported |= {(a.name, None) for a in node.names if a.name.startswith("rainbowfree")}
     assert imported == {("core", "Host"), ("core", "SimpleGraph")}
+
+
+def test_acceptance_suite_imports_only_the_registry_and_the_crosscheck():
+    # a criterion with a body of its own would import the library it checks;
+    # time is the criteria's wall-time budget
+    path = PACKAGE.parents[1] / "tests" / "test_acceptance.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+    assert {module for module, _ in imported} <= {
+        "time", "rainbowfree.claims", "rainbowfree.crosscheck"
+    }, sorted(imported)
+    assert not [name for _, name in imported if name and name.startswith("_")]
 
 
 def test_oracles_read_only_the_stored_graph_and_host_lookups():

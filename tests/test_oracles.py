@@ -4,7 +4,8 @@ they replaced: the recursive path extension, the unfiltered enumeration and
 the ascending cut enumeration up to n - 2, kept here as test-only copies.
 All three must give the same answer on every labeled graph of at most 5
 vertices, on the color classes of sampled 3-colorings of K6 and on seeded
-random graphs of 6-9 vertices."""
+random graphs of 6-9 vertices.  The degree-sequence enumeration finds as
+many graphical sequences as OEIS A004251 lists."""
 
 import random
 from itertools import combinations
@@ -15,6 +16,7 @@ from rainbowfree.oracles import (
     oracle_largest_k_connected,
     oracle_longest_path_order,
     oracle_vertex_connectivity,
+    realizable_degree_sequences,
 )
 
 KS = (1, 2, 3)
@@ -113,3 +115,8 @@ def test_seeded_random_graphs_of_six_to_nine_vertices():
         n = rng.randint(6, 9)
         p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
         _agree(SimpleGraph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+
+
+def test_realizable_degree_sequence_counts_match_oeis():
+    counts = [len(realizable_degree_sequences(n)) for n in range(1, 7)]
+    assert counts == [1, 2, 4, 11, 31, 102]  # OEIS A004251
