@@ -3,6 +3,7 @@ generators, rainbow-pattern detection, monochromatic/two-colored
 connectivity measurements, and a claim-verification harness."""
 
 from .core import (
+    CertificationError,
     ColoredBipartite,
     ColoredComplete,
     ColoringFormatError,
@@ -34,7 +35,6 @@ from .rainbow import (
     validate_embedding,
 )
 from .connectivity import (
-    CertificationError,
     ConnectivityReport,
     best_monochromatic,
     best_two_colored,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .core import MAX_VERTICES, ColoredBipartite, restrict
-from .connectivity import CertificationError, is_k_connected
+from .core import MAX_VERTICES, CertificationError, ColoredBipartite, _certify, restrict
+from .connectivity import is_k_connected
 from .constructions import Generated, _blocks, _split_sizes
 
 
@@ -89,7 +89,8 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     has an edge to another block, so the background is the one color every
     vertex sees (a block color is seen only inside its block), and each
     vertex's block is its other color, or the first block color if it has
-    none.  The validator certifies the result.
+    none.  The validator certifies the result once, and its reason for a
+    refusal is the CertificationError's message.
     """
     _require_bipartite(host)
     if min(host.s, host.t) < 3:
@@ -105,27 +106,25 @@ def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     if len(used) <= 4:
         return BipartiteStructure("A", used)
     everywhere = [c for c in seen[0] if all(c in cs for cs in seen)]
-    if len(everywhere) == 1:
-        b = everywhere[0]
-        block_colors = sorted(used - {b})
-        block_of = [next((c for c in cs if c != b), block_colors[0]) for cs in seen]
-        u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
-        v_block = block_of[host.s:]
-        v_parts = {c: tuple(v for v in range(host.t) if v_block[v] == c) for c in block_colors}
-        if validate_type_b(host, b, u_parts, v_parts) is None:
-            renumbering = {b: 1}
-            for i, c in enumerate(block_colors):
-                renumbering[c] = i + 2
-            return BipartiteStructure(
-                "B",
-                used,
-                background=b,
-                renumbering=renumbering,
-                u_parts={renumbering[c]: p for c, p in u_parts.items()},
-                v_parts={renumbering[c]: p for c, p in v_parts.items()},
-            )
-    raise CertificationError(
-        "no background color certifies; contradicts the structure theorem"
+    if len(everywhere) != 1:
+        raise CertificationError(f"no single background: every vertex sees colors {everywhere}")
+    b = everywhere[0]
+    block_colors = sorted(used - {b})
+    block_of = [next((c for c in cs if c != b), block_colors[0]) for cs in seen]
+    u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
+    v_block = block_of[host.s:]
+    v_parts = {c: tuple(v for v in range(host.t) if v_block[v] == c) for c in block_colors}
+    _certify(validate_type_b, host, b, u_parts, v_parts)
+    renumbering = {b: 1}
+    for i, c in enumerate(block_colors):
+        renumbering[c] = i + 2
+    return BipartiteStructure(
+        "B",
+        used,
+        background=b,
+        renumbering=renumbering,
+        u_parts={renumbering[c]: p for c, p in u_parts.items()},
+        v_parts={renumbering[c]: p for c, p in v_parts.items()},
     )
 
 

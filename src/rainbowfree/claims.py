@@ -39,7 +39,7 @@ from .constructions import (
     gen_intro_example,
     realize_degree_sequence,
 )
-from .core import ColoredBipartite, SimpleGraph, _random_complete, ceil_div
+from .core import CertificationError, ColoredBipartite, SimpleGraph, _random_complete, ceil_div
 from .gallai import (
     NotGallaiError,
     gallai_partition,
@@ -336,10 +336,11 @@ def _quota_case(rng, seed, i):
 
 def _cycle_floor_case(rng, seed, i):
     n, m = rng.randint(6, 12), rng.randint(2, 3)
-    host = _random_complete(rng, n, m)
-    floor = ceil_div(n, m)
-    # kano_li_floor raises on a violation
-    return [] if floor < 3 or kano_li_floor(host)[1].length >= floor else [i]
+    try:
+        kano_li_floor(_random_complete(rng, n, m))
+    except CertificationError:  # the floor's violation
+        return [i]
+    return []
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -369,7 +370,9 @@ def mader_random(least_n: int, count: int) -> Claim:
 
 def component_floors(labels: tuple[str, ...], random_hosts: int, gallai_hosts: int) -> Claim:
     """``component-floors-everywhere`` on the constructions ``labels``, random
-    colorings of K_4..K_12 and Gallai 3-colorings of K_5..K_10."""
+    colorings of K_4..K_12 and Gallai 3-colorings of K_5..K_10.  A failure
+    names its host as [name, n, m]: a construction's label, or "random i" or
+    "gallai i" for the i-th host of its kind."""
 
     def run(seed):
         rng = random.Random(seed)
@@ -380,12 +383,20 @@ def component_floors(labels: tuple[str, ...], random_hosts: int, gallai_hosts: i
         ]
         # Gallai host i is sampled with seed i; only its order comes from rng
         hosts += [sample_gallai(rng.randint(5, 10), 3, i) for i in range(gallai_hosts)]
-        checked = 0
-        for host in hosts:
+        names = [*labels, *(f"random {i}" for i in range(random_hosts))]
+        names += [f"gallai {i}" for i in range(gallai_hosts)]
+        checked, failures = 0, []
+        for name, host in zip(names, hosts):
             if len(host.used_colors()) >= 2:
-                gyarfas_floor(host)  # raises on violation
+                try:
+                    gyarfas_floor(host)
+                except CertificationError:  # the floor's violation
+                    failures.append([name, host.vertex_count, host.m])
                 checked += 1
-        return True, {"hosts_checked": checked}
+        witness = {"hosts_checked": checked}
+        if failures:
+            witness["failures"] = failures[:5]
+        return not failures, witness
 
     return Claim(
         "component-floors-everywhere",

@@ -17,7 +17,6 @@ from .bipartite import (
     verify_background_spanning_kconn,
 )
 from .connectivity import (
-    CertificationError,
     best_monochromatic,
     best_two_colored,
     largest_k_connected,
@@ -31,7 +30,7 @@ from .constructions import (
     gen_counterexample_4t,
     gen_intro_example,
 )
-from .core import dump_coloring, load_coloring
+from .core import CertificationError, dump_coloring, load_coloring
 from .crosscheck import SAMPLE_BUDGET, micro_crosscheck
 from .gallai import (
     gallai_partition,
@@ -46,7 +45,7 @@ from .rainbow import find_rainbow
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, default=str))
+    print(json.dumps(obj, indent=2))
 
 
 def _ints(flag: str, value: str) -> list[int]:
@@ -186,7 +185,7 @@ def _cmd_verify(args) -> int:
     payload = [r.to_json() for r in reports]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, default=str)
+            json.dump(payload, f, indent=2)
     bad = 0
     for r in reports:
         print(f"{r.status.upper():5s} {r.claim_id} ({r.millis} ms)")

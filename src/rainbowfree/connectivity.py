@@ -18,6 +18,7 @@ from math import comb
 from typing import NamedTuple
 
 from .core import (
+    CertificationError,
     Host,
     SimpleGraph,
     ceil_div,
@@ -28,11 +29,6 @@ from .core import (
     restrict,
     ColoredComplete,
 )
-
-
-class CertificationError(RuntimeError):
-    """An internal certificate failed: a bug trap, since the underlying
-    statements are theorems on every valid input."""
 
 
 class ConnectivityReport(NamedTuple):

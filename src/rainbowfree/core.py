@@ -25,6 +25,23 @@ class ColoringFormatError(ValueError):
     """Raised when a coloring file is malformed."""
 
 
+class CertificationError(RuntimeError):
+    """An internal certificate failed: a bug trap, since the underlying
+    statements are theorems on every valid input."""
+
+
+def _certify(validate, *args) -> None:
+    """Run an independent validator on an answer the library produced; its
+    objection, a ValueError or a returned reason, is the library's fault, so
+    it is raised as CertificationError with the same message."""
+    try:
+        reason = validate(*args)
+    except ValueError as exc:
+        reason = str(exc)
+    if reason is not None:
+        raise CertificationError(reason)
+
+
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 

@@ -5,8 +5,9 @@ sampler, and the two-colored highly-connected witness searches, which take
 A Gallai coloring is a rainbow-triangle-free coloring of a complete graph.
 Every such coloring admits a partition of the vertices into l >= 2 parts
 with at most two colors on cross-part edges and exactly one color between
-each pair of parts; the extractor below recovers one and re-checks it with
-an independent validator before returning.
+each pair of parts.  The extractor below returns the components outside
+the first disconnecting color pair as the parts, certified once by an
+independent validator.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import (
-    MAX_VERTICES,
-    ColoredComplete,
-    _require_complete,
-    components,
-    iter_bits,
-)
-from .core import _tri_offsets
-from .connectivity import CertificationError, largest_k_connected
+from .core import MAX_VERTICES, ColoredComplete, _certify, _require_complete, _tri_offsets
+from .core import components, iter_bits
+from .connectivity import largest_k_connected
 from .rainbow import find_rainbow_triangle
 
 
@@ -72,66 +67,44 @@ def validate_gallai_partition(host: ColoredComplete, parts) -> str | None:
     return None
 
 
-def _merge_until_monochromatic(host: ColoredComplete, parts: list[int]) -> list[int]:
-    """Merge part pairs showing mixed cross colors until stable (bitmask parts)."""
-    changed = True
-    while changed and len(parts) >= 2:
-        changed = False
-        for i, j in combinations(range(len(parts)), 2):
-            P, Q = parts[i], parts[j]
-            # monochromatic iff all of P sees all of Q in one edge's color
-            masks = host.color_masks(host.color(next(iter_bits(P)), next(iter_bits(Q))))
-            if any(masks[u] & Q != Q for u in iter_bits(P)):
-                parts = [p for idx, p in enumerate(parts) if idx not in (i, j)]
-                parts.append(P | Q)
-                changed = True
-                break
-    return parts
-
-
-def _parts_to_partition(host: ColoredComplete, parts: list[int]) -> GallaiPartition:
-    ordered = sorted(parts, key=lambda p: (p & -p))
-    tuples = tuple(tuple(iter_bits(p)) for p in ordered)
-    cross = []
-    for i, j in combinations(range(len(ordered)), 2):
-        u = next(iter_bits(ordered[i]))
-        v = next(iter_bits(ordered[j]))
-        cross.append((i, j, host.color(u, v)))
-    return GallaiPartition(tuples, tuple(cross))
-
-
 def gallai_partition(host: ColoredComplete) -> GallaiPartition:
     """Extract a partition with monochromatic part pairs and <= 2 cross colors.
 
-    Candidate parts come from the connected components of the graph of edges
-    colored outside a chosen pair {i, j}; mixed part pairs get merged.  Every
-    candidate is re-checked by the independent validator before returning.
-    When {i, j} are the cross colors of a Gallai partition, each component
-    lies inside one of its parts and no merge joins two of them, so some pair
-    always certifies; the final raise is a certificate failure.
+    The parts are the connected components of the graph H of the colors
+    outside the first pair {i, j} of used colors, in ``combinations``
+    order, that leaves two or more of them; a host with one color, which
+    has no pair, is split as [{0}, rest].  The independent validator
+    certifies the result once.
+
+    Proof that these parts need no merging.  Let A != B be components of H.
+    An A-B edge has color i or j, since an edge of any other color would
+    put its ends in one component.  Take a, a' in A joined by an H-edge of
+    color d outside {i, j}, and any b in B.  If c(ab) != c(a'b), then d,
+    c(ab) and c(a'b) are three distinct colors and aa'b is a rainbow
+    triangle; so all of A, connected in H, sees b in one color.  By
+    symmetry all of B sees a in one color, so A-B is monochromatic, and the
+    cross colors lie in {i, j}.  Some pair leaves two or more components by
+    Gallai's theorem (Gallai 1967; Gyarfas-Simonyi 2004): every edge whose
+    color is outside a Gallai partition's <= 2 cross colors lies inside a
+    part.  A failed certificate therefore means the host was not Gallai
+    after all, and raises CertificationError with the validator's reason.
     """
     _require_complete(host)
     if not is_gallai(host):
         raise NotGallaiError("host contains a rainbow triangle")
-    used = sorted(host.used_colors())
-    if len(used) == 1:
-        parts = [1, ((1 << host.n) - 1) & ~1]
-        result = _parts_to_partition(host, parts)
-        if validate_gallai_partition(host, result.parts) is None:
-            return result
-        raise CertificationError("single-color split failed validation")
     full = (1 << host.n) - 1
+    parts = [1, full ^ 1]
+    used = sorted(host.used_colors())
     for i, j in combinations(used, 2):
-        parts = components(host.color_masks(*(set(used) - {i, j})), full)
-        if len(parts) < 2:
-            continue
-        parts = _merge_until_monochromatic(host, parts)
-        if len(parts) < 2:
-            continue
-        result = _parts_to_partition(host, parts)
-        if validate_gallai_partition(host, result.parts) is None:
-            return result
-    raise CertificationError("failed to certify a partition on a Gallai host")
+        split = components(host.color_masks(*(set(used) - {i, j})), full)
+        if len(split) >= 2:
+            parts = split
+            break
+    parts = tuple(sorted(tuple(iter_bits(p)) for p in parts))
+    _certify(validate_gallai_partition, host, parts)
+    pairs = combinations(range(len(parts)), 2)
+    cross = tuple((i, j, host.color(parts[i][0], parts[j][0])) for i, j in pairs)
+    return GallaiPartition(parts, cross)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from itertools import compress
 from math import comb
 from typing import NamedTuple
 
-from .core import Host, _induced_bits, _require_complete, ceil_div, components, iter_bits
-from .connectivity import CertificationError, _peel_to_kcore
+from .core import CertificationError, Host, _certify, _induced_bits, _require_complete
+from .core import ceil_div, components, iter_bits
+from .connectivity import _peel_to_kcore
 
 # The cap counts (vertex set, endpoint) pairs, each endpoint bit of a level
 # entry once, over the levels of a search (of an anchor, for a cycle); the
@@ -453,7 +454,7 @@ def longest_mono_path(host: Host, color: int) -> PathWitness:
     support, adj = _color_class(host, color)
     path, exact = _longest_path(adj, None)
     witness = PathWitness(color, tuple(map(support.__getitem__, path)), exact)
-    validate_path(host, witness)
+    _certify(validate_path, host, witness)
     return witness
 
 
@@ -463,7 +464,7 @@ def _mono_path_of_order(host: Host, color: int, order: int):
     path, exact = _longest_path(adj, order)
     if len(path) >= order:
         witness = PathWitness(color, tuple(map(support.__getitem__, path)), True)
-        validate_path(host, witness)
+        _certify(validate_path, host, witness)
         return witness, True
     return None, exact
 
@@ -603,7 +604,7 @@ def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:
         v = support[0]
         w = support[(adj[0] & -adj[0]).bit_length() - 1]
         witness = CycleWitness(color, (v, w), exact)
-    validate_cycle(host, witness)
+    _certify(validate_cycle, host, witness)
     return witness
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import Host, ColoredComplete
+from .core import Host, ColoredComplete, _certify
 from .patterns import Pattern, embeddings, parse_pattern
 
 _K3 = parse_pattern("K3")
@@ -103,7 +103,7 @@ def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
         pattern.floors,
     )
     for mapping, colors in found:
-        validate_embedding(host, pattern, mapping)
+        _certify(validate_embedding, host, pattern, mapping)
         return Embedding(pattern, mapping, colors)
     return None
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rainbowfree import claims, crosscheck
+from rainbowfree import CertificationError, claims, crosscheck
 from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
 from rainbowfree.crosscheck import micro_crosscheck
 
@@ -108,6 +108,33 @@ def test_sampled_gallai_claims_share_no_host(monkeypatch):
     two, three = (seeds[c] for c in ("gallai-2conn-sampled", "gallai-3conn-sampled"))
     assert len(set(two)) == len(set(three)) == 40
     assert not set(two) & set(three)
+
+
+def test_violated_floors_fail_and_name_the_host(monkeypatch):
+    # a floor that raises is reported as the claim failing on that host, not
+    # as an error: F1(12,6,4) is the only 18-vertex host of the floors claim,
+    # and the fourth of the cycle claim's samples is its fourth call
+    gyarfas_floor, kano_li_floor = claims.gyarfas_floor, claims.kano_li_floor
+    calls = []
+
+    def broken_gyarfas(host):
+        if host.vertex_count == 18:
+            raise CertificationError("floor violated")
+        return gyarfas_floor(host)
+
+    def broken_kano_li(host):
+        calls.append(host)
+        if len(calls) == 4:
+            raise CertificationError("floor violated")
+        return kano_li_floor(host)
+
+    monkeypatch.setattr(claims, "gyarfas_floor", broken_gyarfas)
+    monkeypatch.setattr(claims, "kano_li_floor", broken_kano_li)
+    floors, cycles = run_claims("component-floors-everywhere"), run_claims("cycle-floor-random")
+    assert floors[0].status == "fail"
+    assert floors[0].witness == {"hosts_checked": 208, "failures": [["F1", 18, 4]]}
+    assert cycles[0].status == "fail"
+    assert cycles[0].witness == {"samples": 300, "failures": [3]}
 
 
 def test_construction_claims_pass():

@@ -248,6 +248,25 @@ def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "CertificationError"
 
 
+def test_rejected_self_checks_exit_3(tmp_path, capsys, monkeypatch):
+    # a witness the library's own validator rejects is a certificate
+    # failure, not bad input: a non-injective rainbow map, a repeated path
+    path = str(tmp_path / "r1.txt")
+    run(capsys, "gen", "R1", "--n", "9", "--m", "4", "-o", path)
+    monkeypatch.setattr(
+        rainbowfree.rainbow, "embeddings", lambda *args: iter([((0, 0, 1), frozenset({1, 2, 3}))])
+    )
+    monkeypatch.setattr(rainbowfree.paths, "_longest_path", lambda adj, target: ([0, 0], True))
+    for argv, message in (
+        (["detect", "--pattern", "K3", path], "mapping is not injective"),
+        (["paths", "--color", "1", path], "repeated vertex in path"),
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "CertificationError", "message": message}
+
+
 def test_crosscheck_cli(capsys):
     code, out = run(capsys, "crosscheck", "--max-n", "4", "--max-m", "2")
     assert code == 0

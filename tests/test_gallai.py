@@ -7,9 +7,17 @@ from itertools import combinations, product
 
 import pytest
 
+from rainbowfree import CertificationError, gallai
+from rainbowfree.cli import main
 from rainbowfree.connectivity import is_k_connected
 from rainbowfree.constructions import gen_counterexample_4t, gen_intro_example
-from rainbowfree.core import ColoredComplete, _random_complete, induced_subgraph, restrict
+from rainbowfree.core import (
+    ColoredComplete,
+    _random_complete,
+    dump_coloring,
+    induced_subgraph,
+    restrict,
+)
 from rainbowfree.gallai import (
     NotGallaiError,
     gallai_partition,
@@ -69,21 +77,63 @@ def test_partition_rejects_non_gallai():
         gallai_partition(ColoredComplete(3, 3, [1, 2, 3]))
 
 
+# sha256 of the JSON list of gallai_partition's to_json() answers: on the
+# 150 sampled hosts and the four registry Gallai constructions, and on every
+# Gallai coloring of the exhaustive test's (n, m)
+GOLDEN_PARTITIONS = {
+    "samples": "b0070dac1ee71c665412592855297d8c77803f37e3eb2dd9b6afb83310690807",
+    "exhaustive": "9801b2e1547fdf9b20a95ff1271a2cbcb7364b11da6cb2cb73f32ea910f152d0",
+}
+
+
+def _digest(partitions) -> str:
+    return hashlib.sha256(json.dumps(partitions).encode()).hexdigest()
+
+
+def test_partition_certificate_catches_a_misrecognized_host(tmp_path, capsys, monkeypatch):
+    # with recognition patched to pass a rainbow triangle, the components
+    # outside the first disconnecting pair are mixed, and the one validation
+    # refuses them with its reason
+    host = ColoredComplete(4, 3, [1, 1, 1, 1, 2, 3])
+    monkeypatch.setattr(gallai, "is_gallai", lambda host: True)
+    with pytest.raises(CertificationError, match=r"^parts 1,2 see colors \[1, 2\]$"):
+        gallai_partition(host)
+    path = str(tmp_path / "g.txt")
+    dump_coloring(host, path)
+    assert main(["gallai", "partition", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "CertificationError"
+
+
 def test_partition_on_samples():
-    for seed in range(150):
-        host = sample_gallai(8, 3, seed)
+    hosts = [sample_gallai(8, 3, seed) for seed in range(150)]
+    hosts += [
+        gen_intro_example(10, 3).host,
+        gen_intro_example(12, 5).host,
+        gen_counterexample_4t(1, 20).host,
+        gen_counterexample_4t(2, 40).host,
+    ]
+    partitions = []
+    for host in hosts:
         part = gallai_partition(host)
         assert validate_gallai_partition(host, part.parts) is None
+        partitions.append(part.to_json())
+    assert _digest(partitions) == GOLDEN_PARTITIONS["samples"]
 
 
 def test_partition_certifies_every_small_gallai_coloring():
-    # exhaustive over all colorings: the pair-components loop alone certifies
+    # exhaustive over all colorings: on every Gallai host the components
+    # outside the first disconnecting color pair pass the one validation
+    partitions = []
     for n, m in ((3, 3), (4, 3), (4, 5), (5, 3)):
         for colors in product(range(1, m + 1), repeat=n * (n - 1) // 2):
             host = ColoredComplete(n, m, list(colors))
             if is_gallai(host):
                 part = gallai_partition(host)
                 assert validate_gallai_partition(host, part.parts) is None, (n, m, colors)
+                partitions.append(part.to_json())
+    assert _digest(partitions) == GOLDEN_PARTITIONS["exhaustive"]
 
 
 def test_partition_coarsening_soundness():
@@ -174,8 +224,8 @@ def test_recognition_scales_past_a_thousand_vertices():
 
 def test_recognition_and_partition_scale_on_many_colors():
     # 20 colors is more than SEARCH_MASK_COLORS, so no masks are built and
-    # the pattern engine's twin rule carries the search: 1.1-1.3 s for
-    # is_gallai and 0.9-1.1 s for the partition at n = 2,000 on a 2-vCPU
+    # the pattern engine's twin rule carries the search: 0.9-1.4 s for
+    # is_gallai and 0.6-1.0 s for the partition at n = 2,000 on a 2-vCPU
     # host, where the triple loop took 15 s at n = 1,000
     host = sample_gallai(2000, 20, 1)
     start = time.perf_counter()
