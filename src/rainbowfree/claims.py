@@ -574,9 +574,14 @@ def run_claims(
     seed: int = 0,
     registry: list[Claim] | None = None,
 ) -> list[RunReport]:
-    """Run every claim whose id matches the glob; unknown patterns error."""
+    """Run every claim whose id matches the glob; unknown patterns error.
+    A pattern with no ``*``, ``?`` or ``[`` matches only itself, so it is
+    compared as it is and compiles no regex."""
     registry = registry if registry is not None else build_registry()
-    matched = set(fnmatch.filter([claim.id for claim in registry], pattern))
+    if any(c in pattern for c in "*?["):
+        matched = set(fnmatch.filter([claim.id for claim in registry], pattern))
+    else:
+        matched = {pattern}
     selected = [(idx, claim) for idx, claim in enumerate(registry) if claim.id in matched]
     if not selected:
         raise ValueError(f"no claim matches {pattern!r}")

@@ -23,6 +23,7 @@ from .core import (
     SimpleGraph,
     ceil_div,
     components,
+    flood,
     induced_subgraph,
     iter_bits,
     normalize_mask,
@@ -173,7 +174,15 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
     in one component while some non-neighbor lies in another.  A pair with
     k common neighbors has k disjoint paths through them, so its flow is
     skipped: it could not return a cut.
+
+    k = 1 takes one flood instead: the only cut of size below 1 is the
+    empty set, which separates the induced graph exactly when it is
+    disconnected, so the answer is 0 or None.  The degree scan has nothing
+    to add there, as an isolated vertex among two or more disconnects it.
     """
+    if k == 1:
+        low = active & -active
+        return None if flood(adj_bits, active, low.bit_length() - 1) == active else 0
     rest = active
     while rest:
         low = rest & -rest

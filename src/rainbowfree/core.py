@@ -134,16 +134,19 @@ class SimpleGraph:
 
 
 def flood(adj_bits, active: int, start: int) -> int:
-    """Bit set of vertices reachable from ``start`` inside ``active``."""
-    seen = 1 << start
-    frontier = seen
+    """Bit set of vertices reachable from ``start`` inside ``active``.  Each
+    frontier is walked lowest bit first inline: on the small graphs that
+    call this most, an ``iter_bits`` generator per frontier costs more than
+    the walk."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj_bits[v]
-        nxt &= active & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj_bits[low.bit_length() - 1]
+        frontier = nxt & active & ~seen
+        seen |= frontier
     return seen
 
 

@@ -433,37 +433,59 @@ def _longest_path(adj, target: int | None):
     return _route(adj, whole, target, False) or _longest_path_bits(adj, target)
 
 
-def _color_class(host: Host, color: int):
-    """(support, adjacency bitmasks of the class relabeled onto
-    0..len(support)-1), read from the host's color masks."""
+def _class_masks(host: Host, color: int) -> tuple[int, ...]:
+    """The host's adjacency bitmasks of one color, refusing a color outside
+    1..m or unused."""
     if not (1 <= color <= host.m):
         raise ValueError(f"color {color} outside declared range 1..{host.m}")
     masks = host.color_masks(color)
-    support = tuple(compress(range(len(masks)), masks))
-    if not support:
+    if not any(masks):
         raise ValueError(f"color {color} is unused")
+    return masks
+
+
+def _color_class(host: Host, color: int):
+    """(support, adjacency bitmasks of the class relabeled onto
+    0..len(support)-1), read from the host's color masks."""
+    masks = _class_masks(host, color)
+    support = tuple(compress(range(len(masks)), masks))
     if len(support) == len(masks):
         return support, masks
     return support, _induced_bits(masks, support)
+
+
+def _class_path(host: Host, color: int, target: int | None):
+    """(path in host labels, exact) in one color class, by ``_longest_path``
+    with ``target`` (None, or at least 2).
+
+    On a host of at most ``_PATH_UNCAPPED`` vertices the search runs on the
+    host's own masks, with no relabel: the cap cannot bind on so few, so
+    every route answers exactly, with the least path, and no vertex without
+    an edge of the color lies on a path of two or more.  A larger host's
+    class is relabeled onto its support, where the route's rules count it.
+    """
+    if host.vertex_count <= _PATH_UNCAPPED:
+        path, exact = _longest_path(_class_masks(host, color), target)
+        return tuple(path), exact
+    support, adj = _color_class(host, color)
+    path, exact = _longest_path(adj, target)
+    return tuple(map(support.__getitem__, path)), exact
 
 
 def longest_mono_path(host: Host, color: int) -> PathWitness:
     """A longest path within one color class; exact whenever the search space
     was exhausted, which is certain for supports of at most ``_PATH_UNCAPPED``
     vertices."""
-    support, adj = _color_class(host, color)
-    path, exact = _longest_path(adj, None)
-    witness = PathWitness(color, tuple(map(support.__getitem__, path)), exact)
+    witness = PathWitness(color, *_class_path(host, color, None))
     _certify(validate_path, host, witness)
     return witness
 
 
 def _mono_path_of_order(host: Host, color: int, order: int):
     """(witness or None, conclusive).  None+True means provably absent."""
-    support, adj = _color_class(host, color)
-    path, exact = _longest_path(adj, order)
+    path, exact = _class_path(host, color, order)
     if len(path) >= order:
-        witness = PathWitness(color, tuple(map(support.__getitem__, path)), True)
+        witness = PathWitness(color, path, True)
         _certify(validate_path, host, witness)
         return witness, True
     return None, exact

@@ -404,7 +404,8 @@ def embeddings(
     prev = None
     domain = None
     delay = TWIN_DELAY if twins is not None or color_masks is not None else 0
-    above = [()] * size if floors is None else _floor_vertices(plan, floors)
+    if floors is None:
+        floors = ((),) * size
     # per open step: its lowest candidate, its candidate iterator, and the
     # colors its current image added
     lowest = [0] * size
@@ -424,9 +425,10 @@ def embeddings(
         # every image of a mirrored copy exceeds its predecessor's least image
         mirror = plan[i][3]
         first = 0 if mirror is None else least[mirror] + 1
-        for q in above[i]:
-            if image[q] >= first:
-                first = image[q] + 1
+        for f in floors[i]:
+            x = image[plan[f][0]]
+            if x >= first:
+                first = x + 1
         lowest[i] = first
         # a domain's candidates pass the color checks below, which still
         # read the colors the map takes
@@ -467,13 +469,6 @@ def embeddings(
             used_vertices.remove(cand)
             used_colors.difference_update(new_colors)
         i += 1
-
-
-@lru_cache(maxsize=64)
-def _floor_vertices(plan, floors) -> tuple[tuple[int, ...], ...]:
-    """Per step of ``plan``, the pattern vertices whose images floor it: the
-    vertices its ``floors`` steps place."""
-    return tuple(tuple(plan[f][0] for f in fs) for fs in floors)
 
 
 def _candidate_masks(nv, plan, masks, image, used_colors):

@@ -1,3 +1,4 @@
+import fnmatch
 import hashlib
 import json
 
@@ -70,6 +71,23 @@ def test_runner_statuses_and_derived_seeds():
     # a filtered run keeps each claim's index in the table, and so its seed
     (report,) = run_claims("raises", seed=3, registry=registry)
     assert report.seed == 3 * 1_000_003 + 2
+
+
+def test_literal_ids_and_globs_select_as_fnmatch_does():
+    # a literal id is selected by equality, a glob by fnmatch; both pick
+    # exactly what fnmatch.filter picks from the registry's ids, in
+    # registry order, and a pattern that picks none is refused
+    registry = [claim._replace(run=lambda seed: (True, None)) for claim in build_registry()]
+    ids = [claim.id for claim in registry]
+    globs = ["*", "R1-*", "R?-free-*", "[FR]2-*", "*-[!f]*", "gallai-?conn-sampled", "[R]1-no-asms"]
+    for pattern in ids + globs:
+        want = fnmatch.filter(ids, pattern)
+        assert want
+        assert [r.claim_id for r in run_claims(pattern, registry=registry)] == want, pattern
+    for pattern in ["R1", "r1-no-asms", "R1-no-asms ", "R1-no-asm?x", "[x]1-no-asms"]:
+        assert not fnmatch.filter(ids, pattern)
+        with pytest.raises(ValueError, match=r"^no claim matches "):
+            run_claims(pattern, registry=registry)
 
 
 def test_sampled_counts_applied_samples_and_keeps_five_failures():

@@ -29,12 +29,14 @@ from rainbowfree.core import (
     SimpleGraph,
     _random_complete,
     ceil_div,
+    components,
     flood,
     induced_subgraph,
     iter_bits,
     restrict,
 )
 from rainbowfree.oracles import (
+    _component,
     oracle_is_k_connected_bits,
     oracle_largest_k_connected,
     oracle_vertex_connectivity,
@@ -439,6 +441,38 @@ def cut_by_every_flow(adj_bits, active, k):
             if f < k:
                 return cut
     return None
+
+
+def test_floods_and_k1_cuts_agree_with_the_oracle_component():
+    # flood walks each frontier bit by bit, and the cut driver decides k = 1
+    # with one flood: on seeded random graphs, whole and on proper active
+    # subsets, each vertex floods its oracle component, components() lists
+    # them by least vertex, and the k = 1 cut is exactly 0 or None
+    rng = random.Random(43)
+    isolated = split = connected = proper = 0
+    for _ in range(600):
+        n = rng.randint(1, 24)
+        g = random_graph(rng, n, rng.uniform(0.0, 0.4))
+        full = (1 << n) - 1
+        for active in (full, sum(1 << v for v in range(n) if rng.random() < 0.7)):
+            if not active:
+                continue
+            want, rest = [], active
+            while rest:
+                want.append(_component(g.adj_bits, rest))
+                rest &= ~want[-1]
+            assert components(g.adj_bits, active) == want, (g, active)
+            for v in iter_bits(active):
+                assert flood(g.adj_bits, active, v) == next(c for c in want if c >> v & 1)
+            if active.bit_count() < 2:
+                continue
+            cut = _find_cut_below_k(g.adj_bits, active, 1)
+            assert cut == (None if len(want) == 1 else 0) and type(cut) in (int, type(None))
+            isolated += any(c.bit_count() == 1 for c in want)
+            split += len(want) > 2
+            connected += cut is None
+            proper += active != full
+    assert min(isolated, split, connected, proper) > 100
 
 
 def test_skipped_flows_keep_the_first_cut():

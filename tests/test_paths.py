@@ -38,6 +38,27 @@ from rainbowfree.paths import (
 )
 
 
+def test_every_class_of_at_most_six_vertices_matches_the_level_search():
+    # every labeled graph on at most 6 vertices, as color 1 of a 2-coloring
+    # of K_n (n <= 6), the classes that the K6 cross-checks run: the path
+    # search in host labels answers with the level search's witness on the
+    # host's own masks, exactly, whole and with each target order
+    checked = 0
+    for n in range(2, 7):
+        pairs = list(combinations(range(n), 2))
+        for edges in range(1, 1 << len(pairs)):
+            host = ColoredComplete(n, 2, [2 - (edges >> i & 1) for i in range(len(pairs))])
+            adj = restrict(host, {1}).adj_bits
+            path, exact = _longest_path_bits(adj, None)
+            assert exact and longest_mono_path(host, 1) == (1, tuple(path), True), host._colors
+            target = 2 + edges % (n - 1)
+            path, exact = _longest_path_bits(adj, target)
+            want = (1, tuple(path), True) if len(path) >= target else None
+            assert exact and paths._mono_path_of_order(host, 1, target) == (want, True), host._colors
+            checked += 1
+    assert checked == sum(2 ** (n * (n - 1) // 2) - 1 for n in range(2, 7)) == 33_861
+
+
 def test_longest_path_mono_k4():
     host = ColoredComplete(4, 1, [1] * 6)
     w = longest_mono_path(host, 1)
