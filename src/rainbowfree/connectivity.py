@@ -27,7 +27,6 @@ from .core import (
     induced_subgraph,
     iter_bits,
     normalize_mask,
-    restrict,
     ColoredComplete,
 )
 
@@ -307,8 +306,8 @@ def _best_over_masks(host: Host, masks, k: int):
     best: tuple[tuple[int, ...], ConnectivityReport] | None = None
     for mask in masks:
         if best is not None:
-            g = restrict(host, mask)
-            if _peel_to_kcore(g.adj_bits, (1 << g.n) - 1, k).bit_count() <= best[1].lower:
+            adj = host.color_masks(*mask)
+            if _peel_to_kcore(adj, (1 << len(adj)) - 1, k).bit_count() <= best[1].lower:
                 continue
         rep = largest_k_connected(host, mask, k)
         if best is None or rep.lower > best[1].lower:
@@ -408,8 +407,8 @@ def gyarfas_floor(host: Host):
         raise ValueError("host must use at least 2 colors")
     best_color, best_comp = -1, 0
     for c in used:
-        g = restrict(host, {c})
-        for comp in components(g.adj_bits, sum(1 << v for v in g.support())):
+        adj = host.color_masks(c)
+        for comp in components(adj, sum(1 << v for v, a in enumerate(adj) if a)):
             if comp.bit_count() > best_comp.bit_count():
                 best_color, best_comp = c, comp
     n = host.vertex_count

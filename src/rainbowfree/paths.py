@@ -1,9 +1,10 @@
 """Longest monochromatic paths and cycles, and the per-color path-quota
 check.
 
-Exact searches run on the non-isolated vertices of one color class, over
-(vertex set, endpoint) states: some path through exactly that set ends
-there (Bellman; Held and Karp, 1962).  One lexicographic depth-first
+A search takes one color class as the host's own adjacency masks, in host
+labels, and runs on the vertices with an edge (for a cycle, the 2-core),
+over (vertex set, endpoint) states: some path through exactly that set
+ends there (Bellman; Held and Karp, 1962).  One lexicographic depth-first
 search, ``_first_path``, expands each state once, keeps the longest path it
 meets and stops at an upper bound on the order, so a search that finishes
 is exact and its answer is the level search's witness.
@@ -14,7 +15,9 @@ subset lattice, bit S set when S is such a set; ``_next_lattice`` grows it
 by whole-int ORs, ANDs and shifts, ``_levels`` keeps a binomial bound on
 the (set, endpoint) pairs and counts them against ``_STATE_CAP`` only once
 the bound passes it, and ``_lattice_path`` reads back the lexicographically
-least path of the last level.
+least path of the last level.  The lattice is indexed by vertex, so
+``_on_lattice`` relabels the set a level search runs on onto 0..q-1 and
+maps its path back, the one relabel of a class.
 
 ``_route`` chooses between the two, for paths and cycles alike.  Where the
 cap cannot bind on the search, it runs: on up to 20 vertices under a push
@@ -28,7 +31,6 @@ cycle it met, flagged inexact.
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress
 from math import comb
 from typing import NamedTuple
 
@@ -129,9 +131,15 @@ def validate_cycle(host: Host, witness: CycleWitness) -> None:
     _validate_walk(host, witness, "cycle")
 
 
+def _support(adj) -> int:
+    """The bitset of the vertices with an edge."""
+    return sum(1 << v for v, a in enumerate(adj) if a)
+
+
 def _complete(adj) -> bool:
-    full = (1 << len(adj)) - 1
-    return all(a == full ^ (1 << v) for v, a in enumerate(adj))
+    """Whether the vertices with an edge are pairwise adjacent."""
+    support = _support(adj)
+    return all(a == support ^ 1 << v for v, a in enumerate(adj) if a)
 
 
 def _missing(k: int) -> list[int]:
@@ -381,8 +389,10 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
 def _route(adj, kept: int, target: int | None, cycle: bool):
     """(path, exact) by ``_first_path`` over the components of ``kept``,
     the vertices a search can use, or None where the lattice levels answer.
-    No answer is longer than the largest component, or than ``target``, so
-    the search stops at one of that order, as the levels do.
+    ``adj`` is the class in host labels, and the class's order the number
+    of its vertices with an edge.  No answer is longer than the largest
+    component, or than ``target``, so the search stops at one of that
+    order, as the levels do.
 
     A search is free when the cap cannot bind on it: a path search when
     its components' c * 2^(c-1) (set, endpoint) pairs sum to at most
@@ -390,20 +400,20 @@ def _route(adj, kept: int, target: int | None, cycle: bool):
     vertices and holds unread on at most that many (c * 2^(c-1) is
     superadditive); a cycle search when every component has at most
     ``_CYCLE_UNCAPPED``, as an anchor's states stay in its component; and
-    either on a complete class, where the first path is 0, 1, ... with no
-    backtracking.
+    either on a complete class, where the first path takes its vertices in
+    ascending order with no backtracking.
 
     A free search runs.  On q vertices in ``kept`` with q at most
     ``_LATTICE_ORDER`` it gives up after ``_PUSH_BUDGET[q - cycle]``
     pushes, about one lattice search, and the levels, exact there, answer;
     above that it is unbounded.  Where the search is not free the levels
-    answer on classes of at most ``_LATTICE_ORDER`` vertices (a cycle's on
-    the 2-core: an anchor's core states are among its states on the class,
-    so an exact answer keeps its witness).  Above that the search answers,
-    allowed ``_STATE_CAP`` pushes: each enters a distinct (set, endpoint)
-    pair that the levels count too (for a cycle, all anchors' together), so
-    it finishes wherever they would be exact, and one that runs out returns
-    its longest path or cycle, inexact.
+    answer on classes of at most ``_LATTICE_ORDER`` vertices, run on
+    ``kept`` relabeled (a cycle's 2-core: an anchor's core states are among
+    its states on the class, so an exact answer keeps its witness).  Above
+    that the search answers, allowed ``_STATE_CAP`` pushes: each enters a
+    distinct (set, endpoint) pair that the levels count too (for a cycle,
+    all anchors' together), so it finishes wherever they would be exact,
+    and one that runs out returns its longest path or cycle, inexact.
     """
     comps = components(adj, kept)
     q = kept.bit_count()
@@ -421,16 +431,29 @@ def _route(adj, kept: int, target: int | None, cycle: bool):
         path, finished = _first_path(adj, comps, order, cycle, budget)
         if finished:
             return path, True
-    elif len(adj) > _LATTICE_ORDER:
+    elif len(adj) - adj.count(0) > _LATTICE_ORDER:
         return _first_path(adj, comps, order, cycle, _STATE_CAP + 1)
     return None
 
 
+def _on_lattice(adj, kept: int, levels):
+    """(path, exact) by the level search ``levels`` on the vertices of
+    ``kept`` relabeled in order onto 0..q-1, the path mapped back; the
+    relabel keeps the lexicographic order of paths, so their witness."""
+    verts = list(iter_bits(kept))
+    path, exact = levels(_induced_bits(adj, verts))
+    return [verts[i] for i in path], exact
+
+
 def _longest_path(adj, target: int | None):
     """(path, exact): the lexicographically least longest path, or with
-    ``target`` the least path of that order where there is one."""
-    whole = (1 << len(adj)) - 1
-    return _route(adj, whole, target, False) or _longest_path_bits(adj, target)
+    ``target`` the least path of that order where there is one.  It runs on
+    the vertices with an edge (vertex 0 when none has one), where every
+    path of two or more vertices lies."""
+    kept = _support(adj) or 1
+    return _route(adj, kept, target, False) or _on_lattice(
+        adj, kept, partial(_longest_path_bits, target=target)
+    )
 
 
 def _class_masks(host: Host, color: int) -> tuple[int, ...]:
@@ -444,48 +467,21 @@ def _class_masks(host: Host, color: int) -> tuple[int, ...]:
     return masks
 
 
-def _color_class(host: Host, color: int):
-    """(support, adjacency bitmasks of the class relabeled onto
-    0..len(support)-1), read from the host's color masks."""
-    masks = _class_masks(host, color)
-    support = tuple(compress(range(len(masks)), masks))
-    if len(support) == len(masks):
-        return support, masks
-    return support, _induced_bits(masks, support)
-
-
-def _class_path(host: Host, color: int, target: int | None):
-    """(path in host labels, exact) in one color class, by ``_longest_path``
-    with ``target`` (None, or at least 2).
-
-    On a host of at most ``_PATH_UNCAPPED`` vertices the search runs on the
-    host's own masks, with no relabel: the cap cannot bind on so few, so
-    every route answers exactly, with the least path, and no vertex without
-    an edge of the color lies on a path of two or more.  A larger host's
-    class is relabeled onto its support, where the route's rules count it.
-    """
-    if host.vertex_count <= _PATH_UNCAPPED:
-        path, exact = _longest_path(_class_masks(host, color), target)
-        return tuple(path), exact
-    support, adj = _color_class(host, color)
-    path, exact = _longest_path(adj, target)
-    return tuple(map(support.__getitem__, path)), exact
-
-
 def longest_mono_path(host: Host, color: int) -> PathWitness:
     """A longest path within one color class; exact whenever the search space
     was exhausted, which is certain for supports of at most ``_PATH_UNCAPPED``
     vertices."""
-    witness = PathWitness(color, *_class_path(host, color, None))
+    path, exact = _longest_path(_class_masks(host, color), None)
+    witness = PathWitness(color, tuple(path), exact)
     _certify(validate_path, host, witness)
     return witness
 
 
 def _mono_path_of_order(host: Host, color: int, order: int):
     """(witness or None, conclusive).  None+True means provably absent."""
-    path, exact = _class_path(host, color, order)
+    path, exact = _longest_path(_class_masks(host, color), order)
     if len(path) >= order:
-        witness = PathWitness(color, path, True)
+        witness = PathWitness(color, tuple(path), True)
         _certify(validate_path, host, witness)
         return witness, True
     return None, exact
@@ -605,27 +601,20 @@ def _two_core(adj) -> int:
 def _longest_cycle(adj):
     """(longest cycle, exact): the least anchor-rooted cycle of the largest
     length, from the least anchor that reaches it.  Every cycle lies in one
-    component of the 2-core, so the search runs there, and the levels run
-    on the core relabeled in order, which keeps their witness."""
+    component of the 2-core, so the search and the levels run there."""
     kept = _two_core(adj)
     if not kept:
         return [], True
-    answer = _route(adj, kept, None, True)
-    if answer:
-        return answer
-    verts = list(iter_bits(kept))
-    cycle, exact = _longest_cycle_bits(_induced_bits(adj, verts))
-    return [verts[i] for i in cycle], exact
+    return _route(adj, kept, None, True) or _on_lattice(adj, kept, _longest_cycle_bits)
 
 
-def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:
+def _cycle_witness(host: Host, color: int, adj) -> CycleWitness:
+    """The longest cycle of the class ``adj``, or with none its least edge."""
     cycle, exact = _longest_cycle(adj)
-    if cycle:
-        witness = CycleWitness(color, tuple(support[i] for i in cycle), exact)
-    else:
-        v = support[0]
-        w = support[(adj[0] & -adj[0]).bit_length() - 1]
-        witness = CycleWitness(color, (v, w), exact)
+    if not cycle:
+        v = next(v for v, a in enumerate(adj) if a)
+        cycle = v, (adj[v] & -adj[v]).bit_length() - 1
+    witness = CycleWitness(color, tuple(cycle), exact)
     _certify(validate_cycle, host, witness)
     return witness
 
@@ -633,7 +622,7 @@ def _cycle_witness(host: Host, color: int, support, adj) -> CycleWitness:
 def longest_mono_cycle(host: Host, color: int) -> CycleWitness:
     """Longest cycle in one color class; a lone edge counts as a degenerate
     cycle of length 2 (an unused color is rejected, so length 1 never occurs)."""
-    return _cycle_witness(host, color, *_color_class(host, color))
+    return _cycle_witness(host, color, _class_masks(host, color))
 
 
 def kano_li_floor(host: Host):
@@ -649,10 +638,10 @@ def kano_li_floor(host: Host):
     _require_complete(host)
     best: CycleWitness | None = None
     for c in sorted(host.used_colors()):
-        support, adj = _color_class(host, c)
+        adj = host.color_masks(c)
         if best is not None and _two_core(adj).bit_count() <= best.length:
             continue
-        w = _cycle_witness(host, c, support, adj)
+        w = _cycle_witness(host, c, adj)
         if best is None or w.length > best.length:
             best = w
     bound = ceil_div(host.vertex_count, host.m)

@@ -27,6 +27,7 @@ from rainbowfree.core import (
     ColoredBipartite,
     ColoredComplete,
     SimpleGraph,
+    _ColoredHost,
     _random_complete,
     ceil_div,
     components,
@@ -264,12 +265,14 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
         searched.append(mask)
         return largest_k_connected(host, mask, k)
 
-    def seen(host, mask):  # every mask the loop reaches is restricted
-        looked.add(frozenset(mask))
-        return restrict(host, mask)
+    color_masks = _ColoredHost.color_masks
+
+    def seen(host, *colors):  # the loop reads the masks of each mask it reaches
+        looked.add(frozenset(colors))
+        return color_masks(host, *colors)
 
     monkeypatch.setattr(connectivity, "largest_k_connected", counted)
-    monkeypatch.setattr(connectivity, "restrict", seen)
+    monkeypatch.setattr(_ColoredHost, "color_masks", seen)
     rng = random.Random(72)
     searches = stopped = skipped = 0
     for i in range(120):
@@ -290,6 +293,7 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
             searched.clear()
             looked.clear()
             assert best(host, k) == (mask[0] if best is best_monochromatic else frozenset(mask), rep)
+            looked.discard(frozenset(masks[0]))  # searched first, with no k-core test
             searches += 1
             stopped += frozenset(masks[-1]) not in looked
             skipped += len(searched) < len(looked)

@@ -15,10 +15,10 @@ from rainbowfree.core import (
     ColoredBipartite,
     ColoredComplete,
     SimpleGraph,
+    _induced_bits,
     _random_complete,
     ceil_div,
     components,
-    induced_subgraph,
     iter_bits,
     restrict,
 )
@@ -665,6 +665,26 @@ def test_the_levels_recount_on_few_levels(monkeypatch):
     assert 3 * len(recounts) < len(path)
 
 
+def _support_of(adj):
+    """The vertices with an edge (vertex 0 when none has one): those a
+    path search runs on."""
+    return [v for v, a in enumerate(adj) if a] or [0]
+
+
+def _relabeled_class(host, color):
+    """One color class relabeled in order onto its support."""
+    masks = host.color_masks(color)
+    return _induced_bits(masks, _support_of(masks))
+
+
+def _levels_on_support(levels, adj, *args):
+    """The level search ``levels`` on the support of ``adj`` relabeled,
+    its (path, exact) with the path mapped back."""
+    support = _support_of(adj)
+    path, exact = levels(_induced_bits(adj, support), *args)
+    return [support[i] for i in path], exact
+
+
 def test_missing_sets_are_built_once_per_search(monkeypatch):
     built = []
     shared = set()
@@ -690,22 +710,32 @@ def test_missing_sets_are_built_once_per_search(monkeypatch):
     # a class the depth-first route answers builds none; its level search one
     built.clear()
     host = _random_complete(random.Random(47), 15, 2)
-    _, adj = paths._color_class(host, 1)
+    adj = _relabeled_class(host, 1)
     assert len(adj) == 15
     assert longest_mono_path(host, 1).exact
     assert built == []
     _longest_path_bits(adj, None)
     assert built == [15]
     # above _LATTICE_ORDER the depth-first search answers alone and builds
-    # none
+    # none.  A class's order counts its vertices with an edge, so the
+    # 21-vertex path adjacency, which has one isolated vertex, is a
+    # 20-vertex class whose levels build their sets; with an edge at that
+    # vertex it is a 21-vertex class
     built.clear()
     rng = random.Random(48)
     _longest_path_bits(_random_adj(rng, 20, 0.3), 5)
     _longest_cycle_bits(_random_adj(rng, 20, 0.3))
     assert built == [20, 19]
-    _longest_path(_random_adj(rng, 21, 0.3), 5)
+    adj = _random_adj(rng, 21, 0.3)
     _longest_cycle(_random_adj(rng, 21, 0.3))
     assert built == [20, 19]
+    _longest_path(adj, 5)
+    assert adj.count(0) == 1 and built == [20, 19, 20]
+    v = adj.index(0)
+    w = (v + 1) % 21
+    adj[v], adj[w] = 1 << w, adj[w] | 1 << v
+    _longest_path(adj, 5)
+    assert built == [20, 19, 20]
 
 
 def test_lattice_matches_the_map_levels(monkeypatch):
@@ -775,14 +805,17 @@ def _random_class(rng, q):
 
 def test_depth_first_route_matches_the_level_search():
     # where the cap cannot bind, the depth-first answer is the level search's
-    # (witness, exact), for whole, target-limited and cycle searches alike
+    # (witness, exact), for whole, target-limited and cycle searches alike.
+    # A path search runs on the vertices with an edge, so the levels that
+    # answer for it run there too
     rng = random.Random(42)
     for _ in range(400):
         q = rng.choice([2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
         adj = _random_class(rng, q)
         if q <= paths._PATH_UNCAPPED:
             for target in (None, 2, 3, q // 2, q):
-                assert _longest_path(adj, target) == _longest_path_bits(adj, target), (adj, target)
+                want = _levels_on_support(_longest_path_bits, adj, target)
+                assert _longest_path(adj, target) == want, (adj, target)
         assert _longest_cycle(adj) == _longest_cycle_bits(adj), adj
 
 
@@ -967,7 +1000,7 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
     # core components, the first without a Hamilton cycle: the depth-first
     # route answers all of them, the level search patched to raise
     host = gen_F3(12, 12, 6).host
-    _, f3 = paths._color_class(host, 1)
+    f3 = _relabeled_class(host, 1)
     ring = [(v, (v + 1) % 12) for v in range(12)]
     two_rings = _edges_adj(24, ring + [(u + 12, v + 12) for u, v in ring])
     bowtie = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]
@@ -1010,7 +1043,7 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
     )
     r1 = gen_R1(18, 6).host
     for color in (1, 2):
-        _, adj = paths._color_class(r1, color)
+        adj = _relabeled_class(r1, color)
         assert len(adj) <= paths._LATTICE_ORDER
         for route, levels in (
             (partial(_longest_path, adj, None), partial(_longest_path_bits, adj, None)),
@@ -1026,8 +1059,9 @@ def test_component_rule_and_push_budget_pick_the_route(monkeypatch):
 
 
 def _searched_path(adj, target):
-    """The depth-first search's path as ``_longest_path`` asks for it."""
-    comps = components(adj, (1 << len(adj)) - 1)
+    """The depth-first search's path as ``_longest_path`` asks for it, on
+    the vertices with an edge."""
+    comps = components(adj, sum(1 << v for v in _support_of(adj)))
     bound = max(map(int.bit_count, comps))
     if target is not None:
         bound = min(bound, target)
@@ -1065,7 +1099,7 @@ def test_depth_first_search_is_the_level_search(monkeypatch):
             graphs.append(_random_adj(rng, q, rng.choice([0.1, 0.15])))
     for adj in graphs:
         for target in (None, 1, 2, 3):
-            want = _longest_path_bits(adj, target)
+            want = _levels_on_support(_longest_path_bits, adj, target)
             if want[1]:
                 assert _searched_path(adj, target) == want[0], (adj, target)
             assert _longest_path(adj, target) == want, (adj, target)
@@ -1095,10 +1129,10 @@ def test_classes_without_a_spanning_path_skip_the_levels(monkeypatch):
         assert (_longest_path(adj, None), _longest_cycle(adj)) == (path, cycle)
 
 
-def test_color_class_reads_the_color_masks():
-    # the class read from the host's masks is the induced subgraph of the
-    # restricted host on its support, on K_n and K_{s,t} hosts alike, and
-    # the same colors are refused with the same messages
+def test_class_masks_refuse_unused_and_undeclared_colors():
+    # a class is the host's own color masks, on K_n and K_{s,t} hosts
+    # alike, and colors that are unused or outside 1..m are refused with
+    # their own messages
     rng = random.Random(53)
     hosts = [_random_complete(rng, rng.randint(2, 12), rng.randint(1, 4)) for _ in range(60)]
     for _ in range(60):
@@ -1107,17 +1141,57 @@ def test_color_class_reads_the_color_masks():
     for host in hosts:
         for c in range(1, host.m + 1):
             g = restrict(host, {c})
-            support = g.support()
-            if not support:
+            if not g.support():
                 with pytest.raises(ValueError, match=f"color {c} is unused"):
-                    paths._color_class(host, c)
+                    paths._class_masks(host, c)
                 continue
-            got = paths._color_class(host, c)
-            assert got == (support, induced_subgraph(g, support).adj_bits)
+            assert paths._class_masks(host, c) == g.adj_bits
         for c in (0, host.m + 1):
             with pytest.raises(ValueError, match=rf"color {c} outside declared range 1\.\.{host.m}$"):
-                paths._color_class(host, c)
+                paths._class_masks(host, c)
     assert any(len(host.used_colors()) < host.m for host in hosts)
+
+
+def test_classes_in_host_labels_answer_as_on_their_support():
+    # K_16-K_24 and K_{s,t} hosts (16-24 vertices) whose color 1 misses some
+    # vertices: the path, target-limited path and cycle searches in host
+    # labels give the level search's witness on the class relabeled onto
+    # its support, mapped back (the cycle where that search is exact)
+    rng = random.Random(55)
+    hosts = []
+    for i in range(24):
+        n, m, p = rng.randint(16, 24), rng.randint(2, 3), rng.choice([0.15, 0.3, 0.5, 0.8])
+        if i % 2:
+            s = rng.randint(6, n - 6)
+            left = set(rng.sample(range(s), rng.randint(2, min(s, 8))))
+            right = set(rng.sample(range(n - s), rng.randint(2, min(n - s, 8))))
+            hosts.append(ColoredBipartite.from_function(
+                s, n - s, m,
+                lambda u, v: 1 if u in left and v in right and rng.random() < p else rng.randint(2, m),
+            ))
+        else:
+            inside = set(rng.sample(range(n), rng.randint(6, 16)))
+            hosts.append(ColoredComplete(n, m, [
+                1 if u in inside and v in inside and rng.random() < p else rng.randint(2, m)
+                for u, v in combinations(range(n), 2)
+            ]))
+    compared = 0
+    for host in hosts:
+        if 1 not in host.used_colors():
+            continue
+        adj = host.color_masks(1)
+        assert 0 < len(_support_of(adj)) < host.vertex_count
+        path, exact = _levels_on_support(_longest_path_bits, adj, None)
+        assert longest_mono_path(host, 1) == (1, tuple(path), exact)
+        for target in (rng.randint(2, len(path)), len(path) + 1):
+            found, exact = _levels_on_support(_longest_path_bits, adj, target)
+            want = (1, tuple(found), True) if len(found) >= target else None
+            assert paths._mono_path_of_order(host, 1, target) == (want, exact)
+        cycle, exact = _levels_on_support(_longest_cycle_bits, adj)
+        if exact and cycle:
+            assert longest_mono_cycle(host, 1) == (1, tuple(cycle), True)
+            compared += 1
+    assert compared >= 12
 
 
 def _pushes_to_answer(adj, comps, bound, cycle):
