@@ -1,6 +1,8 @@
 """Command-line umbrella: generators, rainbow detection, connectivity
 reports, Gallai tools, bipartite structure, paths/cycles, the claim
-registry, and the micro cross-checker.
+registry, and the micro cross-checker.  Every host-file query answers
+through ``_answer``, which prints the JSON record its leaf's ``query`` makes
+of the host and exits 1 exactly when the record says ``"ok": false``.
 """
 
 from __future__ import annotations
@@ -104,80 +106,45 @@ def _parse_colors_arg(value: str):
     raise ValueError(f"bad --colors value {value!r}; use mono, pairs, or mask=1,3")
 
 
-def _cmd_kconn(args) -> int:
-    host = load_coloring(args.file)
+def _kconn(host, args) -> dict:
     colors = _parse_colors_arg(args.colors)
     if colors == "mono":
         color, rep = best_monochromatic(host, args.k)
-        out = rep.to_json()
-        out["color"] = color
-    elif colors == "pairs":
-        mask, rep = best_two_colored(host, args.k)
-        out = rep.to_json()
-    else:
-        out = largest_k_connected(host, colors, args.k).to_json()
-    _emit(out)
+        return {**rep.to_json(), "color": color}
+    if colors == "pairs":
+        return best_two_colored(host, args.k)[1].to_json()
+    return largest_k_connected(host, colors, args.k).to_json()
+
+
+def _answer(args) -> int:
+    """Load ``args.file`` and print the record ``args.query(host, args)``."""
+    record = args.query(load_coloring(args.file), args)
+    _emit(record)
+    return 0 if record.get("ok", True) else 1
+
+
+def _cmd_gallai_check(args) -> int:
+    ok = is_gallai(load_coloring(args.file))
+    print("gallai" if ok else "rainbow-triangle")
+    return 0 if ok else 1
+
+
+def _cmd_gallai_sample(args) -> int:
+    dump_coloring(sample_gallai(args.n, args.m, args.seed), args.output)
     return 0
 
 
-def _cmd_gallai(args) -> int:
-    if args.gallai_cmd == "check":
-        host = load_coloring(args.file)
-        ok = is_gallai(host)
-        print("gallai" if ok else "rainbow-triangle")
-        return 0 if ok else 1
-    if args.gallai_cmd == "partition":
-        host = load_coloring(args.file)
-        _emit(gallai_partition(host).to_json())
-        return 0
-    if args.gallai_cmd == "sample":
-        host = sample_gallai(args.n, args.m, args.seed)
-        dump_coloring(host, args.output)
-        return 0
-    # "verify": the subcommand is required, so no other value gets here
-    host = load_coloring(args.file)
-    verify = (
-        verify_two_color_2connected
-        if args.lemma == "2conn"
-        else verify_two_color_3connected
-    )
-    witness = verify(host)
-    _emit(witness.to_json())
-    return 0 if witness.ok else 1
-
-
-def _cmd_bipartite(args) -> int:
-    if args.bipartite_cmd == "classify":
-        host = load_coloring(args.file)
-        _emit(classify_k13_free(host).to_json())
-        return 0
-    if args.bipartite_cmd == "gen-b":
-        u_sizes = _ints("--parts-u", args.parts_u) if args.parts_u else None
-        v_sizes = _ints("--parts-v", args.parts_v) if args.parts_v else None
-        gen = gen_type_b(args.s, args.t, args.m, u_sizes, v_sizes, args.seed)
-        dump_coloring(gen.host, args.output)
-        if args.describe:
-            _emit(gen.describe())
-        return 0
-    # "verify-cor43": the subcommand is required, so no other value gets here
-    host = load_coloring(args.file)
-    witness = verify_background_spanning_kconn(host, args.k)
-    _emit(witness.to_json())
-    return 0 if witness.ok else 1
-
-
-def _cmd_longest(args) -> int:
-    host = load_coloring(args.file)
-    _emit(args.query(host, args.color).to_json())
+def _cmd_gen_b(args) -> int:
+    u_sizes = _ints("--parts-u", args.parts_u) if args.parts_u else None
+    v_sizes = _ints("--parts-v", args.parts_v) if args.parts_v else None
+    gen = gen_type_b(args.s, args.t, args.m, u_sizes, v_sizes, args.seed)
+    dump_coloring(gen.host, args.output)
+    if args.describe:
+        _emit(gen.describe())
     return 0
 
 
-def _cmd_paths_quota(args) -> int:
-    host = load_coloring(args.file)
-    quotas = _ints("--a", args.a)
-    result = check_mono_path_quota(host, quotas)
-    _emit(result.to_json())
-    return 0 if result.ok else 1
+_LEMMAS = {"2conn": verify_two_color_2connected, "3conn": verify_two_color_3connected}
 
 
 def _cmd_verify(args) -> int:
@@ -230,28 +197,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", default="mono", help="mono | pairs | mask=1,3")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_kconn)
+    p.set_defaults(fn=_answer, query=_kconn)
 
     p = sub.add_parser("gallai", help="Gallai-coloring tools")
+    # the dests name a missing subcommand in argparse's error; each leaf sets fn
     gsub = p.add_subparsers(dest="gallai_cmd", required=True)
     g = gsub.add_parser("check")
     g.add_argument("file")
+    g.set_defaults(fn=_cmd_gallai_check)
     g = gsub.add_parser("partition")
     g.add_argument("file")
+    g.set_defaults(fn=_answer, query=lambda host, args: gallai_partition(host).to_json())
     g = gsub.add_parser("sample")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", required=True)
+    g.set_defaults(fn=_cmd_gallai_sample)
     g = gsub.add_parser("verify")
-    g.add_argument("--lemma", choices=["2conn", "3conn"], required=True)
+    g.add_argument("--lemma", choices=list(_LEMMAS), required=True)
     g.add_argument("file")
-    p.set_defaults(fn=_cmd_gallai)
+    g.set_defaults(fn=_answer, query=lambda host, args: _LEMMAS[args.lemma](host).to_json())
 
     p = sub.add_parser("bipartite", help="bipartite structure tools")
     bsub = p.add_subparsers(dest="bipartite_cmd", required=True)
     b = bsub.add_parser("classify")
     b.add_argument("file")
+    b.set_defaults(fn=_answer, query=lambda host, args: classify_k13_free(host).to_json())
     b = bsub.add_parser("gen-b")
     b.add_argument("--s", type=int, required=True)
     b.add_argument("--t", type=int, required=True)
@@ -261,25 +233,32 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("-o", "--output", required=True)
     b.add_argument("--describe", action="store_true")
+    b.set_defaults(fn=_cmd_gen_b)
     b = bsub.add_parser("verify-cor43")
     b.add_argument("--k", type=int, required=True)
     b.add_argument("file")
-    p.set_defaults(fn=_cmd_bipartite)
+    b.set_defaults(
+        fn=_answer,
+        query=lambda host, args: verify_background_spanning_kconn(host, args.k).to_json(),
+    )
 
     p = sub.add_parser("paths", help="longest monochromatic path")
     p.add_argument("--color", type=int, required=True)
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_longest, query=longest_mono_path)
+    p.set_defaults(fn=_answer, query=lambda host, args: longest_mono_path(host, args.color).to_json())
 
     p = sub.add_parser("prop61", help="per-color path quota check")
     p.add_argument("--a", required=True, help="comma-separated quotas, one per color")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_paths_quota)
+    p.set_defaults(
+        fn=_answer,
+        query=lambda host, args: check_mono_path_quota(host, _ints("--a", args.a)).to_json(),
+    )
 
     p = sub.add_parser("cycles", help="longest monochromatic cycle")
     p.add_argument("--color", type=int, required=True)
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_longest, query=longest_mono_cycle)
+    p.set_defaults(fn=_answer, query=lambda host, args: longest_mono_cycle(host, args.color).to_json())
 
     p = sub.add_parser("verify", help="run the claim registry")
     p.add_argument("--filter", default="*")

@@ -598,19 +598,22 @@ def _two_core(adj) -> int:
     return _peel_to_kcore(adj, (1 << len(adj)) - 1, 2)
 
 
-def _longest_cycle(adj):
+def _longest_cycle(adj, kept=None):
     """(longest cycle, exact): the least anchor-rooted cycle of the largest
     length, from the least anchor that reaches it.  Every cycle lies in one
-    component of the 2-core, so the search and the levels run there."""
-    kept = _two_core(adj)
+    component of the 2-core, so the search and the levels run there; a
+    caller that has the core already passes it as ``kept``."""
+    if kept is None:
+        kept = _two_core(adj)
     if not kept:
         return [], True
     return _route(adj, kept, None, True) or _on_lattice(adj, kept, _longest_cycle_bits)
 
 
-def _cycle_witness(host: Host, color: int, adj) -> CycleWitness:
-    """The longest cycle of the class ``adj``, or with none its least edge."""
-    cycle, exact = _longest_cycle(adj)
+def _cycle_witness(host: Host, color: int, adj, kept=None) -> CycleWitness:
+    """The longest cycle of the class ``adj``, or with none its least edge;
+    ``kept`` is the class's 2-core where the caller has peeled it."""
+    cycle, exact = _longest_cycle(adj, kept)
     if not cycle:
         v = next(v for v, a in enumerate(adj) if a)
         cycle = v, (adj[v] & -adj[v]).bit_length() - 1
@@ -639,9 +642,10 @@ def kano_li_floor(host: Host):
     best: CycleWitness | None = None
     for c in sorted(host.used_colors()):
         adj = host.color_masks(c)
-        if best is not None and _two_core(adj).bit_count() <= best.length:
+        kept = _two_core(adj)
+        if best is not None and kept.bit_count() <= best.length:
             continue
-        w = _cycle_witness(host, c, adj)
+        w = _cycle_witness(host, c, adj, kept)
         if best is None or w.length > best.length:
             best = w
     bound = ceil_div(host.vertex_count, host.m)

@@ -860,6 +860,25 @@ def test_kano_li_floor_matches_every_color():
         assert kano_li_floor(host) == (best.color, best)
 
 
+def test_kano_li_floor_peels_each_color_once(monkeypatch):
+    # the core that decides whether a color is searched is the core the
+    # cycle search runs on, so each used color is peeled exactly once
+    calls = []
+    two_core = paths._two_core
+
+    def counted(adj):
+        calls.append(adj)
+        return two_core(adj)
+
+    monkeypatch.setattr(paths, "_two_core", counted)
+    rng = random.Random(45)
+    for _ in range(300):
+        host = _random_complete(rng, 6, 3)
+        calls.clear()
+        kano_li_floor(host)
+        assert len(calls) == len(host.used_colors()), host._colors
+
+
 def test_kano_li_floor_refuses_bipartite_hosts():
     # the floor is a theorem about K_n; on K_{2,4} in one color it would read
     # a 4-cycle against a floor of 6
