@@ -167,12 +167,16 @@ def _split_flow(adj_bits, active: int, s: int, t: int, limit: int):
 def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
     """A vertex cut of size < k of the induced graph, or None if k-connected.
 
-    The caller guarantees active has at least k + 1 vertices.  Checking flows
-    from k fixed vertices to each of their non-neighbors suffices: any cut
-    with fewer than k vertices misses one of the k anchors, which then lies
-    in one component while some non-neighbor lies in another.  A pair with
-    k common neighbors has k disjoint paths through them, so its flow is
-    skipped: it could not return a cut.
+    The caller guarantees active has at least k + 1 vertices.  Checking
+    pairs from k fixed vertices to each of their non-neighbors suffices
+    (Esfahanian and Hakimi 1984): any cut with fewer than k vertices misses
+    one of the k anchors, which then lies in one component while some
+    non-neighbor lies in another.  Per anchor v, a safe set that no cut
+    below k avoiding v separates from v starts as v's neighbors; a vertex u
+    with k safe neighbors joins, as such a cut avoiding u misses one of
+    them, which lies on u's side.  When none joins, the least unsafe vertex
+    is flowed, and joins at flow k.  A failing pair never joins, so the
+    first failing pair, and its cut, are those of flowing every pair.
 
     k = 1 takes one flood instead: the only cut of size below 1 is the
     empty set, which separates the induced graph exactly when it is
@@ -195,17 +199,26 @@ def _find_cut_below_k(adj_bits, active: int, k: int) -> int | None:
         low = rest & -rest
         rest ^= low
         v = low.bit_length() - 1
-        around = adj_bits[v] & active
-        non_nbrs = active & ~around & ~low
-        while non_nbrs:
-            ubit = non_nbrs & -non_nbrs
-            non_nbrs ^= ubit
-            u = ubit.bit_length() - 1
-            if (adj_bits[u] & around).bit_count() >= k:
-                continue
-            f, cut = _split_flow(adj_bits, active, v, u, k)
-            if f < k:
-                return cut
+        safe = adj_bits[v] & active
+        todo = check = active & ~safe & ~low
+        while todo:
+            while check:  # a vertex that joins re-checks only its neighbors
+                ubit = check & -check
+                check ^= ubit
+                u = ubit.bit_length() - 1
+                if (adj_bits[u] & safe).bit_count() >= k:
+                    safe |= ubit
+                    todo ^= ubit
+                    check |= adj_bits[u] & todo
+            if todo:
+                ubit = todo & -todo
+                u = ubit.bit_length() - 1
+                f, cut = _split_flow(adj_bits, active, v, u, k)
+                if f < k:
+                    return cut
+                safe |= ubit
+                todo ^= ubit
+                check = adj_bits[u] & todo
     return None
 
 
@@ -244,29 +257,31 @@ def is_k_connected(g: SimpleGraph, k: int) -> bool:
     return _find_cut_below_k(g.adj_bits, full, k) is None
 
 
-def _max_k_connected(adj_bits, active0: int, k: int) -> int:
-    """The largest k-connected induced subgraph inside active0, as a bitmask
-    (0 if there is none).
+def _max_k_connected(adj_bits, active0: int, k: int, floor: int) -> int:
+    """The largest k-connected induced subgraph inside active0 of at least
+    ``floor`` vertices, as a bitmask (0 if there is none).
 
     An exhaustive branch and bound over cut splits, seeded by k-core
     peeling.  A k-connected T inside S survives the peel, and at a cut X of
     S with |X| < k, T - X stays connected, so T lies in one side c | X (c a
-    component of S - X).  Each side is smaller than S, so the search ends;
-    a set no larger than the best found so far is pruned.  The search is
-    exponential in the worst case (k = 1 reduces to components).
+    component of S - X).  Each side is smaller than S, so the search ends,
+    and sets at or above a floor are visited in the same order whatever it
+    is.  A peeled set below the floor is pruned, and the floor rises above
+    each set found.  Exponential in the worst case (k = 1 is components).
     """
     best = 0
+    floor = max(floor, k + 1)
     seen: set[int] = set()
     stack = [active0]
     while stack:
         S = _peel_to_kcore(adj_bits, stack.pop(), k)
         size = S.bit_count()
-        if size < k + 1 or size <= best.bit_count() or S in seen:
+        if size < floor or S in seen:
             continue
         seen.add(S)
         cut = _find_cut_below_k(adj_bits, S, k)
         if cut is None:
-            best = S
+            best, floor = S, size + 1
             continue
         comps = components(adj_bits, S & ~cut)
         comps.sort(key=lambda c: (c.bit_count(), -c))
@@ -282,35 +297,30 @@ def largest_k_connected(host: Host, mask, k: int) -> ConnectivityReport:
     destroys k-connectivity.  The search is exhaustive, so the report is
     exact: ``lower == upper == len(witness)``.
     """
+    return _masked_search(host, mask, k, 0)
+
+
+def _masked_search(host: Host, mask, k: int, floor: int) -> ConnectivityReport:
+    """``largest_k_connected`` searched with ``floor``: a report with an
+    empty witness when no set reaches it."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    allowed = normalize_mask(host, mask)
-    adj_bits = host.color_masks(*allowed)
-    witness = tuple(iter_bits(_max_k_connected(adj_bits, (1 << len(adj_bits)) - 1, k)))
-    return ConnectivityReport(
-        k=k,
-        mask=allowed,
-        witness=witness,
-        lower=len(witness),
-        upper=len(witness),
-        exact=True,
-    )
+    mask = normalize_mask(host, mask)
+    adj_bits = host.color_masks(*mask)
+    found = _max_k_connected(adj_bits, (1 << len(adj_bits)) - 1, k, floor)
+    witness = tuple(iter_bits(found))
+    return ConnectivityReport(k, mask, witness, len(witness), len(witness), exact=True)
 
 
 def _best_over_masks(host: Host, masks, k: int):
     """(mask, report) with the largest witness; ties go to the first mask,
-    so the loop stops at the first witness that spans the host, and skips a
-    mask whose k-core is no larger than the best witness so far, since every
-    k-connected set of more than k vertices lies in the k-core.  ``masks``
-    is never empty, since every host colors at least one edge."""
+    so each later mask searches with a floor one above the best witness so
+    far, and the loop stops at the first witness that spans the host.
+    ``masks`` is never empty, since every host colors at least one edge."""
     best: tuple[tuple[int, ...], ConnectivityReport] | None = None
     for mask in masks:
-        if best is not None:
-            adj = host.color_masks(*mask)
-            if _peel_to_kcore(adj, (1 << len(adj)) - 1, k).bit_count() <= best[1].lower:
-                continue
-        rep = largest_k_connected(host, mask, k)
-        if best is None or rep.lower > best[1].lower:
+        rep = _masked_search(host, mask, k, best[1].lower + 1 if best else 0)
+        if best is None or rep.lower:
             best = (mask, rep)
             if rep.lower == host.vertex_count:
                 break

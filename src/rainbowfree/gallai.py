@@ -1,6 +1,7 @@
 """Gallai colorings: recognition, partition extraction, a structured random
-sampler, and the two-colored highly-connected witness searches, which take
-``connectivity.largest_k_connected`` of each two-color class.
+sampler, and the two-colored highly-connected witness searches, which run
+the largest k-connected search of ``connectivity`` on each two-color class
+with the order asked for as its floor.
 
 A Gallai coloring is a rainbow-triangle-free coloring of a complete graph.
 Every such coloring admits a partition of the vertices into l >= 2 parts
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .core import MAX_VERTICES, ColoredComplete, _certify, _require_complete, _tri_offsets
 from .core import components, iter_bits
-from .connectivity import largest_k_connected
+from .connectivity import _masked_search
 from .rainbow import find_rainbow_triangle
 
 
@@ -221,9 +222,9 @@ def _two_color_witness(host: ColoredComplete, k: int, drop: int, reason: str):
     if not is_gallai(host):
         raise NotGallaiError("host contains a rainbow triangle")
     for mask in combinations(used, 2):
-        rep = largest_k_connected(host, mask, k)
-        if rep.lower >= host.n - drop:
-            return TwoColorWitness(True, k, frozenset(mask), rep.witness)
+        rep = _masked_search(host, mask, k, host.n - drop)
+        if rep.lower:
+            return TwoColorWitness(True, k, rep.mask, rep.witness)
     return TwoColorWitness(False, k, frozenset(), (), reason)
 
 

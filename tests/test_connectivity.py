@@ -249,8 +249,8 @@ def test_best_two_colored_counterexample_bounded():
 
 def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
     # ties go to the first mask, so stopping at the first witness that spans
-    # the host, and skipping a mask whose k-core is no larger than the best
-    # witness so far, returns the (mask, report) of running every mask
+    # the host, and searching each later mask with a floor one above the
+    # best witness so far, returns the (mask, report) of running every mask
     def every_mask(host, masks, k):
         best = None
         for mask in masks:
@@ -259,11 +259,13 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
                 best = (mask, rep)
         return best
 
-    searched, looked = [], set()
+    ruled_out, looked = [], set()
+    search = connectivity._max_k_connected
 
-    def counted(host, mask, k):
-        searched.append(mask)
-        return largest_k_connected(host, mask, k)
+    def counted(adj_bits, active, k, floor):
+        found = search(adj_bits, active, k, floor)
+        ruled_out.append(floor > 0 and not found)
+        return found
 
     color_masks = _ColoredHost.color_masks
 
@@ -271,7 +273,7 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
         looked.add(frozenset(colors))
         return color_masks(host, *colors)
 
-    monkeypatch.setattr(connectivity, "largest_k_connected", counted)
+    monkeypatch.setattr(connectivity, "_max_k_connected", counted)
     monkeypatch.setattr(_ColoredHost, "color_masks", seen)
     rng = random.Random(72)
     searches = stopped = skipped = 0
@@ -290,13 +292,13 @@ def test_mask_loops_stop_at_a_spanning_witness(monkeypatch):
             (sorted(singles + list(combinations(used, 2))), best_two_colored),
         ):
             mask, rep = every_mask(host, masks, k)
-            searched.clear()
+            ruled_out.clear()
             looked.clear()
             assert best(host, k) == (mask[0] if best is best_monochromatic else frozenset(mask), rep)
-            looked.discard(frozenset(masks[0]))  # searched first, with no k-core test
+            looked.discard(frozenset(masks[0]))  # searched first, with no floor
             searches += 1
             stopped += frozenset(masks[-1]) not in looked
-            skipped += len(searched) < len(looked)
+            skipped += any(ruled_out)
     assert stopped > searches // 4 and searches - stopped > searches // 4
     assert skipped > searches // 4, skipped
 
@@ -312,6 +314,13 @@ def test_order_cap_refuses_k_below_one():
     host = ColoredComplete(5, 2, [1] * 10)
     with pytest.raises(ValueError, match="k must be at least 1"):
         verify_order_cap(host, {1}, 0, 3)
+
+
+def test_mask_loops_refuse_k_below_one():
+    host = ColoredComplete(5, 2, [1] * 10)
+    for best in (best_monochromatic, best_two_colored):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            best(host, 0)
 
 
 def test_order_cap_agrees_with_subset_enumeration():
@@ -434,8 +443,8 @@ def test_kappa_and_cuts_agree_with_networkx_medium():
 
 
 def cut_by_every_flow(adj_bits, active, k):
-    """The cut driver without its common-neighbor skip: a flow from each of
-    k anchors to each of its non-neighbors."""
+    """The cut driver without its safe-set closure: a flow from each of k
+    anchors to each of its non-neighbors."""
     for v in iter_bits(active):
         if (adj_bits[v] & active).bit_count() < k:
             return adj_bits[v] & active
@@ -497,6 +506,77 @@ def test_skipped_flows_keep_the_first_cut():
                 for u in iter_bits(active & ~around & ~(1 << v))
             )
     assert cuts > 200 and skips > 200
+
+
+def closure_without_flows(adj_bits, active, v, k):
+    """The safe set of anchor v before any flow: v's neighbors, then every
+    vertex with k safe neighbors, repeated until nothing joins."""
+    safe = adj_bits[v] & active
+    grown = True
+    while grown:
+        grown = False
+        for u in iter_bits(active & ~safe & ~(1 << v)):
+            if (adj_bits[u] & safe).bit_count() >= k:
+                safe |= 1 << u
+                grown = True
+    return safe
+
+
+def test_safe_set_closure_keeps_the_first_cut():
+    # sparser graphs than above, where vertices two or more steps from an
+    # anchor join its safe set through other non-neighbors: the driver still
+    # returns the cut of the first failing pair, and the propagation
+    # certifies vertices that k common neighbors alone would not
+    rng = random.Random(46)
+    cuts = none = propagated = 0
+    for _ in range(300):
+        n = rng.randint(8, 40)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        active = sum(1 << v for v in range(n) if rng.random() < 0.9)
+        for k in range(2, min(7, active.bit_count())):
+            cut = _find_cut_below_k(g.adj_bits, active, k)
+            assert cut == cut_by_every_flow(g.adj_bits, active, k), (g, active, k)
+            cuts += cut is not None
+            none += cut is None
+            v = (active & -active).bit_length() - 1
+            around = g.adj_bits[v] & active
+            safe = closure_without_flows(g.adj_bits, active, v, k)
+            propagated += sum(
+                (g.adj_bits[u] & around).bit_count() < k for u in iter_bits(safe & ~around)
+            )
+    assert cuts > 200 and none > 200 and propagated > 200, (cuts, none, propagated)
+
+
+def hypercube(d):
+    edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+    return SimpleGraph(1 << d, edges)
+
+
+def test_closure_flow_counts(monkeypatch):
+    # the safe-set closure certifies Q6 at k = 2 and every golden Mader
+    # graph without a flow, and the networkx descent with at most 229 flows;
+    # with k common neighbors as the only skip they took 84, 79 and 2,921
+    flows = []
+
+    def counted(*args):
+        flows.append(args)
+        return _split_flow(*args)
+
+    monkeypatch.setattr(connectivity, "_split_flow", counted)
+    assert is_k_connected(hypercube(6), 2) and not flows
+    rng = random.Random(44)
+    drawn = 0
+    while drawn < len(GOLDEN_MADER):
+        g = _random_graph(rng, rng.randint(8, 30), rng.choice([0.3, 0.5, 0.8]))
+        if g.edge_count:
+            mader_extract(g)
+            drawn += 1
+    assert not flows
+    rng = random.Random(21)
+    for n in (20, 28, 36, 44, 52, 60):
+        for p in (0.2, 0.4, 0.7):
+            vertex_connectivity(random_graph(rng, n, p))
+    assert 0 < len(flows) <= 229
 
 
 def planted_cut_cases():

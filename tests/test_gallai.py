@@ -9,7 +9,7 @@ import pytest
 
 from rainbowfree import CertificationError, gallai
 from rainbowfree.cli import main
-from rainbowfree.connectivity import is_k_connected
+from rainbowfree.connectivity import is_k_connected, largest_k_connected
 from rainbowfree.constructions import gen_counterexample_4t, gen_intro_example
 from rainbowfree.core import (
     ColoredComplete,
@@ -320,6 +320,39 @@ def test_golden_two_color_witnesses():
         short += rows[-1][1] == host.n - 1
     assert short == 25
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_TWO_COLOR
+
+
+def every_mask_witness(host, k, drop):
+    """The two-color search without a floor: largest_k_connected of each
+    mask in color order, and the first that reaches n - drop vertices."""
+    for mask in combinations(sorted(host.used_colors()), 2):
+        rep = largest_k_connected(host, mask, k)
+        if rep.lower >= host.n - drop:
+            return True, k, frozenset(mask), rep.witness
+    return False, k, frozenset(), ()
+
+
+def test_floored_two_color_witnesses_match_every_mask():
+    # the floor n - drop prunes a class that cannot reach that order, and a
+    # class that can still returns its largest k-connected set
+    rng = random.Random(46)
+    hosts = [sample_gallai(rng.randint(7, 12), 3, seed) for seed in range(1000)]
+    hosts += [
+        gen_intro_example(10, 3).host,
+        gen_intro_example(12, 5).host,
+        gen_counterexample_4t(1, 20).host,
+        gen_counterexample_4t(2, 40).host,
+    ]
+    later = 0
+    for host in hosts:
+        for verify, k, drop in (
+            (verify_two_color_2connected, 2, 0),
+            (verify_two_color_3connected, 3, 1),
+        ):
+            want = every_mask_witness(host, k, drop)
+            assert verify(host)[:4] == want, (host, k)
+            later += want[2] != frozenset(sorted(host.used_colors())[:2])
+    assert later > 200, later
 
 
 def test_lemma_verifiers_reject_two_colors():
