@@ -79,7 +79,6 @@ from .paths import (
     CycleWitness,
     PathWitness,
     check_mono_path_quota,
-    color_degree_averages,
     kano_li_floor,
     longest_mono_cycle,
     longest_mono_path,

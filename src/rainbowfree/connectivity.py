@@ -96,17 +96,6 @@ def _split_flow(adj_bits, active: int, s: int, t: int, limit: int):
     nxt: dict[int, int] = {}
     used = 0
     flow = 0
-    # the length-two paths through common neighbors need no search
-    rest = adj_bits[s] & adj_bits[t] & active
-    while rest:
-        if flow == limit:
-            return flow, None
-        low = rest & -rest
-        rest ^= low
-        x = low.bit_length() - 1
-        prv[x], nxt[x] = s, t
-        used |= low
-        flow += 1
     tbit = 1 << t
     while flow < limit:
         reached_in, reached_out = 0, 1 << s

@@ -13,7 +13,6 @@ and twin classes are each assigned once, complete.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, combinations, product, repeat
 from operator import mul, or_
 from typing import Iterable, Iterator, TextIO, Union
@@ -231,9 +230,6 @@ class _ColoredHost:
         if used is None:
             used = self._used = frozenset(self._colors)
         return used
-
-    def color_counts(self) -> dict[int, int]:
-        return dict(Counter(self._colors))
 
     def color_masks(self, *colors: int) -> tuple[int, ...]:
         """Adjacency bitmasks, one per global vertex, of the edges whose
@@ -526,30 +522,36 @@ _KINDS = {
 }
 
 
+def _ints(tokens: list[str], what: str) -> list[int]:
+    """The tokens as integers; the first that is not one is refused by name."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                raise ColoringFormatError(f"bad {what} token {token!r}") from None
+        raise
+
+
 def _row_colors(rows: list[str], widths: Iterable[int]) -> Iterator[list[int]]:
     """Each data row's integers, once the row's width is checked."""
     for i, (row, want) in enumerate(zip(rows, widths), start=1):
         tokens = row.split()
         if len(tokens) != want:
             raise ColoringFormatError(f"row {i}: expected {want} entries, got {len(tokens)}")
-        try:
-            colors = list(map(int, tokens))
-        except ValueError:
-            for token in tokens:
-                try:
-                    int(token)
-                except ValueError:
-                    raise ColoringFormatError(f"bad color token {token!r}") from None
-        yield colors
+        yield _ints(tokens, "color")
 
 
 def read_coloring(stream: TextIO) -> Host:
     """Parse a coloring file into a ColoredComplete or ColoredBipartite.
 
-    Checked in this order, each failure a ColoringFormatError: the header,
-    the number of data rows, each row's width and integers as the host
-    takes the row, then, in the host's constructor, its sizes, m >= 1 and
-    the colors' range 1..m."""
+    Checked in this order, each failure a ColoringFormatError: the header's
+    kind, field count and integers; the number of data rows, counted, never
+    listed, unless the sizes make it negative; then, in the host's
+    constructor, its sizes, m >= 1, each row's width and integers as the
+    host takes the row, and the colors' range 1..m."""
     lines = [line for line in map(str.strip, stream) if line and line[0] != "#"]
     if not lines:
         raise ColoringFormatError("empty input")
@@ -559,10 +561,10 @@ def read_coloring(stream: TextIO) -> Host:
     cls, names, layout = _KINDS[header[0]]
     if len(header) != len(names) + 2:
         raise ColoringFormatError(f"malformed header: {' '.join(header)}")
+    *sizes, m = _ints(header[1:], "header")
     try:
-        *sizes, m = map(int, header[1:])
         count, widths = layout(*sizes)
-        if len(body) != count:
+        if count >= 0 and len(body) != count:
             raise ColoringFormatError(f"expected {count} data rows, got {len(body)}")
         return cls(*sizes, m, chain.from_iterable(_row_colors(body, widths)))
     except ValueError as exc:

@@ -538,18 +538,6 @@ def check_mono_path_quota(host: Host, quotas) -> QuotaWitness:
     return QuotaWitness(False, None, None, "no color met its quota")
 
 
-def color_degree_averages(host: Host) -> list[Fraction]:
-    """Average color-degree per declared color, as exact fractions.
-
-    On a complete host these sum to exactly n - 1.
-    """
-    from fractions import Fraction  # here: it loads decimal, which no other code needs
-
-    counts = host.color_counts()
-    n = host.vertex_count
-    return [Fraction(2 * counts.get(c, 0), n) for c in range(1, host.m + 1)]
-
-
 def _longest_cycle_bits(adj):
     """Longest cycle (vertex list, length >= 3) for adjacency bitmasks.
 

@@ -108,7 +108,7 @@ def test_criterion_07_background_spanning():
 
 
 def test_criterion_08_path_quotas():
-    with budget("8 path quotas and degree identity", 300):
+    with budget("8 path quotas", 300):
         (claim,) = [c for c in build_registry() if c.id == "path-quota-random"]
         assert run_at(claim, 808)["samples"] == 1000  # the registry's count, as before
 

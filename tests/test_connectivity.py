@@ -885,3 +885,64 @@ def test_split_flow_reroutes_around_a_used_vertex():
     )
     assert _split_flow(g.adj_bits, (1 << 9) - 1, 0, 4, 3) == (2, 0b100010)
     assert _split_flow(g.adj_bits, (1 << 9) - 1, 0, 4, 2) == (2, None)
+
+
+def common_neighbor_pairs():
+    """(graph, active, s, t, limit, kappa) cases where length-two paths
+    carry part of the flow: seeded random graphs, each with a non-adjacent
+    pair s, t given exactly 0, k - 1, k and k + 1 common neighbours inside
+    the active set, and limits below, at and above kappa, the pair's local
+    connectivity in the induced graph."""
+    rng = random.Random(47)
+    for _ in range(120):
+        n = rng.randint(8, 24)
+        k = rng.randint(1, 5)
+        p = rng.uniform(0.1, 0.6)
+        for common in sorted({0, k - 1, k, k + 1}):
+            s, t, *others = rng.sample(range(n), n)
+            edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+            edges.discard((min(s, t), max(s, t)))
+            for x in others:
+                pair = [(min(s, x), max(s, x)), (min(t, x), max(t, x))]
+                if x in others[:common]:
+                    edges.update(pair)
+                elif edges.issuperset(pair):
+                    edges.discard(rng.choice(pair))
+            g = SimpleGraph(n, edges)
+            active = 1 << s | 1 << t
+            for i, x in enumerate(others):
+                if i < common or rng.random() < 0.8:
+                    active |= 1 << x
+            G = to_networkx(g).subgraph(iter_bits(active))
+            kappa = nx.node_connectivity(G, s, t)
+            for limit in sorted({1, common, kappa - 1, kappa, kappa + 1} - {-1, 0}):
+                yield g, active, s, t, limit, kappa
+
+
+# sha256 of the (flow, cut) of every common_neighbor_pairs case, recorded
+# with a kernel that placed the length-two paths before its first search
+COMMON_NEIGHBOR_FLOWS = "6d43e7710219730bce456ce9cb78aa3abb6423b7689eca666e715ef998bf0ce2"
+
+
+def test_split_flow_through_common_neighbors():
+    # the flow is the local connectivity capped at the limit, a cut comes
+    # back exactly below the limit, has that many vertices and separates s
+    # from t, and every answer is the recorded one
+    got = []
+    capped = partial = above = 0
+    for g, active, s, t, limit, kappa in common_neighbor_pairs():
+        flow, cut = _split_flow(g.adj_bits, active, s, t, limit)
+        got.append((flow, cut))
+        assert flow == min(kappa, limit), (g, active, s, t, limit)
+        assert (cut is None) == (flow == limit)
+        if cut is not None:
+            rest = active & ~cut
+            assert cut & ~active == 0 and cut.bit_count() == flow
+            assert rest >> s & 1 and rest >> t & 1
+            assert not flood(g.adj_bits, rest, s) >> t & 1
+        common = (g.adj_bits[s] & g.adj_bits[t] & active).bit_count()
+        capped += common >= limit
+        partial += 0 < common < limit
+        above += limit > kappa
+    assert capped > 500 and partial > 500 and above > 300, (capped, partial, above)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == COMMON_NEIGHBOR_FLOWS

@@ -136,3 +136,6 @@ def test_import_loads_no_heavy_standard_modules():
 
     added = loaded("import rainbowfree") - loaded("pass")
     assert not sorted(added & heavy)
+    # nor does running the whole registry, where no claim raises
+    added = loaded("from rainbowfree import run_claims; run_claims('*', 0)") - loaded("pass")
+    assert not sorted(added & heavy)

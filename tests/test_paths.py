@@ -3,7 +3,6 @@ import json
 import random
 import time
 import tracemalloc
-from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
 
@@ -29,7 +28,6 @@ from rainbowfree.paths import (
     _longest_path,
     _longest_path_bits,
     check_mono_path_quota,
-    color_degree_averages,
     kano_li_floor,
     longest_mono_cycle,
     longest_mono_path,
@@ -146,16 +144,6 @@ def test_quota_random_instances():
         if res.witness.order >= 2:
             validate_path(host, res.witness)
             assert res.witness.order >= quotas[res.color - 1]
-
-
-def test_degree_average_identity():
-    rng = random.Random(24)
-    for _ in range(100):
-        n = rng.randint(3, 12)
-        m = rng.randint(1, 4)
-        host = _random_complete(rng, n, m)
-        avgs = color_degree_averages(host)
-        assert sum(avgs) == Fraction(n - 1)
 
 
 def test_cycle_mono_k5():
