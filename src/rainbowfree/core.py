@@ -6,9 +6,10 @@ host the two sides share one global vertex numbering: the left side U is
 0..s-1 and the right side V is s..s+t-1.  A SimpleGraph is its adjacency
 bitmasks, and every graph helper here works on them.  A host builds its
 per-color adjacency masks lazily, in one pass on first use, and every
-color-class scan reads them; its twin classes are found from its rows on
-first use too.  All objects are immutable after construction: the masks
-and twin classes are each assigned once, complete.
+color-class scan reads them; its twin classes are found from its rows, and
+its color-pair relations from its masks, on first use too.  All objects are
+immutable after construction: the masks, twin classes and relations are
+each assigned once, complete.
 """
 
 from __future__ import annotations
@@ -202,11 +203,11 @@ def _tri_offsets(n: int) -> list[int]:
 
 class _ColoredHost:
     """The color range ``m``, the flat tuple of ``want`` edge colors, its
-    used colors, per-color masks and twin classes; subclasses check their
-    sizes and define ``_key``, which equality and hashing read (never the
-    caches)."""
+    used colors, per-color masks, twin classes and color-pair relations;
+    subclasses check their sizes and define ``_key``, which equality and
+    hashing read (never the caches)."""
 
-    __slots__ = ("m", "_colors", "_used", "_masks", "_twins")
+    __slots__ = ("m", "_colors", "_used", "_masks", "_twins", "_relations")
 
     def __init__(self, m: int, colors: Iterable[int], want: int):
         if m < 1:
@@ -222,6 +223,7 @@ class _ColoredHost:
         self._used = None
         self._masks = None
         self._twins = None
+        self._relations = None
 
     def used_colors(self) -> frozenset[int]:
         """The exact set of colors appearing on at least one edge, built on
@@ -286,6 +288,18 @@ class _ColoredHost:
             self._twins = self._twin_classes()
         return self._twins or None
 
+    def _color_pairs(self) -> dict[int, tuple[int, int, int]] | None:
+        """For each used color a, the bit sets (bit b for color b) of the
+        used colors b != a that have an edge meeting some a-edge, and of
+        those that have an edge disjoint from some a-edge, then the bit of
+        a's previous twin under these relations (0 for none); None, building
+        nothing, when the host has no ``search_masks``.  Built once, and
+        assigned once."""
+        if self._relations is None:
+            masks = self.search_masks()
+            self._relations = () if masks is None else _color_relations(masks)
+        return self._relations or None
+
     def _twin_classes(self) -> tuple[int, ...]:
         # Twins see one multiset of colors, and their rows agree outside the
         # pair.  Per vertex keep a hash of that multiset (``seen``, a key
@@ -333,6 +347,50 @@ class _ColoredHost:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+def _color_relations(masks: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, int, int]]:
+    """``_color_pairs`` from a host's ``search_masks``, with O(n m^2) bitset
+    operations and no pass over the edges.  Colors a and b meet when some
+    vertex has edges of both.  An a-edge uv is no b-edge, so it misses
+    |E_b| - deg_b(u) - deg_b(v) of them: a and b lie apart when some
+    a-neighbor v of some u has deg_b(v) < |E_b| - deg_b(u).  Two colors are
+    twins when both relations agree on them outside the pair, so swapping
+    them keeps the relations; twins form classes, like twin vertices."""
+    meets = dict.fromkeys(masks, 0)
+    apart = dict.fromkeys(masks, 0)
+    touched = {c: sum(1 << v for v, row in enumerate(rows) if row) for c, rows in masks.items()}
+    for a, b in combinations(masks, 2):
+        if touched[a] & touched[b]:
+            meets[a] |= 1 << b
+            meets[b] |= 1 << a
+    for b, rows in masks.items():
+        degree = [row.bit_count() for row in rows]
+        size = sum(degree) // 2
+        below = [0] * (max(degree) + 2)  # below[d]: the vertices of b-degree < d
+        for v, d in enumerate(degree):
+            below[d + 1] |= 1 << v
+        for d in range(1, len(below)):
+            below[d] |= below[d - 1]
+        todo = [a for a in masks if a != b and not apart[b] >> a & 1]
+        for u, d in enumerate(degree):
+            if not todo:
+                break
+            far = below[min(size - d, len(below) - 1)] if d < size else 0
+            for a in [a for a in todo if masks[a][u] & far]:
+                todo.remove(a)
+                apart[a] |= 1 << b
+                apart[b] |= 1 << a
+    out: dict[int, tuple[int, int, int]] = {}
+    for c in sorted(masks):
+        twin = 0
+        for a in reversed(list(out)):  # the nearest earlier twin
+            differ = (meets[a] ^ meets[c]) | (apart[a] ^ apart[c])
+            if not differ & ~(1 << a | 1 << c):
+                twin = 1 << a
+                break
+        out[c] = (meets[c], apart[c], twin)
+    return out
 
 
 class ColoredComplete(_ColoredHost):
@@ -549,7 +607,7 @@ def read_coloring(stream: TextIO) -> Host:
 
     Checked in this order, each failure a ColoringFormatError: the header's
     kind, field count and integers; the number of data rows, counted, never
-    listed, unless the sizes make it negative; then, in the host's
+    listed, unless some size is not positive; then, in the host's
     constructor, its sizes, m >= 1, each row's width and integers as the
     host takes the row, and the colors' range 1..m."""
     lines = [line for line in map(str.strip, stream) if line and line[0] != "#"]
@@ -564,7 +622,7 @@ def read_coloring(stream: TextIO) -> Host:
     *sizes, m = _ints(header[1:], "header")
     try:
         count, widths = layout(*sizes)
-        if count >= 0 and len(body) != count:
+        if min(sizes) > 0 and len(body) != count:
             raise ColoringFormatError(f"expected {count} data rows, got {len(body)}")
         return cls(*sizes, m, chain.from_iterable(_row_colors(body, widths)))
     except ValueError as exc:

@@ -219,15 +219,20 @@ def _explicit_name(graph: SimpleGraph) -> str:
 # Each pattern builds its floors once, on its first rainbow search
 # (``plan_floors``).
 #
+# Refutation: a caller may pass a test that proves no map exists.  It costs
+# a host cache too, so the search asks it only at its TWIN_DELAY-th node,
+# first, and returns there when the test says so.
+#
 # Twin rule: when the caller passes a way to get the host's twin classes, a
 # candidate is skipped if the previous member of its class is unused and not
 # below the step's lowest candidate.  The classes cost a pass over the host,
-# so a search asks for them only at its TWIN_DELAY-th node and switches the
-# rule on there, in place: open steps prune their remaining candidates too,
-# and a short search never pays for the classes.  ``embeddings`` proves that
-# neither rule loses the first solution.  Rainbow existence search uses
-# both rules and rainbow enumeration the floors alone, since the twin rule
-# skips copies that are not the first; subgraph tests use neither.
+# so a search asks for them only at the TWIN_DELAY-th node, after the
+# refutation, and switches the rule on there, in place: open steps prune
+# their remaining candidates too, and a short search never pays for the
+# classes.  ``embeddings`` proves that neither rule loses the first
+# solution.  Rainbow existence search uses both rules and rainbow
+# enumeration the floors alone, since the twin rule skips copies that are
+# not the first; subgraph tests use neither.
 #
 # Bitset domains: when the caller passes a way to get the host's per-color
 # masks, the same node switches the candidate source, in both search modes.
@@ -327,15 +332,21 @@ def _moves(g: SimpleGraph, run: list[int], k: int, target: int) -> bool:
     return extend(k, fixed, fixed)
 
 
-# search nodes visited before the twin classes and color masks are asked
-# for: 81 of the 15,000 existence searches of micro_crosscheck(6, 3, s, 10)
-# over s < 500 reach it, and a freeness proof on a construction passes it
-# at once
+# search nodes visited before the refutation, twin classes and color masks
+# are asked for: 81 of the 15,000 existence searches of
+# micro_crosscheck(6, 3, s, 10) over s < 500 reach it, and a freeness proof
+# on a construction passes it at once
 TWIN_DELAY = 16
 
 
 def embeddings(
-    vertex_count: int, pair_color, plan, twins=None, color_masks=None, floors=None
+    vertex_count: int,
+    pair_color,
+    plan,
+    twins=None,
+    color_masks=None,
+    floors=None,
+    refute=None,
 ) -> Iterator[tuple[tuple[int, ...], frozenset]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
     colors, with its set of colors, in lexicographic order of step images.
@@ -344,6 +355,10 @@ def embeddings(
     masks, as a host's ``search_masks`` does, or None to keep the scalar
     loop.  The search asks for them at its TWIN_DELAY-th node and walks
     each later node's candidate bitmask (see the engine comment above).
+
+    ``refute``, when given, is called at the TWIN_DELAY-th node, before
+    anything else is asked for; a true answer must prove that no map
+    exists, and the search returns there.
 
     ``floors`` and ``twins`` prune the search.  Call S the first solution
     of the search without either: the one under the mirror floor alone.
@@ -403,7 +418,8 @@ def embeddings(
     used_colors: set = set()
     prev = None
     domain = None
-    delay = TWIN_DELAY if twins is not None or color_masks is not None else 0
+    hooked = twins is not None or color_masks is not None or refute is not None
+    delay = TWIN_DELAY if hooked else 0
     if floors is None:
         floors = ((),) * size
     # per open step: its lowest candidate, its candidate iterator, and the
@@ -417,6 +433,8 @@ def embeddings(
         if delay:
             delay -= 1
             if not delay:
+                if refute is not None and refute():
+                    return
                 if twins is not None:
                     prev = twins()
                 masks = None if color_masks is None else color_masks()

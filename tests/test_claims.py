@@ -8,7 +8,11 @@ import pytest
 
 from rainbowfree import CertificationError, claims, crosscheck
 from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
+from rainbowfree.constructions import gen_F3
+from rainbowfree.core import ColoredBipartite, _random_complete
 from rainbowfree.crosscheck import micro_crosscheck
+from rainbowfree.patterns import parse_pattern
+from rainbowfree.rainbow import enumerate_rainbow
 
 # A claim's seed derives from its index, so the order is part of the output.
 REGISTRY_IDS = [
@@ -153,6 +157,40 @@ def test_violated_floors_fail_and_name_the_host(monkeypatch):
     assert floors[0].witness == {"hosts_checked": 208, "failures": [["F1", 18, 4]]}
     assert cycles[0].status == "fail"
     assert cycles[0].witness == {"samples": 300, "failures": [3]}
+
+
+def test_star_counts_match_the_enumeration():
+    star = parse_pattern("K1_3")
+    rng = random.Random(13)
+    hosts = [_random_complete(rng, rng.randint(4, 10), rng.randint(1, 6)) for _ in range(40)]
+    for _ in range(40):
+        s, t, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        hosts.append(ColoredBipartite(s, t, m, [rng.randint(1, m) for _ in range(s * t)]))
+    hosts.append(gen_F3(12, 12, 6).host)
+    missed = 0
+    for host in hosts:
+        stars = list(enumerate_rainbow(host, star)) if host.vertex_count >= 4 else []
+        missing = sum(not {1, 2} <= e.colors for e in stars)
+        assert claims._star_counts(host) == (len(stars), missing), host
+        missed += 0 < missing < len(stars)
+    assert missed > 10
+
+
+def test_star_claim_lists_the_stars_that_miss_colors_1_and_2(monkeypatch):
+    # F3(12,12,6) with its color-1 edges recolored 3: the claim fails, and
+    # lists the failing stars of the enumeration, in its order
+    f3 = gen_F3(12, 12, 6).host
+    host = ColoredBipartite.from_function(
+        12, 12, 6, lambda u, v: 3 if f3.color(u, v) == 1 else f3.color(u, v)
+    )
+    monkeypatch.setattr(claims, "_host", lambda label: host)
+    star = parse_pattern("K1_3")
+    stars = list(enumerate_rainbow(host, star))
+    bad = [e.to_json() for e in stars if not {1, 2} <= e.colors]
+    report = run_claims("F3-stars-use-1-and-2")[0]
+    assert report.status == "fail" and bad
+    copies = len(stars) * star.automorphisms
+    assert report.witness == {"rainbow_stars": copies, "missing_12": bad}
 
 
 def test_construction_claims_pass():

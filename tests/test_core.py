@@ -196,10 +196,12 @@ MALFORMED = {
     "Kn 3 2\n1 2 2\n1\n": "row 1: expected 2 entries, got 3",
     "Kn 3 2\n1 3\n1\n": "color 3 out of range 1..2",
     "Kn 3 2\n1 x\n1\n": "bad color token 'x'",
-    # sizes that give a negative row count reach the host's size check
+    # sizes that are not positive reach the host's size check
     "Kn 0 2\n": "n must be in 2..10000, got 0",
     "Kst -2 -3 2\n": "both sides must be non-empty",
     "Kst -2 3 2\n1 1 1\n": "both sides must be non-empty",
+    "Kst 2 0 2\n": "both sides must be non-empty",
+    "Kst 2 -3 2\n": "both sides must be non-empty",
     "Kn 2.5 2\n1\n": "bad header token '2.5'",
     "Kst 2 2 x\n1 1\n1 1\n": "bad header token 'x'",
 }

@@ -1,7 +1,8 @@
 import hashlib
 import json
 import random
-from itertools import combinations, permutations
+import time
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -24,8 +25,8 @@ from rainbowfree.core import (
 )
 from rainbowfree.gallai import is_gallai, sample_gallai
 from rainbowfree.oracles import oracle_rainbow_exists
-from rainbowfree.patterns import is_subgraph, parse_pattern
-from rainbowfree import rainbow
+from rainbowfree.patterns import BASE_GRAPHS, is_subgraph, parse_pattern
+from rainbowfree import patterns, rainbow
 from rainbowfree.rainbow import (
     enumerate_rainbow,
     find_rainbow,
@@ -352,3 +353,151 @@ def test_golden_witnesses():
         maps = [list(mapping) for mapping in mirror_only(hosts[label], parse_pattern(name))]
         assert len(maps) == count, name
         assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == digest, name
+
+
+# ---------------------------------------------------------------------------
+# Color-pair refutation
+# ---------------------------------------------------------------------------
+
+
+def scanned_color_pairs(host):
+    """``_color_pairs`` by the definition: every pair of edges of two
+    colors is compared, and each color's previous twin is the last earlier
+    color that the two relations cannot tell apart outside the pair."""
+    edges = {}
+    for u, v in combinations(range(host.vertex_count), 2):
+        c = host.pair_color(u, v)
+        if c is not None:
+            edges.setdefault(c, []).append({u, v})
+    meets = dict.fromkeys(edges, 0)
+    apart = dict.fromkeys(edges, 0)
+    for a, b in permutations(edges, 2):
+        for e in edges[a]:
+            for f in edges[b]:
+                if e & f:
+                    meets[a] |= 1 << b
+                else:
+                    apart[a] |= 1 << b
+    out = {}
+    for c in sorted(edges):
+        twins = [
+            a for a in out
+            if all(
+                (rel[a] >> x & 1) == (rel[c] >> x & 1)
+                for rel in (meets, apart) for x in edges if x not in (a, c)
+            )
+        ]  # fmt: skip
+        out[c] = (meets[c], apart[c], 1 << twins[-1] if twins else 0)
+    return out
+
+
+def skewed_host(rng, complete):
+    """A random K_n (n <= 7) or K_{s,t} (s + t <= 8) with up to 6 colors,
+    drawn with uneven weights so that some colors are rare."""
+    m = rng.randint(2, 6)
+    weights = [rng.random() ** 3 for _ in range(m)]
+    if complete:
+        n = rng.randint(4, 7)
+        return ColoredComplete(n, m, rng.choices(range(1, m + 1), weights, k=n * (n - 1) // 2))
+    s = rng.randint(1, 4)
+    t = rng.randint(1, 8 - s)
+    return ColoredBipartite(s, t, m, rng.choices(range(1, m + 1), weights, k=s * t))
+
+
+def grammar_patterns(edges, order):
+    """Every grammar pattern with at most ``edges`` edges and ``order``
+    vertices."""
+    out = []
+    for r in range(1, edges + 1):
+        for terms in combinations_with_replacement(BASE_GRAPHS, r):
+            bases = [BASE_GRAPHS[b] for b in terms]
+            if sum(g.edge_count for g in bases) <= edges and sum(g.n for g in bases) <= order:
+                out.append(parse_pattern("u".join(terms)))
+    return out
+
+
+def test_color_pairs_match_a_scan_of_edge_pairs():
+    rng = random.Random(48)
+    hosts = [skewed_host(rng, complete) for _ in range(100) for complete in (True, False)]
+    hosts += [_random_complete(rng, rng.randint(8, 14), rng.randint(1, 8)) for _ in range(30)]
+    hosts += [gen_R1(18, 6).host, gen_R2(12, 6).host, gen_F2(13, 6, 5).host, gen_F3(12, 12, 6).host]
+    twins = 0
+    for host in hosts:
+        pairs = host._color_pairs()
+        assert pairs == scanned_color_pairs(host), (host, host._colors)
+        twins += any(twin for _, _, twin in pairs.values())
+    assert twins > 20
+    # a host with more than SEARCH_MASK_COLORS colors has no masks to build from
+    many = _random_complete(rng, 10, 40)
+    assert many._color_pairs() is None and many._masks is None
+
+
+def test_pair_refutations_agree_with_the_injection_oracle():
+    rng = random.Random(28)
+    hosts = [skewed_host(rng, complete) for _ in range(300) for complete in (True, False)]
+    pats = grammar_patterns(6, 8)
+    refuted = 0
+    for host in hosts:
+        for pat in pats:
+            if pat.order > host.vertex_count or pat.size > len(host.used_colors()):
+                continue
+            if rainbow._refuted_by_pairs(host, pat):
+                refuted += 1
+                assert not oracle_rainbow_exists(host, pat), (host, host._colors, pat)
+    assert refuted > 100
+
+
+def six_k2_host(n):
+    """Colors 1-4 at random away from vertex 0, and 5 and 6 only at vertex
+    0: the two cannot both sit on a matching, and no vertices are twins."""
+    rng = random.Random(1)
+    return ColoredComplete.from_function(
+        n, 6, lambda u, v: 5 + v % 2 if u == 0 else rng.randint(1, 4)
+    )
+
+
+def test_six_k2_family_is_refuted_by_color_pairs_at_n_200():
+    # the search alone took 0.9 s at n = 14 and 111 s at n = 20
+    six_k2 = parse_pattern("6K2")
+    for n in (14, 20, 200):
+        host = six_k2_host(n)
+        start = time.perf_counter()
+        assert find_rainbow(host, six_k2) is None
+        assert time.perf_counter() - start < 1.0, n
+        # a refuted search never asks for the twin classes
+        assert host._twins is None
+
+
+def test_registry_freeness_is_refuted_before_the_twin_classes():
+    cases = [(gen_R1(18, 6).host, name) for name in ("K3uP3", "K1_3uP3", "P4plusuP3", "P5uP3")]
+    cases += [(gen_R2(12, 6).host, name) for name in ("K2uP6", "2P4")]
+    cases += [(gen_F2(13, 6, 5).host, name) for name in ("4K2", "K2u2P3")]
+    cases += [(gen_F3(12, 12, 6).host, name) for name in ("V:5;E:0-1,0-2,0-3,0-4", "P3uK1_3")]
+    for host, name in cases:
+        assert rainbow._refuted_by_pairs(host, parse_pattern(name)), name
+        assert find_rainbow(host, parse_pattern(name)) is None
+        assert host._twins is None, name
+
+
+def test_undecided_pairs_leave_the_answer_to_the_search(monkeypatch):
+    # K1_3uP4 needs its three forced colors on pairwise meeting edges, a
+    # star; the host has them on a triangle, which every pair allows
+    rng = random.Random(3)
+    triangle = {(0, 1): 4, (1, 2): 5, (0, 2): 6}
+    host = ColoredComplete.from_function(
+        12, 6, lambda u, v: triangle.get((u, v)) or rng.randint(1, 3)
+    )
+    pat = parse_pattern("K1_3uP4")
+    assert not rainbow._refuted_by_pairs(host, pat)
+    searched = patterns.embeddings(
+        host.vertex_count, host.pair_color, pat.plan, host.twin_prev, host.search_masks,
+        pat.floors,
+    )  # fmt: skip
+    assert next(searched, None) is None
+    assert find_rainbow(host, pat) is None
+    # running out of tries is undecided too, and the search still answers
+    host = gen_R2(12, 6).host
+    pat = parse_pattern("2P4")
+    monkeypatch.setattr(rainbow, "PAIR_NODES", 1)
+    assert not rainbow._refuted_by_pairs(host, pat)
+    assert find_rainbow(host, pat) is None and host._twins is not None
