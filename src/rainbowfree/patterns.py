@@ -340,13 +340,7 @@ TWIN_DELAY = 16
 
 
 def embeddings(
-    vertex_count: int,
-    pair_color,
-    plan,
-    twins=None,
-    color_masks=None,
-    floors=None,
-    refute=None,
+    vertex_count: int, pair_color, plan, twins=None, color_masks=None, floors=None, refute=None
 ) -> Iterator[tuple[tuple[int, ...], frozenset]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
     colors, with its set of colors, in lexicographic order of step images.

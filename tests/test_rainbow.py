@@ -378,15 +378,18 @@ def scanned_color_pairs(host):
                     meets[a] |= 1 << b
                 else:
                     apart[a] |= 1 << b
+
+    def alike(a, c):
+        return all(
+            (rel[a] >> x & 1) == (rel[c] >> x & 1)
+            for rel in (meets, apart)
+            for x in edges
+            if x not in (a, c)
+        )
+
     out = {}
     for c in sorted(edges):
-        twins = [
-            a for a in out
-            if all(
-                (rel[a] >> x & 1) == (rel[c] >> x & 1)
-                for rel in (meets, apart) for x in edges if x not in (a, c)
-            )
-        ]  # fmt: skip
+        twins = [a for a in out if alike(a, c)]
         out[c] = (meets[c], apart[c], 1 << twins[-1] if twins else 0)
     return out
 
@@ -489,10 +492,11 @@ def test_undecided_pairs_leave_the_answer_to_the_search(monkeypatch):
     )
     pat = parse_pattern("K1_3uP4")
     assert not rainbow._refuted_by_pairs(host, pat)
+    # the engine with the host's twins and masks but no refutation
+    plan, floors = pat.plan, pat.floors
     searched = patterns.embeddings(
-        host.vertex_count, host.pair_color, pat.plan, host.twin_prev, host.search_masks,
-        pat.floors,
-    )  # fmt: skip
+        host.vertex_count, host.pair_color, plan, host.twin_prev, host.search_masks, floors
+    )
     assert next(searched, None) is None
     assert find_rainbow(host, pat) is None
     # running out of tries is undecided too, and the search still answers
