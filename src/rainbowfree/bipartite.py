@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .core import MAX_VERTICES, CertificationError, ColoredBipartite, _certify, restrict
+from .core import MAX_VERTICES, CertificationError, ColoredBipartite, _certify, _support
+from .core import iter_bits, restrict
 from .connectivity import is_k_connected
 from .constructions import Generated, _blocks, _split_sizes
 
@@ -77,43 +78,58 @@ def validate_type_b(host: ColoredBipartite, background: int, u_parts, v_parts) -
     return None
 
 
+def _least(bits: int) -> int:
+    """The index of the lowest set bit of a non-zero bitset."""
+    return (bits & -bits).bit_length() - 1
+
+
 def classify_k13_free(host: ColoredBipartite) -> BipartiteStructure:
     """Classify a rainbow-K_{1,3}-free host into case A (<= 4 colors) or a
     certified case-B block structure (>= 5 colors).  Any host with a rainbow
     K_{1,3} raises RainbowStarPresent, whatever its color count.
 
-    One scan of the color masks lists the colors each vertex sees, ordered
-    by their least neighbor.  A vertex seeing three colors is a rainbow
-    star, whose witness adds the least neighbor of each of the first three,
-    ascending: find_rainbow's first rainbow K_{1,3}.  In case B every vertex
-    has an edge to another block, so the background is the one color every
-    vertex sees (a block color is seen only inside its block), and each
-    vertex's block is its other color, or the first block color if it has
-    none.  The validator certifies the result once, and its reason for a
-    refusal is the CertificationError's message.
+    Each color's support is the OR of its masks, the vertices with an edge
+    of that color.  A counter sliced into three bitsets (seen once, twice,
+    three times or more) adds the supports up, so the vertices that see
+    three colors come out as one bitset.  The least of them is a rainbow
+    star, whose witness adds the least neighbor of each of its first three
+    colors by least neighbor, ascending: find_rainbow's first rainbow
+    K_{1,3}.  In case B every vertex has an edge to another block, so the
+    background is the one color whose support is every vertex (a block
+    color is seen only inside its block), and each block is its color's
+    support, split by side; a vertex that sees no block color joins the
+    first block color's.  The validator certifies the result once, and its
+    reason for a refusal is the CertificationError's message.
     """
     _require_bipartite(host)
     if min(host.s, host.t) < 3:
         raise ValueError("both sides must have at least 3 vertices")
     used = host.used_colors()
-    rows = [(c, host.color_masks(c)) for c in used]
-    seen = []
-    for v in range(host.vertex_count):
-        firsts = sorted(((row[v] & -row[v]).bit_length() - 1, c) for c, row in rows if row[v])
-        if len(firsts) >= 3:
-            raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *(w for w, _ in firsts[:3]))}")
-        seen.append(tuple(c for _, c in firsts))
+    masks = {c: host.color_masks(c) for c in used}
+    supports = {c: _support(rows) for c, rows in masks.items()}
+    ones = twos = threes = 0
+    for seen in supports.values():
+        threes |= twos & seen
+        twos |= ones & seen
+        ones |= seen
+    if threes:
+        v = _least(threes)
+        firsts = sorted(_least(rows[v]) for rows in masks.values() if rows[v])
+        raise RainbowStarPresent(f"rainbow K_{{1,3}} at {(v, *firsts[:3])}")
     if len(used) <= 4:
         return BipartiteStructure("A", used)
-    everywhere = [c for c in seen[0] if all(c in cs for cs in seen)]
+    full = (1 << host.vertex_count) - 1
+    everywhere = [c for c in used if supports[c] == full]
+    everywhere.sort(key=lambda c: _least(masks[c][0]))  # vertex 0's order
     if len(everywhere) != 1:
         raise CertificationError(f"no single background: every vertex sees colors {everywhere}")
     b = everywhere[0]
     block_colors = sorted(used - {b})
-    block_of = [next((c for c in cs if c != b), block_colors[0]) for cs in seen]
-    u_parts = {c: tuple(u for u in range(host.s) if block_of[u] == c) for c in block_colors}
-    v_block = block_of[host.s:]
-    v_parts = {c: tuple(v for v in range(host.t) if v_block[v] == c) for c in block_colors}
+    blocks = {c: supports[c] for c in block_colors}
+    blocks[block_colors[0]] |= full ^ twos  # the vertices that see b alone
+    side = (1 << host.s) - 1
+    u_parts = {c: tuple(iter_bits(bits & side)) for c, bits in blocks.items()}
+    v_parts = {c: tuple(iter_bits(bits >> host.s)) for c, bits in blocks.items()}
     _certify(validate_type_b, host, b, u_parts, v_parts)
     renumbering = {b: 1}
     for i, c in enumerate(block_colors):

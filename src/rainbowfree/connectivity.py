@@ -28,6 +28,7 @@ from .core import (
     iter_bits,
     normalize_mask,
     ColoredComplete,
+    _support,
 )
 
 
@@ -407,7 +408,7 @@ def gyarfas_floor(host: Host):
     best_color, best_comp = -1, 0
     for c in used:
         adj = host.color_masks(c)
-        for comp in components(adj, sum(1 << v for v, a in enumerate(adj) if a)):
+        for comp in components(adj, _support(adj)):
             if comp.bit_count() > best_comp.bit_count():
                 best_color, best_comp = c, comp
     n = host.vertex_count

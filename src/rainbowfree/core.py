@@ -14,6 +14,7 @@ each assigned once, complete.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, combinations, product, repeat
 from operator import mul, or_
 from typing import Iterable, Iterator, TextIO, Union
@@ -52,6 +53,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _support(adj_bits) -> int:
+    """The bitset of the vertices with an edge: rows of a symmetric
+    adjacency OR to it."""
+    return reduce(or_, adj_bits, 0)
 
 
 class SimpleGraph:
@@ -359,7 +366,7 @@ def _color_relations(masks: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, 
     them keeps the relations; twins form classes, like twin vertices."""
     meets = dict.fromkeys(masks, 0)
     apart = dict.fromkeys(masks, 0)
-    touched = {c: sum(1 << v for v, row in enumerate(rows) if row) for c, rows in masks.items()}
+    touched = {c: _support(rows) for c, rows in masks.items()}
     for a, b in combinations(masks, 2):
         if touched[a] & touched[b]:
             meets[a] |= 1 << b

@@ -35,7 +35,7 @@ from math import comb
 from typing import NamedTuple
 
 from .core import CertificationError, Host, _certify, _induced_bits, _require_complete
-from .core import ceil_div, components, iter_bits
+from .core import _support, ceil_div, components, iter_bits
 from .connectivity import _peel_to_kcore
 
 # The cap counts (vertex set, endpoint) pairs, each endpoint bit of a level
@@ -129,11 +129,6 @@ def validate_cycle(host: Host, witness: CycleWitness) -> None:
     if len(witness.vertices) < 2:
         raise ValueError("a cycle witness needs at least 2 vertices")
     _validate_walk(host, witness, "cycle")
-
-
-def _support(adj) -> int:
-    """The bitset of the vertices with an edge."""
-    return sum(1 << v for v, a in enumerate(adj) if a)
 
 
 def _complete(adj) -> bool:

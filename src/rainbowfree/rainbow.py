@@ -41,11 +41,15 @@ the search gives.
 
 ``find_rainbow_triangle``, which decides Gallai colorings, scans the
 per-color masks pair by pair where the host has them, and hands the other
-hosts to ``find_rainbow`` with K3.  Nothing here reads the host's storage.
+hosts to ``find_rainbow`` with K3.  After vertex 0's row it counts the
+host's rainbow triangles from the masks, with one popcount per edge and
+none per color, and a count of zero proves the host Gallai with no further
+scan.  Nothing here reads the host's storage.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .core import Host, ColoredComplete, _certify, iter_bits
@@ -195,7 +199,9 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
     M_d[j])``, since k must see i and j in two distinct colors other than
     c; the lowest of them above j is the least such k.  For each i in
     order, the j > i are walked one color class M_c[i] at a time, and the
-    least j that has such a k gives the first triangle at i.  A host with
+    least j that has such a k gives the first triangle at i.  Once vertex
+    0's row has none, ``_rainbow_triangles`` counts them all, and a count
+    of zero ends the scan: the host is Gallai.  A host with
     more than ``SEARCH_MASK_COLORS`` colors builds no masks, and
     ``find_rainbow`` answers it with the same triangle: K3's floors place
     it as i < j < k, and the first map of the search with the mirror floor
@@ -211,6 +217,8 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
     full = (1 << n) - 1
     by_color = list(masks.values())
     for i in range(n - 2):
+        if i == 1 and not _rainbow_triangles(by_color, n):
+            return None
         seen = [(by_vertex[i], by_vertex) for by_vertex in by_color]
         first = None
         for mine, by_vertex in seen:
@@ -232,3 +240,28 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
             colors = frozenset((host.color(i, j), host.color(i, k), host.color(j, k)))
             return Embedding(_K3, (i, j, k), colors)
     return None
+
+
+def _rainbow_triangles(by_color, n: int) -> int:
+    """The number of rainbow triangles of K_n colored with the per-color
+    masks ``by_color``.
+
+    Count the corners of triangles whose two edges differ in color: with
+    d_a(v) the a-degree of v, vertex v has ``sum_{a<b} d_a(v) d_b(v)`` of
+    them, so all vertices have ``S = ((n-1)^2 n - sum_{v,a} d_a(v)^2) / 2``.
+    A monochromatic triangle has no such corner, a two-colored one 2 and a
+    rainbow one 3, so with T1 monochromatic triangles out of C(n, 3) there
+    are ``S - 2 C(n, 3) + 2 T1`` rainbow ones.  Each monochromatic triangle
+    is counted at its three edges uv (u < v) of color c, as the common
+    c-neighbors ``M_c[u] & M_c[v]``.
+    """
+    squares = mono = 0
+    for rows in by_color:
+        for u, row in enumerate(rows):
+            squares += row.bit_count() ** 2
+            above = row >> u + 1
+            while above:
+                low = above & -above
+                above ^= low
+                mono += (row & rows[u + low.bit_length()]).bit_count()
+    return ((n - 1) ** 2 * n - squares) // 2 - 2 * comb(n, 3) + 2 * (mono // 3)

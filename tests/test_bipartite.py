@@ -116,6 +116,11 @@ def test_star_check_agrees_with_rainbow_search():
             s, t = rng.randint(m - 1, 10), rng.randint(m - 1, 10)
             host = gen_type_b(s, t, m, seed=seed, background_prob=prob).host
             hosts.append(_perturbed(rng, host))
+    # many colors, so the star check adds up many supports
+    for seed in range(100):
+        m = rng.randint(9, 12)
+        s, t = rng.randint(m - 1, 14), rng.randint(m - 1, 14)
+        hosts.append(_perturbed(rng, gen_type_b(s, t, m, seed=seed).host))
     raised = planted = 0
     for host in hosts:
         emb = find_rainbow(host, k13)

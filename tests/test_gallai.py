@@ -211,9 +211,10 @@ def twinless_gallai(rng, n, parts):
 
 
 def test_recognition_scales_past_a_thousand_vertices():
-    # the triangle scan makes O(n^2 m) steps on n-bit masks: 0.4-0.7 s at
-    # n = 1,000 on a 2-vCPU host, where the triple loop took 30 s;
-    # sample_gallai has 3 twin classes there, the second host none
+    # after vertex 0's row the rainbow-triangle count makes one popcount
+    # per edge on n-bit masks: 0.2-0.35 s at n = 1,000, masks included, on
+    # a 2-vCPU host, where the triple loop took 30 s; sample_gallai has 3
+    # twin classes there, the second host none
     twinless = twinless_gallai(random.Random(31), 1000, 10)
     assert twinless.twin_prev() is None
     for host in (sample_gallai(1000, 4, 1), twinless):

@@ -115,6 +115,40 @@ def first_rainbow_triangle(host):
     return None
 
 
+def recolored_gallai(rng, n, m, seed, off_zero=False):
+    """sample_gallai(n, m, seed) with one random pair recolored in the fresh
+    color m + 1, so each rainbow triangle of the result uses that pair.
+    With ``off_zero`` the pair's ends see vertex 0 in one color, so none of
+    them has vertex 0."""
+    gallai = sample_gallai(n, m, seed)
+    pairs = list(combinations(range(n), 2))
+    colors = [gallai.color(a, b) for a, b in pairs]
+    spots = [
+        i
+        for i, (a, b) in enumerate(pairs)
+        if not off_zero or a and gallai.color(0, a) == gallai.color(0, b)
+    ]
+    colors[rng.choice(spots)] = m + 1
+    return ColoredComplete(n, m + 1, colors)
+
+
+def test_rainbow_triangle_count_matches_a_triple_count():
+    rng = random.Random(49)
+    hosts = [
+        _random_complete(rng, n, m) for n in range(3, 11) for m in range(1, 7) for _ in range(3)
+    ]
+    hosts += [recolored_gallai(rng, rng.randint(3, 30), rng.randint(1, 15), s) for s in range(80)]
+    counts = []
+    for host in hosts:
+        expected = sum(
+            len({host.color(i, j), host.color(i, k), host.color(j, k)}) == 3
+            for i, j, k in combinations(range(host.n), 3)
+        )
+        counts.append(rainbow._rainbow_triangles(list(host.search_masks().values()), host.n))
+        assert counts[-1] == expected
+    assert 0 in counts and max(counts) > 1
+
+
 def test_triangle_scan_returns_the_first_triangle():
     rng = random.Random(30)
     hosts = [
@@ -122,7 +156,17 @@ def test_triangle_scan_returns_the_first_triangle():
     ]
     hosts += [sample_gallai(rng.randint(2, 16), rng.randint(1, 5), s) for s in range(100)]
     hosts += [_random_complete(rng, rng.randint(3, 12), 2) for _ in range(50)]
-    for host in hosts:
+    # a pair off vertex 0 recolored: vertex 0's row has no rainbow triangle,
+    # so the scan counts them and, where there are some, goes on
+    other = random.Random(31)
+    off_zero = []
+    for s in range(80):
+        m = other.randint(2, 15)  # vertex 0 sees two vertices in one color
+        off_zero.append(recolored_gallai(other, other.randint(m + 2, 40), m, s, True))
+    firsts = [first_rainbow_triangle(host) for host in off_zero]
+    assert all(first is None or first[0][0] > 0 for first in firsts)
+    assert 0 < firsts.count(None) < len(firsts)
+    for host in hosts + off_zero:
         found = find_rainbow_triangle(host)
         assert (found and (found.mapping, found.colors)) == first_rainbow_triangle(host)
         # the masks stay cached for the host's later color-class scans
@@ -134,17 +178,38 @@ def test_triangle_scan_returns_the_first_triangle():
     # sampled Gallai hosts with one pair recolored in a color of its own:
     # most gain rainbow triangles, some stay Gallai
     for s in range(30):
-        n, m = rng.randint(20, 60), rng.randint(17, 40)
-        gallai = sample_gallai(n, m, s)
-        colors = [gallai.color(a, b) for a, b in combinations(range(n), 2)]
-        colors[rng.randrange(len(colors))] = m + 1
-        many.append(ColoredComplete(n, m + 1, colors))
+        many.append(recolored_gallai(rng, rng.randint(20, 60), rng.randint(17, 40), s))
     for host in many:
         assert len(host.used_colors()) > SEARCH_MASK_COLORS
         found = find_rainbow_triangle(host)
         assert (found and (found.mapping, found.colors)) == first_rainbow_triangle(host)
         assert is_gallai(host) == (found is None)
         assert host._masks is None
+
+
+def test_vertex_0_row_answers_before_the_count(monkeypatch):
+    count = rainbow._rainbow_triangles
+
+    def no_count(by_color, n):
+        raise AssertionError("counted")
+
+    # a rainbow triangle at vertex 0 is found with no count
+    monkeypatch.setattr(rainbow, "_rainbow_triangles", no_count)
+    host = _random_complete(random.Random(7), 400, 4)
+    found = find_rainbow_triangle(host)
+    assert found.mapping[0] == 0
+    validate_embedding(host, parse_pattern("K3"), found.mapping)
+
+    # a Gallai host is proved so by one count
+    calls = []
+
+    def counted(by_color, n):
+        calls.append(n)
+        return count(by_color, n)
+
+    monkeypatch.setattr(rainbow, "_rainbow_triangles", counted)
+    assert find_rainbow_triangle(sample_gallai(400, 6, 3)) is None
+    assert calls == [400]
 
 
 def test_two_colored_host_has_no_rainbow_triangle():
