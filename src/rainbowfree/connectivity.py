@@ -62,21 +62,21 @@ class OrderCapResult(NamedTuple):
 
 
 def _peel_to_kcore(adj_bits, active: int, k: int) -> int:
-    """Drop vertices of in-set degree < k until stable.
+    """Drop vertices of in-set degree < k until stable: every vertex is
+    checked once, and a dropped vertex's neighbors again.
 
     Sound reduction: a k-connected subgraph of order > k has minimum degree
-    >= k, which only shrinks when restricting to a subset.
+    >= k, which only shrinks when restricting to a subset.  Every order of
+    drops ends at the same set, the largest of minimum degree at least k.
     """
-    changed = True
-    while changed:
-        changed = False
-        rest = active
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if (adj_bits[low.bit_length() - 1] & active).bit_count() < k:
-                active ^= low
-                changed = True
+    check = active
+    while check:
+        low = check & -check
+        check ^= low
+        row = adj_bits[low.bit_length() - 1]
+        if (row & active).bit_count() < k:
+            active ^= low
+            check |= row & active
     return active
 
 
@@ -299,7 +299,7 @@ def _masked_search(host: Host, mask, k: int, floor: int) -> ConnectivityReport:
     adj_bits = host.color_masks(*mask)
     found = _max_k_connected(adj_bits, (1 << len(adj_bits)) - 1, k, floor)
     witness = tuple(iter_bits(found))
-    return ConnectivityReport(k, mask, witness, len(witness), len(witness), exact=True)
+    return ConnectivityReport(k, mask, witness, len(witness), len(witness), True)
 
 
 def _best_over_masks(host: Host, masks, k: int):

@@ -14,7 +14,7 @@ each assigned once, complete.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, combinations, product, repeat
 from operator import mul, or_
 from typing import Iterable, Iterator, TextIO, Union
@@ -202,10 +202,12 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
 SEARCH_MASK_COLORS = 16
 
 
-def _tri_offsets(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _tri_offsets(n: int) -> tuple[int, ...]:
     """Per vertex a, the offset with pair a < b at ``offset[a] + b`` in the
-    row-major upper triangle of K_n."""
-    return [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+    row-major upper triangle of K_n; built once per n, and shared by every
+    host of that order, which only reads it."""
+    return tuple(a * (2 * n - a - 3) // 2 - 1 for a in range(n))
 
 
 class _ColoredHost:
@@ -248,14 +250,12 @@ class _ColoredHost:
         All colors are built in one edge pass on first use and kept; the
         finished dict is assigned once, complete.
         """
-        masks = self._all_masks()
-        found = [masks[c] for c in colors if c in masks]
-        if not found:
-            return (0,) * self.vertex_count
-        bits = found[0]
-        for more in found[1:]:
-            bits = tuple(map(or_, bits, more))
-        return bits
+        masks = self._masks or self._all_masks()
+        bits = None
+        for c in colors:
+            if c in masks:
+                bits = masks[c] if bits is None else tuple(map(or_, bits, masks[c]))
+        return (0,) * self.vertex_count if bits is None else bits
 
     def search_masks(self) -> dict[int, tuple[int, ...]] | None:
         """Every used color's ``color_masks``, or None, building none, when

@@ -296,9 +296,14 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
     it, as the sets grow down the stack, so it is marked when the search
     leaves it; the marks map each vertex set to a bitset of its marked
     endpoints.  A vertex with no way on is a dead end: its one path is
-    read without a push.  At the last level a cycle search tries only the
-    vertices that close it.  The search keeps its own stack, so a path may
-    be as long as the class.
+    read without a push, and the marks are not read for it: a state with
+    no way on is never pushed, so never marked, as a state's set fixes the
+    walk it is searched in (its component for a path; for a cycle, the
+    part of it from the set's least vertex, the start, on).  The walk's
+    vertices off the path are kept as one bitset, so a vertex's ways on
+    are one AND.  At the last level a cycle search tries only the vertices
+    that close it.  The search keeps its own stack, so a path may be as
+    long as the class.
 
     The starts that can reach ``bound`` go first, in ascending order: every
     vertex of a component that large, for a path, and its least vertex, for
@@ -320,7 +325,6 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
     best: list[int] = []
     marked: dict[int, int] = {}
     get = marked.get
-    pushes = 0
     for group in (first, rest):
         while group:
             start = group & -group
@@ -331,7 +335,7 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
                     break
             if cycle:
                 walk &= -start
-            need = max(3 if cycle else 1, len(best) + (not best or best[0] < v))
+            need = len(best) + (best[0] < v) if best else 3 if cycle else 1
             if walk.bit_count() < need:
                 continue
             path = [v]
@@ -340,10 +344,13 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
                 if bound == 1:
                     return best, True
             around = adj[v] if cycle else -1
-            mask, nbrs, left = start, adj[v] & walk, bound - 1
-            below = []  # (vertex set, untried neighbours) of each state under the top
+            mask, free, nbrs = start, walk ^ start, adj[v] & walk
+            # rem: the vertices a path may take after the next one; a path
+            # of at least ``need`` vertices ends at rem <= enough
+            rem, enough = bound - 2, bound - need
+            below = []  # the untried neighbours of each state under the top
             while True:
-                if left == 1:
+                if not rem:
                     nbrs &= around
                     if nbrs:
                         path.append((nbrs & -nbrs).bit_length() - 1)
@@ -351,33 +358,37 @@ def _first_path(adj, comps, bound: int, cycle: bool, budget: int) -> tuple[list[
                 while nbrs:
                     low = nbrs & -nbrs
                     nbrs ^= low
+                    w = low.bit_length() - 1
+                    ahead = adj[w] & free
+                    if not ahead:
+                        # a dead end: its one path stops at w, read without a push
+                        if rem <= enough and around & low:
+                            best = path + [w]
+                            enough = rem - 1
+                        continue
                     grown = mask | low
                     if get(grown, 0) & low:
                         continue
-                    w = low.bit_length() - 1
-                    ahead = adj[w] & walk & ~grown
-                    if not ahead:
-                        # a dead end: its one path stops at w, read without a push
-                        if len(path) >= need - 1 and around & low:
-                            best = path + [w]
-                            need = len(best) + 1
-                        continue
-                    pushes += 1
-                    if pushes == budget:
+                    budget -= 1
+                    if not budget:  # a budget of 0 never comes back to 0
                         return best, False
-                    below.append((mask, nbrs))
+                    below.append(nbrs)
                     path.append(w)
-                    if len(path) >= need and around & low:
-                        best, need = path[:], len(path) + 1
-                    mask, nbrs, left = grown, ahead, left - 1
+                    if rem <= enough and around & low:
+                        best, enough = path[:], rem - 1
+                    mask, free, nbrs = grown, free ^ low, ahead
+                    rem -= 1
                     break
                 else:
                     # every way on from this state was searched
                     if not below:
                         break
-                    marked[mask] = get(mask, 0) | 1 << path.pop()
-                    mask, nbrs = below.pop()
-                    left += 1
+                    low = 1 << path.pop()
+                    marked[mask] = get(mask, 0) | low
+                    mask ^= low
+                    free |= low
+                    nbrs = below.pop()
+                    rem += 1
     return best, True
 
 

@@ -344,6 +344,10 @@ def embeddings(
 ) -> Iterator[tuple[tuple[int, ...], frozenset]]:
     """Every injective map (symmetry-reduced) with pairwise distinct edge
     colors, with its set of colors, in lexicographic order of step images.
+    ``plan`` has at least one step: every ``Pattern`` has two or more
+    vertices, and ``is_subgraph`` answers the empty graph itself.  A node
+    reads its step from the plan once, and again only when the search
+    backtracks to it.
 
     ``color_masks``, when given, returns the host's per-color adjacency
     masks, as a host's ``search_masks`` does, or None to keep the scalar
@@ -402,16 +406,12 @@ def embeddings(
     size = len(plan)
     if size > vertex_count:
         raise ValueError("pattern larger than host")
-    if not size:
-        yield (), frozenset()
-        return
     nv = vertex_count
     image = [-1] * size  # pattern vertex -> host vertex
     least = [nv] * size  # step -> least image in its component so far
     used_vertices: set[int] = set()
     used_colors: set = set()
-    prev = None
-    domain = None
+    prev = domain = None
     hooked = twins is not None or color_masks is not None or refute is not None
     delay = TWIN_DELAY if hooked else 0
     if floors is None:
@@ -434,8 +434,8 @@ def embeddings(
                 masks = None if color_masks is None else color_masks()
                 if masks is not None:
                     domain = _candidate_masks(nv, plan, masks, image, used_colors)
+        p, anchors, starts, mirror = plan[i]
         # every image of a mirrored copy exceeds its predecessor's least image
-        mirror = plan[i][3]
         first = 0 if mirror is None else least[mirror] + 1
         for f in floors[i]:
             x = image[plan[f][0]]
@@ -444,12 +444,10 @@ def embeddings(
         lowest[i] = first
         # a domain's candidates pass the color checks below, which still
         # read the colors the map takes
-        options[i] = iter(range(first, nv)) if domain is None else iter_bits(domain(i, first))
+        cands = options[i] = iter(range(first, nv)) if domain is None else iter_bits(domain(i, first))
         # place the next candidate of step i, backtracking while none is left
         while True:
-            p, anchors, starts, _ = plan[i]
-            first = lowest[i]
-            for cand in options[i]:
+            for cand in cands:
                 if cand in used_vertices:
                     continue
                 if prev is not None and prev[cand] >= first and prev[cand] not in used_vertices:
@@ -466,7 +464,9 @@ def embeddings(
                 i -= 1
                 if i < 0:
                     return
-                used_vertices.remove(image[plan[i][0]])
+                p, anchors, starts, _ = plan[i]
+                first, cands = lowest[i], options[i]
+                used_vertices.remove(image[p])
                 used_colors.difference_update(added[i])
                 continue
             image[p] = cand
@@ -520,6 +520,8 @@ def is_subgraph(g, h) -> bool:
     G, H = _as_graph(g), _as_graph(h)
     if G.n > H.n or G.edge_count > H.edge_count:
         return False
+    if not G.n:  # the empty graph has an empty plan, and embeds everywhere
+        return True
     if any(a > b for a, b in zip(G.degree_sequence(), H.degree_sequence())):
         return False
     plan = g.plan if isinstance(g, Pattern) else search_plan(G)

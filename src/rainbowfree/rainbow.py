@@ -112,12 +112,13 @@ def find_rainbow(host: Host, pattern: Pattern) -> Embedding | None:
     search with the mirror floor alone, which is also
     ``enumerate_rainbow``'s.
     """
-    if pattern.order > host.vertex_count:
+    nv = host.vertex_count
+    if pattern.order > nv:
         raise ValueError("pattern larger than host")
     if pattern.size > host.m or pattern.size > len(host.used_colors()):
         return None
     found = embeddings(
-        host.vertex_count,
+        nv,
         host.pair_color,
         pattern.plan,
         host.twin_prev,
@@ -207,6 +208,11 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
     it as i < j < k, and the first map of the search with the mirror floor
     alone is the lexicographically first one.  A host that uses fewer than
     three colors has no rainbow triangle and is answered with no scan.
+
+    Every scan returns from inside its loop.  A host past the color gate
+    has n >= 3.  At n = 3 its one triangle is rainbow.  Above that, row 1
+    either returns None on a count of zero or has a triangle ahead, which
+    a later row finds, as row 0 had none.
     """
     n = host.n
     if len(host.used_colors()) < 3:
@@ -239,7 +245,6 @@ def find_rainbow_triangle(host: ColoredComplete) -> Embedding | None:
             j, k = first
             colors = frozenset((host.color(i, j), host.color(i, k), host.color(j, k)))
             return Embedding(_K3, (i, j, k), colors)
-    return None
 
 
 def _rainbow_triangles(by_color, n: int) -> int:

@@ -244,6 +244,29 @@ def test_validator_rejects_wrong_structures():
     assert validate_type_b(host, 1, broken, v_parts) is not None
 
 
+def test_validator_gives_each_rejection_its_reason():
+    # background 1 and two blocks: colors 2 and 3 on even pairs of U2 x V2
+    # = {0, 1} x {0, 1} and U3 x V3 = {2, 3} x {2, 3}
+    host = ColoredBipartite.from_function(
+        4, 4, 3, lambda u, v: (2 + u // 2) if u // 2 == v // 2 and (u + v) % 2 == 0 else 1
+    )
+    halves = {2: (0, 1), 3: (2, 3)}
+    assert validate_type_b(host, 1, halves, halves) is None
+    cases = [
+        ({2: (), 3: (0, 1, 2, 3)}, halves, "empty U part for color 2"),
+        (halves, {2: (0, 1), 3: ()}, "empty V part for color 3"),
+        ({2: (0, 1, 2), 3: (2, 3)}, halves, "U parts overlap"),
+        (halves, {2: (0, 1), 3: (1, 2, 3)}, "V parts overlap"),
+        ({2: (0,), 3: (2, 3)}, halves, "parts do not cover a side"),
+        (halves, {2: (0, 1), 3: (2,)}, "parts do not cover a side"),
+        (halves, {2: (0, 1), 4: (2, 3)}, "U and V block colors differ"),
+        ({2: (2, 3), 3: (0, 1)}, {2: (2, 3), 3: (0, 1)}, "block (3) edge (0,0) colored 2"),
+        (halves, {2: (2, 3), 3: (0, 1)}, "cross-block edge (0,0) colored 2"),
+    ]
+    for u_parts, v_parts, reason in cases:
+        assert validate_type_b(host, 1, u_parts, v_parts) == reason
+
+
 def test_background_spanning_witness():
     for seed, k in ((0, 1), (1, 2), (2, 3)):
         m = k + 4

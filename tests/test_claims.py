@@ -8,9 +8,11 @@ import pytest
 
 from rainbowfree import CertificationError, claims, crosscheck
 from rainbowfree.claims import Claim, _sampled, build_registry, run_claims
+from rainbowfree.connectivity import ConnectivityReport
 from rainbowfree.constructions import gen_F3
 from rainbowfree.core import ColoredBipartite, _random_complete
 from rainbowfree.crosscheck import micro_crosscheck
+from rainbowfree.paths import PathWitness
 from rainbowfree.patterns import parse_pattern
 from rainbowfree.rainbow import enumerate_rainbow
 
@@ -271,6 +273,29 @@ def test_crosscheck_reports_the_coloring_of_a_mismatch(monkeypatch):
     monkeypatch.setattr(crosscheck, "oracle_largest_k_connected", lambda g, k: -1)
     r = micro_crosscheck(3, 1)
     assert r.mismatches[1:] == [("lkc", [1], k, (1, 1, 1), 3 if k < 3 else 0, -1) for k in (1, 2, 3)]
+
+
+def test_crosscheck_reports_a_wrong_fast_answer_of_every_kind(monkeypatch):
+    # each fast answer made wrong in turn is reported under its own kind and
+    # key.  Of the 8 colorings of K3 with 2 colors, 6 hold a rainbow P3, they
+    # use 14 color classes, and their 32 (mask, k) checks find a k-connected
+    # set wherever k is 1, or is 2 on a triangle
+    wrong = [
+        ("find_rainbow", lambda host, pat: None, ("rainbow", "P3", (1, 1, 2), False, True), 6),
+        ("vertex_connectivity", lambda g: -1, ("kappa", 1, (1, 1, 1), -1, 2), 14),
+        ("longest_mono_path", lambda host, c: PathWitness(c, (0,), True), ("path", 1, (1, 1, 1), 1, 3), 14),
+        (
+            "largest_k_connected",
+            lambda host, mask, k: ConnectivityReport(k, frozenset(mask), (), 0, 0, True),
+            ("lkc", [1], 1, (1, 1, 1), 0, 3),
+            32,
+        ),
+    ]
+    for name, answer, head, count in wrong:
+        with monkeypatch.context() as patch:
+            patch.setattr(crosscheck, name, answer)
+            r = micro_crosscheck(3, 2)
+        assert r.ok is False and r.mismatches[0] == head and len(r.mismatches) == count, name
 
 
 def test_crosscheck_refuses_orders_its_oracles_cannot_finish():

@@ -104,6 +104,10 @@ def test_is_subgraph_examples():
     assert is_subgraph(parse_pattern("P3"), parse_pattern("P4plus"))
     assert not is_subgraph(parse_pattern("K3"), parse_pattern("P6"))
     assert is_subgraph(parse_pattern("K2uP3"), parse_pattern("K2u2P3"))
+    # the empty graph, whose plan has no steps, embeds in every graph
+    assert is_subgraph(SimpleGraph(0, []), parse_pattern("K2")) and is_isomorphic(
+        SimpleGraph(0, []), SimpleGraph(0, [])
+    )
 
 
 def oracle_is_subgraph(small: SimpleGraph, big: SimpleGraph) -> bool:
